@@ -58,7 +58,12 @@ def _run(workers: int, tracer=None):
 
 
 def _comparable_stats(result) -> dict:
-    return {k: v for k, v in sorted(result.stats.items()) if k != "workers"}
+    # The worker count differs by design, in stats["workers"] and in the
+    # stats["config"] provenance block; every other stat must match.
+    return {
+        k: v for k, v in sorted(result.stats.items())
+        if k not in ("workers", "config")
+    }
 
 
 def collect() -> dict:

@@ -81,53 +81,6 @@ def registration_service(arity: int) -> WebService:
     return b.build()
 
 
-def session_registration_service(arity: int) -> WebService:
-    """The registration service extended with a session input constant.
-
-    Same FORM phase as :func:`registration_service` (the bulk of the
-    snapshot graph), but the review loop ends in a once-visited CONFIRM
-    page that *requests* the input constant ``who`` and acknowledges
-    only the session owner's rows, then parks on a terminal FINAL page.
-
-    Requesting ``who`` multiplies the sigma count per database (one
-    sigma per candidate value plus a fresh one), which is what the
-    set-at-a-time engine's sigma blocking targets (E14): every snapshot
-    reached before CONFIRM has ``who`` outside its gamma, so successor
-    sets and label bitsets are shared across the whole block.
-    """
-    b = ServiceBuilder(f"session-registration-{arity}")
-    b.database("allowed", arity)
-    b.input("record", arity)
-    b.input("done")
-    b.state("stored", arity)
-    b.state("closed")
-    b.action("ack", arity)
-    b.input_constant("who")
-
-    variables = tuple(f"x{i}" for i in range(arity))
-    args = ", ".join(variables)
-
-    form = b.page("FORM", home=True)
-    form.toggle("done")
-    form.options("record", f"allowed({args})", variables)
-    form.insert("stored", f"record({args}) & !closed", variables)
-    form.insert("closed", "done")
-    form.target("REVIEW", "done")
-
-    review = b.page("REVIEW")
-    review.act("ack", f"stored({args})", variables)
-    review.toggle("done")
-    review.target("CONFIRM", "done")
-
-    confirm = b.page("CONFIRM")
-    confirm.request("who")
-    confirm.act("ack", f"stored({args}) & x0 = who", variables)
-    confirm.target("FINAL", "true")
-
-    b.page("FINAL")
-    return b.build()
-
-
 def registration_database(service: WebService, domain_size: int) -> Database:
     """All-`allowed` database over a canonical domain."""
     import itertools
@@ -135,25 +88,4 @@ def registration_database(service: WebService, domain_size: int) -> Database:
     arity = service.schema.database["allowed"].arity
     dom = [f"v{i}" for i in range(domain_size)]
     rows = list(itertools.product(dom, repeat=arity))
-    return Database(service.schema.database, {"allowed": rows})
-
-
-def session_registration_database(
-    service: WebService, domain_size: int, n_rows: int
-) -> Database:
-    """A sparse ring-shaped `allowed` relation (E14).
-
-    ``n_rows`` consecutive windows over a ``domain_size`` cycle:
-    row *i* is ``(v_i, v_{i+1}, ..., v_{i+arity-1})`` mod the domain.
-    Keeping ``n_rows`` small bounds the snapshot graph (the user can
-    only enter `allowed` rows) while the valuation count of a property
-    still grows with the full domain — the regime the set-at-a-time
-    engine targets: many valuations and sigmas per unit of graph.
-    """
-    arity = service.schema.database["allowed"].arity
-    dom = [f"v{i}" for i in range(domain_size)]
-    rows = [
-        tuple(dom[(i + j) % domain_size] for j in range(arity))
-        for i in range(n_rows)
-    ]
     return Database(service.schema.database, {"allowed": rows})

@@ -41,8 +41,6 @@ from repro.fol.evaluation import (
 from repro.fol.compile import (
     CompiledFormula,
     CompiledQuery,
-    compilation,
-    compilation_enabled,
     compile_formula,
     compile_query,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "evaluate", "evaluate_query",
     "evaluate_interpreted", "evaluate_query_interpreted",
     "CompiledFormula", "CompiledQuery", "compile_formula", "compile_query",
-    "compilation", "compilation_enabled",
     "parse_formula", "parse_term", "FormulaSyntaxError",
     "free_variables", "all_variables", "atoms_of", "relation_names",
     "input_constants_of", "db_constants_of", "literals_of",

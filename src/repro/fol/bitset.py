@@ -57,9 +57,6 @@ of ``|values| ** k``) and the hits are expanded back to block masks.
 from __future__ import annotations
 
 import itertools
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
@@ -94,47 +91,7 @@ __all__ = [
     "SigmaBlock",
     "ValuationBlock",
     "compile_bits",
-    "set_setwise",
-    "setwise",
-    "setwise_enabled",
 ]
-
-
-# -- toggle ------------------------------------------------------------------
-
-_FALSEY = {"0", "off", "no", "false"}
-_enabled = os.environ.get("REPRO_SETWISE", "1").strip().lower() not in _FALSEY
-_toggle_lock = threading.Lock()
-
-
-def setwise_enabled() -> bool:
-    """Whether the verifier uses set-at-a-time bitset labelling.
-
-    Only consulted when plan compilation is on — the bitset engine is
-    built behind the plan IR, so ``REPRO_COMPILE=0`` implies the
-    valuation-at-a-time reference path regardless of this toggle.
-    """
-    return _enabled
-
-
-def set_setwise(on: bool) -> bool:
-    """Set the global toggle; returns the previous value."""
-    global _enabled
-    with _toggle_lock:
-        previous = _enabled
-        _enabled = bool(on)
-    return previous
-
-
-@contextmanager
-def setwise(on: bool):
-    """Scoped toggle — ``with setwise(False): ...`` runs the
-    valuation-at-a-time oracle, the differential suite's main tool."""
-    previous = set_setwise(on)
-    try:
-        yield
-    finally:
-        set_setwise(previous)
 
 
 # -- the valuation block -----------------------------------------------------

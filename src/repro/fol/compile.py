@@ -43,19 +43,16 @@ inputs:
   its internal "unbound" sentinel during equality propagation).  No
   enumerated or user-facing domain in this codebase contains ``None``.
 
-The module-level toggle (:func:`compilation_enabled`, the
-:func:`compilation` context manager, the ``REPRO_COMPILE`` environment
-variable) controls whether :func:`repro.fol.evaluation.evaluate` and
-friends route through compiled plans; the plans themselves are valid
-either way.
+:func:`repro.fol.evaluation.evaluate` and
+:func:`~repro.fol.evaluation.evaluate_query` always run these plans;
+the interpreter stays behind as the reference the differential tests
+compare against (``evaluate_interpreted`` /
+``evaluate_query_interpreted``).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import threading
-from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -93,44 +90,9 @@ __all__ = [
     "CompiledQuery",
     "compile_formula",
     "compile_query",
-    "compilation",
-    "compilation_enabled",
-    "set_compilation",
     "clear_compile_cache",
     "register_cache_clearer",
 ]
-
-
-# -- toggle ------------------------------------------------------------------
-
-_FALSEY = {"0", "off", "no", "false"}
-_enabled = os.environ.get("REPRO_COMPILE", "1").strip().lower() not in _FALSEY
-_toggle_lock = threading.Lock()
-
-
-def compilation_enabled() -> bool:
-    """Whether ``evaluate``/``evaluate_query`` route through plans."""
-    return _enabled
-
-
-def set_compilation(on: bool) -> bool:
-    """Set the global toggle; returns the previous value."""
-    global _enabled
-    with _toggle_lock:
-        previous = _enabled
-        _enabled = bool(on)
-    return previous
-
-
-@contextmanager
-def compilation(on: bool):
-    """Scoped toggle — ``with compilation(False): ...`` runs the
-    reference interpreter, the differential suite's main tool."""
-    previous = set_compilation(on)
-    try:
-        yield
-    finally:
-        set_compilation(previous)
 
 
 # -- term compilation --------------------------------------------------------
@@ -626,8 +588,8 @@ def compile_query(
 # Downstream plan caches (e.g. the weak-keyed CompiledService cache in
 # repro.service.compiled) register their clear functions here so one
 # clear_compile_cache() call invalidates every layer at once — a live
-# service object must never keep serving plans built under a previous
-# toggle state or cache generation.
+# service object must never keep serving plans from a previous cache
+# generation.
 _CACHE_CLEARERS: list = []
 
 

@@ -195,23 +195,22 @@ def eval_term(term: Term, ctx: EvalContext, env: Env) -> Value:
 def evaluate(formula: Formula, ctx: EvalContext, env: Env | None = None) -> bool:
     """Truth value of ``formula`` in ``ctx`` under ``env``.
 
-    Thin wrapper: when plan compilation is enabled (the default), the
-    formula is compiled once into a :class:`~repro.fol.compile.Plan`
-    (cached on the formula and the environment's key set) and the plan
-    runs; otherwise the reference interpreter below runs.  Both paths
-    produce identical results and exceptions.
+    Thin wrapper: the formula is compiled once into a
+    :class:`~repro.fol.compile.CompiledFormula` (cached on the formula
+    and the environment's key set) and the plan runs.
     """
     base = dict(env or {})
-    if _compile_mod.compilation_enabled():
-        plan = _compile_mod.compile_formula(formula, frozenset(base))
-        return plan.check(ctx, base)
-    return _eval(formula, ctx, base)
+    return _compile_mod.compile_formula(formula, frozenset(base)).check(ctx, base)
 
 
 def evaluate_interpreted(
     formula: Formula, ctx: EvalContext, env: Env | None = None
 ) -> bool:
-    """The reference interpreter, bypassing compiled plans entirely."""
+    """The reference interpreter, bypassing compiled plans entirely.
+
+    Only the differential tests call it: the compiled plans must match
+    it result for result and exception for exception.
+    """
     return _eval(formula, ctx, dict(env or {}))
 
 
@@ -453,15 +452,11 @@ def evaluate_query(
     ``formula`` (the semantics of input-option rules, Definition 2.1).
 
     Thin wrapper over a cached :class:`~repro.fol.compile.CompiledQuery`
-    plan when compilation is enabled; the interpreter otherwise.
+    plan.
     """
     base = dict(env or {})
-    if _compile_mod.compilation_enabled():
-        plan = _compile_mod.compile_query(
-            formula, tuple(free_vars), frozenset(base)
-        )
-        return plan.solve(ctx, base)
-    return evaluate_query_interpreted(formula, free_vars, ctx, base)
+    plan = _compile_mod.compile_query(formula, tuple(free_vars), frozenset(base))
+    return plan.solve(ctx, base)
 
 
 def evaluate_query_interpreted(
@@ -470,7 +465,8 @@ def evaluate_query_interpreted(
     ctx: EvalContext,
     env: Env | None = None,
 ) -> frozenset[tuple]:
-    """The reference query interpreter, bypassing compiled plans."""
+    """The reference query interpreter, bypassing compiled plans (the
+    differential tests' oracle for :meth:`CompiledQuery.solve`)."""
     base = dict(env or {})
     results: set[tuple] = set()
     for sat in _satisfying_envs(tuple(free_vars), formula, ctx, base):

@@ -22,12 +22,11 @@ Event taxonomy (``name`` → meaning, extra fields):
   per-spec memo, instead of being constructed);
 - ``label.bits`` — set-at-a-time labelling accounting for one work
   unit (``computed``, ``shared``: label bitsets evaluated vs reused
-  from the block's shared cache; only when the bitset engine is on);
+  from the block's shared cache);
 - ``plan.compiled`` — the service's rule formulas were compiled to
   evaluation plans (``dur``, ``n_plans``; once per verification call,
   emitted parent-side so traces stay worker-count independent —
-  workers re-warm their own copy silently in the pool initialiser;
-  ``n_plans`` is 0 when compilation is toggled off);
+  workers re-warm their own copy silently in the pool initialiser);
 - ``plan.pruned`` — dataflow pruning dropped plans from the compiled
   service (``pruned_rules``, ``pruned_pages``; emitted right after
   ``plan.compiled``, and only when something was actually dropped, so

@@ -36,7 +36,6 @@ from repro.service.compiled import (
     CompiledPage,
     CompiledService,
     SnapshotInterner,
-    compile_service,
     compiled_service,
     warm_service_plans,
 )
@@ -53,7 +52,7 @@ __all__ = [
     "initial_snapshots", "successors", "enumerate_choices", "page_options",
     "error_snapshot", "random_run",
     "CompiledPage", "CompiledService", "SnapshotInterner",
-    "compile_service", "compiled_service", "warm_service_plans",
+    "compiled_service", "warm_service_plans",
     "Session",
     "ServiceBuilder", "PageBuilder",
     "ServiceClass", "classify", "ClassificationReport",

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.fol.analysis import literals_of
-from repro.fol.evaluation import (
-    EvalContext,
-    MissingInputConstantError,
-    evaluate,
-    evaluate_query,
-)
+from repro.fol.evaluation import EvalContext, MissingInputConstantError
 from repro.service.compiled import SnapshotInterner, compiled_service
 from repro.schema.database import Database
 from repro.schema.instances import Instance
@@ -184,8 +179,8 @@ class RunContext:
         self.service = service
         self.database = database
         self.sigma = dict(sigma or {})
-        # Precompiled rule plans (None when plan compilation is off) and
-        # the hash-consing pool for this exploration's configurations.
+        # Precompiled (pruned) rule plans and the hash-consing pool for
+        # this exploration's configurations.
         # Callers exploring several sigmas of one database pass a shared
         # interner so equal snapshots collapse across run contexts.
         self.compiled = compiled_service(service)
@@ -234,10 +229,8 @@ class RunContext:
         return ctx
 
     def compiled_page(self, name: str):
-        """The page's precompiled rules, or None on the interpreted path."""
-        if self.compiled is None:
-            return None
-        return self.compiled.pages.get(name)
+        """The page's precompiled rules (raises for a pruned page)."""
+        return self.compiled.page(name)
 
 
 def error_snapshot(service: WebService) -> Snapshot:
@@ -267,14 +260,8 @@ def page_options(
     """
     ectx = ctx.make_eval_context(state, Instance.empty(), prev, gamma=gamma)
     options: dict[str, frozenset] = {}
-    cpage = ctx.compiled_page(page.name)
-    if cpage is not None:
-        for input_name, plan in cpage.input_rules:
-            options[input_name] = options.get(input_name, frozenset()) | plan.solve(ectx)
-        return options
-    for rule in page.input_rules:
-        tuples = evaluate_query(rule.formula, rule.variables, ectx)
-        options[rule.input] = options.get(rule.input, frozenset()) | tuples
+    for input_name, plan in ctx.compiled_page(page.name).input_rules:
+        options[input_name] = options.get(input_name, frozenset()) | plan.solve(ectx)
     return options
 
 
@@ -370,33 +357,14 @@ def _updated_state(
 ) -> Instance:
     """Apply the three-disjunct state update of Definition 2.3."""
     new_contents: dict = {sym: rel for sym, rel in state}
-    cpage = ctx.compiled_page(page.name)
-    if cpage is not None:
-        groups = cpage.state_updates
-    else:
-        # Several rules with the same head act as the disjunction of
-        # their bodies (equivalent to Definition 2.1's single rule).
-        groups = tuple(
-            (
-                state_name,
-                tuple(
-                    (rule.insert, (rule.formula, rule.variables))
-                    for rule in page.state_rules
-                    if rule.state == state_name
-                ),
-            )
-            for state_name in sorted(page.updated_states())
-        )
-    for state_name, rules in groups:
+    # Several rules with the same head act as the disjunction of their
+    # bodies (equivalent to Definition 2.1's single rule).
+    for state_name, rules in ctx.compiled_page(page.name).state_updates:
         sym = ctx.service.schema.state[state_name]
         inserted: frozenset = frozenset()
         deleted: frozenset = frozenset()
         for insert, plan in rules:
-            if cpage is not None:
-                tuples = plan.solve(ectx)
-            else:
-                formula, variables = plan
-                tuples = evaluate_query(formula, variables, ectx)
+            tuples = plan.solve(ectx)
             if insert:
                 inserted |= tuples
             else:
@@ -414,19 +382,11 @@ def _updated_state(
 
 def _fired_actions(page: WebPageSchema, ectx: EvalContext, ctx: RunContext) -> Instance:
     contents: dict = {}
-    cpage = ctx.compiled_page(page.name)
-    if cpage is not None:
-        for action_name, plan in cpage.action_rules:
-            sym = ctx.service.schema.action[action_name]
-            tuples = plan.solve(ectx)
-            if tuples:
-                contents[sym] = contents.get(sym, frozenset()) | tuples
-    else:
-        for rule in page.action_rules:
-            sym = ctx.service.schema.action[rule.action]
-            tuples = evaluate_query(rule.formula, rule.variables, ectx)
-            if tuples:
-                contents[sym] = contents.get(sym, frozenset()) | tuples
+    for action_name, plan in ctx.compiled_page(page.name).action_rules:
+        sym = ctx.service.schema.action[action_name]
+        tuples = plan.solve(ectx)
+        if tuples:
+            contents[sym] = contents.get(sym, frozenset()) | tuples
     return ctx.interner.instance(Instance(contents))
 
 
@@ -478,20 +438,12 @@ def deterministic_step(ctx: RunContext, snapshot: Snapshot) -> StepResult:
         snapshot.state, snapshot.inputs, snapshot.prev, gamma=gamma
     )
 
-    cpage = ctx.compiled_page(page.name)
     try:
-        if cpage is not None:
-            fired = [
-                target
-                for target, plan in cpage.target_rules
-                if plan.check(ectx)
-            ]
-        else:
-            fired = [
-                rule.target
-                for rule in page.target_rules
-                if evaluate(rule.formula, ectx)
-            ]
+        fired = [
+            target
+            for target, plan in ctx.compiled_page(page.name).target_rules
+            if plan.check(ectx)
+        ]
         # Error condition (iii): ambiguous next page.
         if len(set(fired)) > 1:
             return StepResult(error=True)

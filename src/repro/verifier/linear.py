@@ -49,16 +49,12 @@ from typing import (
 )
 
 from repro.fol.analysis import input_constants_of
-from repro.fol.bitset import ValuationBlock, setwise_enabled
-from repro.fol.compile import compilation_enabled, compile_formula
+from repro.fol.bitset import ValuationBlock
+from repro.fol.compile import compile_formula
 from repro.fol.evaluation import EvalContext
 from repro.obs import Tracer
 from repro.ltl.buchi import find_accepting_lasso, ltl_to_buchi
-from repro.ltl.ltlfo import (
-    LTLFOSentence,
-    check_ltlfo_input_bounded,
-    fo_component_holds,
-)
+from repro.ltl.ltlfo import LTLFOSentence, check_ltlfo_input_bounded
 from repro.ltl.syntax import LNot
 from repro.schema.database import Database
 from repro.service.classify import ServiceClass, classify
@@ -146,10 +142,10 @@ class _SnapshotLabeller:
     the environment instead of being grounded by substitution.
 
     Each distinct payload formula is analysed once — its input-constant
-    set for the §3 gamma check, and (when plan compilation is on) a
-    compiled check plan at scope ``variables`` — so the product-search
-    hot path pays no per-call formula analysis.  ``variables`` must be
-    the key set of every non-empty ``env`` passed to :meth:`__call__`.
+    set for the §3 gamma check, and a compiled check plan at scope
+    ``variables`` — so the product-search hot path pays no per-call
+    formula analysis.  ``variables`` must be the key set of every
+    non-empty ``env`` passed to :meth:`__call__`.
     """
 
     def __init__(
@@ -184,11 +180,7 @@ class _SnapshotLabeller:
         entry = self._plans.get(id(payload))
         if entry is None:
             needed = input_constants_of(payload)
-            plan = (
-                compile_formula(payload, self.variables)
-                if compilation_enabled()
-                else None
-            )
+            plan = compile_formula(payload, self.variables)
             entry = (payload, needed, plan)
             self._plans[id(payload)] = entry
         return entry
@@ -198,27 +190,23 @@ class _SnapshotLabeller:
     ) -> bool:
         ectx, gamma = self._context(snap)
         _payload, needed, plan = self._plan(payload)
-        if plan is not None:
-            # §3: a component mentioning an unprovided constant is false.
-            if not needed <= gamma:
-                return False
-            return plan.check(ectx, env)
-        return fo_component_holds(payload, ectx, gamma, dict(env) if env else None)
+        # §3: a component mentioning an unprovided constant is false.
+        if not needed <= gamma:
+            return False
+        return plan.check(ectx, env)
 
     def label_bits(
         self, snap: Snapshot, payload, block: ValuationBlock, shared=None
     ) -> int:
         """Label ``snap`` for *every* valuation of ``block`` in one pass.
 
-        Bit *i* equals ``self(snap, payload, valuation_i)``.  Requires
-        plan compilation (the set-at-a-time engine lives behind the plan
-        IR).  ``shared`` is an optional
-        :class:`~repro.service.compiled.BlockLabelCache` spanning the
-        sigmas of one work-unit block: the key adds the gamma-scoped
-        sigma and the block layout — everything beyond ``(payload,
-        snap)`` the bitset's value depends on — so sigmas agreeing on
-        the constants the snapshot's page actually reads share one
-        computation.
+        Bit *i* equals ``self(snap, payload, valuation_i)``.  ``shared``
+        is an optional :class:`~repro.service.compiled.BlockLabelCache`
+        spanning the sigmas of one work-unit block: the key adds the
+        gamma-scoped sigma and the block layout — everything beyond
+        ``(payload, snap)`` the bitset's value depends on — so sigmas
+        agreeing on the constants the snapshot's page actually reads
+        share one computation.
         """
         # gamma without the eval context: a shared-cache hit must not
         # pay EvalContext construction for a snapshot it never evaluates.
@@ -258,7 +246,9 @@ def _search_valuations(
     One product search per valuation of the universal closure; label
     results are pure per (snapshot, payload) at a fixed valuation and
     the search revisits product states, so they are memoised per
-    valuation.  Returns ``(lasso, valuation)`` or None.
+    valuation.  Returns ``(lasso, valuation)`` or None.  The verifier
+    runs :func:`_search_valuations_setwise`; the tests compare it with
+    this one.
     """
     for combo in itertools.product(valuation_domain, repeat=len(names)):
         gov.charge_valuation()
@@ -340,10 +330,10 @@ def _check_ltlfo_unit(
 
     Classic units hold a single sigma; blocked units
     (``unit.sigma_block``) cover a contiguous sigma range of one
-    database, sharing the snapshot interner and — with the set-at-a-time
-    engine on — label bitsets across the range's sigmas.  Every sigma
-    keeps its own run context, successor cache and charge order, so the
-    merged stats equal a classic one-sigma-per-unit run exactly.
+    database, sharing the snapshot interner and the label bitsets
+    across the range's sigmas.  Every sigma keeps its own run context,
+    successor cache and charge order, so the merged stats equal a
+    classic one-sigma-per-unit run exactly.
     """
     service: WebService = spec.service
     sentence: LTLFOSentence = spec.payload["sentence"]
@@ -354,16 +344,12 @@ def _check_ltlfo_unit(
     db = unit.database
     pairs = unit.sigma_pairs()
     names = sentence.variables
-    # The bitset engine lives behind the plan IR: REPRO_COMPILE=0 keeps
-    # the reference path no matter what REPRO_SETWISE says.
-    setwise = setwise_enabled() and compiled_service(service) is not None
     interner = SnapshotInterner() if len(pairs) > 1 else None
     shared = None
     shared_succ: dict | None = None
     page_extra: dict[str, frozenset] = {}
     if len(pairs) > 1:
-        if setwise:
-            shared = compiled_service(service).block_labels(unit.sigma_block)
+        shared = compiled_service(service).block_labels(unit.sigma_block)
         # successors(ctx, snap) reads sigma only scoped to the snapshot's
         # gamma (deterministic_step) plus the next page's input constants
         # (choice enumeration) — and the possible next pages are static:
@@ -392,7 +378,7 @@ def _check_ltlfo_unit(
     tracer = gov.tracer
 
     def emit_bits() -> None:
-        if tracer.active and setwise:
+        if tracer.active:
             tracer.emit(
                 "label.bits", cursor=unit.cursor,
                 computed=bits_computed, shared=bits_shared,
@@ -439,18 +425,12 @@ def _check_ltlfo_unit(
             set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
             key=repr,
         )
-        if setwise:
-            found = _search_valuations_setwise(
-                ba, starts, succ, labeller, names, valuation_domain,
-                gov, stats, shared,
-            )
-            bits_computed += labeller.bits_computed
-            bits_shared += labeller.bits_shared
-        else:
-            found = _search_valuations(
-                ba, starts, succ, labeller, names, valuation_domain,
-                gov, stats,
-            )
+        found = _search_valuations_setwise(
+            ba, starts, succ, labeller, names, valuation_domain,
+            gov, stats, shared,
+        )
+        bits_computed += labeller.bits_computed
+        bits_shared += labeller.bits_shared
         if found is not None:
             lasso, valuation = found
             run = Run(db, dict(sigma), list(lasso.states), lasso.loop_index)

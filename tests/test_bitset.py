@@ -11,12 +11,15 @@ Three layers of evidence:
 
 - per-bit randomized differential over the same controlled formula
   generator as ``test_compile`` plus every rule formula of the
-  ``examples/specs`` corpus;
-- end-to-end ``verify_ltlfo`` fingerprints (verdict, witness, stats)
-  with ``REPRO_SETWISE`` on and off, with and without sigma blocking,
-  sequential and pooled;
+  ``examples/specs`` corpus (where every compiled rule plan is also
+  checked against the interpreter);
+- search-level differential: the set-at-a-time lasso search against
+  the valuation-at-a-time reference search on every (database, sigma)
+  of three small services — same result, stats and governor charges —
+  and end-to-end ``verify_ltlfo`` fingerprints with and without sigma
+  blocking, sequential and pooled;
 - trace-level accounting: with sigma blocking on, the ``label.bits``
-  events show fewer bitsets computed (satellite of ROADMAP item 3).
+  events show fewer bitsets computed.
 """
 
 import random
@@ -25,25 +28,37 @@ from pathlib import Path
 import pytest
 
 from repro.fol import (
+    And,
     Atom,
+    Eq,
+    InputConst,
     MissingInputConstantError,
     Not,
     Var,
-    compilation,
     compile_formula,
     evaluate_interpreted,
+    evaluate_query_interpreted,
 )
-from repro.fol.bitset import (
-    ValuationBlock,
-    compile_bits,
-    set_setwise,
-    setwise,
-    setwise_enabled,
-)
-from repro.ltl import B, G, LTLFOSentence
+from repro.fol.bitset import ValuationBlock, compile_bits
+from repro.ltl import B, G, LTLAtom, LTLFOSentence, ltl_to_buchi
+from repro.ltl.syntax import LNot
 from repro.obs import CollectingTracer
-from repro.service import RunContext, ServiceBuilder, initial_snapshots, successors
-from repro.verifier import Verdict, verify_ltlfo
+from repro.service import (
+    CompiledService,
+    RunContext,
+    ServiceBuilder,
+    initial_snapshots,
+    successors,
+)
+from repro.service.compiled import BlockLabelCache
+from repro.verifier import verify_ltlfo
+from repro.verifier.budget import Budget
+from repro.verifier.engine import candidate_databases, enumerate_sigmas
+from repro.verifier.linear import (
+    _search_valuations,
+    _search_valuations_setwise,
+    _SnapshotLabeller,
+)
 
 from tests.test_compile import (
     EVAL_ERRORS,
@@ -54,7 +69,6 @@ from tests.test_compile import (
     _outcome,
     _pingpong,
     _registration,
-    _result_fingerprint,
 )
 
 # ---------------------------------------------------------------------------
@@ -169,14 +183,17 @@ SPECS = sorted(
 )
 
 
-@pytest.mark.parametrize("path", SPECS)
-def test_bits_specs_corpus(path):
-    """Per-bit parity on real rule formulas over reachable snapshots."""
+CORPUS_DOMAIN = ("a", "b")
+
+
+def corpus_inputs(path):
+    """A corpus spec with a small database over ``CORPUS_DOMAIN`` (up to
+    two rows per relation) and a sigma giving every constant ``"a"``."""
     from repro.io.json_format import load_service
     from repro.schema import Database
 
     service = load_service(path)
-    dom = ["a", "b"]
+    dom = CORPUS_DOMAIN
     contents = {}
     for sym in service.schema.database:
         rows = []
@@ -185,6 +202,41 @@ def test_bits_specs_corpus(path):
         contents[sym.name] = rows
     db = Database(service.schema.database, contents)
     sigma = {c: dom[0] for c in service.schema.input.constants}
+    return service, db, sigma
+
+
+def _rule_plans(page, cpage):
+    """``(formula, variables, plan)`` for every rule of ``page``, with
+    ``cpage`` its unpruned compiled form (``variables`` is None for the
+    target rules' check plans)."""
+    out = [
+        (rule.formula, rule.variables, plan)
+        for rule, (_, plan) in zip(page.input_rules, cpage.input_rules)
+    ]
+    for state_name, plans in cpage.state_updates:
+        rules = [r for r in page.state_rules if r.state == state_name]
+        out += [
+            (rule.formula, rule.variables, plan)
+            for rule, (_, plan) in zip(rules, plans)
+        ]
+    out += [
+        (rule.formula, rule.variables, plan)
+        for rule, (_, plan) in zip(page.action_rules, cpage.action_rules)
+    ]
+    out += [
+        (rule.formula, None, plan)
+        for rule, (_, plan) in zip(page.target_rules, cpage.target_rules)
+    ]
+    assert len(out) == cpage.n_plans
+    return out
+
+
+@pytest.mark.parametrize("path", SPECS)
+def test_bits_specs_corpus(path):
+    """Per-bit parity on real rule formulas over reachable snapshots,
+    and every compiled rule plan against the interpreter there."""
+    service, db, sigma = corpus_inputs(path)
+    dom = CORPUS_DOMAIN
     ctx = RunContext(service, db, sigma=sigma)
 
     # a short reachable prefix of the snapshot graph
@@ -197,6 +249,7 @@ def test_bits_specs_corpus(path):
         snaps.append(snap)
         frontier.extend(successors(ctx, snap))
 
+    full = CompiledService(service, prune=False)
     checked = 0
     for snap in snaps:
         page = service.page(snap.page)
@@ -204,6 +257,16 @@ def test_bits_specs_corpus(path):
             snap.state, snap.inputs, snap.prev, snap.actions,
             gamma=snap.provided_here(service), page=snap.page,
         )
+        for formula, variables, plan in _rule_plans(page, full.page(page.name)):
+            if variables is None:
+                ref = _outcome(lambda: evaluate_interpreted(formula, ectx))
+                got = _outcome(lambda: plan.check(ectx))
+            else:
+                ref = _outcome(lambda: evaluate_query_interpreted(
+                    formula, variables, ectx
+                ))
+                got = _outcome(lambda: plan.solve(ectx))
+            assert got == ref, (snap.page, formula, ref, got)
         rules = (
             list(page.input_rules) + list(page.state_rules)
             + list(page.action_rules)
@@ -219,7 +282,7 @@ def test_bits_specs_corpus(path):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: REPRO_SETWISE on/off is invisible to the verifier
+# search level: the set-at-a-time lasso search vs the reference search
 # ---------------------------------------------------------------------------
 
 def _session_service():
@@ -254,57 +317,145 @@ def _stored_prop():
     )
 
 
-def _setwise_on_off(call):
-    with compilation(True), setwise(True):
-        on = call()
-    with compilation(True), setwise(False):
-        off = call()
-    assert _result_fingerprint(on) == _result_fingerprint(off)
-    return on
+def _never_stored_prop():
+    return LTLFOSentence(
+        ("x",), G(Not(Atom("stored", (Var("x"),)))), name="never stored"
+    )
+
+
+def _owner_never_stored_prop():
+    """Reads the input constant: equal snapshots label differently
+    under sigmas that differ in ``who``.  (``LNot`` keeps the negation
+    temporal, so the FO component is false, not true, before ``who`` is
+    provided.)"""
+    owner_stored = And([
+        Atom("stored", (Var("x"),)), Eq(Var("x"), InputConst("who")),
+    ])
+    return LTLFOSentence(
+        ("x",), G(LNot(LTLAtom(owner_stored))), name="owner never stored"
+    )
+
+
+def _result_fingerprint(result):
+    # stats["config"] records the options the compared runs set
+    # differently on purpose; everything else must match
+    return (
+        result.verdict,
+        result.procedure,
+        result.method,
+        result.counterexample,
+        {k: v for k, v in result.stats.items() if k != "config"},
+    )
+
+
+class _ChargeLog(Budget):
+    """A governor that also records the order of its charges."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.charges: list = []
+
+    def charge_valuation(self) -> None:
+        self.charges.append("valuation")
+        super().charge_valuation()
+
+    def charge_snapshot(self, n: int = 1) -> None:
+        self.charges.append(("snapshot", n))
+        super().charge_snapshot(n)
+
+
+def _search(search, service, sentence, ba, db, sigma, *extra):
+    """One lasso search over one (database, sigma), wired as the
+    verifier's unit checker wires it, with a fresh governor and stats."""
+    literals = frozenset(sentence.literals())
+    ctx = RunContext(service, db, sigma=sigma, extra_domain=literals)
+    labeller = _SnapshotLabeller(ctx, literals, variables=sentence.variables)
+    gov = _ChargeLog()
+    gov.begin_pair()
+    stats = {"valuations_checked": 0, "snapshots_explored": 0}
+    cache: dict = {}
+
+    def succ(snap):
+        out = cache.get(snap)
+        if out is None:
+            out = cache[snap] = successors(ctx, snap)
+            stats["snapshots_explored"] += 1
+            gov.charge_snapshot()
+        return out
+
+    domain = sorted(
+        set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
+        key=repr,
+    )
+    found = search(
+        ba, initial_snapshots(ctx), succ, labeller, sentence.variables,
+        domain, gov, stats, *extra,
+    )
+    return found, stats, gov
+
+
+SEARCH_CASES = {
+    "registration-stored": (_registration, _stored_prop),
+    "registration-never-stored": (_registration, _never_stored_prop),
+    "pingpong-never-P2": (
+        _pingpong,
+        lambda: LTLFOSentence((), G(Not(Atom("P2", ()))), name="never P2"),
+    ),
+    "session-stored": (_session_service, _stored_prop),
+    "session-never-stored": (_session_service, _never_stored_prop),
+    "session-owner-never-stored": (
+        _session_service, _owner_never_stored_prop,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_setwise_search_matches_reference(case):
+    """Every (database, sigma): same ``(lasso, valuation)``, same stats,
+    same governor charges in the same order.  The set-at-a-time search
+    shares one label cache across the sigmas of a database, as a
+    blocked work unit does."""
+    make_service, make_prop = SEARCH_CASES[case]
+    service, sentence = make_service(), make_prop()
+    ba = ltl_to_buchi(LNot(sentence.skeleton))
+    dbs, _ = candidate_databases(service, sentence, None, 2, True)
+    pairs = found_any = 0
+    for db in dbs:
+        shared = BlockLabelCache()
+        for sigma in enumerate_sigmas(service, db):
+            ref = _search(_search_valuations, service, sentence, ba, db, sigma)
+            got = _search(
+                _search_valuations_setwise, service, sentence, ba, db, sigma,
+                shared,
+            )
+            assert got[0] == ref[0]
+            assert got[1] == ref[1]
+            assert got[2].charges == ref[2].charges
+            assert got[2].counters() == ref[2].counters()
+            pairs += 1
+            found_any += ref[0] is not None
+    assert pairs
+    assert bool(found_any) == ("never" in case)
 
 
 class TestVerifierSetwiseIdentity:
-    def test_ltlfo_holds(self):
-        svc = _registration()
-        result = _setwise_on_off(
-            lambda: verify_ltlfo(svc, _stored_prop(), domain_size=2)
-        )
-        assert result.verdict is Verdict.HOLDS
-
-    def test_ltlfo_violated_witness_identical(self):
-        svc = _pingpong()
-        prop = LTLFOSentence((), G(Not(Atom("P2", ()))), name="never P2")
-        result = _setwise_on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=2)
-        )
-        assert result.verdict is Verdict.VIOLATED
-        assert result.counterexample is not None
-
     def test_sigma_blocked_unit_identical(self):
         """Blocked units (many sigmas at once) change nothing observable."""
         svc = _session_service()
-        blocked = _setwise_on_off(
-            lambda: verify_ltlfo(
-                svc, _stored_prop(), domain_size=2, sigma_block=8
-            )
+        blocked = verify_ltlfo(
+            svc, _stored_prop(), domain_size=2, sigma_block=8
         )
-        plain = _setwise_on_off(
-            lambda: verify_ltlfo(
-                svc, _stored_prop(), domain_size=2, sigma_block=1
-            )
+        plain = verify_ltlfo(
+            svc, _stored_prop(), domain_size=2, sigma_block=1
         )
         assert _result_fingerprint(blocked) == _result_fingerprint(plain)
 
     def test_sigma_blocked_pool_identical(self):
         svc = _session_service()
-        blocked = _setwise_on_off(
-            lambda: verify_ltlfo(
-                svc, _stored_prop(), domain_size=2, workers=2, sigma_block=4
-            )
+        blocked = verify_ltlfo(
+            svc, _stored_prop(), domain_size=2, workers=2, sigma_block=4
         )
-        sequential = _setwise_on_off(
-            lambda: verify_ltlfo(svc, _stored_prop(), domain_size=2)
-        )
+        sequential = verify_ltlfo(svc, _stored_prop(), domain_size=2)
         assert blocked.verdict is sequential.verdict
         # stats["config"] records the differing workers/sigma_block by
         # construction; everything else must match the sequential run
@@ -333,15 +484,14 @@ def test_sigma_blocking_reduces_label_evaluations():
     sigmas instead of being rebuilt per (db, sigma) unit."""
     svc = _session_service()
     prop = _stored_prop()
-    with compilation(True), setwise(True):
-        t_plain = CollectingTracer()
-        plain = verify_ltlfo(
-            svc, prop, domain_size=2, sigma_block=1, tracer=t_plain
-        )
-        t_blocked = CollectingTracer()
-        blocked = verify_ltlfo(
-            svc, prop, domain_size=2, sigma_block=8, tracer=t_blocked
-        )
+    t_plain = CollectingTracer()
+    plain = verify_ltlfo(
+        svc, prop, domain_size=2, sigma_block=1, tracer=t_plain
+    )
+    t_blocked = CollectingTracer()
+    blocked = verify_ltlfo(
+        svc, prop, domain_size=2, sigma_block=8, tracer=t_blocked
+    )
     assert plain.verdict is blocked.verdict
     # stats["config"] records the differing sigma_block by construction
     assert {k: v for k, v in plain.stats.items() if k != "config"} == \
@@ -349,19 +499,3 @@ def test_sigma_blocking_reduces_label_evaluations():
     plain_n, blocked_n = _bits_computed(t_plain), _bits_computed(t_blocked)
     assert plain_n > 0 and blocked_n > 0
     assert blocked_n < plain_n, (blocked_n, plain_n)
-
-
-# ---------------------------------------------------------------------------
-# toggle plumbing
-# ---------------------------------------------------------------------------
-
-def test_set_setwise_restores():
-    previous = set_setwise(False)
-    try:
-        assert not setwise_enabled()
-        with setwise(True):
-            assert setwise_enabled()
-        assert not setwise_enabled()
-    finally:
-        set_setwise(previous)
-    assert setwise_enabled() == previous

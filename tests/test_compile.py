@@ -9,9 +9,8 @@ every formula the run machinery can produce.  Two layers of evidence:
   ``evaluate_query_interpreted`` over random formulas, contexts and
   environments (generation is controlled per the completeness contract:
   every mentioned relation is declared, no ``None`` domain values);
-- end-to-end assertions that :func:`verify_ltlfo` and :func:`verify_ctl`
-  return bit-identical verdicts, counterexamples and stats with
-  compilation on and off.
+- the same comparison for every rule plan of the ``examples/specs``
+  corpus at reachable snapshots (``test_bitset.test_bits_specs_corpus``).
 
 Targeted cases pin the exception-parity contract (error condition (i)
 of Definition 2.3 rides on ``MissingInputConstantError`` timing) and
@@ -22,7 +21,6 @@ import random
 
 import pytest
 
-from repro.ctl import AG, CAtom, CNot, EF
 from repro.fol import (
     And,
     Atom,
@@ -41,8 +39,6 @@ from repro.fol import (
     Top,
     UnknownRelationError,
     Var,
-    compilation,
-    compilation_enabled,
     compile_formula,
     compile_query,
     evaluate,
@@ -50,13 +46,11 @@ from repro.fol import (
     evaluate_query,
     evaluate_query_interpreted,
 )
-from repro.fol.compile import clear_compile_cache, set_compilation
+from repro.fol.compile import clear_compile_cache
 from repro.fol.evaluation import UnboundVariableError
-from repro.ltl import B, G, LTLFOSentence
 from repro.schema.instances import Instance
 from repro.schema.symbols import RelationKind, RelationSymbol
 from repro.service import ServiceBuilder
-from repro.verifier import Verdict, verify_ctl, verify_ltlfo
 
 # ---------------------------------------------------------------------------
 # random generation (controlled per the completeness contract)
@@ -222,23 +216,23 @@ def test_solve_differential_randomized():
     assert not disagreements, disagreements[:3]
 
 
-def test_wrappers_route_through_toggle():
-    """evaluate/evaluate_query agree with both engines and honour the
-    compilation toggle."""
+def test_wrappers_match_interpreter():
+    """evaluate/evaluate_query run cached plans and agree with the
+    reference interpreter, exceptions included."""
     rng = random.Random(7)
     for _ in range(60):
         ctx = _gen_ctx(rng)
         free = set(rng.sample(VARS, k=1))
         formula = _gen_formula(rng, 3, free)
         env = {v: rng.choice(VALUES) for v in free}
-        with compilation(True):
-            assert compilation_enabled()
-            on = _outcome(lambda: evaluate(formula, ctx, env))
-        with compilation(False):
-            assert not compilation_enabled()
-            off = _outcome(lambda: evaluate(formula, ctx, env))
-        assert on == off == _outcome(
+        assert _outcome(lambda: evaluate(formula, ctx, env)) == _outcome(
             lambda: evaluate_interpreted(formula, ctx, env)
+        )
+        targets = tuple(free)
+        assert _outcome(
+            lambda: evaluate_query(formula, targets, ctx)
+        ) == _outcome(
+            lambda: evaluate_query_interpreted(formula, targets, ctx)
         )
 
 
@@ -305,7 +299,7 @@ def test_page_proposition_parity():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: compilation on/off is invisible to the verifier
+# small services shared with the bitset suite
 # ---------------------------------------------------------------------------
 
 def _pingpong():
@@ -341,74 +335,6 @@ def _registration():
     return b.build()
 
 
-def _result_fingerprint(result):
-    # stats["config"] records the resolved toggles, which differ across
-    # the on/off arms by construction — everything else must match.
-    return (
-        result.verdict,
-        result.procedure,
-        result.method,
-        result.counterexample,
-        {k: v for k, v in result.stats.items() if k != "config"},
-    )
-
-
-def _on_off(call):
-    with compilation(True):
-        clear_compile_cache()
-        on = call()
-    with compilation(False):
-        off = call()
-    assert _result_fingerprint(on) == _result_fingerprint(off)
-    return on
-
-
-class TestVerifierOnOffIdentity:
-    def test_ltlfo_holds(self):
-        svc = _registration()
-        prop = LTLFOSentence(
-            ("x",),
-            B(Atom("record", (Var("x"),)), Not(Atom("stored", (Var("x"),)))),
-            name="stored only after recorded",
-        )
-        result = _on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=2)
-        )
-        assert result.verdict is Verdict.HOLDS
-
-    def test_ltlfo_violated_counterexample_identical(self):
-        svc = _pingpong()
-        prop = LTLFOSentence((), G(Not(Atom("P2", ()))), name="never P2")
-        result = _on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=2)
-        )
-        assert result.verdict is Verdict.VIOLATED
-        assert result.counterexample is not None
-
-    def test_ctl_holds(self):
-        svc = _pingpong()
-        result = _on_off(
-            lambda: verify_ctl(svc, AG(EF(CAtom("P1"))), domain_size=2)
-        )
-        assert result.verdict is Verdict.HOLDS
-
-    def test_ctl_violated(self):
-        svc = _pingpong()
-        result = _on_off(
-            lambda: verify_ctl(svc, AG(CNot(CAtom("P2"))), domain_size=2)
-        )
-        assert result.verdict is Verdict.VIOLATED
-
-
-def test_set_compilation_restores():
-    previous = set_compilation(False)
-    try:
-        assert not compilation_enabled()
-    finally:
-        set_compilation(previous)
-    assert compilation_enabled() == previous
-
-
 # ---------------------------------------------------------------------------
 # cache coherence: clear_compile_cache must clear *every* plan layer
 # ---------------------------------------------------------------------------
@@ -420,39 +346,10 @@ def test_clear_compile_cache_invalidates_service_plans():
     from repro.service.compiled import compiled_service
 
     svc = _registration()
-    with compilation(True):
-        first = compiled_service(svc)
-        assert first is not None
-        assert compiled_service(svc) is first  # cached while untouched
-        clear_compile_cache()
-        second = compiled_service(svc)
-        assert second is not None
-        assert second is not first
-
-
-def test_toggle_between_verifies_on_same_service():
-    """Toggling compilation between two verify() calls on the *same*
-    service object must not leak plans across the toggle — and the
-    verdict/stats fingerprints must match in all four orderings."""
-    from repro.service.compiled import compiled_service
-
-    svc = _registration()
-    prop = LTLFOSentence(
-        ("x",),
-        B(Atom("record", (Var("x"),)), Not(Atom("stored", (Var("x"),)))),
-        name="stored only after recorded",
-    )
-    with compilation(True):
-        clear_compile_cache()
-        on_1 = verify_ltlfo(svc, prop, domain_size=2)
-    with compilation(False):
-        clear_compile_cache()
-        assert compiled_service(svc) is None
-        off = verify_ltlfo(svc, prop, domain_size=2)
-    with compilation(True):
-        on_2 = verify_ltlfo(svc, prop, domain_size=2)
-    assert _result_fingerprint(on_1) == _result_fingerprint(off)
-    assert _result_fingerprint(on_1) == _result_fingerprint(on_2)
+    first = compiled_service(svc)
+    assert compiled_service(svc) is first  # cached while untouched
+    clear_compile_cache()
+    assert compiled_service(svc) is not first
 
 
 # ---------------------------------------------------------------------------

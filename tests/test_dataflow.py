@@ -6,19 +6,21 @@ Three layers under test:
   hand-built services with known facts;
 - the D5xx diagnostics it powers, including witness paths in all three
   report formats, stable fingerprints, and baseline suppression;
-- the pruning seam in :mod:`repro.service.compiled`: a differential
-  suite pinning bit-identical verdicts/witnesses/stats across the
-  ``REPRO_PRUNE`` toggle, sequentially and with ``workers=2``.
+- the pruning seam in :mod:`repro.service.compiled`: a step-level
+  differential — every snapshot reachable under the pruned plans lies on
+  a kept page and has the same successors under the unpruned plans —
+  plus pool-vs-sequential identity of verification over pruned services.
 """
 
 import json
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.dataflow import Tri, analyze_service, static_facts
 from repro.demo import dataflow_demo_service
-from repro.fol.compile import clear_compile_cache
 from repro.fol.formulas import Atom, Not
 from repro.lint import (
     apply_baseline,
@@ -33,16 +35,18 @@ from repro.lint.baseline import BaselineFormatError
 from repro.ltl import G, LTLFOSentence
 from repro.schema.database import Database
 from repro.service import ServiceBuilder
-from repro.service.compiled import (
-    compiled_service,
-    pruning,
-    pruning_enabled,
-    pruning_stats,
-    set_pruning,
+from repro.service.compiled import CompiledService, pruning_stats
+from repro.service.runs import (
+    RunContext,
+    initial_snapshots,
+    random_run,
+    successors,
 )
-from repro.service.runs import RunContext, random_run
 from repro.verifier import Verdict
+from repro.verifier.engine import candidate_databases, enumerate_sigmas
 from repro.verifier.linear import verify_ltlfo
+
+from tests.test_bitset import SPECS, corpus_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +91,23 @@ def _cascading_empty_service():
     p.target("Q", "exists x . item(x) & chain(x)")    # dead: chain empty
     p.target("P", "go")
     b.page("Q").toggle("go")
+    return b.build()
+
+
+def _refuted_reader_service():
+    """A rule the dataflow refutes (ghost is never inserted) that still
+    reads the unprovided @c before failing: evaluating it is error
+    condition (i), so pruning must keep it."""
+    b = ServiceBuilder("refuted-reader")
+    b.input_constant("c")
+    b.input("go")
+    b.state("ghost")
+    b.state("mark")
+    home = b.page("HOME", home=True)
+    home.toggle("go")
+    home.insert("mark", 'c = "v" & ghost')
+    home.target("NEXT", "go")
+    b.page("NEXT").request("c")
     return b.build()
 
 
@@ -389,153 +410,155 @@ def _constant_only_note_service():
 
 
 # ---------------------------------------------------------------------------
-# pruning: stats, cache coherence, and the differential suite
+# pruning: stats, and the step-level differential against unpruned plans
 # ---------------------------------------------------------------------------
 
-def _result_fingerprint(result):
-    # stats["config"] records the resolved toggles, which differ across
-    # the on/off arms by construction — everything else must match.
+def _fingerprint(result):
+    # stats["workers"] and stats["config"] record the worker count the
+    # compared runs differ in on purpose; everything else must match
     return (
         result.verdict,
         result.procedure,
         result.method,
         result.counterexample,
-        {k: v for k, v in result.stats.items() if k != "config"},
+        {
+            k: v for k, v in result.stats.items()
+            if k not in ("workers", "config")
+        },
     )
 
 
-def _prune_on_off(call):
-    """Run ``call`` with pruning on and off; the results must be
-    bit-identical (verdict, procedure, counterexample, stats)."""
-    with pruning(True):
-        clear_compile_cache()
-        on = call()
-    with pruning(False):
-        clear_compile_cache()
-        off = call()
-    clear_compile_cache()
-    assert _result_fingerprint(on) == _result_fingerprint(off)
-    return on
+def _all_pairs(svc, domain_size):
+    """Every (database, sigma) of the small-model enumeration."""
+    dbs, _ = candidate_databases(svc, None, None, domain_size, True)
+    return [(db, sigma) for db in dbs for sigma in enumerate_sigmas(svc, db)]
+
+
+def _assert_steps_match_unpruned(svc, db, sigma):
+    """BFS the snapshots reachable under the pruned plans: none lies on
+    a page pruning dropped, and each has the same successors under the
+    unpruned plans.  Returns the number of snapshots checked."""
+    ctx = RunContext(svc, db, sigma=sigma)
+    full = RunContext(svc, db, sigma=sigma)
+    full.compiled = CompiledService(svc, prune=False)
+    dropped = set(full.compiled.pages) - set(ctx.compiled.pages)
+    starts = initial_snapshots(ctx)
+    assert initial_snapshots(full) == starts
+    seen = set(starts)
+    frontier = deque(starts)
+    while frontier:
+        snap = frontier.popleft()
+        assert snap.page not in dropped, snap.describe()
+        nexts = successors(ctx, snap)
+        assert successors(full, snap) == nexts, snap.describe()
+        for nxt in nexts:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen)
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: Path(p).stem)
+def test_steps_match_unpruned_on_corpus(path):
+    svc, db, sigma = corpus_inputs(path)
+    assert _assert_steps_match_unpruned(svc, db, sigma) > 1
+
+
+def test_steps_match_unpruned_on_demo():
+    svc = dataflow_demo_service()
+    assert pruning_stats(svc)[1] == 2
+    for db, sigma in _all_pairs(svc, 1):
+        _assert_steps_match_unpruned(svc, db, sigma)
+
+
+def test_steps_match_unpruned_with_refuted_constant_reader():
+    svc = _refuted_reader_service()
+    facts = static_facts(svc)
+    assert [(f.key, f.prunable) for f in facts.dead_rules] == [
+        (("HOME", "state", 0), False)
+    ]
+    for db, sigma in _all_pairs(svc, 1):
+        _assert_steps_match_unpruned(svc, db, sigma)
 
 
 class TestPruning:
-    def test_toggle_restores(self):
-        previous = set_pruning(False)
-        try:
-            assert not pruning_enabled()
-        finally:
-            set_pruning(previous)
-        assert pruning_enabled() == previous
-
     def test_demo_prunes_rules_and_pages(self):
-        svc = dataflow_demo_service()
-        with pruning(True):
-            clear_compile_cache()
-            rules, pages = pruning_stats(svc)
-        clear_compile_cache()
+        rules, pages = pruning_stats(dataflow_demo_service())
         assert pages == 2          # DEEP, GHOSTLAND
         assert rules >= 3 + 4      # 3 prunable + the dead pages' rules
 
     def test_pruning_off_is_zero(self):
-        svc = dataflow_demo_service()
-        with pruning(False):
-            clear_compile_cache()
-            assert pruning_stats(svc) == (0, 0)
-        clear_compile_cache()
+        full = CompiledService(dataflow_demo_service(), prune=False)
+        assert (full.pruned_rules, full.pruned_pages) == (0, 0)
+        assert "DEEP" in full.pages
 
-    def test_cache_coherent_across_toggle_flip(self):
-        """A compiled entry built under the other setting is rebuilt —
-        pruning() contexts never serve stale plans."""
+    def test_pruned_page_lookup_raises(self):
+        """No fallback: no run enters a dropped page, so a lookup is a
+        dataflow bug and fails loudly."""
         svc = dataflow_demo_service()
-        with pruning(True):
-            clear_compile_cache()
-            pruned = compiled_service(svc)
-            assert pruned is not None and pruned.pruned
-            assert "DEEP" not in pruned.pages
-        with pruning(False):
-            full = compiled_service(svc)
-            assert full is not None and not full.pruned
-            assert "DEEP" in full.pages
-            assert full is not pruned
-        clear_compile_cache()
+        ctx = RunContext(svc, Database(svc.schema.database))
+        with pytest.raises(KeyError, match="DEEP"):
+            ctx.compiled_page("DEEP")
 
     def test_run_level_differential_on_demo(self):
-        """Random runs over the demo service — pruned pages fall back to
-        the interpreted path bit-identically."""
+        """Random runs over the demo service are the same under the
+        pruned and the unpruned plans."""
         svc = dataflow_demo_service()
         db = Database(svc.schema.database)
 
-        def traces(steps=10, seeds=range(6)):
+        def traces(compiled=None, steps=10, seeds=range(6)):
             out = []
             for seed in seeds:
                 ctx = RunContext(
                     svc, db, sigma={"token": "t", "key": "k"}
                 )
+                if compiled is not None:
+                    ctx.compiled = compiled
                 out.append(random_run(ctx, steps, rng=seed).snapshots)
             return out
 
-        with pruning(True):
-            clear_compile_cache()
-            on = traces()
-        with pruning(False):
-            clear_compile_cache()
-            off = traces()
-        clear_compile_cache()
-        assert on == off
+        assert traces() == traces(CompiledService(svc, prune=False))
 
     def test_constant_dead_regression_sequential_and_workers(self):
         """Pinned regression: rules dead *only* via input-constant
-        propagation are pruned, and verification is bit-identical with
-        pruning on/off — sequentially and under workers=2."""
+        propagation are pruned, every reachable step matches the
+        unpruned plans, and verification agrees sequentially and under
+        workers=2."""
         svc = _constant_dead_service()
-        with pruning(True):
-            clear_compile_cache()
-            rules, pages = pruning_stats(svc)
-        clear_compile_cache()
+        rules, pages = pruning_stats(svc)
         assert pages == 1  # DEEP is only reachable through dead MID
         assert rules >= 2  # MID's state + target rules at minimum
+        for db, sigma in _all_pairs(svc, 1):
+            _assert_steps_match_unpruned(svc, db, sigma)
 
         prop = LTLFOSentence((), G(Not(Atom("DEEP", ()))), name="never DEEP")
-        result = _prune_on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=1)
-        )
+        result = verify_ltlfo(svc, prop, domain_size=1)
         assert result.verdict is Verdict.HOLDS
-        parallel = _prune_on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=1, workers=2)
-        )
-        assert parallel.verdict is Verdict.HOLDS
+        parallel = verify_ltlfo(svc, prop, domain_size=1, workers=2)
+        assert _fingerprint(parallel) == _fingerprint(result)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_seeded_differential(self, seed):
         svc = _random_dead_rule_service(seed)
-        with pruning(True):
-            clear_compile_cache()
-            rules, _pages = pruning_stats(svc)
-        clear_compile_cache()
+        rules, _pages = pruning_stats(svc)
         assert rules > 0, "seeded service should carry dead rules"
-        last = sorted(svc.pages)[-1]
-        prop = LTLFOSentence(
-            (), G(Not(Atom(last, ()))), name=f"never {last}"
-        )
-        _prune_on_off(lambda: verify_ltlfo(svc, prop, domain_size=2))
+        for db, sigma in _all_pairs(svc, 2):
+            _assert_steps_match_unpruned(svc, db, sigma)
 
     def test_seeded_differential_with_workers(self):
         svc = _random_dead_rule_service(1)
         prop = LTLFOSentence((), G(Not(Atom("P1", ()))), name="never P1")
-        _prune_on_off(
-            lambda: verify_ltlfo(svc, prop, domain_size=2, workers=2)
-        )
+        sequential = verify_ltlfo(svc, prop, domain_size=2)
+        parallel = verify_ltlfo(svc, prop, domain_size=2, workers=2)
+        assert _fingerprint(parallel) == _fingerprint(sequential)
 
     def test_plan_pruned_trace_event(self):
         from repro.obs import CollectingTracer
 
         svc = _constant_dead_service()
         prop = LTLFOSentence((), G(Not(Atom("DEEP", ()))), name="never DEEP")
-        with pruning(True):
-            clear_compile_cache()
-            tr = CollectingTracer()
-            verify_ltlfo(svc, prop, domain_size=1, tracer=tr)
-        clear_compile_cache()
+        tr = CollectingTracer()
+        verify_ltlfo(svc, prop, domain_size=1, tracer=tr)
         names = [e.name for e in tr.events]
         assert "plan.pruned" in names
         ev = next(e for e in tr.events if e.name == "plan.pruned")

@@ -132,7 +132,7 @@ def test_config_provenance_recorded(case):
     config = result.stats["config"]
     assert config["procedure"] == case["entry"]
     assert config["workers"] == 1
-    for key in ("compile", "setwise", "prune", "traced", "strict", "faults"):
+    for key in ("traced", "strict", "faults"):
         assert isinstance(config[key], bool)
     # provenance never leaks into the human-facing summary
     assert "config" not in result.describe(service)
