@@ -74,6 +74,63 @@ class UnboundVariableError(Exception):
         self.name = name
 
 
+class ContextBase:
+    """What every evaluation context over one structure family shares.
+
+    The database's relations (merged with the names declared to resolve
+    as empty), the page names, the extra domain and the database-constant
+    fallbacks do not change from one step of a run to the next; a base
+    holds them once so :meth:`context` only copies one dict and overlays
+    the step's four instances.  :class:`EvalContext` builds a throwaway
+    base of its own, so both ways of making a context share one overlay
+    routine.
+
+    Relation names are disjoint across the database and the state,
+    input, ``prev`` and action schemas (the paper's four disjoint
+    schemas, enforced by :class:`~repro.schema.schema.ServiceSchema`);
+    an instance relation overlays a database relation of the same name.
+    """
+
+    __slots__ = (
+        "database", "relations", "page_names", "extra_domain", "db_constants",
+    )
+
+    def __init__(
+        self,
+        database: Database | None = None,
+        page_names: Iterable[str] = (),
+        extra_domain: Iterable[Value] = (),
+        db_constants: Mapping[str, Value] | None = None,
+        declared: Iterable[str] = (),
+    ) -> None:
+        self.database = database
+        relations: dict[str, frozenset] = dict.fromkeys(declared, frozenset())
+        if database is not None:
+            for sym in database.schema.relations:
+                relations[sym.name] = database.tuples(sym)
+        self.relations = relations
+        self.page_names = frozenset(page_names)
+        # Frozen now: the lazy domain must never consume a caller's
+        # iterator late (or see it mutated in between).
+        self.extra_domain = frozenset(extra_domain)
+        self.db_constants = dict(db_constants or {})
+
+    def context(
+        self,
+        state: Instance,
+        inputs: Instance,
+        prev: Instance,
+        actions: Instance,
+        input_values: dict[str, Value],
+        page: str | None = None,
+    ) -> "EvalContext":
+        """The context of one step over this base (``input_values`` is
+        adopted, not copied)."""
+        ctx = EvalContext.__new__(EvalContext)
+        ctx._overlay(self, state, inputs, prev, actions, input_values, page)
+        return ctx
+
+
 class EvalContext:
     """One relational structure against which formulas are evaluated.
 
@@ -95,12 +152,16 @@ class EvalContext:
         database domain and the instances' active domains.
     db_constants:
         Database-constant interpretations to use when no database is given.
+
+    :attr:`domain` is computed on first read: only quantifier fallbacks
+    (and the empty-domain guard of folded quantifiers) need it, and most
+    contexts are never asked.
     """
 
     __slots__ = (
         "database", "state", "inputs", "prev", "actions",
-        "input_values", "page", "page_names", "domain", "_relations",
-        "db_constants",
+        "input_values", "page", "page_names", "_relations", "_extra_domain",
+        "_domain", "db_constants",
     )
 
     def __init__(
@@ -116,34 +177,55 @@ class EvalContext:
         extra_domain: Iterable[Value] = (),
         db_constants: Mapping[str, Value] | None = None,
     ) -> None:
-        self.database = database
-        self.state = state or Instance.empty()
-        self.inputs = inputs or Instance.empty()
-        self.prev = prev or Instance.empty()
-        self.actions = actions or Instance.empty()
-        self.input_values = dict(input_values or {})
+        empty = Instance.empty()
+        self._overlay(
+            ContextBase(database, page_names, extra_domain, db_constants),
+            state or empty, inputs or empty, prev or empty, actions or empty,
+            dict(input_values or {}), page,
+        )
+
+    def _overlay(
+        self,
+        base: ContextBase,
+        state: Instance,
+        inputs: Instance,
+        prev: Instance,
+        actions: Instance,
+        input_values: dict[str, Value],
+        page: str | None,
+    ) -> None:
+        self.database = base.database
+        self.page_names = base.page_names
+        self.db_constants = base.db_constants
+        self._extra_domain = base.extra_domain
+        self.state = state
+        self.inputs = inputs
+        self.prev = prev
+        self.actions = actions
+        self.input_values = input_values
         self.page = page
-        self.page_names = frozenset(page_names)
-        self.db_constants = dict(db_constants or {})
-
-        relations: dict[str, frozenset] = {}
-        for inst in (self.state, self.inputs, self.prev, self.actions):
-            for sym in inst.nonempty_symbols:
-                relations[sym.name] = inst.tuples(sym)
-        # Symbols with empty interpretations still need to resolve: pull
-        # names from the instances' symbols *and* the database schema.
-        if database is not None:
-            for sym in database.schema.relations:
-                relations[sym.name] = database.tuples(sym)
+        relations = dict(base.relations)
+        for inst in (state, inputs, prev, actions):
+            for sym, rel in inst.items():
+                relations[sym.name] = rel
         self._relations = relations
+        self._domain = None
 
-        dom: set[Value] = set(extra_domain)
-        if database is not None:
-            dom |= database.domain
-        for inst in (self.state, self.inputs, self.prev, self.actions):
-            dom |= inst.active_domain()
-        dom |= set(self.input_values.values())
-        self.domain: frozenset = frozenset(dom)
+    @property
+    def domain(self) -> frozenset:
+        """The quantification domain: the extra domain, the database
+        domain, the instances' active domains and the provided input
+        constants' values."""
+        dom = self._domain
+        if dom is None:
+            acc: set[Value] = set(self._extra_domain)
+            if self.database is not None:
+                acc |= self.database.domain
+            for inst in (self.state, self.inputs, self.prev, self.actions):
+                acc |= inst.active_domain()
+            acc.update(self.input_values.values())
+            dom = self._domain = frozenset(acc)
+        return dom
 
     # -- resolution --------------------------------------------------------
 

@@ -146,7 +146,7 @@ class CompiledService:
     """
 
     __slots__ = ("service", "pages", "n_plans", "pruned_rules",
-                 "pruned_pages")
+                 "pruned_pages", "literals")
 
     def __init__(self, service: "WebService", prune: bool = False) -> None:
         self.service = service
@@ -178,6 +178,9 @@ class CompiledService:
             self.pruned_rules += compiled.pruned_rules
             self.pages[name] = compiled
         self.n_plans: int = sum(p.n_plans for p in self.pages.values())
+        # The specification's literal constants, which every run
+        # context adds to its quantification domain.
+        self.literals: frozenset = service.literal_constants()
 
     def page(self, name: str) -> CompiledPage:
         """The plans of page ``name``.

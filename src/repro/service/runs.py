@@ -32,8 +32,9 @@ import random
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from repro.fol.analysis import literals_of
-from repro.fol.evaluation import EvalContext, MissingInputConstantError
+from repro.fol.evaluation import (
+    ContextBase, EvalContext, MissingInputConstantError,
+)
 from repro.service.compiled import SnapshotInterner, compiled_service
 from repro.schema.database import Database
 from repro.schema.instances import Instance
@@ -161,11 +162,25 @@ class RunContext:
     extra_domain:
         Extra quantification-domain elements (the verifier's genericity
         cutoff for values that do not occur in the database).
+
+    **The choice memo.**  Definition 2.3 makes the choices offered at a
+    page a function of the page, the state, the previous inputs, the
+    database and γ.  :meth:`choice_inputs` therefore enumerates each
+    choice set once per ``(page name, state, prev, γ)`` and replays it
+    for every later snapshot that reaches the same key.  The key is
+    complete: within one run context the database, the extra domain,
+    the plans and ``sigma`` are fixed, and option rules read ``sigma``
+    only through γ.  The memo lives and dies with its run context (one
+    (database, sigma) exploration, or one sigma's context in the Kripke
+    builder) and holds at most one entry per distinct key.
+    :class:`~repro.service.session.Session` mutates ``sigma`` as the
+    user provides constants, so it calls :func:`page_options` and
+    :func:`deterministic_step` directly and never reads the memo.
     """
 
     __slots__ = (
-        "service", "database", "sigma", "extra_domain", "_decl_names",
-        "compiled", "interner",
+        "service", "database", "sigma", "extra_domain", "compiled",
+        "interner", "_base", "_choices",
     )
 
     def __init__(
@@ -188,16 +203,21 @@ class RunContext:
         # Active-domain semantics: the specification's literal constants
         # belong to every structure's domain (schemas share constant
         # symbols, paper §2), so quantifiers must range over them too.
-        spec_literals: set[Value] = set()
-        for _page, _kind, formula in service.all_rule_formulas():
-            spec_literals |= literals_of(formula)
-        self.extra_domain = frozenset(extra_domain) | frozenset(spec_literals)
+        self.extra_domain = frozenset(extra_domain) | self.compiled.literals
         schema = service.schema
-        names = [r.name for r in schema.state.relations]
-        names += [r.name for r in schema.input.relations]
-        names += [r.name for r in schema.prev.relations]
-        names += [r.name for r in schema.action.relations]
-        self._decl_names = tuple(names)
+        declared = [r.name for r in schema.state.relations]
+        declared += [r.name for r in schema.input.relations]
+        declared += [r.name for r in schema.prev.relations]
+        declared += [r.name for r in schema.action.relations]
+        # Everything the step contexts share, built once: each context
+        # copies the relations dict and overlays its four instances.
+        self._base = ContextBase(
+            database,
+            page_names=service.page_names | {service.error_page},
+            extra_domain=self.extra_domain,
+            declared=declared,
+        )
+        self._choices: dict[tuple, tuple[Instance, ...] | None] = {}
 
     def make_eval_context(
         self,
@@ -214,23 +234,42 @@ class RunContext:
         outside ``gamma`` read as missing (error condition (i)).
         """
         scoped = {c: v for c, v in self.sigma.items() if c in gamma}
-        ctx = EvalContext(
-            database=self.database,
-            state=state,
-            inputs=inputs,
-            prev=prev,
-            actions=actions,
-            input_values=scoped,
-            page=page,
-            page_names=self.service.page_names | {self.service.error_page},
-            extra_domain=self.extra_domain,
-        )
-        ctx.declare_empty(self._decl_names)
-        return ctx
+        return self._base.context(state, inputs, prev, actions, scoped, page)
 
     def compiled_page(self, name: str):
         """The page's precompiled rules (raises for a pruned page)."""
         return self.compiled.page(name)
+
+    def choice_inputs(
+        self,
+        page: WebPageSchema,
+        state: Instance,
+        prev: Instance,
+        gamma: frozenset[str],
+    ) -> tuple[Instance, ...] | None:
+        """The input instance of every choice at ``page``, memoized.
+
+        The interned inputs of each choice :func:`enumerate_choices`
+        yields, in its order, or None when generating the options reads
+        an unprovided constant (error condition (i)).
+        """
+        key = (page.name, state, prev, gamma)
+        try:
+            return self._choices[key]
+        except KeyError:
+            pass
+        intern = self.interner.instance
+        # A miss goes through the module-level ``enumerate_choices``, so
+        # a wrapper installed on this module sees every miss.
+        try:
+            found = tuple(
+                intern(_inputs_instance(self.service, page, choice))
+                for choice in enumerate_choices(self, page, state, prev, gamma)
+            )
+        except MissingInputConstantError:
+            found = None
+        self._choices[key] = found
+        return found
 
 
 def error_snapshot(service: WebService) -> Snapshot:
@@ -322,9 +361,8 @@ def initial_snapshots(ctx: RunContext) -> list[Snapshot]:
     home = service.page(service.home)
     gamma0 = frozenset(home.input_constants)
     empty = Instance.empty()
-    try:
-        choices = list(enumerate_choices(ctx, home, empty, empty, gamma0))
-    except MissingInputConstantError:
+    inputs = ctx.choice_inputs(home, empty, empty, gamma0)
+    if inputs is None:
         return [
             ctx.interner.snapshot(Snapshot(
                 page=home.name,
@@ -340,12 +378,12 @@ def initial_snapshots(ctx: RunContext) -> list[Snapshot]:
         ctx.interner.snapshot(Snapshot(
             page=home.name,
             state=empty,
-            inputs=ctx.interner.instance(_inputs_instance(service, home, choice)),
+            inputs=choice,
             prev=empty,
             actions=empty,
             provided_before=frozenset(),
         ))
-        for choice in choices
+        for choice in inputs
     ]
 
 
@@ -485,11 +523,8 @@ def successors(ctx: RunContext, snapshot: Snapshot) -> list[Snapshot]:
     next_page = service.page(next_page_name)
     gamma_next = gamma | frozenset(next_page.input_constants)
 
-    try:
-        choices = list(
-            enumerate_choices(ctx, next_page, next_state, next_prev, gamma_next)
-        )
-    except MissingInputConstantError:
+    inputs = ctx.choice_inputs(next_page, next_state, next_prev, gamma_next)
+    if inputs is None:
         # Condition (i) against the next page's input rules: the next
         # snapshot exists but its own successor is forced to the error page.
         return [
@@ -508,12 +543,12 @@ def successors(ctx: RunContext, snapshot: Snapshot) -> list[Snapshot]:
         ctx.interner.snapshot(Snapshot(
             page=next_page_name,
             state=next_state,
-            inputs=ctx.interner.instance(_inputs_instance(service, next_page, choice)),
+            inputs=choice,
             prev=next_prev,
             actions=next_actions,
             provided_before=gamma,
         ))
-        for choice in choices
+        for choice in inputs
     ]
 
 

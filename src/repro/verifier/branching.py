@@ -34,7 +34,6 @@ from repro.ctl.kripke import KripkeStructure
 from repro.obs import Tracer
 from repro.ctl.modelcheck import satisfying_states
 from repro.ctl.syntax import StateFormula, ctl_size, is_ctl
-from repro.fol.evaluation import MissingInputConstantError
 from repro.schema.database import Database
 from repro.service.classify import ServiceClass, classify
 from repro.service.runs import (
@@ -43,7 +42,6 @@ from repro.service.runs import (
     UserChoice,
     _inputs_instance,
     deterministic_step,
-    enumerate_choices,
     error_snapshot,
 )
 from repro.service.compiled import SnapshotInterner
@@ -150,11 +148,8 @@ def build_snapshot_kripke(
         for sig2 in constant_assignments(sig, page.input_constants):
             ctx2 = ctx_for(sig2)
             intern = ctx2.interner
-            try:
-                choices = list(
-                    enumerate_choices(ctx2, page, state, prev, gamma)
-                )
-            except MissingInputConstantError:
+            inputs = ctx2.choice_inputs(page, state, prev, gamma)
+            if inputs is None:
                 out.append(
                     (
                         intern.snapshot(Snapshot(
@@ -170,14 +165,11 @@ def build_snapshot_kripke(
                     )
                 )
                 continue
-            for choice in choices:
+            for choice in inputs:
                 out.append(
                     (
                         intern.snapshot(Snapshot(
-                            page=page_name, state=state,
-                            inputs=intern.instance(
-                                _inputs_instance(service, page, choice)
-                            ),
+                            page=page_name, state=state, inputs=choice,
                             prev=prev, actions=actions,
                             provided_before=provided_before,
                         )),

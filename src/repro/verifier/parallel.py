@@ -1131,6 +1131,21 @@ def _run_pool(
         probation.clear()
         pending_submit.clear()
 
+    def stream_refused(exc: VerificationBudgetExceeded) -> None:
+        # The stream raised while yielding its next unit (the database
+        # cap, or the deadline during enumeration): stop pulling, but
+        # let the units already pulled drain — in flight, awaiting a
+        # retry or on probation — as the sequential loop finishes every
+        # unit before the stream refuses the next.  Their databases are
+        # already charged inside the cap.  ``pending`` then falls back
+        # to ``stream.cursor``, as in sequential; a deadline still
+        # halts through the idle tick or the drained units' own
+        # budgets.
+        nonlocal stop_stream
+        if out.interrupted is None:
+            out.interrupted = exc
+        stop_stream = True
+
     def incomplete_cursors() -> set[tuple[int, int]]:
         cursors = {flight.unit.cursor for flight in in_flight.values()}
         cursors.update(u.cursor for (_, u, _a) in retry_q)
@@ -1324,8 +1339,8 @@ def _run_pool(
                 # keep the submission window full (one unit at a time
                 # while crash suspects are on probation).  The stream
                 # itself can raise (database cap, deadline during
-                # enumeration) — that interrupts submission but
-                # outstanding units still drain.
+                # enumeration) — that stops submission from the stream
+                # but every unit already pulled still runs.
                 if probation:
                     if not in_flight:
                         unit, attempt = probation.pop(0)
@@ -1341,7 +1356,7 @@ def _run_pool(
                                 exhausted = True
                                 continue
                             except VerificationBudgetExceeded as exc:
-                                interrupt(exc)
+                                stream_refused(exc)
                                 break
                         else:
                             break
@@ -1397,7 +1412,7 @@ def _run_pool(
                     except StopIteration:
                         exhausted = True
                     except VerificationBudgetExceeded as exc:
-                        interrupt(exc)
+                        stream_refused(exc)
                 if item is not None:
                     unit, attempt = item
                     sup.announce_fault(tracer, "unit", unit.cursor, attempt)

@@ -256,6 +256,32 @@ class TestParallelBudgets:
         assert result.verdict == unbounded.verdict
         assert rounds > 1
 
+    @pytest.mark.slow
+    def test_database_cap_drains_pulled_units(self, monkeypatch):
+        """The stream raising the database cap stops pulling, but every
+        unit already pulled (its database charged inside the cap) still
+        runs, as in sequential: stats, coverage and the checkpoint
+        cursor match the recorded pool entry on every run.  A
+        zero-timeout ``wait`` widens the window in which a cancel could
+        land on a pulled unit that has not started."""
+        import concurrent.futures as cf
+        import json
+
+        import repro.verifier.parallel as parallel
+        from tests.engine_cases import (
+            CASES, ORACLE_PATH, fingerprint, run_case,
+        )
+
+        def zero_wait(fs, timeout=None, return_when=cf.ALL_COMPLETED):
+            return cf.wait(fs, timeout=0, return_when=return_when)
+
+        monkeypatch.setattr(parallel, "wait", zero_wait)
+        case = next(c for c in CASES if c["id"] == "ltlfo-core-inconclusive")
+        want = json.loads(ORACLE_PATH.read_text())[case["id"]]["workers=2"]
+        for _ in range(10):
+            _, result = run_case(case, workers=POOL)
+            assert json.loads(json.dumps(fingerprint(result))) == want
+
 
 # ---------------------------------------------------------------------------
 # satellite: fresh-value collision in enumerate_sigmas
