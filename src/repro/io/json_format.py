@@ -55,7 +55,9 @@ class SpecFormatError(ValueError):
       (the server's default: silently-ignored keys are how typos in
       hand-written payloads go unnoticed);
     - ``bad-database`` — database facts/constants that do not fit the
-      service's database schema.
+      service's database schema;
+    - ``name-clash`` — one relation name declared in two schemas, or
+      equal to the ``prev_I`` name derived from an input relation.
     """
 
     def __init__(self, message: str, *, code: str = "bad-payload",
@@ -284,10 +286,15 @@ def service_from_dict(data: dict, *, strict: bool = False) -> WebService:
             _require(schema_data, part, "schema"), kind,
             path=_join("schema", part), strict=strict,
         )
-    schema = ServiceSchema(
-        database=parts["database"], state=parts["state"],
-        input=parts["input"], action=parts["action"],
-    )
+    try:
+        schema = ServiceSchema(
+            database=parts["database"], state=parts["state"],
+            input=parts["input"], action=parts["action"],
+        )
+    except ValueError as exc:
+        raise SpecFormatError(
+            str(exc), code="name-clash", path="schema",
+        ) from exc
 
     pages = []
     pages_data = _typed(

@@ -17,6 +17,7 @@ from repro.schema.symbols import (
     RelationKind,
     RelationSymbol,
     prev_symbol,
+    unprev_name,
 )
 
 
@@ -99,7 +100,9 @@ class ServiceSchema:
     Mirrors the tuple ``<D, S, I, A>`` of Definition 2.1.  The ``prev``
     schema is derived: one ``prev_I`` symbol per input relation.  The
     constructor enforces the paper's disjointness requirement on relation
-    symbols (constants may be shared).
+    symbols (constants may be shared), extended to the derived
+    ``prev_I`` names: every evaluation context keys relations by name,
+    so a declared relation called ``prev_I`` would alias ``I``'s prev.
     """
 
     database: RelationalSchema
@@ -109,17 +112,22 @@ class ServiceSchema:
     prev: RelationalSchema = field(init=False)
 
     def __post_init__(self) -> None:
+        prev = RelationalSchema(prev_symbol(i) for i in self.input.relations)
         seen: dict[str, RelationKind] = {}
-        for schema in (self.database, self.state, self.input, self.action):
-            for rel in schema.relations:
+        for schema in (self.database, self.state, self.input, self.action, prev):
+            for rel in schema:
                 if rel.name in seen:
+                    derived = (
+                        f" (derived from the input {unprev_name(rel)!r})"
+                        if rel.kind is RelationKind.PREV else ""
+                    )
                     raise ValueError(
                         f"relation name {rel.name!r} appears in both the "
-                        f"{seen[rel.name].value} and {rel.kind.value} schemas"
+                        f"{seen[rel.name].value} and {rel.kind.value} "
+                        f"schemas{derived}"
                     )
                 seen[rel.name] = rel.kind
-        prev_rels = [prev_symbol(i) for i in self.input.relations]
-        object.__setattr__(self, "prev", RelationalSchema(prev_rels))
+        object.__setattr__(self, "prev", prev)
 
     @property
     def input_constants(self) -> frozenset[str]:

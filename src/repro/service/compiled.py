@@ -49,6 +49,7 @@ from repro.fol.compile import (
     compile_query,
     register_cache_clearer,
 )
+from repro.schema.symbols import prev_symbol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runs.py)
     from repro.service.webservice import WebService
@@ -65,7 +66,14 @@ __all__ = [
 
 
 class CompiledPage:
-    """The compiled rule set of one page, in evaluation order.
+    """One page's step plan: its compiled rules, in evaluation order, and
+    the symbols a step reads, resolved against ``schema`` once.
+
+    ``state_updates`` and ``action_rules`` are keyed by the head's
+    :class:`~repro.schema.symbols.RelationSymbol`; ``inputs`` holds the
+    page's input symbols in ``page.inputs`` order, ``prev_pairs`` each of
+    them with its ``prev_I`` symbol, and ``requested`` the input
+    constants the page requests (what a step adds to Γ).
 
     ``dead`` holds ``(kind, index)`` pairs of rules whose plans are
     skipped (dataflow pruning); indices refer to declaration order
@@ -77,11 +85,11 @@ class CompiledPage:
 
     __slots__ = (
         "name", "input_rules", "state_updates", "action_rules", "target_rules",
-        "pruned_rules",
+        "inputs", "prev_pairs", "requested", "pruned_rules",
     )
 
     def __init__(
-        self, page, dead: frozenset[tuple[str, int]] = frozenset()
+        self, page, schema, dead: frozenset[tuple[str, int]] = frozenset()
     ) -> None:
         self.name: str = page.name
         self.pruned_rules: int = 0
@@ -110,11 +118,12 @@ class CompiledPage:
                     (rule.insert, compile_query(rule.formula, rule.variables))
                 )
         self.state_updates: tuple = tuple(
-            (state_name, tuple(by_state.get(state_name, ())))
+            (schema.state[state_name], tuple(by_state.get(state_name, ())))
             for state_name in sorted(page.updated_states())
         )
-        self.action_rules: tuple[tuple[str, CompiledQuery], ...] = tuple(
-            (rule.action, compile_query(rule.formula, rule.variables))
+        self.action_rules: tuple = tuple(
+            (schema.action[rule.action],
+             compile_query(rule.formula, rule.variables))
             for i, rule in enumerate(page.action_rules)
             if keep("action", i)
         )
@@ -123,6 +132,11 @@ class CompiledPage:
             for i, rule in enumerate(page.target_rules)
             if keep("target", i)
         )
+        self.inputs: tuple = tuple(schema.input[name] for name in page.inputs)
+        self.prev_pairs: tuple = tuple(
+            (sym, prev_symbol(sym)) for sym in self.inputs
+        )
+        self.requested: frozenset[str] = frozenset(page.input_constants)
 
     @property
     def n_plans(self) -> int:
@@ -173,7 +187,7 @@ class CompiledService:
                 )
                 continue
             compiled = CompiledPage(
-                page, frozenset(dead_by_page.get(name, ()))
+                page, service.schema, frozenset(dead_by_page.get(name, ()))
             )
             self.pruned_rules += compiled.pruned_rules
             self.pages[name] = compiled

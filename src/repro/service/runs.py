@@ -35,10 +35,11 @@ from typing import Hashable, Iterable, Iterator, Mapping
 from repro.fol.evaluation import (
     ContextBase, EvalContext, MissingInputConstantError,
 )
-from repro.service.compiled import SnapshotInterner, compiled_service
+from repro.service.compiled import (
+    CompiledPage, SnapshotInterner, compiled_service,
+)
 from repro.schema.database import Database
 from repro.schema.instances import Instance
-from repro.schema.symbols import prev_symbol
 from repro.service.page import WebPageSchema
 from repro.service.webservice import WebService
 
@@ -163,24 +164,27 @@ class RunContext:
         Extra quantification-domain elements (the verifier's genericity
         cutoff for values that do not occur in the database).
 
-    **The choice memo.**  Definition 2.3 makes the choices offered at a
-    page a function of the page, the state, the previous inputs, the
-    database and γ.  :meth:`choice_inputs` therefore enumerates each
-    choice set once per ``(page name, state, prev, γ)`` and replays it
-    for every later snapshot that reaches the same key.  The key is
-    complete: within one run context the database, the extra domain,
-    the plans and ``sigma`` are fixed, and option rules read ``sigma``
-    only through γ.  The memo lives and dies with its run context (one
-    (database, sigma) exploration, or one sigma's context in the Kripke
-    builder) and holds at most one entry per distinct key.
+    **The memos.**  Definition 2.3 makes the choices offered at a page
+    a function of the page, the state, the previous inputs, the
+    database and γ, and a step's successors a function of its outcome.
+    :meth:`choice_inputs` therefore enumerates each choice set once per
+    ``(page name, state, prev, γ)``, and :meth:`next_snapshots` builds
+    the snapshots entered at a page once per ``(page name, state, prev,
+    actions, Γ_{i-1})``; both replay their result for every later key
+    hit.  The keys are complete: within one run context the database,
+    the extra domain, the plans and ``sigma`` are fixed, option rules
+    read ``sigma`` only through γ, and a next snapshot is its key's
+    fields plus one choice.  The memos live and die with their run
+    context (one (database, sigma) exploration, or one sigma's context
+    in the Kripke builder) and hold at most one entry per distinct key.
     :class:`~repro.service.session.Session` mutates ``sigma`` as the
     user provides constants, so it calls :func:`page_options` and
-    :func:`deterministic_step` directly and never reads the memo.
+    :func:`deterministic_step` directly and never reads either memo.
     """
 
     __slots__ = (
         "service", "database", "sigma", "extra_domain", "compiled",
-        "interner", "_base", "_choices",
+        "interner", "_base", "_choices", "_nexts",
     )
 
     def __init__(
@@ -218,6 +222,7 @@ class RunContext:
             declared=declared,
         )
         self._choices: dict[tuple, tuple[Instance, ...] | None] = {}
+        self._nexts: dict[tuple, tuple[Snapshot, ...]] = {}
 
     def make_eval_context(
         self,
@@ -271,6 +276,44 @@ class RunContext:
         self._choices[key] = found
         return found
 
+    def next_snapshots(
+        self,
+        page: str,
+        state: Instance,
+        prev: Instance,
+        actions: Instance,
+        provided_before: frozenset[str],
+    ) -> tuple[Snapshot, ...]:
+        """The interned snapshots entered at ``page``, memoized.
+
+        One per choice, in :meth:`choice_inputs` order, or the single
+        ``pending_error`` snapshot when generating the options reads an
+        unprovided constant (error condition (i)): the snapshot exists
+        but its own successor is forced to the error page.
+        """
+        key = (page, state, prev, actions, provided_before)
+        found = self._nexts.get(key)
+        if found is None:
+            gamma = provided_before | self.compiled.page(page).requested
+            inputs = self.choice_inputs(
+                self.service.page(page), state, prev, gamma
+            )
+            snap = self.interner.snapshot
+            if inputs is None:
+                found = (snap(Snapshot(
+                    page, state, Instance.empty(), prev, actions,
+                    provided_before, pending_error=True,
+                )),)
+            else:
+                found = tuple(
+                    snap(Snapshot(
+                        page, state, choice, prev, actions, provided_before
+                    ))
+                    for choice in inputs
+                )
+            self._nexts[key] = found
+        return found
+
 
 def error_snapshot(service: WebService) -> Snapshot:
     """The absorbing error-page snapshot."""
@@ -321,14 +364,13 @@ def enumerate_choices(
     """
     options = page_options(ctx, page, state, prev, gamma)
     slots: list[list[tuple[str, tuple] | None]] = []
-    for input_name in page.inputs:
-        sym = ctx.service.schema.input[input_name]
+    for sym in ctx.compiled_page(page.name).inputs:
         if sym.arity == 0:
-            slots.append([None, (input_name, ())])
+            slots.append([None, (sym.name, ())])
         else:
             per: list[tuple[str, tuple] | None] = [None]
             per.extend(
-                (input_name, t) for t in sorted(options.get(input_name, ()), key=repr)
+                (sym.name, t) for t in sorted(options.get(sym.name, ()), key=repr)
             )
             slots.append(per)
     provided = {
@@ -357,52 +399,27 @@ def _inputs_instance(
 
 def initial_snapshots(ctx: RunContext) -> list[Snapshot]:
     """All step-0 snapshots: home page, empty state, each possible choice."""
-    service = ctx.service
-    home = service.page(service.home)
-    gamma0 = frozenset(home.input_constants)
     empty = Instance.empty()
-    inputs = ctx.choice_inputs(home, empty, empty, gamma0)
-    if inputs is None:
-        return [
-            ctx.interner.snapshot(Snapshot(
-                page=home.name,
-                state=empty,
-                inputs=empty,
-                prev=empty,
-                actions=empty,
-                provided_before=frozenset(),
-                pending_error=True,
-            ))
-        ]
-    return [
-        ctx.interner.snapshot(Snapshot(
-            page=home.name,
-            state=empty,
-            inputs=choice,
-            prev=empty,
-            actions=empty,
-            provided_before=frozenset(),
-        ))
-        for choice in inputs
-    ]
+    return list(ctx.next_snapshots(
+        ctx.service.home, empty, empty, empty, frozenset()
+    ))
 
 
 def _updated_state(
     ctx: RunContext,
-    page: WebPageSchema,
+    plan: CompiledPage,
     ectx: EvalContext,
     state: Instance,
 ) -> Instance:
     """Apply the three-disjunct state update of Definition 2.3."""
-    new_contents: dict = {sym: rel for sym, rel in state}
+    new_contents: dict = dict(state.items())
     # Several rules with the same head act as the disjunction of their
     # bodies (equivalent to Definition 2.1's single rule).
-    for state_name, rules in ctx.compiled_page(page.name).state_updates:
-        sym = ctx.service.schema.state[state_name]
+    for sym, rules in plan.state_updates:
         inserted: frozenset = frozenset()
         deleted: frozenset = frozenset()
-        for insert, plan in rules:
-            tuples = plan.solve(ectx)
+        for insert, query in rules:
+            tuples = query.solve(ectx)
             if insert:
                 inserted |= tuples
             else:
@@ -418,24 +435,22 @@ def _updated_state(
     return ctx.interner.instance(Instance(new_contents))
 
 
-def _fired_actions(page: WebPageSchema, ectx: EvalContext, ctx: RunContext) -> Instance:
+def _fired_actions(ctx: RunContext, plan: CompiledPage, ectx: EvalContext) -> Instance:
     contents: dict = {}
-    for action_name, plan in ctx.compiled_page(page.name).action_rules:
-        sym = ctx.service.schema.action[action_name]
-        tuples = plan.solve(ectx)
+    for sym, query in plan.action_rules:
+        tuples = query.solve(ectx)
         if tuples:
             contents[sym] = contents.get(sym, frozenset()) | tuples
     return ctx.interner.instance(Instance(contents))
 
 
-def _next_prev(ctx: RunContext, page: WebPageSchema, inputs: Instance) -> Instance:
+def _next_prev(ctx: RunContext, plan: CompiledPage, inputs: Instance) -> Instance:
     """``P_{i+1}``: current inputs, relabelled over the prev vocabulary."""
     contents: dict = {}
-    for input_name in page.inputs:
-        sym = ctx.service.schema.input[input_name]
+    for sym, prev in plan.prev_pairs:
         tuples = inputs.tuples(sym)
         if tuples:
-            contents[prev_symbol(sym)] = tuples
+            contents[prev] = tuples
     return ctx.interner.instance(Instance(contents))
 
 
@@ -464,92 +479,58 @@ def deterministic_step(ctx: RunContext, snapshot: Snapshot) -> StepResult:
     error conditions (i), (ii) and (iii), and computes the next page,
     state, actions and ``prev`` instances.
     """
-    service = ctx.service
-    page = service.page(snapshot.page)
+    plan = ctx.compiled_page(snapshot.page)
 
     # Error condition (ii): the page re-requests a provided constant.
-    if set(page.input_constants) & snapshot.provided_before:
+    if plan.requested & snapshot.provided_before:
         return StepResult(error=True)
 
-    gamma = snapshot.provided_here(service)
+    gamma = snapshot.provided_before | plan.requested
     ectx = ctx.make_eval_context(
         snapshot.state, snapshot.inputs, snapshot.prev, gamma=gamma
     )
 
     try:
         fired = [
-            target
-            for target, plan in ctx.compiled_page(page.name).target_rules
-            if plan.check(ectx)
+            target for target, rule in plan.target_rules if rule.check(ectx)
         ]
         # Error condition (iii): ambiguous next page.
         if len(set(fired)) > 1:
             return StepResult(error=True)
-        next_page_name = fired[0] if fired else page.name
+        next_page = fired[0] if fired else plan.name
 
-        next_state = _updated_state(ctx, page, ectx, snapshot.state)
-        next_actions = _fired_actions(page, ectx, ctx)
+        next_state = _updated_state(ctx, plan, ectx, snapshot.state)
+        next_actions = _fired_actions(ctx, plan, ectx)
     except MissingInputConstantError:
         # Error condition (i): a rule read an unprovided constant.
         return StepResult(error=True)
 
-    next_prev = _next_prev(ctx, page, snapshot.inputs)
     return StepResult(
         error=False,
-        next_page=next_page_name,
+        next_page=next_page,
         next_state=next_state,
         next_actions=next_actions,
-        next_prev=next_prev,
+        next_prev=_next_prev(ctx, plan, snapshot.inputs),
         gamma=gamma,
     )
 
 
 def successors(ctx: RunContext, snapshot: Snapshot) -> list[Snapshot]:
-    """All possible next snapshots of ``snapshot`` (Definition 2.3)."""
-    service = ctx.service
+    """All possible next snapshots of ``snapshot`` (Definition 2.3).
+
+    A fresh list on every call: callers keep it as an edge list.
+    """
     if snapshot.is_error:
         return [snapshot]
     if snapshot.pending_error:
-        return [ctx.interner.snapshot(error_snapshot(service))]
-
+        return [ctx.interner.snapshot(error_snapshot(ctx.service))]
     step = deterministic_step(ctx, snapshot)
     if step.error:
-        return [ctx.interner.snapshot(error_snapshot(service))]
-    next_page_name = step.next_page
-    next_state = step.next_state
-    next_actions = step.next_actions
-    next_prev = step.next_prev
-    gamma = step.gamma
-    next_page = service.page(next_page_name)
-    gamma_next = gamma | frozenset(next_page.input_constants)
-
-    inputs = ctx.choice_inputs(next_page, next_state, next_prev, gamma_next)
-    if inputs is None:
-        # Condition (i) against the next page's input rules: the next
-        # snapshot exists but its own successor is forced to the error page.
-        return [
-            ctx.interner.snapshot(Snapshot(
-                page=next_page_name,
-                state=next_state,
-                inputs=Instance.empty(),
-                prev=next_prev,
-                actions=next_actions,
-                provided_before=gamma,
-                pending_error=True,
-            ))
-        ]
-
-    return [
-        ctx.interner.snapshot(Snapshot(
-            page=next_page_name,
-            state=next_state,
-            inputs=choice,
-            prev=next_prev,
-            actions=next_actions,
-            provided_before=gamma,
-        ))
-        for choice in inputs
-    ]
+        return [ctx.interner.snapshot(error_snapshot(ctx.service))]
+    return list(ctx.next_snapshots(
+        step.next_page, step.next_state, step.next_prev, step.next_actions,
+        step.gamma,
+    ))
 
 
 @dataclass

@@ -35,12 +35,11 @@ from repro.obs import Tracer
 from repro.ctl.modelcheck import satisfying_states
 from repro.ctl.syntax import StateFormula, ctl_size, is_ctl
 from repro.schema.database import Database
+from repro.schema.instances import Instance
 from repro.service.classify import ServiceClass, classify
 from repro.service.runs import (
     RunContext,
     Snapshot,
-    UserChoice,
-    _inputs_instance,
     deterministic_step,
     error_snapshot,
 )
@@ -134,80 +133,53 @@ def build_snapshot_kripke(
             out.append(tuple(sorted(merged.items())))
         return out
 
+    # The (snapshot, σ₂) pairs entered per step outcome and σ, for this
+    # build: equal outcomes share one tuple of pairs and its pair objects.
+    pairs: dict[tuple, tuple[KripkeState, ...]] = {}
+
     def entries_for(
         page_name: str,
         state,
         prev,
         actions,
         provided_before: frozenset[str],
-        gamma: frozenset[str],
         sig: SigmaItems,
-    ) -> list[KripkeState]:
-        page = service.page(page_name)
-        out: list[KripkeState] = []
-        for sig2 in constant_assignments(sig, page.input_constants):
-            ctx2 = ctx_for(sig2)
-            intern = ctx2.interner
-            inputs = ctx2.choice_inputs(page, state, prev, gamma)
-            if inputs is None:
-                out.append(
-                    (
-                        intern.snapshot(Snapshot(
-                            page=page_name, state=state,
-                            inputs=intern.instance(
-                                _inputs_instance(service, page, UserChoice())
-                            ),
-                            prev=prev, actions=actions,
-                            provided_before=provided_before,
-                            pending_error=True,
-                        )),
-                        sig2,
-                    )
+    ) -> tuple[KripkeState, ...]:
+        key = (page_name, state, prev, actions, provided_before, sig)
+        found = pairs.get(key)
+        if found is None:
+            assignments = constant_assignments(
+                sig, service.page(page_name).input_constants
+            )
+            found = pairs[key] = tuple(
+                (snap, sig2)
+                for sig2 in assignments
+                for snap in ctx_for(sig2).next_snapshots(
+                    page_name, state, prev, actions, provided_before
                 )
-                continue
-            for choice in inputs:
-                out.append(
-                    (
-                        intern.snapshot(Snapshot(
-                            page=page_name, state=state, inputs=choice,
-                            prev=prev, actions=actions,
-                            provided_before=provided_before,
-                        )),
-                        sig2,
-                    )
-                )
-        return out
+            )
+        return found
 
-    def branch_successors(node: KripkeState) -> list[KripkeState]:
+    def branch_successors(node: KripkeState) -> tuple[KripkeState, ...]:
         snap, sig = node
         if snap.is_error:
-            return [node]
+            return (node,)
         ctx = ctx_for(sig)
         if snap.pending_error:
-            return [(ctx.interner.snapshot(error_snapshot(service)), sig)]
+            return ((ctx.interner.snapshot(error_snapshot(service)), sig),)
         step = deterministic_step(ctx, snap)
         if step.error:
-            return [(ctx.interner.snapshot(error_snapshot(service)), sig)]
-        next_page = service.page(step.next_page)
-        gamma_next = step.gamma | frozenset(next_page.input_constants)
+            return ((ctx.interner.snapshot(error_snapshot(service)), sig),)
         return entries_for(
             step.next_page, step.next_state, step.next_prev, step.next_actions,
-            provided_before=step.gamma, gamma=gamma_next, sig=sig,
+            step.gamma, sig,
         )
 
-    from repro.schema.instances import Instance
-
-    home = service.page(service.home)
     empty = Instance.empty()
-    initial = entries_for(
-        service.home, empty, empty, empty,
-        provided_before=frozenset(),
-        gamma=frozenset(home.input_constants),
-        sig=(),
-    )
+    initial = entries_for(service.home, empty, empty, empty, frozenset(), ())
 
     states: list[KripkeState] = []
-    edges: dict[KripkeState, list[KripkeState]] = {}
+    edges: dict[KripkeState, tuple[KripkeState, ...]] = {}
     seen: set[KripkeState] = set(initial)
     frontier = list(initial)
     states.extend(initial)

@@ -213,8 +213,8 @@ def _rule_plans(page, cpage):
         (rule.formula, rule.variables, plan)
         for rule, (_, plan) in zip(page.input_rules, cpage.input_rules)
     ]
-    for state_name, plans in cpage.state_updates:
-        rules = [r for r in page.state_rules if r.state == state_name]
+    for sym, plans in cpage.state_updates:
+        rules = [r for r in page.state_rules if r.state == sym.name]
         out += [
             (rule.formula, rule.variables, plan)
             for rule, (_, plan) in zip(rules, plans)

@@ -1,16 +1,23 @@
-"""The choice memo and the shared-base evaluation contexts of ``RunContext``.
+"""The memos, the step plans and the shared-base contexts of ``RunContext``.
 
 A run context enumerates each choice set once per ``(page, state, prev,
-γ)`` and builds every step's evaluation context from one precomputed
-base.  Neither may change what a run does.  Three checks, none of which
-reads the memo on its reference side:
+γ)``, builds the snapshots entered at a page once per ``(page, state,
+prev, actions, Γ)``, runs each step from its page's resolved step plan
+and builds every step's evaluation context from one precomputed base.
+None of it may change what a run does.  The checks, none of which reads
+a memo or a step plan on its reference side:
 
 - **successors**: BFS every reachable snapshot with one long-lived run
   context per (database, sigma) — the sigmas of a database sharing one
   interner, as a blocked work unit's do — and compare each snapshot's
   successors, in order, with those of a fresh run context (empty memo,
   own interner).  No key is enumerated twice on a long-lived context,
-  error condition (i) included;
+  error condition (i) included, no next snapshot is built twice, and
+  the lists ``successors`` and ``initial_snapshots`` return are fresh;
+- **step**: at every reachable snapshot, ``deterministic_step`` against
+  a test-local step built from the page schema alone (interpreted
+  rules, ``schema.input`` and ``prev_symbol``), error conditions (i),
+  (ii) and (iii) included;
 - **Kripke**: ``build_snapshot_kripke`` against a reference BFS that
   calls ``deterministic_step`` and ``enumerate_choices`` on a fresh run
   context per call — same states in the same order, edges and labels;
@@ -41,6 +48,7 @@ from repro.fol import (
 from repro.fol.evaluation import EvalContext
 from repro.schema import Database
 from repro.schema.instances import Instance
+from repro.schema.symbols import prev_symbol
 from repro.service import ServiceBuilder
 from repro.service.compiled import SnapshotInterner
 from repro.service.runs import (
@@ -96,7 +104,8 @@ def _gamma_split():
     """P is entered with the same state and prev from ASK, which requests
     ``who``, and from SKIP, which does not: only γ tells the two choice
     sets apart (options over ``who``, or error condition (i)), and under
-    γ ∋ who the options differ from sigma to sigma."""
+    γ ∋ who the options differ from sigma to sigma.  ASK's own options
+    read ``who`` too: γ at a page includes what the page requests."""
     b = ServiceBuilder("gamma-split")
     b.database("allowed", 1)
     b.input("go")
@@ -110,11 +119,34 @@ def _gamma_split():
     ask = b.page("ASK")
     ask.request("who")
     ask.toggle("go")
+    ask.options("pick", "allowed(x) & x = who", ("x",))
     ask.target("P", "go")
     skip = b.page("SKIP")
     skip.toggle("go")
     skip.target("P", "go")
     b.page("P").options("pick", "allowed(x) & x = who", ("x",))
+    return b.build()
+
+
+def _erring():
+    """Two pages that reach every step error: HOME re-requests ``who``
+    once stayed on (ii), fires A and HOME together on ``go & left``
+    (iii), and every step at A reads ``ghost``, which no page requests
+    (i)."""
+    b = ServiceBuilder("erring")
+    b.input("go")
+    b.input("left")
+    b.input_constant("who", "ghost")
+    b.action("alarm")
+    home = b.page("HOME", home=True)
+    home.request("who")
+    home.toggle("go", "left")
+    home.target("A", "go")
+    home.target("HOME", "go & left")
+    a = b.page("A")
+    a.toggle("go")
+    a.act("alarm", "ghost = who")
+    a.target("HOME", "go")
     return b.build()
 
 
@@ -132,6 +164,7 @@ def _corpus_pairs(path):
 #: name -> (service factory, domain size of its small-model databases)
 SERVICES = {
     "dataflow-demo": (dataflow_demo_service, 1),
+    "erring": (_erring, 1),
     "registration": (_registration, 2),
     "session": (_session_service, 2),
     "unprovided-reader": (_unprovided_reader, 2),
@@ -237,6 +270,185 @@ def test_unprovided_reader_memoizes_error_outcome(monkeypatch):
     }
     assert entering == {"A", "B"}
     assert calls.count("NEXT") == 1
+
+
+@pytest.mark.parametrize("name", ["registration", "session", "erring"])
+def test_returned_lists_are_fresh(name):
+    """Callers keep these lists as edge lists: mutating one must not
+    reach the memo, pending-error and error outcomes included."""
+    service, pairs = _inputs(name)
+    db, sigmas = pairs[0]
+    ctx = RunContext(service, db, sigma=sigmas[0])
+
+    def check(call):
+        expected = list(call())
+        for mutate in (lambda got: got.append(got[0]), list.clear):
+            got = call()
+            assert isinstance(got, list)
+            mutate(got)
+            assert call() == expected
+
+    check(lambda: initial_snapshots(ctx))
+    order, _ = _reachable(ctx)
+    for snap in order:
+        check(lambda: successors(ctx, snap))
+
+
+@pytest.mark.parametrize("name", ["registration", "session"])
+def test_next_snapshots_built_once(name, monkeypatch):
+    """On a long-lived run context, every non-error next snapshot is
+    built and interned once per (key, choice), not once per edge that
+    reaches it."""
+    service, pairs = _inputs(name)
+    interned = SnapshotInterner.snapshot
+    built: list[tuple] = []
+
+    def recording(self, snap):
+        if not snap.is_error:
+            built.append((id(self), snap))
+        return interned(self, snap)
+
+    monkeypatch.setattr(SnapshotInterner, "snapshot", recording)
+    # each context has its own interner, and stays alive so that no
+    # later interner reuses its id
+    contexts, edges_in = [], 0
+    for db, sigmas in pairs:
+        for sigma in sigmas:
+            ctx = RunContext(service, db, sigma=sigma)
+            contexts.append(ctx)
+            order, edges = _reachable(ctx)
+            edges_in += len(initial_snapshots(ctx)) + sum(
+                not nxt.is_error for nexts in edges.values() for nxt in nexts
+            )
+    assert len(built) == len(set(built))
+    # outcomes repeat, so building per edge would have built more
+    assert edges_in > 2 * len(built)
+
+
+# ---------------------------------------------------------------------------
+# step: deterministic_step vs a reference built from the page schema
+# ---------------------------------------------------------------------------
+
+def _reference_step(ctx, snap):
+    """Definition 2.3's deterministic half from the page schema alone:
+    ``(error, next page, state, actions, prev, Γ_i)``, with the error
+    condition that stopped the step (or None) as a second value."""
+    service = ctx.service
+    schema = service.schema
+    page = service.page(snap.page)
+    requested = frozenset(page.input_constants)
+    if requested & snap.provided_before:
+        return (True,), "ii"
+    gamma = snap.provided_before | requested
+    ectx = EvalContext(
+        database=ctx.database, state=snap.state, inputs=snap.inputs,
+        prev=snap.prev, input_values={
+            c: v for c, v in ctx.sigma.items() if c in gamma
+        },
+        page=snap.page, page_names=service.page_names | {service.error_page},
+        extra_domain=ctx.extra_domain,
+    )
+    ectx.declare_empty(_declared(service))
+    try:
+        fired = {
+            rule.target for rule in page.target_rules
+            if evaluate_interpreted(rule.formula, ectx)
+        }
+        if len(fired) > 1:
+            return (True,), "iii"
+        updates: dict = {}
+        for rule in page.state_rules:
+            ins, dels = updates.setdefault(rule.state, (set(), set()))
+            (ins if rule.insert else dels).update(evaluate_query_interpreted(
+                rule.formula, rule.variables, ectx
+            ))
+        actions: dict = {}
+        for rule in page.action_rules:
+            actions.setdefault(schema.action[rule.action], set()).update(
+                evaluate_query_interpreted(rule.formula, rule.variables, ectx)
+            )
+    except MissingInputConstantError:
+        return (True,), "i"
+    state = {}
+    for sym in schema.state:
+        old = snap.state.tuples(sym)
+        ins, dels = updates.get(sym.name, (set(), set()))
+        state[sym] = (old - (dels - ins)) | (ins - dels)
+    prev = {}
+    for name in page.inputs:
+        sym = schema.input[name]
+        prev[prev_symbol(sym)] = snap.inputs.tuples(sym)
+    next_page = fired.pop() if fired else page.name
+    return (
+        False, next_page, Instance(state), Instance(actions), Instance(prev),
+        gamma,
+    ), None
+
+
+def _step_outcome(step):
+    if step.error:
+        return (True,)
+    return (
+        False, step.next_page, step.next_state, step.next_actions,
+        step.next_prev, step.gamma,
+    )
+
+
+def _reference_entries(ctx, name, state, actions, prev, gamma):
+    """The snapshots entered at page ``name`` after a step that provided
+    ``gamma``: one per choice ``enumerate_choices`` yields on a fresh
+    context at ``gamma`` plus the page's requests, or the pending-error
+    snapshot."""
+    service = ctx.service
+    page = service.page(name)
+    fresh = RunContext(service, ctx.database, sigma=ctx.sigma)
+    try:
+        choices = list(enumerate_choices(
+            fresh, page, state, prev, gamma | set(page.input_constants)
+        ))
+    except MissingInputConstantError:
+        return [Snapshot(
+            name, state, Instance.empty(), prev, actions, gamma,
+            pending_error=True,
+        )]
+    return [
+        Snapshot(
+            name, state, _inputs_instance(service, page, choice), prev,
+            actions, gamma,
+        )
+        for choice in choices
+    ]
+
+
+@pytest.mark.parametrize("name", CASES, ids=_case_id)
+def test_step_matches_schema_reference(name):
+    service, pairs = _inputs(name)
+    errors: set = set()
+    steps = 0
+    for db, sigmas in pairs:
+        for sigma in sigmas:
+            ctx = RunContext(service, db, sigma=sigma)
+            empty = Instance.empty()
+            assert initial_snapshots(ctx) == _reference_entries(
+                ctx, service.home, empty, empty, empty, frozenset()
+            )
+            order, _ = _reachable(ctx)
+            for snap in order:
+                if snap.is_error:
+                    continue
+                expected, error = _reference_step(ctx, snap)
+                got = _step_outcome(deterministic_step(ctx, snap))
+                assert got == expected, (sigma, snap.describe(), error)
+                if snap.pending_error or error:
+                    entered = [error_snapshot(service)]
+                else:
+                    entered = _reference_entries(ctx, *expected[1:])
+                assert successors(ctx, snap) == entered, snap.describe()
+                errors.add(error)
+                steps += 1
+    assert steps
+    if name == "erring":
+        assert {"i", "ii", "iii"} <= errors
 
 
 # ---------------------------------------------------------------------------

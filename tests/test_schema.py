@@ -115,6 +115,22 @@ class TestServiceSchema:
                 action=RelationalSchema(),
             )
 
+    @pytest.mark.parametrize("kind", ["database", "state", "input"])
+    def test_derived_prev_name_is_reserved(self, kind):
+        # a declared prev_button would alias button's prev relation in
+        # every evaluation context, which keys relations by name
+        parts = {
+            "database": [], "state": [], "action": [],
+            "input": [input_relation("button", 0)],
+        }
+        parts[kind].append(RelationSymbol(
+            "prev_button", 0, RelationKind(kind)
+        ))
+        with pytest.raises(ValueError, match="derived from the input"):
+            ServiceSchema(**{
+                name: RelationalSchema(rels) for name, rels in parts.items()
+            })
+
     def test_prev_vocabulary_derived(self, small_schema):
         prev_names = {r.name for r in small_schema.prev.relations}
         assert prev_names == {"prev_button", "prev_pick", "prev_toggle"}

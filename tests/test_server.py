@@ -46,6 +46,7 @@ def server(tmp_path_factory):
     server_in_thread(srv)
     yield srv
     srv.shutdown()
+    srv.server_close()
     srv.jobs.shutdown()
 
 

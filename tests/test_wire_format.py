@@ -97,6 +97,18 @@ def _home_not_string(data):
     data["home"] = 7
 
 
+def _state_named_as_input(data):
+    name, arity = data["schema"]["input"]["relations"][0]
+    data["schema"]["state"]["relations"].append([name, arity])
+
+
+def _state_named_as_prev(data):
+    # the name derived for the input's prev relation: every evaluation
+    # context would alias the two relations
+    name, arity = data["schema"]["input"]["relations"][0]
+    data["schema"]["state"]["relations"].append([f"prev_{name}", arity])
+
+
 MALFORMED_SPECS = [
     ("wrong-format-tag",
      lambda: _mutate(lambda d: d.update(format="bogus/9")),
@@ -137,6 +149,12 @@ MALFORMED_SPECS = [
     ("unparseable-formula",
      lambda: _mutate(_bad_formula),
      "bad-formula", "pages[0].state_rules[0].formula"),
+    ("relation-name-clash",
+     lambda: _mutate(_state_named_as_input),
+     "name-clash", "schema"),
+    ("relation-aliases-prev",
+     lambda: _mutate(_state_named_as_prev),
+     "name-clash", "schema"),
 ]
 
 CORPUS_IDS = [label for label, *_ in MALFORMED_SPECS]
