@@ -60,7 +60,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "FAULT_KINDS",
@@ -330,21 +330,3 @@ class FaultInjector:
             raise CheckpointWriteInterrupted(
                 f"injected checkpoint-write interruption at cursor {cursor}"
             )
-
-
-def iter_fault_events(
-    plan: FaultPlan | None,
-    site: str,
-    cursor: tuple[int, int],
-    attempt: int,
-) -> Iterable[dict[str, Any]]:
-    """The ``fault.injected`` event fields for a (site, cursor, attempt).
-
-    Emitted by the *parent* process before the fault is performed —
-    a crashing worker cannot ship its own trace events home.
-    """
-    if plan is None:
-        return
-    spec = plan.match(site, cursor, attempt)
-    if spec is not None:
-        yield {"kind": spec.kind, "attempt": attempt, "site": site}

@@ -68,7 +68,6 @@ from repro.verifier.linear import (
 )
 from repro.verifier.parallel import (
     GLOBAL_STOP,
-    RetryPolicy,
     RunInterrupted,
     StopToken,
     Supervisor,
@@ -98,7 +97,6 @@ __all__ = [
     "CheckpointMismatchError",
     "coverage_summary",
     "resolve_workers",
-    "RetryPolicy",
     "RunInterrupted",
     "StopToken",
     "GLOBAL_STOP",

@@ -18,8 +18,7 @@ module is that pipeline, factored once:
   options.  :meth:`RunConfig.build` is where direct kwargs are
   validated (unknown or procedure-unsupported options raise the coded
   :class:`RunConfigError`, never a bare ``TypeError`` with no key
-  path); :meth:`RunConfig.from_env` additionally resolves every
-  ``REPRO_*``-backed option up front.
+  path).
 - :class:`Procedure` — the strategy protocol each entry point
   implements: what to enumerate, what to precompile, how to seed the
   stats dict, and how to fold a violation.  Everything else — worker
@@ -40,7 +39,6 @@ The values that actually governed a run are recorded in
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from typing import (
     Any, Callable, Hashable, Iterable, Iterator, Mapping, MutableMapping,
@@ -56,7 +54,6 @@ from repro.verifier.parallel import (
     Supervisor,
     TaskSpec,
     UnitStream,
-    _env_number,
     apply_quarantine,
     frontier_checkpoint,
     merge_unit_stats,
@@ -363,10 +360,10 @@ class RunConfig:
 
     One field per :data:`OPTION_TABLE` row with a non-empty procedure
     set, in table order.  Instances come from :meth:`build` (direct
-    kwargs — the entry-point wrappers), from plain construction, or
-    from :meth:`from_env` (kwargs with the ``REPRO_*`` fallbacks
-    resolved eagerly).  The driver records the values that actually
-    governed the run in ``result.stats["config"]``.
+    kwargs — the entry-point wrappers) or from plain construction; the
+    driver resolves the ``REPRO_*`` fallbacks of options still unset
+    and records the values that actually governed the run in
+    ``result.stats["config"]``.
     """
 
     databases: Iterable[Database] | None = None
@@ -411,36 +408,6 @@ class RunConfig:
         if extra:
             raise _bad_options(procedure, extra, hint)
         return cls(**named)
-
-    @classmethod
-    def from_env(cls, **options: Any) -> "RunConfig":
-        """A config with every ``REPRO_*``-backed option resolved now.
-
-        The driver consults the same environment variables lazily (only
-        for options still unset), so a plain ``RunConfig`` behaves
-        identically; this constructor exists for callers that want the
-        environment snapshot to be explicit and recorded — the values
-        land in the frozen config instead of being re-read at run time.
-        """
-        if options.get("workers") is None:
-            options["workers"] = resolve_workers(None)
-        if options.get("sigma_block") is None:
-            options["sigma_block"] = resolve_sigma_block(None)
-        if options.get("retry") is None:
-            options["retry"] = _env_number("REPRO_RETRY", int, 0)
-        if options.get("unit_timeout_s") is None:
-            options["unit_timeout_s"] = _env_number(
-                "REPRO_UNIT_TIMEOUT_S", float, 0.0
-            )
-        if options.get("checkpoint_every") is None:
-            options["checkpoint_every"] = _env_number(
-                "REPRO_CHECKPOINT_EVERY", int, 1
-            )
-        if options.get("faults") is None:
-            options["faults"] = os.environ.get("REPRO_FAULTS") or None
-        if options.get("tracer") is None:
-            options["tracer"] = resolve_tracer(None)
-        return cls(**options)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +677,7 @@ def run_procedure(proc: Procedure) -> VerificationResult:
         else:
             sigma_fn = lambda db: enumerate_sigmas(service, db)  # noqa: E731
 
-    sup = Supervisor.resolve(
+    sup = Supervisor(
         retry=cfg.retry, unit_timeout_s=cfg.unit_timeout_s, faults=cfg.faults,
         checkpoint_path=cfg.checkpoint_path,
         checkpoint_every=cfg.checkpoint_every,
@@ -745,8 +712,8 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     config = {
         "procedure": proc.name,
         "workers": n_workers,
-        "retry": sup.policy.max_retries,
-        "unit_timeout_s": sup.policy.unit_timeout_s,
+        "retry": sup.max_retries,
+        "unit_timeout_s": sup.unit_timeout_s,
         "checkpoint_every": sup.checkpoint_every,
         "faults": sup.plan is not None,
         "traced": tr.active,
@@ -767,17 +734,7 @@ def run_procedure(proc: Procedure) -> VerificationResult:
             stats["snapshots_explored"] = gov.snapshots_total - snap_base
         checkpoint = None
         if proc.enumerates:
-            ck_kwargs = dict(
-                procedure=proc.name,
-                property_name=property_name,
-                domain_size=used_size,
-                up_to_iso=iso_used,
-                workers=n_workers,
-                resume=cfg.resume,
-            )
-            if proc.checkpoint_extra is not None:
-                ck_kwargs["extra"] = dict(proc.checkpoint_extra)
-            checkpoint = frontier_checkpoint(outcome, **ck_kwargs)
+            checkpoint = frontier_checkpoint(outcome, **sup.frontier_kwargs)
         return finalize_result(tr, degrade(
             outcome.interrupted,
             budget=gov,

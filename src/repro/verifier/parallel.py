@@ -54,16 +54,18 @@ hours bring: a worker segfault, a stuck unit, a SIGTERM from the
 scheduler.  The :class:`Supervisor` wraps both backends with a failure
 model:
 
-- **Retry with backoff.**  A unit whose worker raises (anything that is
-  not a budget verdict) is retried up to ``max_retries`` times with
-  exponential backoff and deterministic jitter; verdicts stay
-  lowest-cursor-deterministic because a unit's *result* is a pure
-  function of ``(db, sigma)`` — retrying changes when it is computed,
-  never what it is.
+- **Retry with backoff.**  A unit whose execution raises (anything
+  that is not a budget verdict) is retried up to ``retry`` times with
+  exponential backoff and deterministic jitter (:func:`backoff_s`);
+  verdicts stay lowest-cursor-deterministic because a unit's *result*
+  is a pure function of ``(db, sigma)`` — retrying changes when it is
+  computed, never what it is.  :meth:`Supervisor.failed` is the one
+  rule both backends apply to a failed execution.
 - **Crash recovery.**  A dead worker (``BrokenProcessPool``) kills the
   whole pool; the supervisor rebuilds it and re-runs the in-flight
-  units one at a time (probation) so the culprit identifies itself
-  instead of taking innocent units' retry budget with it.
+  units one at a time, each alone in the pool, so the culprit
+  identifies itself instead of taking innocent units' retry budget
+  with it.
 - **Unit timeouts.**  With ``unit_timeout_s`` set, a unit that exceeds
   its wall-clock allowance is treated as hung: the pool is rebuilt
   (a stuck worker cannot be preempted, only killed) and the unit
@@ -73,9 +75,10 @@ model:
   the run *continues*; an otherwise-clean verdict degrades to
   INCONCLUSIVE (the quarantined space was never verified) instead of
   the whole run aborting.
-- **Fallback.**  If the pool cannot be rebuilt (``max_pool_rebuilds``
-  exceeded), the remaining units run in-process — slower, but the run
-  finishes.
+- **Fallback.**  If the pool cannot be started, or has been rebuilt
+  more than :data:`_MAX_POOL_REBUILDS` times, an in-process executor
+  takes its place and runs the remaining units one at a time —
+  slower, but the run finishes.
 - **Crash-safe checkpoints.**  With ``checkpoint_every=N``, the merged
   frontier is atomically written every N completed units (and on
   SIGINT/SIGTERM via :data:`GLOBAL_STOP`), so a kill at any moment
@@ -87,6 +90,7 @@ Deterministic fault *injection* for testing all of the above lives in
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import time
@@ -117,12 +121,12 @@ __all__ = [
     "TaskSpec",
     "UnitStream",
     "EnumerationOutcome",
-    "RetryPolicy",
     "RunInterrupted",
     "StopToken",
     "GLOBAL_STOP",
     "Supervisor",
     "apply_quarantine",
+    "backoff_s",
     "run_units",
     "unit_checker",
     "resolve_workers",
@@ -149,6 +153,48 @@ BUDGET = "budget"
 #: Stats keys aggregated by max (structure sizes); everything else sums.
 _MAX_KEYS = frozenset({"buchi_states", "kripke_states"})
 
+#: Retries of a failed unit when neither ``retry=`` nor ``REPRO_RETRY``
+#: says otherwise.
+_DEFAULT_RETRIES = 2
+
+#: The backoff before retry *n* (0-based) is
+#: ``min(_BACKOFF_MAX_S, _BACKOFF_BASE_S * 2**n)``, scaled by
+#: ``1 + _BACKOFF_JITTER * u`` (see :func:`backoff_s`).
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_MAX_S = 2.0
+_BACKOFF_JITTER = 0.1
+
+#: Pool rebuilds (after a worker crash or a unit timeout) before the run
+#: falls back to in-process execution.
+_MAX_POOL_REBUILDS = 8
+
+
+def _env_number(name: str, convert, minimum) -> Any:
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return None
+    try:
+        value = convert(raw)
+    except ValueError:
+        raise ValueError(
+            f"{name} must be {'an integer' if convert is int else 'a number'},"
+            f" got {raw!r}"
+        ) from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _resolve_count(value: int | None, name: str, env: str) -> int:
+    """``value``, else the integer in ``env``, else 1; never below 1."""
+    if value is None:
+        value = _env_number(env, int, 1)
+    if value is None:
+        return 1
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
 
 def resolve_workers(workers: int | None) -> int:
     """The effective worker count for one verification call.
@@ -157,20 +203,7 @@ def resolve_workers(workers: int | None) -> int:
     (production deployments set it once instead of threading a parameter
     through every call site), and finally to 1 — the sequential loop.
     """
-    if workers is None:
-        raw = os.environ.get("REPRO_WORKERS", "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_WORKERS must be an integer, got {raw!r}"
-                ) from None
-    if workers is None:
-        return 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
+    return _resolve_count(workers, "workers", "REPRO_WORKERS")
 
 
 def resolve_sigma_block(sigma_block: int | None) -> int:
@@ -181,20 +214,7 @@ def resolve_sigma_block(sigma_block: int | None) -> int:
     above 1 batch that many consecutive sigmas of a database into one
     ``(db_index, sigma_block)`` unit (see :class:`WorkUnit`).
     """
-    if sigma_block is None:
-        raw = os.environ.get("REPRO_SIGMA_BLOCK", "").strip()
-        if raw:
-            try:
-                sigma_block = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_SIGMA_BLOCK must be an integer, got {raw!r}"
-                ) from None
-    if sigma_block is None:
-        return 1
-    if sigma_block < 1:
-        raise ValueError(f"sigma_block must be >= 1, got {sigma_block}")
-    return sigma_block
+    return _resolve_count(sigma_block, "sigma_block", "REPRO_SIGMA_BLOCK")
 
 
 @dataclass(frozen=True)
@@ -339,35 +359,70 @@ def _init_worker(spec: TaskSpec) -> None:
     warm_service_plans(spec.service)
 
 
+def _run_unit(
+    spec: TaskSpec,
+    unit: WorkUnit,
+    gov: Budget,
+    cache: dict,
+    injector: FaultInjector | None,
+    attempt: int,
+) -> UnitOutcome:
+    """One execution of one unit, on every backend.
+
+    Emits ``unit.start``, fires the unit-site fault, runs the checker
+    under ``gov`` and emits ``unit.finish`` with the outcome's status —
+    ``budget`` when the governor struck and ``failed`` when the attempt
+    raised; either exception propagates.  ``attempt`` is the retry
+    ordinal the supervisor assigned this execution: fault injection is
+    keyed on it, so a transient injected fault fires on attempt 0 and
+    lets the retry through.
+    """
+    tracer = gov.tracer
+    if tracer.active:
+        tracer.emit("unit.start", cursor=unit.cursor)
+    started = time.monotonic()
+    try:
+        if injector is not None:
+            # may raise (a unit failure for the supervisor) or, in a
+            # pool worker, kill the process outright — that is the point
+            injector.fire_unit(unit.cursor, attempt)
+        outcome = _CHECKERS[spec.procedure](spec, unit, gov, cache)
+    except Exception as exc:
+        if tracer.active:
+            tracer.emit(
+                "unit.finish", cursor=unit.cursor,
+                dur=time.monotonic() - started,
+                status=(BUDGET if isinstance(exc, VerificationBudgetExceeded)
+                        else "failed"),
+            )
+        raise
+    if tracer.active:
+        tracer.emit(
+            "unit.finish", cursor=unit.cursor,
+            dur=time.monotonic() - started, status=outcome.status,
+        )
+    return outcome
+
+
 def _execute_unit(
     spec: TaskSpec,
     unit: WorkUnit,
     timeout_s: float | None,
     cache: dict,
-    injector: FaultInjector | None = None,
-    attempt: int = 0,
+    injector: FaultInjector | None,
+    attempt: int,
 ) -> UnitOutcome:
-    """Run one unit under its own local budget (worker or fallback).
+    """Run one unit under its own unit budget (pool worker or fallback).
 
-    The shared core of the pool worker and the in-process pool-fallback
-    path: a fresh unit budget from the spec's caps, a collecting tracer
-    when the spec is traced, budget strikes converted to a BUDGET
-    outcome.  ``attempt`` is the retry ordinal the supervisor assigned
-    this execution — fault injection is keyed on it, so a transient
-    injected fault fires on attempt 0 and lets the retry through.
+    A fresh budget from the spec's caps and the parent's remaining
+    time, a collecting tracer when the spec is traced (its events ship
+    back on the outcome), and a budget strike turned into a BUDGET
+    outcome carrying the partial counters.
     """
-    if injector is not None:
-        # may raise (a unit failure for the supervisor) or kill this
-        # process outright when in_worker — that is the point
-        injector.fire_unit(unit.cursor, attempt)
     gov = spec.make_unit_budget(timeout_s)
-    tracer: Tracer = CollectingTracer() if spec.traced else NULL_TRACER
-    gov.tracer = tracer
-    started = time.monotonic()
-    if tracer.active:
-        tracer.emit("unit.start", cursor=unit.cursor)
+    gov.tracer = CollectingTracer() if spec.traced else NULL_TRACER
     try:
-        outcome = _CHECKERS[spec.procedure](spec, unit, gov, cache)
+        outcome = _run_unit(spec, unit, gov, cache, injector, attempt)
     except VerificationBudgetExceeded as exc:
         stats = dict(exc.stats)
         stats.setdefault("snapshots_explored", gov.snapshots_total)
@@ -380,17 +435,13 @@ def _execute_unit(
             limit=exc.limit,
             message=str(exc),
         )
-    if tracer.active:
-        tracer.emit(
-            "unit.finish", cursor=unit.cursor,
-            dur=time.monotonic() - started, status=outcome.status,
-        )
-        outcome.events = tracer.events
+    if gov.tracer.active:
+        outcome.events = gov.tracer.events
     return outcome
 
 
 def _pool_check(
-    unit: WorkUnit, timeout_s: float | None, attempt: int = 0
+    unit: WorkUnit, timeout_s: float | None, attempt: int
 ) -> UnitOutcome:
     """Run one unit in a worker: local budget, shared per-worker cache."""
     spec = _WORKER_SPEC
@@ -399,8 +450,7 @@ def _pool_check(
     if spec.faults is not None:
         injector = FaultInjector(spec.faults, in_worker=True)
     return _execute_unit(
-        spec, unit, timeout_s, _WORKER_CACHE,
-        injector=injector, attempt=attempt,
+        spec, unit, timeout_s, _WORKER_CACHE, injector, attempt
     )
 
 
@@ -638,113 +688,51 @@ class StopToken:
         return self.reason is not None
 
 
-#: The process-wide stop token the CLI's signal handlers set.  Library
-#: callers who want their own scoping can pass a private token via
-#: ``Supervisor(stop=...)``.
+#: The process-wide stop token the CLI's signal handlers set; both run
+#: loops poll it.
 GLOBAL_STOP = StopToken()
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How transient unit failures are retried.
+def backoff_s(cursor: tuple[int, int], attempt: int, seed: int = 0) -> float:
+    """The wait before retry ``attempt + 1`` of the unit at ``cursor``.
 
-    ``max_retries`` bounds the *re*-executions of one unit (0 disables
-    retry: first failure quarantines).  The backoff before retry *n*
-    (0-based) is ``min(backoff_max_s, backoff_base_s * 2**n)`` scaled by
-    ``1 + backoff_jitter * u`` with ``u`` drawn deterministically from
-    the fault-plan seed and the unit cursor — reproducible schedules,
-    but no thundering herd when many units fail at once.
-    ``unit_timeout_s`` is the per-execution wall-clock allowance (pool
-    backend only — an in-process unit cannot be preempted);
-    ``max_pool_rebuilds`` bounds pool reconstruction before the run
-    falls back to the in-process backend.
+    Exponential in ``attempt`` and capped (:data:`_BACKOFF_BASE_S`,
+    :data:`_BACKOFF_MAX_S`), scaled by a jitter factor drawn
+    deterministically from the fault-plan ``seed`` and the cursor —
+    reproducible schedules, but no thundering herd when many units fail
+    at once.
     """
-
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 2.0
-    backoff_jitter: float = 0.1
-    unit_timeout_s: float | None = None
-    max_pool_rebuilds: int = 8
-
-    def backoff_s(
-        self, cursor: tuple[int, int], attempt: int, seed: int = 0
-    ) -> float:
-        base = min(self.backoff_max_s, self.backoff_base_s * (2 ** attempt))
-        if self.backoff_jitter <= 0:
-            return base
-        u = random.Random(
-            f"{seed}:{cursor[0]}:{cursor[1]}:{attempt}"
-        ).random()
-        return base * (1.0 + self.backoff_jitter * u)
-
-
-def _env_number(name: str, convert, minimum) -> Any:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = convert(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be {'an integer' if convert is int else 'a number'},"
-            f" got {raw!r}"
-        ) from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
+    base = min(_BACKOFF_MAX_S, _BACKOFF_BASE_S * (2 ** attempt))
+    u = random.Random(f"{seed}:{cursor[0]}:{cursor[1]}:{attempt}").random()
+    return base * (1.0 + _BACKOFF_JITTER * u)
 
 
 class Supervisor:
     """Failure handling for one enumeration run.
 
-    Owns the retry policy, the resolved fault plan, the stop token, the
-    quarantine record, and the periodic-checkpoint sink.  One instance
-    per ``run_units`` call; entry points build it from their
-    ``retry=`` / ``unit_timeout_s=`` / ``faults=`` / ``checkpoint_path=``
-    / ``checkpoint_every=`` keywords (environment fallbacks:
-    ``REPRO_RETRY``, ``REPRO_UNIT_TIMEOUT_S``, ``REPRO_FAULTS``,
-    ``REPRO_CHECKPOINT_EVERY``) and point ``frontier_kwargs`` at their
-    :func:`frontier_checkpoint` parameters so mid-run checkpoints carry
-    the same identity as end-of-run ones.
+    Owns the retry count, the unit timeout, the resolved fault plan and
+    the periodic-checkpoint sink.  One instance per ``run_units`` call,
+    built from the entry point's ``retry=`` / ``unit_timeout_s=`` /
+    ``faults=`` / ``checkpoint_path=`` / ``checkpoint_every=`` keywords
+    (environment fallbacks: ``REPRO_RETRY``, ``REPRO_UNIT_TIMEOUT_S``,
+    ``REPRO_FAULTS``, ``REPRO_CHECKPOINT_EVERY``).  ``retry`` bounds the
+    *re*-executions of one unit (0: the first failure quarantines);
+    ``unit_timeout_s`` is the per-execution wall-clock allowance (pool
+    backend only — an in-process unit cannot be preempted).  The entry
+    point points ``frontier_kwargs`` at its :func:`frontier_checkpoint`
+    parameters so mid-run checkpoints carry the same identity as
+    end-of-run ones.
     """
 
     def __init__(
         self,
-        policy: RetryPolicy | None = None,
-        *,
-        plan: FaultPlan | None = None,
-        checkpoint_path: Any = None,
-        checkpoint_every: int | None = None,
-        stop: StopToken | None = None,
-    ) -> None:
-        self.policy = policy or RetryPolicy()
-        self.plan = plan
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
-        self.stop = stop if stop is not None else GLOBAL_STOP
-        #: set by the entry point: frontier_checkpoint(...) keywords for
-        #: periodic checkpoints (None = periodic checkpointing disabled)
-        self.frontier_kwargs: dict[str, Any] | None = None
-        self.quarantined: list[dict] = []
-        self.retries = 0
-        self.pool_rebuilds = 0
-        self.checkpoints_written = 0
-        self._since_checkpoint = 0
-        self._stop_announced = False
-
-    @classmethod
-    def resolve(
-        cls,
         *,
         retry: int | None = None,
         unit_timeout_s: float | None = None,
         faults: Any = None,
         checkpoint_path: Any = None,
         checkpoint_every: int | None = None,
-        stop: StopToken | None = None,
-    ) -> "Supervisor":
-        """Build the supervisor for one call, applying env fallbacks."""
+    ) -> None:
         if retry is None:
             retry = _env_number("REPRO_RETRY", int, 0)
         if unit_timeout_s is None:
@@ -757,24 +745,25 @@ class Supervisor:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        defaults = RetryPolicy()
-        policy = RetryPolicy(
-            max_retries=defaults.max_retries if retry is None else retry,
-            unit_timeout_s=unit_timeout_s,
-        )
-        return cls(
-            policy,
-            plan=resolve_fault_plan(faults),
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            stop=stop,
-        )
+        self.max_retries = _DEFAULT_RETRIES if retry is None else retry
+        self.unit_timeout_s = unit_timeout_s
+        self.plan = resolve_fault_plan(faults)
+        self.checkpoint_path = checkpoint_path
+        self.checkpoint_every = checkpoint_every
+        #: set by the entry point: frontier_checkpoint(...) keywords for
+        #: periodic checkpoints (None = periodic checkpointing disabled)
+        self.frontier_kwargs: dict[str, Any] | None = None
+        self.retries = 0
+        self.pool_rebuilds = 0
+        self.checkpoints_written = 0
+        self._since_checkpoint = 0
+        self._stop_announced = False
 
     # -- stop / fault plumbing --------------------------------------------
 
     def check_stop(self, tracer: Tracer) -> None:
-        """Raise :class:`RunInterrupted` when the stop token is set."""
-        reason = self.stop.reason
+        """Raise :class:`RunInterrupted` when :data:`GLOBAL_STOP` is set."""
+        reason = GLOBAL_STOP.reason
         if reason is None:
             return
         if tracer.active and not self._stop_announced:
@@ -801,48 +790,46 @@ class Supervisor:
             )
 
     def local_injector(self) -> FaultInjector | None:
-        """The in-process injector (sequential backend, checkpoint site)."""
+        """The in-process injector (sequential backend, inline fallback,
+        checkpoint site)."""
         if self.plan is None:
             return None
         return FaultInjector(self.plan, in_worker=False, _sleep=_SLEEP)
 
-    # -- retry / quarantine ------------------------------------------------
+    # -- the failure rule ---------------------------------------------------
 
-    def should_retry(self, attempt: int) -> bool:
-        return attempt < self.policy.max_retries
+    def failed(
+        self, out: EnumerationOutcome, tracer: Tracer,
+        cursor: tuple[int, int], attempt: int, error: BaseException | str,
+    ) -> float | None:
+        """Execution ``attempt`` of the unit at ``cursor`` failed.
 
-    def backoff_for(self, cursor: tuple[int, int], attempt: int) -> float:
-        seed = self.plan.seed if self.plan is not None else 0
-        return self.policy.backoff_s(cursor, attempt, seed)
-
-    def note_retry(
-        self, tracer: Tracer, cursor: tuple[int, int],
-        attempt: int, delay: float, error: BaseException | str,
-    ) -> None:
+        Returns the backoff to wait before running it again at
+        ``attempt + 1``; or, once its retries are spent, quarantines it
+        — the run continues without it — and returns None.
+        """
+        if attempt >= self.max_retries:
+            out.quarantined.append({
+                "cursor": tuple(cursor),
+                "attempts": attempt + 1,
+                "error": str(error),
+            })
+            if tracer.active:
+                tracer.emit(
+                    "unit.quarantined", cursor=cursor,
+                    attempts=attempt + 1, error=str(error),
+                )
+            return None
+        delay = backoff_s(
+            cursor, attempt, self.plan.seed if self.plan is not None else 0
+        )
         self.retries += 1
         if tracer.active:
             tracer.emit(
                 "unit.retry", cursor=cursor, attempt=attempt,
                 backoff_s=round(delay, 6), error=str(error),
             )
-
-    def quarantine(
-        self, out: EnumerationOutcome, tracer: Tracer,
-        cursor: tuple[int, int], attempts: int, error: BaseException | str,
-    ) -> None:
-        """Record a poison unit; the run continues without it."""
-        record = {
-            "cursor": tuple(cursor),
-            "attempts": attempts,
-            "error": str(error),
-        }
-        self.quarantined.append(record)
-        out.quarantined.append(record)
-        if tracer.active:
-            tracer.emit(
-                "unit.quarantined", cursor=cursor,
-                attempts=attempts, error=str(error),
-            )
+        return delay
 
     def counters(self) -> dict[str, int]:
         """Supervision counters folded into the run's stats (only when
@@ -959,10 +946,16 @@ def run_units(
     governor (identical charging order to the pre-parallel verifier);
     ``workers > 1`` fans units out to a process pool.  ``supervisor``
     carries the failure model (retry, quarantine, timeouts, periodic
-    checkpoints, stop token); None builds one from the environment
-    defaults.
+    checkpoints); None builds one from the environment defaults.
+
+    The two loops stay separate because they differ where it matters:
+    the sequential one charges the parent governor and traces live; the
+    pool gives each unit its own budget, folds the counters back with
+    ``Budget.absorb`` and buffers each unit's events until the verdict
+    is known.  Both run the same attempt body (:func:`_run_unit`) and
+    apply the same failure rule (:meth:`Supervisor.failed`).
     """
-    sup = supervisor if supervisor is not None else Supervisor.resolve()
+    sup = supervisor if supervisor is not None else Supervisor()
     if workers <= 1:
         out = _run_sequential(spec, stream, gov, sup)
     else:
@@ -972,78 +965,41 @@ def run_units(
     return out
 
 
-def _attempt_unit_local(
-    spec: TaskSpec,
-    unit: WorkUnit,
-    gov: Budget,
-    cache: dict,
-    sup: Supervisor,
-    out: EnumerationOutcome,
-    first_attempt: int = 0,
-) -> UnitOutcome | None:
-    """Run one unit in-process under the retry policy.
-
-    Returns the outcome, or None when the unit was quarantined.  Budget
-    exhaustion propagates — it is a verdict about the search, not a
-    failure of the machinery.  Injected ``crash`` faults are downgraded
-    to transient errors by the injector (``in_worker=False``): the
-    parent process is not expendable.
-    """
-    checker = _CHECKERS[spec.procedure]
-    tracer = gov.tracer
-    injector = sup.local_injector()
-    attempt = first_attempt
-    while True:
-        sup.check_stop(tracer)
-        sup.announce_fault(tracer, "unit", unit.cursor, attempt)
-        if tracer.active:
-            tracer.emit("unit.start", cursor=unit.cursor)
-        started = time.monotonic()
-        try:
-            if injector is not None:
-                injector.fire_unit(unit.cursor, attempt)
-            return_value = checker(spec, unit, gov, cache)
-        except VerificationBudgetExceeded:
-            if tracer.active:
-                tracer.emit(
-                    "unit.finish", cursor=unit.cursor,
-                    dur=time.monotonic() - started, status=BUDGET,
-                )
-            raise
-        except Exception as exc:
-            if tracer.active:
-                tracer.emit(
-                    "unit.finish", cursor=unit.cursor,
-                    dur=time.monotonic() - started, status="failed",
-                )
-            if not sup.should_retry(attempt):
-                sup.quarantine(out, tracer, unit.cursor, attempt + 1, exc)
-                return None
-            delay = sup.backoff_for(unit.cursor, attempt)
-            sup.note_retry(tracer, unit.cursor, attempt, delay, exc)
-            _SLEEP(delay)
-            attempt += 1
-            continue
-        if tracer.active:
-            tracer.emit(
-                "unit.finish", cursor=unit.cursor,
-                dur=time.monotonic() - started, status=return_value.status,
-            )
-        return return_value
-
-
 def _run_sequential(
     spec: TaskSpec, stream: UnitStream, gov: Budget, sup: Supervisor
 ) -> EnumerationOutcome:
     """The classic in-process loop; trace events stream live, in cursor
     order, straight into the parent tracer (no batching needed — units
-    complete in the order the stream yields them)."""
+    complete in the order the stream yields them).
+
+    A failed attempt is retried in place after its backoff.  Budget
+    exhaustion propagates — it is a verdict about the search, not a
+    failure of the machinery.  Injected ``crash`` faults are downgraded
+    to transient errors by the in-process injector: the parent process
+    is not expendable.
+    """
     tracer = gov.tracer
     cache: dict = {}
+    injector = sup.local_injector()
     out = EnumerationOutcome()
     try:
         for unit in stream:
-            result = _attempt_unit_local(spec, unit, gov, cache, sup, out)
+            result = None
+            for attempt in itertools.count():
+                sup.check_stop(tracer)
+                sup.announce_fault(tracer, "unit", unit.cursor, attempt)
+                try:
+                    result = _run_unit(
+                        spec, unit, gov, cache, injector, attempt
+                    )
+                except VerificationBudgetExceeded:
+                    raise
+                except Exception as exc:
+                    delay = sup.failed(out, tracer, unit.cursor, attempt, exc)
+                    if delay is not None:
+                        _SLEEP(delay)
+                        continue
+                break
             if result is None:  # quarantined; move on
                 continue
             if result.status == VIOLATED:
@@ -1063,15 +1019,54 @@ def _run_sequential(
     return out
 
 
-@dataclass
-class _Flight:
-    """One submitted pool execution: the unit, the retry ordinal this
-    execution runs at, and its wall-clock deadline (None when no unit
-    timeout is configured)."""
+@dataclass(eq=False)
+class _Job:
+    """One unit waiting for, or running in, the pool.
+
+    ``attempt`` is the retry ordinal the execution runs at;
+    ``not_before`` holds a retry back until its backoff has elapsed;
+    ``solo`` marks a crash suspect, which runs alone in the pool;
+    ``deadline`` is the wall-clock limit of the running execution (None
+    when no unit timeout is configured).
+    """
 
     unit: WorkUnit
-    attempt: int
-    deadline: float | None
+    attempt: int = 0
+    not_before: float = 0.0
+    solo: bool = False
+    deadline: float | None = None
+
+
+class _InlineExecutor:
+    """Stands in for the process pool once it cannot be (re)started.
+
+    ``submit`` runs the unit at once, in this process, under the same
+    per-unit budget a worker would use and with the parent-side fault
+    injector (a ``crash`` fault raises instead of killing the parent),
+    and returns the finished future.  ``fn`` is the worker entry point
+    the pool would have called; it is not used here.
+    """
+
+    def __init__(self, spec: TaskSpec, injector: FaultInjector | None):
+        self._spec = spec
+        self._injector = injector
+        self._cache: dict = {}
+
+    def submit(
+        self, fn, unit: WorkUnit, timeout_s: float | None, attempt: int
+    ) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(_execute_unit(
+                self._spec, unit, timeout_s, self._cache,
+                self._injector, attempt,
+            ))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        pass
 
 
 def _run_pool(
@@ -1080,88 +1075,91 @@ def _run_pool(
 ) -> EnumerationOutcome:
     out = EnumerationOutcome()
     tracer = gov.tracer
-    policy = sup.policy
     window = max(2 * workers, workers + 2)
     units = iter(stream)
     exhausted = False
     stop_stream = False  # no more units pulled from the stream
     halt = False  # interrupted: nothing new starts, running units drain
-    in_flight: dict[Future, _Flight] = {}
-    #: failed units waiting out their backoff: (release_time, unit, attempt)
-    retry_q: list[tuple[float, WorkUnit, int]] = []
-    #: units to re-run one at a time after a pool break (crash suspects)
-    probation: list[tuple[WorkUnit, int]] = []
-    #: units ready for immediate resubmission (due retries, timeout innocents)
-    pending_submit: list[tuple[WorkUnit, int]] = []
-    seq_cache: dict = {}  # checker cache for the in-process fallback
+    in_flight: dict[Future, _Job] = {}
+    #: units waiting to run: retries, crash suspects, units a pool
+    #: rebuild took down with it; at the end, whatever is left is pending
+    jobs: list[_Job] = []
     best: UnitOutcome | None = None
-    # Per-unit stats, folded into out.unit_stats only once the verdict
-    # is known: on a violation the aggregate must cover exactly the
-    # prefix of units at or below the winning cursor (what a sequential
-    # run charges), not whatever speculative units happened to finish
-    # before cancellation — stats stay worker-count-independent.
-    stats_by_cursor: dict[tuple[int, int], Mapping[str, Any]] = {}
-    # Trace-event batches shipped back by workers, buffered until the
-    # verdict is known and then merged into the parent tracer in cursor
-    # order under the same filter as the stats — the trace covers the
-    # same unit set at every worker count.
-    events_by_cursor: dict[tuple[int, int], list[TraceEvent]] = {}
-    pool: ProcessPoolExecutor | None = None
+    # Finished units by cursor, folded into the outcome only once the
+    # verdict is known: on a violation the stats and the trace must
+    # cover exactly the prefix of units at or below the winning cursor
+    # (what a sequential run charges), not whatever speculative units
+    # happened to finish before cancellation.  Stats merge and events
+    # flush in cursor order, so both are worker-count-independent.
+    finished: dict[tuple[int, int], UnitOutcome] = {}
 
-    def flush_events(limit_cursor: tuple[int, int] | None) -> None:
-        if not gov.tracer.active:
-            return
-        for cursor in sorted(events_by_cursor):
-            if limit_cursor is not None and cursor > limit_cursor:
-                continue
-            for event in events_by_cursor[cursor]:
-                gov.tracer.emit_event(event)
+    def start_pool(inline: bool):
+        nonlocal window
+        if not inline:
+            try:
+                return ProcessPoolExecutor(
+                    max_workers=workers, initializer=_init_worker,
+                    initargs=(spec,),
+                )
+            except Exception:
+                pass  # cannot start a pool: run the rest in-process
+        window = 1
+        return _InlineExecutor(spec, sup.local_injector())
 
-    def interrupt(exc: VerificationBudgetExceeded) -> None:
+    pool = start_pool(inline=False)
+
+    def interrupt(exc: VerificationBudgetExceeded, drain: bool = False):
+        # Stop pulling the stream and, unless draining, halt: nothing
+        # new starts, running units finish, queued jobs stay pending.
         nonlocal stop_stream, halt
         if out.interrupted is None:
             out.interrupted = exc
         stop_stream = True
-        halt = True
-        # queued work will not run; record it as pending for the resume
-        out.pending.extend(u.cursor for (_, u, _a) in retry_q)
-        out.pending.extend(u.cursor for (u, _a) in probation)
-        out.pending.extend(u.cursor for (u, _a) in pending_submit)
-        retry_q.clear()
-        probation.clear()
-        pending_submit.clear()
-
-    def stream_refused(exc: VerificationBudgetExceeded) -> None:
-        # The stream raised while yielding its next unit (the database
-        # cap, or the deadline during enumeration): stop pulling, but
-        # let the units already pulled drain — in flight, awaiting a
-        # retry or on probation — as the sequential loop finishes every
-        # unit before the stream refuses the next.  Their databases are
-        # already charged inside the cap.  ``pending`` then falls back
-        # to ``stream.cursor``, as in sequential; a deadline still
-        # halts through the idle tick or the drained units' own
-        # budgets.
-        nonlocal stop_stream
-        if out.interrupted is None:
-            out.interrupted = exc
-        stop_stream = True
+        halt = halt or not drain
 
     def incomplete_cursors() -> set[tuple[int, int]]:
-        cursors = {flight.unit.cursor for flight in in_flight.values()}
-        cursors.update(u.cursor for (_, u, _a) in retry_q)
-        cursors.update(u.cursor for (u, _a) in probation)
-        cursors.update(u.cursor for (u, _a) in pending_submit)
+        cursors = {job.unit.cursor for job in (*in_flight.values(), *jobs)}
         if not exhausted:
             cursors.add(stream.cursor)
         return cursors
 
+    def next_job() -> _Job | None:
+        # The first job whose backoff has elapsed, else the next unit of
+        # the stream; but a crash suspect starts only in an empty pool,
+        # and nothing starts beside it.
+        nonlocal exhausted
+        if any(job.solo for job in in_flight.values()):
+            return None
+        now = _MONOTONIC()
+        for i, job in enumerate(jobs):
+            if job.not_before <= now:
+                if job.solo and in_flight:
+                    return None
+                return jobs.pop(i)
+        if exhausted or stop_stream:
+            return None
+        try:
+            return _Job(next(units))
+        except StopIteration:
+            exhausted = True
+        except VerificationBudgetExceeded as exc:
+            # The stream raised while yielding its next unit (the
+            # database cap, or the deadline during enumeration): stop
+            # pulling, but let the units already pulled drain — running
+            # or queued — as the sequential loop finishes every unit
+            # before the stream refuses the next.  Their databases are
+            # already charged inside the cap.  ``pending`` then falls
+            # back to ``stream.cursor``, as in sequential; a deadline
+            # still halts through the idle tick or the drained units'
+            # own budgets.
+            interrupt(exc, drain=True)
+        return None
+
     def handle_result(unit: WorkUnit, result: UnitOutcome) -> None:
         nonlocal best
-        if result.events:
-            events_by_cursor[unit.cursor] = result.events
+        finished[unit.cursor] = result
         if result.status == BUDGET:
             out.pending.append(unit.cursor)
-            stats_by_cursor[unit.cursor] = result.stats
             interrupt(
                 VerificationBudgetExceeded(
                     result.message, limit=result.limit, stats=result.stats,
@@ -1169,38 +1167,31 @@ def _run_pool(
             )
             return
         if result.status == VIOLATED:
-            # the violating sigma's own cursor, plus any clean sigmas a
-            # blocked unit checked before it
-            out.completed.extend([*result.covered, result.cursor])
+            # the clean sigmas a blocked unit checked before the
+            # violation — never the violating cursor, which a resume
+            # must reach again
+            out.completed.extend(result.covered)
+            if best is None or result.cursor < best.cursor:
+                best = result
         else:
             out.completed.extend(result.covered or [unit.cursor])
-        stats_by_cursor[unit.cursor] = result.stats
-        if result.status == VIOLATED and (
-            best is None or result.cursor < best.cursor
-        ):
-            best = result
         try:
             gov.absorb(result.stats)
         except VerificationBudgetExceeded as exc:
             interrupt(exc)
         sup.note_completed(tracer, out, incomplete=incomplete_cursors())
 
-    def handle_failure(
-        unit: WorkUnit, attempt: int, error: BaseException | str
-    ) -> None:
-        if sup.should_retry(attempt):
-            delay = sup.backoff_for(unit.cursor, attempt)
-            sup.note_retry(tracer, unit.cursor, attempt, delay, error)
-            retry_q.append((_MONOTONIC() + delay, unit, attempt + 1))
-        else:
-            sup.quarantine(out, tracer, unit.cursor, attempt + 1, error)
+    def fail(job: _Job, error: BaseException | str) -> None:
+        delay = sup.failed(out, tracer, job.unit.cursor, job.attempt, error)
+        if delay is not None:
+            jobs.append(
+                _Job(job.unit, job.attempt + 1, _MONOTONIC() + delay)
+            )
 
     def kill_pool() -> None:
         # a hung or crashed worker cannot be joined; SIGKILL the whole
-        # cohort and abandon the executor without waiting
-        nonlocal pool
-        if pool is None:
-            return
+        # cohort and abandon the executor without waiting (a later
+        # shutdown of it finds nothing left to join)
         procs = getattr(pool, "_processes", None)
         for proc in list((procs or {}).values()):
             try:
@@ -1208,115 +1199,85 @@ def _run_pool(
             except Exception:
                 pass  # already reaped
         pool.shutdown(wait=False, cancel_futures=True)
-        pool = None
 
     def rebuild(cause: str) -> None:
         nonlocal pool
         kill_pool()
         sup.pool_rebuilds += 1
-        giving_up = sup.pool_rebuilds > policy.max_pool_rebuilds
+        giving_up = sup.pool_rebuilds > _MAX_POOL_REBUILDS
         if tracer.active:
             tracer.emit(
                 "pool.rebuilt", cursor=stream.cursor, cause=cause,
                 rebuilds=sup.pool_rebuilds, fallback=giving_up,
             )
-        if giving_up:
-            return  # in-process fallback from here on
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(spec,),
-            )
-        except Exception:
-            pool = None
+        pool = start_pool(inline=giving_up)
 
     def on_pool_break() -> None:
-        flights = sorted(in_flight.values(), key=lambda f: f.unit.cursor)
+        broken = sorted(in_flight.values(), key=lambda job: job.unit.cursor)
         in_flight.clear()
-        if len(flights) == 1:
+        if len(broken) == 1:
             # a unit that breaks the pool while running alone is the
             # proven culprit: charge the failure to its retry budget
-            flight = flights[0]
-            handle_failure(
-                flight.unit, flight.attempt,
-                "worker process died (pool broken)",
-            )
+            fail(broken[0], "worker process died (pool broken)")
         else:
             # cannot tell which in-flight unit killed the pool: re-run
             # them one at a time so the culprit identifies itself
             # without charging the innocents' retry budget
-            probation.extend((f.unit, f.attempt) for f in flights)
+            for job in broken:
+                job.solo = True
+            jobs.extend(broken)
         rebuild("worker-crash")
 
     def scan_timeouts() -> None:
-        if policy.unit_timeout_s is None or not in_flight:
+        if sup.unit_timeout_s is None:
             return
         now = _MONOTONIC()
-        expired: list[_Flight] = []
-        innocent: list[_Flight] = []
-        for flight in in_flight.values():
-            if flight.deadline is not None and now >= flight.deadline:
-                expired.append(flight)
-            else:
-                innocent.append(flight)
+        running = sorted(in_flight.values(), key=lambda job: job.unit.cursor)
+        expired = [job for job in running if now >= job.deadline]
         if not expired:
             return
         in_flight.clear()
-        for flight in sorted(expired, key=lambda f: f.unit.cursor):
+        for job in expired:
             if tracer.active:
                 tracer.emit(
-                    "unit.timeout", cursor=flight.unit.cursor,
-                    attempt=flight.attempt,
-                    timeout_s=policy.unit_timeout_s,
+                    "unit.timeout", cursor=job.unit.cursor,
+                    attempt=job.attempt, timeout_s=sup.unit_timeout_s,
                 )
-            handle_failure(
-                flight.unit, flight.attempt,
-                f"unit exceeded {policy.unit_timeout_s}s wall-clock "
-                "timeout",
+            fail(
+                job,
+                f"unit exceeded {sup.unit_timeout_s}s wall-clock timeout",
             )
-        # the innocents lose their in-progress work with the pool, but
-        # not their retry budget: resubmit at the same attempt
-        pending_submit.extend(
-            (f.unit, f.attempt)
-            for f in sorted(innocent, key=lambda f: f.unit.cursor)
-        )
+        # the others lose their in-progress work with the pool, but not
+        # their retry budget: run them again at the same attempt
+        jobs.extend(job for job in running if job not in expired)
         rebuild("unit-timeout")
 
-    def launch(unit: WorkUnit, attempt: int) -> bool:
-        sup.announce_fault(tracer, "unit", unit.cursor, attempt)
-        deadline = None
-        if policy.unit_timeout_s is not None:
-            deadline = _MONOTONIC() + policy.unit_timeout_s
+    def launch(job: _Job) -> bool:
+        sup.announce_fault(tracer, "unit", job.unit.cursor, job.attempt)
+        if sup.unit_timeout_s is not None:
+            job.deadline = _MONOTONIC() + sup.unit_timeout_s
         try:
             fut = pool.submit(
-                _pool_check, unit, gov.remaining_time(), attempt
+                _pool_check, job.unit, gov.remaining_time(), job.attempt
             )
         except (BrokenProcessPool, RuntimeError):
             # the pool died under us mid-submit; this unit never ran
-            pending_submit.insert(0, (unit, attempt))
+            jobs.insert(0, job)
             on_pool_break()
             return False
-        in_flight[fut] = _Flight(unit, attempt, deadline)
+        in_flight[fut] = job
         return True
-
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(spec,)
-        )
-    except Exception:
-        pool = None  # cannot even start a pool: run everything in-process
 
     try:
         while True:
             # cooperative stop (SIGINT/SIGTERM via the stop token)
-            if sup.stop and out.interrupted is None:
+            if GLOBAL_STOP and out.interrupted is None:
                 try:
                     sup.check_stop(tracer)
                 except RunInterrupted as exc:
                     # promptness over drain: kill running units, record
                     # them pending, and flush the final checkpoint
-                    for flight in in_flight.values():
-                        out.pending.append(flight.unit.cursor)
+                    jobs.extend(in_flight.values())
                     in_flight.clear()
                     interrupt(exc)
                     kill_pool()
@@ -1324,46 +1285,13 @@ def _run_pool(
             if halt and not in_flight:
                 break
 
-            # promote retries whose backoff has elapsed
-            if retry_q and not halt:
-                now = _MONOTONIC()
-                due = sorted(
-                    (e for e in retry_q if e[0] <= now),
-                    key=lambda e: e[1].cursor,
-                )
-                if due:
-                    retry_q[:] = [e for e in retry_q if e[0] > now]
-                    pending_submit.extend((u, a) for (_, u, a) in due)
+            # keep the submission window full
+            while not halt and len(in_flight) < window:
+                job = next_job()
+                if job is None or not launch(job):
+                    break
 
-            if pool is not None and not halt:
-                # keep the submission window full (one unit at a time
-                # while crash suspects are on probation).  The stream
-                # itself can raise (database cap, deadline during
-                # enumeration) — that stops submission from the stream
-                # but every unit already pulled still runs.
-                if probation:
-                    if not in_flight:
-                        unit, attempt = probation.pop(0)
-                        launch(unit, attempt)
-                else:
-                    while pool is not None and len(in_flight) < window:
-                        if pending_submit:
-                            unit, attempt = pending_submit.pop(0)
-                        elif not (exhausted or stop_stream):
-                            try:
-                                unit, attempt = next(units), 0
-                            except StopIteration:
-                                exhausted = True
-                                continue
-                            except VerificationBudgetExceeded as exc:
-                                stream_refused(exc)
-                                break
-                        else:
-                            break
-                        if not launch(unit, attempt):
-                            break
-
-            if pool is not None and in_flight:
+            if in_flight:
                 done, _ = wait(
                     in_flight, timeout=0.1, return_when=FIRST_COMPLETED
                 )
@@ -1371,21 +1299,18 @@ def _run_pool(
                 for fut in sorted(
                     done, key=lambda f: in_flight[f].unit.cursor
                 ):
-                    flight = in_flight.pop(fut)
-                    if fut.cancelled():
-                        out.pending.append(flight.unit.cursor)
-                        continue
+                    job = in_flight.pop(fut)
                     try:
                         result = fut.result()
                     except BrokenProcessPool:
                         # every in-flight future died with the pool
-                        in_flight[fut] = flight
+                        in_flight[fut] = job
                         broke = True
                         break
                     except Exception as exc:
-                        handle_failure(flight.unit, flight.attempt, exc)
+                        fail(job, exc)
                         continue
-                    handle_result(flight.unit, result)
+                    handle_result(job.unit, result)
                 if broke:
                     on_pool_break()
                 else:
@@ -1397,114 +1322,62 @@ def _run_pool(
                         except VerificationBudgetExceeded as exc:
                             interrupt(exc)
                     scan_timeouts()
-            elif pool is None and not halt:
-                # in-process fallback: the pool could not be (re)built;
-                # run one unit per iteration with the same per-unit
-                # budget semantics a worker would have used
-                item = None
-                if probation:
-                    item = probation.pop(0)
-                elif pending_submit:
-                    item = pending_submit.pop(0)
-                elif not (exhausted or stop_stream):
-                    try:
-                        item = (next(units), 0)
-                    except StopIteration:
-                        exhausted = True
-                    except VerificationBudgetExceeded as exc:
-                        stream_refused(exc)
-                if item is not None:
-                    unit, attempt = item
-                    sup.announce_fault(tracer, "unit", unit.cursor, attempt)
-                    try:
-                        result = _execute_unit(
-                            spec, unit, gov.remaining_time(), seq_cache,
-                            injector=sup.local_injector(), attempt=attempt,
-                        )
-                    except Exception as exc:
-                        handle_failure(unit, attempt, exc)
-                    else:
-                        handle_result(unit, result)
 
             if best is not None:
                 # Units beyond the best violation cannot change the
                 # answer: cancel what hasn't started, stop submitting,
                 # and only await the units below the best cursor.
                 stop_stream = True
-                for fut, flight in list(in_flight.items()):
-                    if flight.unit.cursor > best.cursor and fut.cancel():
+                for fut, job in list(in_flight.items()):
+                    if job.unit.cursor > best.cursor and fut.cancel():
                         del in_flight[fut]
-                pending_submit[:] = [
-                    (u, a) for (u, a) in pending_submit
-                    if u.cursor < best.cursor
-                ]
-                retry_q[:] = [
-                    e for e in retry_q if e[1].cursor < best.cursor
-                ]
-                probation[:] = [
-                    (u, a) for (u, a) in probation if u.cursor < best.cursor
+                jobs[:] = [
+                    job for job in jobs if job.unit.cursor < best.cursor
                 ]
             if halt and best is None:
                 # Interrupted: anything not yet started is pending; the
                 # already-running units drain (their own deadline mirrors
                 # the parent's, so this does not hang).
-                for fut, flight in list(in_flight.items()):
+                for fut, job in list(in_flight.items()):
                     if fut.cancel():
-                        out.pending.append(flight.unit.cursor)
+                        jobs.append(job)
                         del in_flight[fut]
 
-            if (
-                not in_flight and not pending_submit and not probation
-                and retry_q and not halt
-            ):
+            if not in_flight and jobs and not halt:
                 # nothing runnable until the earliest backoff elapses
-                earliest = min(e[0] for e in retry_q)
-                _SLEEP(min(0.1, max(0.0, earliest - _MONOTONIC())))
+                idle = min(job.not_before for job in jobs) - _MONOTONIC()
+                if idle > 0:
+                    _SLEEP(min(0.1, idle))
 
-            if (
-                not in_flight and not retry_q and not probation
-                and not pending_submit
-                and (exhausted or stop_stream or halt)
+            if not in_flight and not jobs and (
+                exhausted or stop_stream or halt
             ):
                 break
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
+    pending = sorted({*out.pending, *(job.unit.cursor for job in jobs)})
+    limit = None  # the last cursor whose stats and events count
     if best is not None:
-        below = sorted(c for c in set(out.pending) if c < best.cursor)
-        if below:
-            # A unit below the winning violation was itself interrupted:
-            # the sequential order would have stopped there before ever
-            # reaching this violation.  Resolve INCONCLUSIVE at that
-            # frontier so the verdict stays worker-count-independent;
-            # the violation is rediscovered on resume.
-            out.pending = below
-            for cursor, unit_stats in stats_by_cursor.items():
-                merge_unit_stats(out.unit_stats, unit_stats)
-            flush_events(None)
-            if out.interrupted is None:  # pragma: no cover - defensive
-                out.interrupted = VerificationBudgetExceeded(
-                    "a unit below the first violation was interrupted",
-                    limit="budget",
-                )
-            return out
+        # The lowest violation wins unless a unit below it is pending: a
+        # sequential run would have stopped at that unit first.  Then the
+        # run ends there, INCONCLUSIVE, exactly as sequential does, and
+        # a resume finds the violation again.
+        limit = min(best.cursor, pending[0]) if pending else best.cursor
+        out.completed = [c for c in out.completed if c < limit]
+        stream.clamp_db_stats(limit[0])
+    for cursor in sorted(finished):
+        if limit is not None and cursor > limit:
+            continue
+        merge_unit_stats(out.unit_stats, finished[cursor].stats)
+        if tracer.active:
+            for event in finished[cursor].events:
+                tracer.emit_event(event)
+    if best is not None and limit == best.cursor:
         out.violation = best
         out.interrupted = None
         out.pending = []
-        for cursor, unit_stats in stats_by_cursor.items():
-            if cursor <= best.cursor:
-                merge_unit_stats(out.unit_stats, unit_stats)
-        flush_events(best.cursor)
-        stream.clamp_db_stats(best.db_index)
-        return out
-    for cursor, unit_stats in stats_by_cursor.items():
-        merge_unit_stats(out.unit_stats, unit_stats)
-    flush_events(None)
-    if out.interrupted is not None:
-        if not out.pending:
-            out.pending = [stream.cursor]
-        else:
-            out.pending = sorted(set(out.pending))
+    elif out.interrupted is not None:
+        out.pending = pending or [stream.cursor]
         sup.write_checkpoint(tracer, out, incomplete=out.pending)
     return out

@@ -215,32 +215,50 @@ def ag_ef_hp():
 # ---------------------------------------------------------------------------
 
 def test_from_env_resolves_repro_variables(monkeypatch):
+    """Each option left unset falls back to its REPRO_* variable."""
+    from repro.verifier.parallel import (
+        Supervisor,
+        resolve_sigma_block,
+        resolve_workers,
+    )
+
     monkeypatch.setenv("REPRO_WORKERS", "3")
     monkeypatch.setenv("REPRO_SIGMA_BLOCK", "4")
     monkeypatch.setenv("REPRO_RETRY", "7")
     monkeypatch.setenv("REPRO_UNIT_TIMEOUT_S", "2.5")
     monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "9")
-    cfg = RunConfig.from_env()
-    assert cfg.workers == 3
-    assert cfg.sigma_block == 4
-    assert cfg.retry == 7
-    assert cfg.unit_timeout_s == 2.5
-    assert cfg.checkpoint_every == 9
+    assert resolve_workers(None) == 3
+    assert resolve_sigma_block(None) == 4
+    sup = Supervisor()
+    assert sup.max_retries == 7
+    assert sup.unit_timeout_s == 2.5
+    assert sup.checkpoint_every == 9
 
 
 def test_from_env_kwargs_win(monkeypatch):
+    from repro.verifier.parallel import Supervisor, resolve_workers
+
     monkeypatch.setenv("REPRO_WORKERS", "3")
     monkeypatch.setenv("REPRO_RETRY", "7")
-    cfg = RunConfig.from_env(workers=1, retry=0)
-    assert cfg.workers == 1
-    assert cfg.retry == 0
+    assert resolve_workers(1) == 1
+    assert Supervisor(retry=0).max_retries == 0
 
 
 def test_env_values_recorded_in_config(monkeypatch):
-    """REPRO_* resolved once by the driver and recorded in provenance."""
+    """REPRO_* resolved once by the driver and recorded in provenance;
+    an explicit keyword beats its variable."""
+    monkeypatch.setenv("REPRO_WORKERS", "3")
+    monkeypatch.setenv("REPRO_SIGMA_BLOCK", "4")
     monkeypatch.setenv("REPRO_RETRY", "5")
+    monkeypatch.setenv("REPRO_UNIT_TIMEOUT_S", "2.5")
+    monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "9")
     _, result = run_case(CASES[0], workers=1)
-    assert result.stats["config"]["retry"] == 5
+    config = result.stats["config"]
+    assert config["workers"] == 1
+    assert config["sigma_block"] == 4
+    assert config["retry"] == 5
+    assert config["unit_timeout_s"] == 2.5
+    assert config["checkpoint_every"] == 9
 
 
 # ---------------------------------------------------------------------------

@@ -38,16 +38,22 @@ from repro.obs import CollectingTracer
 from repro.service import ServiceBuilder
 from repro.verifier import (
     GLOBAL_STOP,
+    Budget,
     CheckpointFormatError,
-    RetryPolicy,
-    StopToken,
-    Supervisor,
     Verdict,
     verify_ltlfo,
 )
 import repro.verifier.parallel as parallel
+from tests.engine_cases import (
+    CASES, ORACLE_PATH, fingerprint, load_spec, run_case,
+)
 
 POOL = 2  # worker count for the pool-backend tests
+
+#: stats keys that record the backend or its supervision, not the search
+_SUPERVISION_KEYS = (
+    "workers", "units_retried", "pool_rebuilds", "checkpoints_written",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +78,36 @@ def _no_error():
 
 def _plan(*specs, seed=0):
     return FaultPlan(specs=tuple(specs), seed=seed)
+
+
+def _clean_then_violated():
+    """The core service, a property that holds at sigma (0, 0) after 4
+    snapshots and is violated at sigma (0, 1) after 2, and the options
+    that pick those two sigmas, one work unit each."""
+    from repro.demo.core import core_database
+    from repro.ltl.parser import parse_ltlfo
+
+    svc = load_spec("core.json")
+    prop = parse_ltlfo('G (MP -> @name = "alice")')
+    options = dict(
+        databases=[core_database(svc)],
+        sigmas=[{"name": "alice", "password": "pw-alice"},
+                {"name": "nobody", "password": "nope"}],
+        sigma_block=1,
+    )
+    return svc, prop, options
+
+
+def _without_supervision(fp):
+    """An engine-case fingerprint minus what records the backend."""
+    fp = json.loads(json.dumps(fp))
+    fp["stats"] = {k: v for k, v in fp["stats"].items()
+                   if k not in _SUPERVISION_KEYS}
+    fp["stats_order"] = [k for k in fp["stats_order"]
+                         if k not in _SUPERVISION_KEYS]
+    if fp["checkpoint"] is not None:
+        del fp["checkpoint"]["workers"]
+    return fp
 
 
 @pytest.fixture
@@ -269,8 +305,7 @@ class TestSequentialSupervision:
         verify_ltlfo(svc, prop, domain_size=2, workers=1, retry=3,
                      faults=plan)
         assert no_sleep == first  # same plan, same schedule
-        policy = RetryPolicy()
-        expected = [policy.backoff_s((0, 0), a, 11) for a in range(2)]
+        expected = [parallel.backoff_s((0, 0), a, 11) for a in range(2)]
         assert first == expected
         assert first[0] < first[1]  # exponential growth survives jitter
 
@@ -288,6 +323,16 @@ class TestSequentialSupervision:
                         if e.name == "fault.injected")
         assert injected.fields["kind"] == "error"
         assert injected.cursor == (0, 0)
+        # the live order of a failed attempt and its retry
+        supervision = [
+            (e.name, e.fields.get("status")) for e in tracer.events
+            if e.name.startswith(("unit.", "fault."))
+        ]
+        assert supervision == [
+            ("fault.injected", None), ("unit.start", None),
+            ("unit.finish", "failed"), ("unit.retry", None),
+            ("unit.start", None), ("unit.finish", "clean"),
+        ]
 
     def test_quarantine_event_traced(self, no_sleep):
         svc, prop = _pingpong(), _no_error()
@@ -350,6 +395,54 @@ class TestPoolSupervision:
         assert (0, 0) in faulty.quarantined_units
         # the run survived: every other unit completed
         assert faulty.stats["databases_checked"] >= 1
+
+
+class TestInProcessFallback:
+    """The in-process executor that replaces a pool which cannot be
+    started or has been rebuilt too often."""
+
+    @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
+    def test_pool_unavailable_matches_sequential(self, case, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        _, result = run_case(case, workers=POOL)
+        want = json.loads(ORACLE_PATH.read_text())[case["id"]]["workers=1"]
+        assert _without_supervision(fingerprint(result)) == \
+            _without_supervision(want)
+
+    def test_rebuild_cap_falls_back_in_process(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_MAX_POOL_REBUILDS", 0)
+        tracer = CollectingTracer()
+        result = verify_ltlfo(
+            _pingpong(), _no_error(), domain_size=2, workers=POOL,
+            tracer=tracer, faults=_plan(FaultSpec("crash", 0, times=-1)),
+        )
+        assert result.verdict is Verdict.INCONCLUSIVE
+        assert result.quarantined_units == ((0, 0),)
+        assert result.stats["pool_rebuilds"] == 1
+        rebuilt = [e for e in tracer.events if e.name == "pool.rebuilt"]
+        assert [e.fields["fallback"] for e in rebuilt] == [True]
+
+    def test_crash_suspects_run_alone(self):
+        # (0, 1) is still sleeping when (0, 0) kills the pool, so both
+        # are suspects.  Each then runs alone: only (0, 0) breaks the
+        # pool again and is charged, and the pool is never given up.
+        svc, prop, options = _clean_then_violated()
+        tracer = CollectingTracer()
+        result = verify_ltlfo(
+            svc, prop, workers=POOL, tracer=tracer,
+            faults=_plan(FaultSpec("crash", 0, times=-1),
+                         FaultSpec("slow", 0, 1, times=-1, delay_s=0.5)),
+            **options,
+        )
+        assert result.quarantined_units == ((0, 0),)
+        assert result.stats["units_retried"] == 2
+        # one break with both running, then one per attempt of (0, 0)
+        assert result.stats["pool_rebuilds"] == 4
+        assert not any(e.fields["fallback"] for e in tracer.events
+                       if e.name == "pool.rebuilt")
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +515,70 @@ class TestPeriodicCheckpoints:
         assert saved[0].fields["path"].endswith("ck.json")
 
 
+class TestFinalCheckpoint:
+    @pytest.mark.parametrize("workers", [1, POOL])
+    def test_periodic_checkpoint_leaves_violation_to_resume(
+        self, tmp_path, workers
+    ):
+        svc, prop, options = _clean_then_violated()
+        path = tmp_path / "ck.json"
+        result = verify_ltlfo(
+            svc, prop, workers=workers, checkpoint_path=str(path),
+            checkpoint_every=1, **options,
+        )
+        assert result.verdict is Verdict.VIOLATED
+        # the last periodic checkpoint never counts the violating unit
+        # as done, so a run killed after writing it still finds it
+        assert (0, 1) not in load_checkpoint(path).completed_units()
+        resumed = verify_ltlfo(
+            svc, prop, workers=workers, resume=load_checkpoint(path),
+            **options,
+        )
+        assert resumed.verdict is Verdict.VIOLATED
+
+    def test_written_when_a_unit_below_a_violation_is_interrupted(
+        self, tmp_path
+    ):
+        """Unit (0, 0) holds but needs 4 snapshots, over the cap of 3;
+        unit (0, 1) is violated after 2.  The sequential loop stops at
+        (0, 0).  The pool may finish (0, 1) first, and must still end
+        INCONCLUSIVE at (0, 0), write the same final checkpoint, and
+        leave the violation for the resume to find."""
+        svc, prop, options = _clean_then_violated()
+        results = {}
+        for workers in (1, POOL):
+            path = tmp_path / f"ck-{workers}.json"
+            tracer = CollectingTracer()
+            result = verify_ltlfo(
+                svc, prop, workers=workers, budget=Budget(max_snapshots=3),
+                checkpoint_path=str(path), tracer=tracer, **options,
+            )
+            assert result.verdict is Verdict.INCONCLUSIVE
+            assert [(e.cursor, e.fields["status"]) for e in tracer.events
+                    if e.name == "unit.finish"] == [((0, 0), "budget")]
+            assert path.exists()
+            assert load_checkpoint(path).to_dict() == \
+                result.checkpoint.to_dict()
+            resumed = verify_ltlfo(
+                svc, prop, workers=workers, resume=result.checkpoint,
+                **options,
+            )
+            assert resumed.verdict is Verdict.VIOLATED
+            results[workers] = result
+        # The pool also counts the valuation a unit was checking when
+        # its budget struck; the sequential loop does not.
+        ignore = {"workers", "config", "valuations_checked"}
+        seq, par = (
+            {k: v for k, v in results[w].stats.items() if k not in ignore}
+            for w in (1, POOL)
+        )
+        assert seq == par
+        assert seq["checkpoints_written"] == 1
+        seq_ck, par_ck = (results[w].checkpoint.to_dict() for w in (1, POOL))
+        del seq_ck["workers"], par_ck["workers"]
+        assert seq_ck == par_ck
+
+
 class TestCheckpointFormat:
     def _checkpoint(self):
         svc, prop = _pingpong(), _no_error()
@@ -485,12 +642,6 @@ class TestInterruption:
         assert result.verdict is Verdict.INCONCLUSIVE
         assert result.stats["interrupted_by"] == "interrupted"
         assert result.checkpoint is not None
-
-    def test_private_token_scopes_stop(self):
-        token = StopToken()
-        sup = Supervisor.resolve(stop=token)
-        assert sup.stop is token
-        assert Supervisor.resolve().stop is GLOBAL_STOP
 
     def test_run_interrupted_event(self):
         svc, prop = _pingpong(), _no_error()

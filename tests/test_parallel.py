@@ -276,6 +276,7 @@ class TestParallelBudgets:
             return cf.wait(fs, timeout=0, return_when=return_when)
 
         monkeypatch.setattr(parallel, "wait", zero_wait)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         case = next(c for c in CASES if c["id"] == "ltlfo-core-inconclusive")
         want = json.loads(ORACLE_PATH.read_text())[case["id"]]["workers=2"]
         for _ in range(10):
@@ -382,7 +383,8 @@ class TestExplorationOrder:
 
 class TestStatsAccuracy:
     def test_holds_stats(self):
-        result = verify_ltlfo(_pingpong(), _no_error(), domain_size=1)
+        result = verify_ltlfo(_pingpong(), _no_error(), domain_size=1,
+                              workers=1)
         assert result.verdict is Verdict.HOLDS
         assert result.stats["snapshots_explored"] > 0
         assert result.stats["buchi_states"] > 0
@@ -572,7 +574,8 @@ class TestCLIWorkers:
         ck = str(tmp_path / "ck.json")
         code, _, _ = self._run(
             ["verify", spec_path, "--ltl", "G !ERROR", "--domain-size", "1",
-             "--max-databases", "1", "--checkpoint", ck], capsys)
+             "--max-databases", "1", "--workers", "1", "--checkpoint", ck],
+            capsys)
         assert code == 5
         code, _, err = self._run(
             ["verify", spec_path, "--ltl", "G !ERROR", "--resume", ck,
