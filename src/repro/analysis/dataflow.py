@@ -57,9 +57,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
-
-from repro.analysis.navigation import page_graph, reachable_pages
+from repro.analysis.navigation import page_graph, shortest_paths
 from repro.fol.analysis import input_constants_of, relation_names
 from repro.fol.formulas import Bottom, Formula
 from repro.fol.transforms import assume_empty_relations, constant_fold
@@ -471,7 +469,8 @@ def analyze_service(service: "WebService") -> StaticFacts:
             break
         empty = frozenset(grown)
 
-    syntactic = reachable_pages(service)
+    syntactic_paths = shortest_paths(page_graph(service), service.home)
+    syntactic = frozenset(syntactic_paths)
 
     # Witness paths: executable (parent chain) for reachable pages,
     # syntactic shortest path for pages only the navigation graph sees.
@@ -483,14 +482,8 @@ def analyze_service(service: "WebService") -> StaticFacts:
             path.append(cur)
             cur = flow.parent.get(cur)
         witness_paths[name] = tuple(reversed(path))
-    graph = page_graph(service)
     for name in syntactic - flow.reachable:
-        try:
-            witness_paths[name] = tuple(
-                nx.shortest_path(graph, service.home, name)
-            )
-        except nx.NetworkXNoPath:  # pragma: no cover - defensive
-            pass
+        witness_paths[name] = syntactic_paths[name]
 
     # Definitely-unset constant reads on executable pages.  The fact at
     # rule-evaluation time is the entry fact with the page's own

@@ -9,28 +9,43 @@ graph (``EF page`` via :mod:`repro.verifier.branching`).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.service.webservice import WebService
 
 
-def page_graph(service: WebService) -> "nx.DiGraph":
-    """The static page graph: one edge per target rule, plus the
-    implicit self-loop (Definition 2.3: when no target fires, the run
-    stays on the current page)."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(service.pages)
-    for page in service.pages.values():
-        graph.add_edge(page.name, page.name)  # "no target fires" loop
-        for rule in page.target_rules:
-            graph.add_edge(page.name, rule.target, rule=str(rule.formula))
-    return graph
+def page_graph(service: WebService) -> dict[str, tuple[str, ...]]:
+    """The static page graph as a successor map, in declaration order:
+    each page first, then its target-rule targets (one edge per target).
+    The page itself is the implicit self-loop (Definition 2.3: when no
+    target fires, the run stays on the current page)."""
+    return {
+        page.name: tuple(dict.fromkeys(
+            [page.name] + [rule.target for rule in page.target_rules]
+        ))
+        for page in service.pages.values()
+    }
+
+
+def shortest_paths(
+    graph: dict[str, tuple[str, ...]], source: str
+) -> dict[str, tuple[str, ...]]:
+    """A shortest path from ``source`` to every page it reaches (BFS,
+    successors in graph order; ``source`` maps to ``(source,)``)."""
+    paths = {source: (source,)}
+    frontier = [source]
+    while frontier:
+        nexts = []
+        for page in frontier:
+            for succ in graph.get(page, ()):
+                if succ not in paths:
+                    paths[succ] = paths[page] + (succ,)
+                    nexts.append(succ)
+        frontier = nexts
+    return paths
 
 
 def reachable_pages(service: WebService) -> frozenset[str]:
     """Pages reachable from the home page in the static page graph."""
-    graph = page_graph(service)
-    return frozenset(nx.descendants(graph, service.home) | {service.home})
+    return frozenset(shortest_paths(page_graph(service), service.home))
 
 
 def unreachable_pages(service: WebService) -> frozenset[str]:
@@ -58,14 +73,12 @@ def navigation_report(service: WebService) -> str:
     graph = page_graph(service)
     unreachable = sorted(unreachable_pages(service))
     dead = dead_target_rules(service)
-    sinks = sorted(
-        p for p in service.pages
-        if set(graph.successors(p)) <= {p}
-    )
+    sinks = sorted(p for p in service.pages if set(graph[p]) <= {p})
+    n_edges = sum(len(succs) for succs in graph.values())
     lines = [
         f"navigation audit for {service.name!r}",
         f"  pages: {len(service.pages)}, target-rule edges: "
-        f"{graph.number_of_edges() - len(service.pages)}",
+        f"{n_edges - len(service.pages)}",
         f"  home page: {service.home}",
     ]
     lines.append(

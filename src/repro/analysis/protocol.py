@@ -72,7 +72,7 @@ def constant_protocol_audit(service: WebService) -> list[AuditFinding]:
             page = service.page(page_name)
             out_may = may[page_name] | set(page.input_constants)
             out_must = (must[page_name] or set()) | set(page.input_constants)
-            for succ in graph.successors(page_name):
+            for succ in graph[page_name]:
                 if succ not in may:
                     may[succ] = set(out_may)
                     must[succ] = set(out_must)
@@ -118,14 +118,13 @@ def constant_protocol_audit(service: WebService) -> list[AuditFinding]:
                     "path here (condition (ii) may fire)",
                 ))
         if requested_here:
-            if graph.has_edge(page_name, page_name):
-                only_self = set(graph.successors(page_name)) == {page_name}
-                sev = "error" if only_self else "warning"
-                findings.append(AuditFinding(
-                    sev, page_name,
-                    "requests constants but the run can stay here "
-                    "(re-request on the next step, condition (ii))",
-                ))
+            # the page graph always holds the page's own stay loop
+            only_self = set(graph[page_name]) == {page_name}
+            findings.append(AuditFinding(
+                "error" if only_self else "warning", page_name,
+                "requests constants but the run can stay here "
+                "(re-request on the next step, condition (ii))",
+            ))
     return findings
 
 

@@ -57,7 +57,6 @@ of ``|values| ** k``) and the hits are expanded back to block masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
 from repro.fol.analysis import (
@@ -88,7 +87,6 @@ Value = Hashable
 BitsFn = Callable[..., int]
 
 __all__ = [
-    "SigmaBlock",
     "ValuationBlock",
     "compile_bits",
 ]
@@ -149,31 +147,6 @@ class ValuationBlock:
                 mask |= run << start
             self._masks[memo_key] = mask
         return mask
-
-
-@dataclass(frozen=True)
-class SigmaBlock:
-    """A contiguous range of pending sigmas of one database.
-
-    The set-at-a-time work-unit payload: ``entries`` holds the
-    ``(sigma_index, sigma)`` pairs in enumeration order, so one
-    :class:`~repro.verifier.parallel.WorkUnit` covers a
-    ``(db_index, sigma_block)`` range instead of a single pair and
-    label bitsets can be shared across the block's sigmas.
-    """
-
-    db_index: int
-    entries: tuple = field(default=())
-
-    @property
-    def start_index(self) -> int:
-        return self.entries[0][0] if self.entries else 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 # -- bits compilation --------------------------------------------------------

@@ -204,7 +204,7 @@ def pass_schema_usage(service: WebService) -> list[Diagnostic]:
                 base = prev_names.get(name)
                 if base is not None:
                     reads.setdefault(name, base)
-        preds = set(graph.predecessors(page.name))
+        preds = {p for p, succs in graph.items() if page.name in succs}
         for prev_name, base in sorted(reads.items()):
             providers = {
                 p for p in preds if base in service.pages[p].inputs

@@ -425,34 +425,33 @@ def accepting_product_states(
     ``s`` can reach such a cycle.  This is the ``Eψ`` subroutine of the
     CTL* model checker.
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    nodes = [(s, q) for s in system_states for q in range(ba.n_states)]
-    graph.add_nodes_from(nodes)
+    graph: dict = {(s, q): [] for s in system_states for q in range(ba.n_states)}
     for s in system_states:
         letter = lambda payload, _s=s: label(_s, payload)
         for q in range(ba.n_states):
+            out = graph[(s, q)]
             for t in ba.enabled(q, letter):
                 for s2 in successors(s):
-                    graph.add_edge((s, q), (s2, t.dst))
+                    out.append((s2, t.dst))
 
-    # nodes on an accepting cycle
+    # nodes on an accepting cycle: a component with more than one node,
+    # or one node with a self-loop, holding an accepting Büchi state
     seeds: set = set()
-    for scc in nx.strongly_connected_components(graph):
-        has_cycle = len(scc) > 1 or any(
-            graph.has_edge(n, n) for n in scc
-        )
+    for scc in _strongly_connected_components(graph):
+        has_cycle = len(scc) > 1 or scc[0] in graph.get(scc[0], ())
         if has_cycle and any(q in ba.accepting for _s, q in scc):
-            seeds |= scc
+            seeds.update(scc)
 
     # backward reachability to the seeds
+    preds: dict = {}
+    for node, nexts in graph.items():
+        for nxt in nexts:
+            preds.setdefault(nxt, []).append(node)
     reach = set(seeds)
-    reversed_graph = graph.reverse(copy=False)
     frontier = list(seeds)
     while frontier:
         node = frontier.pop()
-        for pred in reversed_graph.successors(node):
+        for pred in preds.get(node, ()):
             if pred not in reach:
                 reach.add(pred)
                 frontier.append(pred)
@@ -462,3 +461,51 @@ def accepting_product_states(
         for s in system_states
         if any((s, q) in reach for q in ba.initial)
     }
+
+
+def _strongly_connected_components(
+    graph: dict[Hashable, Iterable[Hashable]],
+) -> list[list[Hashable]]:
+    """The strongly connected components of a successor map (Tarjan).
+
+    Iterative, so deep products never hit the recursion limit.  A node
+    that appears only as a successor has no successors of its own.
+    """
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    sccs: list[list[Hashable]] = []
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(graph.get(root, ())))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, nexts = work[-1]
+            for nxt in nexts:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(graph.get(nxt, ()))))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        scc.append(member)
+                        if member == node:
+                            break
+                    sccs.append(scc)
+    return sccs

@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runs.py)
     from repro.service.webservice import WebService
 
 __all__ = [
-    "BlockLabelCache",
     "CompiledPage",
     "CompiledService",
     "SnapshotInterner",
@@ -210,16 +209,6 @@ class CompiledService:
                 "entered it: dataflow analysis bug"
             ) from None
 
-    def block_labels(self, sigma_block=None) -> "BlockLabelCache":
-        """A label-bitset cache for batch labelling over one sigma block.
-
-        The verifier threads the returned cache through every sigma of
-        a ``(db_index, sigma_block)`` work unit, so snapshots labelled
-        under one sigma are free for every later sigma whose
-        gamma-scoped inputs agree (see :class:`BlockLabelCache`).
-        """
-        return BlockLabelCache()
-
 
 # One compiled form per live service object per process.  Weak keys:
 # a discarded service drops its plans with it.
@@ -261,25 +250,6 @@ def pruning_stats(service: "WebService") -> tuple[int, int]:
     """
     compiled = compiled_service(service)
     return (compiled.pruned_rules, compiled.pruned_pages)
-
-
-class BlockLabelCache:
-    """Label bitsets shared across the sigmas of one work-unit block.
-
-    Keyed by ``(payload, snapshot, gamma-scoped sigma, block layout)`` —
-    everything a label bitset's value depends on.  Two sigmas of the
-    same database frequently agree on the constants a payload's page
-    actually reads (its gamma) and enumerate the same valuation domain,
-    in which case their label bitsets are *identical* and the second
-    sigma's labelling is a dictionary hit.  ``SnapshotInterner`` makes
-    the snapshot component of the key cheap: interned snapshots hash
-    once and usually compare by identity.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self) -> None:
-        self.bits: dict = {}
 
 
 class SnapshotInterner:

@@ -4,8 +4,8 @@
   point: the shared option table (one source of truth for kwargs, CLI
   flags, server wire options and ``REPRO_*`` variables), the frozen
   :class:`~repro.verifier.engine.RunConfig` with coded validation
-  errors, the :class:`~repro.verifier.engine.Procedure` strategy
-  protocol, and the one driver pipeline
+  errors, the :class:`~repro.verifier.engine.Procedure` declaration
+  each entry point makes, and the one driver pipeline
   (:func:`~repro.verifier.engine.run_procedure`);
 - :mod:`repro.verifier.linear` — input-bounded LTL-FO verification
   (Theorem 3.5) by small-model database enumeration + Büchi products;
@@ -13,14 +13,14 @@
   by direct error-page reachability and via the Lemma A.5 reduction;
 - :mod:`repro.verifier.branching` — CTL/CTL* for propositional services
   (Theorem 4.4, Corollary 4.5) and fully propositional services
-  (Theorem 4.6);
-- :mod:`repro.verifier.search` — Web services with input-driven search
-  (Theorem 4.9);
+  (Theorem 4.6), by one Kripke procedure that also serves Theorem 4.9;
+- :mod:`repro.verifier.search` — the entry point for Web services with
+  input-driven search (Theorem 4.9);
 - :mod:`repro.verifier.statics` — the front door :func:`verify`, which
   classifies the (service, property) pair against the paper's
   decidability map and dispatches or refuses with the relevant theorem;
-- :mod:`repro.verifier.parallel` — the work-unit execution layer: one
-  (database, sigma) pair per unit, run in-process or on a
+- :mod:`repro.verifier.parallel` — the work-unit execution layer: a
+  database and one or more of its sigmas per unit, run in-process or on a
   ``ProcessPoolExecutor`` (``workers=N``) with deterministic verdicts,
   early cancellation on the first confirmed counterexample, and merged
   frontier checkpoints;

@@ -19,9 +19,12 @@ pair ``(name, tuple)`` for every chosen input tuple and every state or
 action tuple, so properties like ``button("login")`` from Example 4.3
 are expressible as ``CAtom(("button", ("login",)))``.
 
-The pipeline around the model checking lives in
-:mod:`repro.verifier.engine`; this module contributes the Theorem 4.4
-and 4.6 strategies plus the Kripke construction and per-unit checker.
+Theorems 4.4, 4.6 and 4.9 share that per-database check and differ
+only in the service class they require and in whether the database
+matters, so one procedure, :class:`_KripkeProcedure`, serves all three,
+driven by a row of :data:`_KRIPKE_ROWS`.  The pipeline around the model
+checking lives in :mod:`repro.verifier.engine`; this module contributes
+that procedure, the Kripke construction and the per-unit checker.
 """
 
 from __future__ import annotations
@@ -60,11 +63,9 @@ from repro.verifier.parallel import (
     TaskSpec,
     UnitOutcome,
     WorkUnit,
-    unit_checker,
 )
 from repro.verifier.results import (
     UndecidableInstanceError,
-    Verdict,
     VerificationBudgetExceeded,
     VerificationResult,
 )
@@ -240,151 +241,92 @@ def _labels(service: WebService, node: KripkeState) -> frozenset:
     return frozenset(out)
 
 
-@unit_checker("verify_ctl")
-def _check_ctl_unit(
+def _check_kripke_unit(
     spec: TaskSpec, unit: WorkUnit, gov: Budget, cache: dict
 ) -> UnitOutcome:
     """Build and model check the Kripke structure of one database."""
-    formula: StateFormula = spec.payload["formula"]
     kripke = build_snapshot_kripke(spec.service, unit.database, budget=gov)
     stats: dict = {"kripke_states": kripke.n_states}
-    sat = satisfying_states(kripke, formula)
+    sat = satisfying_states(kripke, spec.payload["formula"])
     bad = [s for s in kripke.initial if s not in sat]
     if bad:
         return UnitOutcome(
-            unit.db_index, unit.sigma_index, VIOLATED,
-            stats=stats,
+            *unit.cursor, VIOLATED, stats=stats,
             detail={"violating_initial_states": len(bad),
                     "database": unit.database},
         )
-    return UnitOutcome(unit.db_index, unit.sigma_index, CLEAN, stats=stats)
+    return UnitOutcome(*unit.cursor, CLEAN, stats=stats)
 
 
-class _CtlProcedure(Procedure):
-    """The Theorem 4.4 strategy behind :func:`verify_ctl`."""
+#: entry point -> (required service class, refusal citation, method
+#: label, interrupt phase, enumerates databases).  Theorem 4.6's
+#: database plays no role, so it checks one empty-database structure:
+#: no enumeration, no resume cursor, no checkpoint.
+_KRIPKE_ROWS: dict[str, tuple[ServiceClass, str, str, str, bool]] = {
+    "verify_ctl": (
+        ServiceClass.PROPOSITIONAL,
+        "Theorem 4.2 (input-bounded CTL-FO is undecidable in general)",
+        "propositional {} (Theorem 4.4)",
+        "Kripke construction / model checking",
+        True,
+    ),
+    "verify_fully_propositional": (
+        ServiceClass.FULLY_PROPOSITIONAL,
+        "Theorem 4.6 requires a fully propositional service",
+        "fully propositional {} (Theorem 4.6)",
+        "Kripke construction",
+        False,
+    ),
+    "verify_input_driven_search": (
+        ServiceClass.INPUT_DRIVEN_SEARCH,
+        "Theorem 4.9 requires the input-driven-search shape "
+        "(Definition 4.7)",
+        "input-driven search {} (Theorem 4.9)",
+        "search-graph Kripke construction / model checking",
+        True,
+    ),
+}
 
-    name = "verify_ctl"
-    unit_procedure = "verify_ctl"
+
+class _KripkeProcedure(Procedure):
+    """Theorems 4.4, 4.6 and 4.9: model check the configuration Kripke
+    structure of every candidate database; the entry point's row of
+    :data:`_KRIPKE_ROWS` says which theorem."""
+
+    checker = staticmethod(_check_kripke_unit)
 
     def __init__(
-        self, service: WebService, formula: StateFormula, cfg: RunConfig
+        self, name: str, service: WebService, formula: StateFormula,
+        cfg: RunConfig,
     ) -> None:
         super().__init__(service, cfg)
+        self.name = name
+        (self.service_class, self.citation, self.label, self.phase,
+         self.enumerates) = _KRIPKE_ROWS[name]
         self.formula = formula
 
     def preflight(self) -> None:
         if self.cfg.check_restrictions:
             report = classify(self.service)
-            if not report.is_in(ServiceClass.PROPOSITIONAL):
+            if not report.is_in(self.service_class):
                 raise UndecidableInstanceError(
-                    report.why_not(ServiceClass.PROPOSITIONAL),
-                    "Theorem 4.2 (input-bounded CTL-FO is undecidable "
-                    "in general)",
+                    report.why_not(self.service_class), self.citation
                 )
 
     def property_name(self) -> str:
         return str(self.formula)
 
     def method(self) -> str:
-        fragment = "CTL" if is_ctl(self.formula) else "CTL*"
-        return f"propositional {fragment} (Theorem 4.4)"
+        return self.label.format("CTL" if is_ctl(self.formula) else "CTL*")
 
     def compile_payload(self, tracer: Tracer) -> dict:
         return {"formula": self.formula}
 
-    def init_stats(self, used_size: int | None, n_workers: int) -> dict:
-        return {
-            "databases_checked": 0,
-            "databases_skipped": 0,
-            "kripke_states": 0,
-            "formula_size": ctl_size(self.formula),
-            "domain_size": used_size,
-            "workers": n_workers,
-        }
-
-    def fold_violation(
-        self, outcome, stats: dict, property_name: str, method: str
-    ) -> VerificationResult:
-        detail = outcome.violation.detail
-        stats["counterexample_db_index"] = outcome.violation.db_index
-        return VerificationResult(
-            verdict=Verdict.VIOLATED,
-            property_name=property_name,
-            method=method,
-            counterexample_database=detail["database"],
-            stats={
-                **stats,
-                "violating_initial_states": detail["violating_initial_states"],
-            },
-            procedure=self.name,
-        )
+    def counters(self) -> dict:
+        return {"kripke_states": 0, "formula_size": ctl_size(self.formula)}
 
     def interrupt_phase(self, exc) -> str:
-        return "Kripke construction / model checking"
-
-
-class _FullyPropositionalProcedure(Procedure):
-    """The Theorem 4.6 strategy behind :func:`verify_fully_propositional`.
-
-    The database plays no role, so there is no enumeration, no resume
-    cursor and no checkpoint — a single empty-database structure is the
-    whole space.
-    """
-
-    name = "verify_fully_propositional"
-    unit_procedure = "verify_ctl"
-    enumerates = False
-
-    def __init__(
-        self, service: WebService, formula: StateFormula, cfg: RunConfig
-    ) -> None:
-        super().__init__(service, cfg)
-        self.formula = formula
-
-    def preflight(self) -> None:
-        if self.cfg.check_restrictions:
-            report = classify(self.service)
-            if not report.is_in(ServiceClass.FULLY_PROPOSITIONAL):
-                raise UndecidableInstanceError(
-                    report.why_not(ServiceClass.FULLY_PROPOSITIONAL),
-                    "Theorem 4.6 requires a fully propositional service",
-                )
-
-    def property_name(self) -> str:
-        return str(self.formula)
-
-    def method(self) -> str:
-        fragment = "CTL" if is_ctl(self.formula) else "CTL*"
-        return f"fully propositional {fragment} (Theorem 4.6)"
-
-    def compile_payload(self, tracer: Tracer) -> dict:
-        return {"formula": self.formula}
-
-    def init_stats(self, used_size: int | None, n_workers: int) -> dict:
-        return {
-            "databases_checked": 0,
-            "databases_skipped": 0,
-            "kripke_states": 0,
-            "formula_size": ctl_size(self.formula),
-            "workers": n_workers,
-        }
-
-    def fold_violation(
-        self, outcome, stats: dict, property_name: str, method: str
-    ) -> VerificationResult:
-        stats["violating_initial_states"] = (
-            outcome.violation.detail["violating_initial_states"]
-        )
-        return VerificationResult(
-            verdict=Verdict.VIOLATED,
-            property_name=property_name,
-            method=method,
-            stats=stats,
-            procedure=self.name,
-        )
-
-    def interrupt_phase(self, exc) -> str:
-        return "Kripke construction"
+        return self.phase
 
 
 def verify_ctl(
@@ -439,7 +381,7 @@ def verify_ctl(
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
     ), unsupported)
-    return run_procedure(_CtlProcedure(service, formula, cfg))
+    return run_procedure(_KripkeProcedure("verify_ctl", service, formula, cfg))
 
 
 def verify_fully_propositional(
@@ -485,4 +427,6 @@ def verify_fully_propositional(
         unit_timeout_s=unit_timeout_s,
         faults=faults,
     ), unsupported, hint=FP_HINT)
-    return run_procedure(_FullyPropositionalProcedure(service, formula, cfg))
+    return run_procedure(
+        _KripkeProcedure("verify_fully_propositional", service, formula, cfg)
+    )

@@ -19,12 +19,13 @@ module is that pipeline, factored once:
   validated (unknown or procedure-unsupported options raise the coded
   :class:`RunConfigError`, never a bare ``TypeError`` with no key
   path).
-- :class:`Procedure` — the strategy protocol each entry point
-  implements: what to enumerate, what to precompile, how to seed the
-  stats dict, and how to fold a violation.  Everything else — worker
-  and tracer resolution, budget wiring, candidate-database
-  enumeration, plan warming, :class:`~repro.verifier.parallel.UnitStream`
-  construction, :class:`~repro.verifier.parallel.Supervisor` setup,
+- :class:`Procedure` — the short declaration each entry point makes:
+  its shape (does it enumerate databases, does it check sigmas), its
+  per-unit checker, its own stats counters, what to precompile, and
+  its labels.  Everything else — worker and tracer resolution, budget
+  wiring, candidate-database enumeration, plan warming,
+  :class:`~repro.verifier.parallel.UnitStream` construction,
+  :class:`~repro.verifier.parallel.Supervisor` setup, stats seeding,
   checkpointing, verdict folding — lives in :func:`run_procedure` and
   is written exactly once.
 
@@ -525,42 +526,38 @@ def candidate_databases(
 # ---------------------------------------------------------------------------
 
 class Procedure:
-    """Strategy protocol: what one decision procedure contributes to the
-    shared driver.
+    """What one decision procedure declares to the shared driver.
 
     A subclass is instantiated per verification call with the service,
     the (already validated) :class:`RunConfig`, and whatever property
-    object it checks; :func:`run_procedure` then owns the entire
-    pipeline and calls back through the hooks below.  Class attributes
-    describe the procedure's *shape*:
+    object it checks; :func:`run_procedure` reads the declaration and
+    owns the entire pipeline.  Class attributes describe the
+    procedure's *shape*:
 
     ``enumerates``
         streams the candidate-database enumeration (with resume /
         frontier checkpoints); False runs the single empty-database
         structure (Theorem 4.6).
     ``has_sigmas``
-        units are (database, sigma) pairs, not bare databases.
-    ``has_sigma_block``
-        supports batching consecutive sigmas into blocked units.
-    ``snap_parity``
-        on sequential interruption, rewrite ``snapshots_explored`` from
-        the parent governor so partial exploration of the interrupted
-        pair is included (the historical sequential-engine behaviour).
-    ``budget_cap``
-        which :class:`RunConfig` cap seeds the governor
-        (``"max_snapshots"`` or ``"max_states"``).
+        units check (database, sigma) pairs, not bare databases; the
+        governor then caps snapshots per pair (``max_snapshots``)
+        instead of states per Kripke structure (``max_states``).
+    ``checker``
+        the module-level per-unit checker (a ``staticmethod``); it
+        travels to pool workers by reference inside the
+        :class:`~repro.verifier.parallel.TaskSpec`.
     ``checkpoint_extra``
         extra payload recorded in frontier checkpoints (e.g. the
         error-freeness ``method``).
+
+    Whether units pack several sigmas follows from the option table:
+    the procedures accepting ``sigma_block``.
     """
 
     name: str = ""
-    unit_procedure: str = ""
     enumerates = True
     has_sigmas = False
-    has_sigma_block = False
-    snap_parity = False
-    budget_cap = "max_states"
+    checker: Callable[..., Any]
     checkpoint_extra: Mapping[str, Any] | None = None
 
     def __init__(self, service: WebService, cfg: RunConfig) -> None:
@@ -587,15 +584,9 @@ class Procedure:
         and return the picklable unit payload."""
         return {}
 
-    def init_stats(self, used_size: int | None, n_workers: int) -> dict:
-        raise NotImplementedError
-
-    def unit_limits(self, gov: Budget) -> Mapping[str, Any]:
-        return {self.budget_cap: getattr(gov, self.budget_cap)}
-
-    def fold_violation(
-        self, outcome, stats: dict, property_name: str, method: str
-    ) -> VerificationResult:
+    def counters(self) -> dict[str, Any]:
+        """The procedure's own stats counters, seeded, in report order
+        (called after :meth:`compile_payload`)."""
         raise NotImplementedError
 
     def interrupt_phase(self, exc) -> str:
@@ -614,18 +605,21 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     drivers used, so verdicts, witnesses, stats and trace events are
     bit-identical with the pre-engine code (the differential suite in
     ``tests/test_engine.py`` holds this against a recorded oracle).
+    The stats are ``databases_checked`` and ``databases_skipped``, the
+    procedure's own :meth:`~Procedure.counters`, ``domain_size``
+    (enumerating procedures only) and ``workers``, in that order.
     """
     cfg = proc.cfg
     service = proc.service
     proc.preflight()
     n_workers = resolve_workers(cfg.workers)
-    n_block = (
-        resolve_sigma_block(cfg.sigma_block) if proc.has_sigma_block else 1
-    )
+    blocked = "sigma_block" in accepted_options(proc.name)
+    n_block = resolve_sigma_block(cfg.sigma_block) if blocked else 1
     tr = resolve_tracer(cfg.tracer)
+    cap = "max_snapshots" if proc.has_sigmas else "max_states"
     gov = Budget.ensure(
         cfg.budget, timeout_s=cfg.timeout_s, strict=cfg.strict,
-        **{proc.budget_cap: getattr(cfg, proc.budget_cap)},
+        **{cap: getattr(cfg, cap)},
     )
     gov.tracer = tr
 
@@ -667,7 +661,10 @@ def run_procedure(proc: Procedure) -> VerificationResult:
                 "plan.pruned",
                 pruned_rules=pruned_rules, pruned_pages=pruned_pages,
             )
-    stats = proc.init_stats(used_size, n_workers)
+    stats = {"databases_checked": 0, "databases_skipped": 0, **proc.counters()}
+    if proc.enumerates:
+        stats["domain_size"] = used_size
+    stats["workers"] = n_workers
 
     sigma_fn = None
     if proc.has_sigmas:
@@ -694,10 +691,10 @@ def run_procedure(proc: Procedure) -> VerificationResult:
         if proc.checkpoint_extra is not None:
             sup.frontier_kwargs["extra"] = dict(proc.checkpoint_extra)
     spec = TaskSpec(
-        procedure=proc.unit_procedure,
+        checker=proc.checker,
         service=service,
         payload=payload,
-        unit_limits=proc.unit_limits(gov),
+        unit_limits=gov.limits(),
         traced=tr.active,
         faults=sup.plan,
     )
@@ -719,18 +716,39 @@ def run_procedure(proc: Procedure) -> VerificationResult:
         "traced": tr.active,
         "strict": gov.strict,
     }
-    if proc.has_sigma_block:
+    if blocked:
         config["sigma_block"] = n_block
     stats["config"] = config
 
-    if outcome.violation is not None:
-        return finalize_result(
-            tr, proc.fold_violation(outcome, stats, property_name, method)
-        )
+    violation = outcome.violation
+    if violation is not None:
+        detail = violation.detail
+        if proc.enumerates:
+            stats["counterexample_db_index"] = violation.db_index
+        if proc.has_sigmas:
+            stats["counterexample_sigma_index"] = violation.sigma_index
+        if "confirmed" in detail:
+            stats["counterexample_confirmed"] = detail["confirmed"]
+        if "violating_initial_states" in detail:
+            stats["violating_initial_states"] = (
+                detail["violating_initial_states"]
+            )
+        return finalize_result(tr, VerificationResult(
+            verdict=Verdict.VIOLATED,
+            property_name=property_name,
+            method=method,
+            counterexample=detail.get("run"),
+            counterexample_database=(
+                detail["database"] if proc.enumerates else None
+            ),
+            stats=stats,
+            procedure=proc.name,
+        ))
     if outcome.interrupted is not None:
-        if proc.snap_parity and n_workers == 1:
-            # Sequential parity: include the interrupted pair's partial
-            # exploration, which the parent governor already charged.
+        if proc.has_sigmas and n_workers == 1:
+            # Include the struck pair's partial exploration, which the
+            # parent governor already charged (a pool's BUDGET outcome
+            # carries the same count).
             stats["snapshots_explored"] = gov.snapshots_total - snap_base
         checkpoint = None
         if proc.enumerates:

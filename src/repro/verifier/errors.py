@@ -15,8 +15,9 @@ A Web service is *error free* when no run reaches the error page
   agree.
 
 The pipeline around the reachability search lives in
-:mod:`repro.verifier.engine`; this module contributes the direct
-strategy, the per-unit checker, and the Lemma A.5 transformation.
+:mod:`repro.verifier.engine`; this module declares the direct
+procedure and contributes its per-unit checker and the Lemma A.5
+transformation.
 """
 
 from __future__ import annotations
@@ -56,10 +57,8 @@ from repro.verifier.parallel import (
     TaskSpec,
     UnitOutcome,
     WorkUnit,
-    unit_checker,
 )
 from repro.verifier.results import (
-    Verdict,
     VerificationBudgetExceeded,
     VerificationResult,
 )
@@ -113,32 +112,32 @@ def error_page_reachable(
     return None
 
 
-@unit_checker("verify_error_free")
 def _check_errorfree_unit(
     spec: TaskSpec, unit: WorkUnit, gov: Budget, cache: dict
 ) -> UnitOutcome:
     """Error-page BFS over one (database, sigma) pair."""
+    ((_sigma_index, sigma),) = unit.sigmas
     snap_base = gov.snapshots_total
-    ctx = RunContext(spec.service, unit.database, sigma=unit.sigma or {})
-    stats: dict = {"sigmas_checked": 1, "snapshots_explored": 0}
+    ctx = RunContext(spec.service, unit.database, sigma=sigma)
     trace = error_page_reachable(ctx, budget=gov)
-    stats["snapshots_explored"] = gov.snapshots_total - snap_base
+    stats = {
+        "sigmas_checked": 1,
+        "snapshots_explored": gov.snapshots_total - snap_base,
+    }
     if trace is not None:
         return UnitOutcome(
-            unit.db_index, unit.sigma_index, VIOLATED,
-            stats=stats, detail={"run": trace},
+            *unit.cursor, VIOLATED, stats=stats,
+            detail={"run": trace, "database": unit.database},
         )
-    return UnitOutcome(unit.db_index, unit.sigma_index, CLEAN, stats=stats)
+    return UnitOutcome(*unit.cursor, CLEAN, stats=stats)
 
 
 class _ErrorFreeProcedure(Procedure):
-    """The direct error-page-reachability strategy."""
+    """The direct error-page-reachability procedure."""
 
     name = "verify_error_free"
-    unit_procedure = "verify_error_free"
     has_sigmas = True
-    snap_parity = True
-    budget_cap = "max_snapshots"
+    checker = staticmethod(_check_errorfree_unit)
     checkpoint_extra = {"method": "direct"}
 
     def property_name(self) -> str:
@@ -147,31 +146,8 @@ class _ErrorFreeProcedure(Procedure):
     def method(self) -> str:
         return "error-page reachability (direct)"
 
-    def init_stats(self, used_size: int | None, n_workers: int) -> dict:
-        return {
-            "databases_checked": 0,
-            "databases_skipped": 0,
-            "sigmas_checked": 0,
-            "snapshots_explored": 0,
-            "domain_size": used_size,
-            "workers": n_workers,
-        }
-
-    def fold_violation(
-        self, outcome, stats: dict, property_name: str, method: str
-    ) -> VerificationResult:
-        trace: Run = outcome.violation.detail["run"]
-        stats["counterexample_db_index"] = outcome.violation.db_index
-        stats["counterexample_sigma_index"] = outcome.violation.sigma_index
-        return VerificationResult(
-            verdict=Verdict.VIOLATED,
-            property_name=property_name,
-            method=method,
-            counterexample=trace,
-            counterexample_database=trace.database,
-            stats=stats,
-            procedure=self.name,
-        )
+    def counters(self) -> dict:
+        return {"sigmas_checked": 0, "snapshots_explored": 0}
 
     def interrupt_phase(self, exc) -> str:
         return "error-page reachability"

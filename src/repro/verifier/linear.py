@@ -33,10 +33,10 @@ from the small-model lemmas this is the paper's decision procedure, and
 larger bounds trade time for extra assurance.
 
 The pipeline around the lasso search — option resolution, database
-enumeration, plan warming, unit streaming, supervision, verdict folding
-— lives in :mod:`repro.verifier.engine`; this module contributes only
-the Theorem 3.5 strategy (:class:`_LtlfoProcedure`) and the per-unit
-checker.
+enumeration, plan warming, unit streaming, supervision, stats, verdict
+folding — lives in :mod:`repro.verifier.engine`; this module declares
+the Theorem 3.5 procedure (:class:`_LtlfoProcedure`) and contributes
+its per-unit checker.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from repro.ltl.ltlfo import LTLFOSentence, check_ltlfo_input_bounded
 from repro.ltl.syntax import LNot
 from repro.schema.database import Database
 from repro.service.classify import ServiceClass, classify
-from repro.service.compiled import SnapshotInterner, compiled_service
+from repro.service.compiled import SnapshotInterner
 from repro.service.runs import (
     Run,
     RunContext,
@@ -85,11 +85,9 @@ from repro.verifier.parallel import (
     TaskSpec,
     UnitOutcome,
     WorkUnit,
-    unit_checker,
 )
 from repro.verifier.results import (
     UndecidableInstanceError,
-    Verdict,
     VerificationBudgetExceeded,
     VerificationResult,
 )
@@ -201,12 +199,11 @@ class _SnapshotLabeller:
         """Label ``snap`` for *every* valuation of ``block`` in one pass.
 
         Bit *i* equals ``self(snap, payload, valuation_i)``.  ``shared``
-        is an optional :class:`~repro.service.compiled.BlockLabelCache`
-        spanning the sigmas of one work-unit block: the key adds the
-        gamma-scoped sigma and the block layout — everything beyond
-        ``(payload, snap)`` the bitset's value depends on — so sigmas
-        agreeing on the constants the snapshot's page actually reads
-        share one computation.
+        is an optional dict of label bitsets spanning the sigmas of one
+        work unit: the key adds the gamma-scoped sigma and the block
+        layout — everything beyond ``(payload, snap)`` the bitset's
+        value depends on — so sigmas agreeing on the constants the
+        snapshot's page actually reads share one computation.
         """
         # gamma without the eval context: a shared-cache hit must not
         # pay EvalContext construction for a snapshot it never evaluates.
@@ -228,10 +225,10 @@ class _SnapshotLabeller:
             (c, v) for c, v in self.ctx.sigma.items() if c in gamma
         ))
         key = (id(payload), snap, scoped, block.key())
-        value = shared.bits.get(key)
+        value = shared.get(key)
         if value is None:
             value = plan.bits(self._context(snap)[0], block)
-            shared.bits[key] = value
+            shared[key] = value
             self.bits_computed += 1
         else:
             self.bits_shared += 1
@@ -322,18 +319,18 @@ def _search_valuations_setwise(
     return None
 
 
-@unit_checker("verify_ltlfo")
 def _check_ltlfo_unit(
     spec: TaskSpec, unit: WorkUnit, gov: Budget, cache: dict
 ) -> UnitOutcome:
-    """Lasso search over one (database, sigma-range) unit (Theorem 3.5).
+    """Lasso search over the sigmas of one unit (Theorem 3.5).
 
-    Classic units hold a single sigma; blocked units
-    (``unit.sigma_block``) cover a contiguous sigma range of one
-    database, sharing the snapshot interner and the label bitsets
-    across the range's sigmas.  Every sigma keeps its own run context,
-    successor cache and charge order, so the merged stats equal a
-    classic one-sigma-per-unit run exactly.
+    A unit holding more than one sigma shares the snapshot interner,
+    the label bitsets and the successor sets across its sigmas.  A
+    single-sigma unit has nothing to share and skips that bookkeeping:
+    sending it through the shared path measurably slows the
+    one-sigma-per-unit ``ltl_registration`` benchmark workload.  Every
+    sigma keeps its own run context, successor cache and charge order,
+    so the merged stats do not depend on how many sigmas a unit holds.
     """
     service: WebService = spec.service
     sentence: LTLFOSentence = spec.payload["sentence"]
@@ -342,14 +339,14 @@ def _check_ltlfo_unit(
     if ba is None:  # pragma: no cover - spec always precompiles today
         ba = ltl_to_buchi(LNot(sentence.skeleton), cache=cache)
     db = unit.database
-    pairs = unit.sigma_pairs()
+    pairs = unit.sigmas
     names = sentence.variables
     interner = SnapshotInterner() if len(pairs) > 1 else None
-    shared = None
+    shared: dict | None = None
     shared_succ: dict | None = None
     page_extra: dict[str, frozenset] = {}
     if len(pairs) > 1:
-        shared = compiled_service(service).block_labels(unit.sigma_block)
+        shared = {}
         # successors(ctx, snap) reads sigma only scoped to the snapshot's
         # gamma (deterministic_step) plus the next page's input constants
         # (choice enumeration) — and the possible next pages are static:
@@ -372,7 +369,6 @@ def _check_ltlfo_unit(
         "snapshots_explored": 0,
         "buchi_states": ba.n_states,
     }
-    covered: list = []
     bits_computed = 0
     bits_shared = 0
     tracer = gov.tracer
@@ -385,7 +381,6 @@ def _check_ltlfo_unit(
             )
 
     for sigma_index, sigma in pairs:
-        sigma = sigma or {}
         gov.begin_pair()
         stats["sigmas_checked"] += 1
         ctx = RunContext(
@@ -434,32 +429,25 @@ def _check_ltlfo_unit(
         if found is not None:
             lasso, valuation = found
             run = Run(db, dict(sigma), list(lasso.states), lasso.loop_index)
-            detail: dict = {"run": run}
+            detail: dict = {"run": run, "database": db}
             if spec.payload.get("confirm", True):
                 detail["confirmed"] = not _violation_confirmed_holds(
                     sentence, run, service, ctx, valuation
                 )
             emit_bits()
             return UnitOutcome(
-                unit.db_index, sigma_index, VIOLATED,
-                stats=stats, detail=detail, covered=covered,
+                unit.db_index, sigma_index, VIOLATED, stats=stats, detail=detail
             )
-        covered.append((unit.db_index, sigma_index))
     emit_bits()
-    return UnitOutcome(
-        unit.db_index, unit.sigma_index, CLEAN, stats=stats, covered=covered
-    )
+    return UnitOutcome(*unit.cursor, CLEAN, stats=stats)
 
 
 class _LtlfoProcedure(Procedure):
-    """The Theorem 3.5 strategy behind :func:`verify_ltlfo`."""
+    """The Theorem 3.5 procedure behind :func:`verify_ltlfo`."""
 
     name = "verify_ltlfo"
-    unit_procedure = "verify_ltlfo"
     has_sigmas = True
-    has_sigma_block = True
-    snap_parity = True
-    budget_cap = "max_snapshots"
+    checker = staticmethod(_check_ltlfo_unit)
 
     def __init__(
         self, service: WebService, sentence: LTLFOSentence, cfg: RunConfig
@@ -508,42 +496,13 @@ class _LtlfoProcedure(Procedure):
             "confirm": self.cfg.confirm_counterexamples,
         }
 
-    def init_stats(self, used_size: int | None, n_workers: int) -> dict:
+    def counters(self) -> dict:
         return {
-            "databases_checked": 0,
-            "databases_skipped": 0,
             "sigmas_checked": 0,
             "valuations_checked": 0,
             "snapshots_explored": 0,
             "buchi_states": self.ba.n_states,
-            "domain_size": used_size,
-            "workers": n_workers,
         }
-
-    def unit_limits(self, gov: Budget) -> dict:
-        return {
-            "max_snapshots": gov.max_snapshots,
-            "max_valuations": gov.max_valuations,
-        }
-
-    def fold_violation(
-        self, outcome, stats: dict, property_name: str, method: str
-    ) -> VerificationResult:
-        detail = outcome.violation.detail
-        run: Run = detail["run"]
-        stats["counterexample_db_index"] = outcome.violation.db_index
-        stats["counterexample_sigma_index"] = outcome.violation.sigma_index
-        if "confirmed" in detail:
-            stats["counterexample_confirmed"] = detail["confirmed"]
-        return VerificationResult(
-            verdict=Verdict.VIOLATED,
-            property_name=property_name,
-            method=method,
-            counterexample=run,
-            counterexample_database=run.database,
-            stats=stats,
-            procedure=self.name,
-        )
 
     def interrupt_phase(self, exc) -> str:
         return (

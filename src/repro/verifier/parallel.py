@@ -6,10 +6,11 @@ linear-time procedures, input-constant interpretations sigma within
 each database) with an *independent* model check per pair.  That
 independence is what the paper's operational strategy (and the WAVE
 verifier after it) exploits, and it makes the enumeration embarrassingly
-parallel: this module turns each (db_index, sigma_index) pair into a
-:class:`WorkUnit` and runs the units either in-process (the classic
-sequential loop) or on a :class:`~concurrent.futures.ProcessPoolExecutor`
-selected with ``workers=N``.
+parallel: this module packs the ``(sigma_index, sigma)`` pairs of a
+database into work units (:class:`WorkUnit`) and runs the units either
+in-process (the classic sequential loop) or on a
+:class:`~concurrent.futures.ProcessPoolExecutor` selected with
+``workers=N``.
 
 Guarantees, regardless of worker count:
 
@@ -44,9 +45,12 @@ canonical enumeration one at a time and shipped to workers in a bounded
 submission window, never materialized as a list.
 
 Workers are spawned per verification call with the task's specification
-pickled once into each worker (service, property, precompiled Büchi
-automaton, unit budget caps) — the per-unit messages carry only the
-database and sigma.  ``REPRO_WORKERS`` in the environment supplies a
+pickled once into each worker (the checker, the service, the property,
+the precompiled Büchi automaton, the unit budget caps) — the per-unit
+messages carry only the database and the sigmas.  The checker is a
+module-level function, which pickle stores by reference: unpickling the
+specification imports the checker's module in the worker, so there is
+no checker registry.  ``REPRO_WORKERS`` in the environment supplies a
 default worker count for entry points called without ``workers=``.
 
 **Fault tolerance.**  A run that takes hours must survive the failures
@@ -110,7 +114,6 @@ from repro.faults import (
     FaultPlan,
     resolve_fault_plan,
 )
-from repro.fol.bitset import SigmaBlock
 from repro.obs import NULL_TRACER, CollectingTracer, TraceEvent, Tracer
 from repro.verifier.budget import Budget, Checkpoint
 from repro.verifier.results import VerificationBudgetExceeded
@@ -128,7 +131,6 @@ __all__ = [
     "apply_quarantine",
     "backoff_s",
     "run_units",
-    "unit_checker",
     "resolve_workers",
     "resolve_sigma_block",
     "frontier_checkpoint",
@@ -210,54 +212,56 @@ def resolve_sigma_block(sigma_block: int | None) -> int:
     """The effective sigma-block size for one verification call.
 
     ``None`` falls back to the ``REPRO_SIGMA_BLOCK`` environment
-    variable and finally to 1 — classic one-sigma work units.  Sizes
-    above 1 batch that many consecutive sigmas of a database into one
-    ``(db_index, sigma_block)`` unit (see :class:`WorkUnit`).
+    variable and finally to 1 — one sigma per work unit.  Sizes above 1
+    pack that many consecutive sigmas of a database into one unit (see
+    :class:`WorkUnit`).
     """
     return _resolve_count(sigma_block, "sigma_block", "REPRO_SIGMA_BLOCK")
 
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One independent model check with its cursor.
+    """One scheduled check: a database and the sigmas it is checked under.
 
-    Classically a single (database, sigma) pair; with sigma-blocking a
-    unit covers a contiguous ``(db_index, sigma_block)`` *range* of
-    sigmas of one database (``sigma_index``/``sigma`` then hold the
-    first pair of the block, keeping the cursor meaning — and every
-    pickled checkpoint — unchanged).  Blocked units amortise snapshot
-    interning and label bitsets across their sigmas and keep pool
-    dispatch overhead per block instead of per sigma.
+    ``sigmas`` holds ``(sigma_index, sigma)`` pairs of consecutive
+    sigmas in enumeration order: ``((0, None),)`` for the per-database
+    procedures, one pair at ``sigma_block=1``, up to ``sigma_block``
+    pairs otherwise.  The cursor is the first pair's, so checkpoints
+    mean the same at every block size.
     """
 
     db_index: int
-    sigma_index: int
     database: Any
-    sigma: dict | None  # None for the per-database procedures
-    sigma_block: Any = None  # SigmaBlock | None
+    sigmas: tuple
 
     @property
     def cursor(self) -> tuple[int, int]:
-        return (self.db_index, self.sigma_index)
+        return (self.db_index, self.sigmas[0][0])
 
-    def sigma_pairs(self) -> list:
-        """The ``(sigma_index, sigma)`` pairs this unit covers, in order."""
-        if self.sigma_block is not None:
-            return list(self.sigma_block.entries)
-        return [(self.sigma_index, self.sigma)]
+    def completed(self, outcome: UnitOutcome) -> list[tuple[int, int]]:
+        """The cursors ``outcome`` leaves done: every one of a clean
+        unit, and those below the violating one of a violated unit."""
+        return [
+            (self.db_index, i) for i, _sigma in self.sigmas
+            if outcome.status == CLEAN or (self.db_index, i) < outcome.cursor
+        ]
 
 
 @dataclass
 class UnitOutcome:
     """What one work unit reported back.
 
-    ``status`` is ``clean`` (no violation), ``violated`` (``detail``
-    carries the procedure-specific counterexample payload), or
-    ``budget`` (the unit's own governor struck; ``limit``/``message``
-    say which, ``stats`` holds the partial counters).  ``events`` is the
-    unit's trace-event batch (empty unless the task spec is traced):
-    pool workers collect locally and ship the batch back here, and the
-    parent merges batches into its tracer in cursor order.
+    ``status`` is ``clean`` (no violation), ``violated`` (the cursor is
+    the violating sigma's; ``detail`` carries the counterexample:
+    ``database`` plus ``run`` and ``confirmed``, or
+    ``violating_initial_states``), or ``budget`` (the unit's own
+    governor struck: ``limit``/``message`` say which, ``detail`` holds
+    the checker's own exception stats, and ``stats`` only what the
+    sequential loop counts of a struck unit — its snapshots, for sigma
+    units).  ``events`` is the unit's trace-event batch (empty unless
+    the task spec is traced): pool workers collect locally and ship the
+    batch back here, and the parent merges batches into its tracer in
+    cursor order.
     """
 
     db_index: int
@@ -268,11 +272,6 @@ class UnitOutcome:
     message: str = ""
     detail: Any = None
     events: list[TraceEvent] = field(default_factory=list)
-    #: Cursors of the sigmas a blocked unit fully checked (empty for
-    #: classic single-sigma units — the unit's own cursor covers it).
-    #: Checkpoints record these, so resume stays sigma-granular even
-    #: when execution is block-granular.
-    covered: list = field(default_factory=list)
 
     @property
     def cursor(self) -> tuple[int, int]:
@@ -283,11 +282,16 @@ class UnitOutcome:
 class TaskSpec:
     """Picklable description of the per-unit work of one entry point.
 
-    ``procedure`` selects the registered checker; ``payload`` carries
-    the procedure's own data (sentence, precompiled automaton, formula,
-    flags); ``unit_limits`` are the caps each worker installs in its
-    local :class:`Budget` (the per-pair/per-structure caps — the global
-    caps stay with the parent governor).  ``traced`` tells workers to
+    ``checker`` is the procedure's module-level per-unit checker,
+    ``checker(spec, unit, budget, cache) -> UnitOutcome``, which raises
+    :class:`VerificationBudgetExceeded` when its governor strikes;
+    pickle stores it by reference.  ``payload`` carries the
+    procedure's own data (sentence, precompiled automaton, formula,
+    flags); ``unit_limits`` are the parent governor's caps
+    (:meth:`Budget.limits`), of which each worker installs the
+    per-pair, per-structure and valuation caps in its local
+    :class:`Budget` (the database cap and the deadline stay with the
+    parent governor).  ``traced`` tells workers to
     collect trace events per unit and ship them back with the outcome;
     when False (the default) workers run with the null tracer.
     ``faults`` is the deterministic :class:`~repro.faults.FaultPlan`
@@ -296,7 +300,7 @@ class TaskSpec:
     None`` check per unit).
     """
 
-    procedure: str
+    checker: Callable[..., UnitOutcome]
     service: Any
     payload: Mapping[str, Any]
     unit_limits: Mapping[str, Any]
@@ -312,34 +316,6 @@ class TaskSpec:
         ).start()
 
 
-# -- checker registry -------------------------------------------------------
-
-#: procedure name -> checker(spec, unit, budget, cache) -> UnitOutcome.
-#: Checkers must be module-level (picklable by reference) and raise
-#: VerificationBudgetExceeded when their governor strikes; the backends
-#: decide whether that propagates (sequential) or becomes a BUDGET
-#: outcome (pool workers).
-_CHECKERS: dict[str, Callable[[TaskSpec, WorkUnit, Budget, dict], UnitOutcome]] = {}
-
-
-def unit_checker(procedure: str):
-    """Register the per-unit checker of one decision procedure."""
-
-    def register(fn):
-        _CHECKERS[procedure] = fn
-        return fn
-
-    return register
-
-
-def _load_checkers() -> None:
-    """Import every module that registers a checker (worker processes)."""
-    import repro.verifier.branching  # noqa: F401
-    import repro.verifier.errors  # noqa: F401
-    import repro.verifier.linear  # noqa: F401
-    import repro.verifier.search  # noqa: F401
-
-
 # -- worker-side plumbing ---------------------------------------------------
 
 _WORKER_SPEC: TaskSpec | None = None
@@ -348,7 +324,6 @@ _WORKER_CACHE: dict | None = None
 
 def _init_worker(spec: TaskSpec) -> None:
     global _WORKER_SPEC, _WORKER_CACHE
-    _load_checkers()
     _WORKER_SPEC = spec
     _WORKER_CACHE = {}
     # Compile the service's rule plans once per worker per TaskSpec (the
@@ -386,7 +361,7 @@ def _run_unit(
             # may raise (a unit failure for the supervisor) or, in a
             # pool worker, kill the process outright — that is the point
             injector.fire_unit(unit.cursor, attempt)
-        outcome = _CHECKERS[spec.procedure](spec, unit, gov, cache)
+        outcome = spec.checker(spec, unit, gov, cache)
     except Exception as exc:
         if tracer.active:
             tracer.emit(
@@ -417,23 +392,21 @@ def _execute_unit(
     A fresh budget from the spec's caps and the parent's remaining
     time, a collecting tracer when the spec is traced (its events ship
     back on the outcome), and a budget strike turned into a BUDGET
-    outcome carrying the partial counters.
+    outcome carrying the checker's own exception stats.  Its counters
+    are what the sequential loop counts of a struck unit: the snapshots
+    the governor charged, for sigma units, and nothing of the sigma or
+    valuation in progress.
     """
     gov = spec.make_unit_budget(timeout_s)
     gov.tracer = CollectingTracer() if spec.traced else NULL_TRACER
     try:
         outcome = _run_unit(spec, unit, gov, cache, injector, attempt)
     except VerificationBudgetExceeded as exc:
-        stats = dict(exc.stats)
-        stats.setdefault("snapshots_explored", gov.snapshots_total)
-        stats.setdefault("valuations_checked", gov.valuations)
+        stats = {"snapshots_explored": gov.snapshots_total}
         outcome = UnitOutcome(
-            unit.db_index,
-            unit.sigma_index,
-            BUDGET,
-            stats=stats,
-            limit=exc.limit,
-            message=str(exc),
+            *unit.cursor, BUDGET,
+            stats={} if unit.sigmas[0][1] is None else stats,
+            limit=exc.limit, message=str(exc), detail=dict(exc.stats),
         )
     if gov.tracer.active:
         outcome.events = gov.tracer.events
@@ -512,13 +485,11 @@ class UnitStream:
             if self._on_database is not None:
                 self._on_database(db)
             if self._sigma_fn is None:
-                yield WorkUnit(db_index, 0, db, None)
+                yield WorkUnit(db_index, db, ((0, None),))
                 continue
             n_sigmas = 0
             # Pending (sigma_index, sigma) pairs batched into units of
-            # up to block_size consecutive sigmas (size 1 — the default
-            # — reproduces the classic one-pair unit exactly, pickled
-            # form included).
+            # up to block_size consecutive sigmas.
             batch: list[tuple[int, dict]] = []
             for sigma_index, sigma in enumerate(self._sigma_fn(db)):
                 n_sigmas += 1
@@ -540,14 +511,9 @@ class UnitStream:
     def _make_unit(
         self, db_index: int, db, batch: list[tuple[int, dict]]
     ) -> WorkUnit:
-        first_index, first_sigma = batch[0]
-        self.cursor = (db_index, first_index)
-        if len(batch) == 1 and self._block_size == 1:
-            return WorkUnit(db_index, first_index, db, first_sigma)
-        return WorkUnit(
-            db_index, first_index, db, first_sigma,
-            sigma_block=SigmaBlock(db_index, tuple(batch)),
-        )
+        unit = WorkUnit(db_index, db, tuple(batch))
+        self.cursor = unit.cursor
+        return unit
 
     def clamp_db_stats(self, db_index: int) -> None:
         """Rewind the database counters to their values when ``db_index``
@@ -1002,15 +968,11 @@ def _run_sequential(
                 break
             if result is None:  # quarantined; move on
                 continue
+            out.completed.extend(unit.completed(result))
+            merge_unit_stats(out.unit_stats, result.stats)
             if result.status == VIOLATED:
-                merge_unit_stats(out.unit_stats, result.stats)
                 out.violation = result
                 return out
-            # A blocked unit reports every sigma it covered so resume
-            # frontiers stay sigma-granular; classic units cover exactly
-            # their own cursor.
-            out.completed.extend(result.covered or [unit.cursor])
-            merge_unit_stats(out.unit_stats, result.stats)
             sup.note_completed(tracer, out)
     except VerificationBudgetExceeded as exc:
         out.interrupted = exc
@@ -1160,21 +1122,14 @@ def _run_pool(
         finished[unit.cursor] = result
         if result.status == BUDGET:
             out.pending.append(unit.cursor)
-            interrupt(
-                VerificationBudgetExceeded(
-                    result.message, limit=result.limit, stats=result.stats,
-                )
-            )
+            interrupt(_budget_error(result))
             return
-        if result.status == VIOLATED:
-            # the clean sigmas a blocked unit checked before the
-            # violation — never the violating cursor, which a resume
-            # must reach again
-            out.completed.extend(result.covered)
-            if best is None or result.cursor < best.cursor:
-                best = result
-        else:
-            out.completed.extend(result.covered or [unit.cursor])
+        # never the violating cursor, which a resume must reach again
+        out.completed.extend(unit.completed(result))
+        if result.status == VIOLATED and (
+            best is None or result.cursor < best.cursor
+        ):
+            best = result
         try:
             gov.absorb(result.stats)
         except VerificationBudgetExceeded as exc:
@@ -1369,9 +1324,13 @@ def _run_pool(
     for cursor in sorted(finished):
         if limit is not None and cursor > limit:
             continue
-        merge_unit_stats(out.unit_stats, finished[cursor].stats)
+        result = finished[cursor]
+        # A struck unit counts only at the frontier, where the
+        # sequential loop stops; a resume redoes every other one.
+        if result.status != BUDGET or cursor == pending[0]:
+            merge_unit_stats(out.unit_stats, result.stats)
         if tracer.active:
-            for event in finished[cursor].events:
+            for event in result.events:
                 tracer.emit_event(event)
     if best is not None and limit == best.cursor:
         out.violation = best
@@ -1379,5 +1338,16 @@ def _run_pool(
         out.pending = []
     elif out.interrupted is not None:
         out.pending = pending or [stream.cursor]
+        struck = finished.get(out.pending[0])
+        if struck is not None and struck.status == BUDGET:
+            # the strike a sequential run meets first
+            out.interrupted = _budget_error(struck)
         sup.write_checkpoint(tracer, out, incomplete=out.pending)
     return out
+
+
+def _budget_error(outcome: UnitOutcome) -> VerificationBudgetExceeded:
+    """The strike a BUDGET outcome reports, with the checker's own stats."""
+    return VerificationBudgetExceeded(
+        outcome.message, limit=outcome.limit, stats=outcome.detail
+    )

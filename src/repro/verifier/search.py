@@ -5,7 +5,7 @@ input whose next options are the ``R_I``-successors of the previous
 input, filtered by a quantifier-free condition over the database and the
 propositional states.  The paper decides CTL(*) properties by reducing
 to CTL(*) satisfiability; operationally, the input type abstraction in
-that proof means small search graphs suffice, so this module enumerates
+that proof means small search graphs suffice, so the procedure enumerates
 databases (search graph + unary type relations + ``i0``) over a bounded
 domain and model checks each configuration Kripke structure — the same
 small-model schema as the rest of the verifier, specialised with the
@@ -13,98 +13,28 @@ IDS shape check.  Each database is one work unit of
 :mod:`repro.verifier.parallel` (the same unit as :func:`verify_ctl`),
 so ``workers=N`` parallelises the enumeration deterministically.
 
-The pipeline lives in :mod:`repro.verifier.engine`; this module
-contributes only the Theorem 4.9 strategy, which reuses the
-``verify_ctl`` unit checker.
+The per-database check is the one :func:`verify_ctl` runs, so the
+Theorem 4.9 procedure is a row of
+:data:`repro.verifier.branching._KRIPKE_ROWS`: this module holds only
+the entry point.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.ctl.syntax import StateFormula, ctl_size, is_ctl
+from repro.ctl.syntax import StateFormula
 from repro.obs import Tracer
 from repro.schema.database import Database
-from repro.service.classify import ServiceClass, classify
 from repro.service.webservice import WebService
+from repro.verifier.branching import _KripkeProcedure
 from repro.verifier.budget import Budget, Checkpoint
 from repro.verifier.engine import (
     DEFAULT_KRIPKE_BUDGET,
-    Procedure,
     RunConfig,
     run_procedure,
 )
-from repro.verifier.results import (
-    UndecidableInstanceError,
-    Verdict,
-    VerificationResult,
-)
-
-
-class _InputDrivenSearchProcedure(Procedure):
-    """The Theorem 4.9 strategy behind :func:`verify_input_driven_search`.
-
-    The per-database work is identical to ``verify_ctl``'s (build the
-    configuration Kripke structure, model check), so the same unit
-    checker serves both procedures.
-    """
-
-    name = "verify_input_driven_search"
-    unit_procedure = "verify_ctl"
-
-    def __init__(
-        self, service: WebService, formula: StateFormula, cfg: RunConfig
-    ) -> None:
-        super().__init__(service, cfg)
-        self.formula = formula
-
-    def preflight(self) -> None:
-        if self.cfg.check_restrictions:
-            report = classify(self.service)
-            if not report.is_in(ServiceClass.INPUT_DRIVEN_SEARCH):
-                raise UndecidableInstanceError(
-                    report.why_not(ServiceClass.INPUT_DRIVEN_SEARCH),
-                    "Theorem 4.9 requires the input-driven-search shape "
-                    "(Definition 4.7)",
-                )
-
-    def property_name(self) -> str:
-        return str(self.formula)
-
-    def method(self) -> str:
-        fragment = "CTL" if is_ctl(self.formula) else "CTL*"
-        return f"input-driven search {fragment} (Theorem 4.9)"
-
-    def compile_payload(self, tracer: Tracer) -> dict:
-        return {"formula": self.formula}
-
-    def init_stats(self, used_size: int | None, n_workers: int) -> dict:
-        return {
-            "databases_checked": 0,
-            "databases_skipped": 0,
-            "kripke_states": 0,
-            "formula_size": ctl_size(self.formula),
-            "domain_size": used_size,
-            "workers": n_workers,
-        }
-
-    def fold_violation(
-        self, outcome, stats: dict, property_name: str, method: str
-    ) -> VerificationResult:
-        detail = outcome.violation.detail
-        stats["counterexample_db_index"] = outcome.violation.db_index
-        stats["violating_initial_states"] = detail["violating_initial_states"]
-        return VerificationResult(
-            verdict=Verdict.VIOLATED,
-            property_name=property_name,
-            method=method,
-            counterexample_database=detail["database"],
-            stats=stats,
-            procedure=self.name,
-        )
-
-    def interrupt_phase(self, exc) -> str:
-        return "search-graph Kripke construction / model checking"
+from repro.verifier.results import VerificationResult
 
 
 def verify_input_driven_search(
@@ -160,4 +90,6 @@ def verify_input_driven_search(
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
     ), unsupported)
-    return run_procedure(_InputDrivenSearchProcedure(service, formula, cfg))
+    return run_procedure(
+        _KripkeProcedure("verify_input_driven_search", service, formula, cfg)
+    )

@@ -50,7 +50,6 @@ from repro.service import (
     initial_snapshots,
     successors,
 )
-from repro.service.compiled import BlockLabelCache
 from repro.verifier import verify_ltlfo
 from repro.verifier.budget import Budget
 from repro.verifier.engine import candidate_databases, enumerate_sigmas
@@ -421,7 +420,7 @@ def test_setwise_search_matches_reference(case):
     dbs, _ = candidate_databases(service, sentence, None, 2, True)
     pairs = found_any = 0
     for db in dbs:
-        shared = BlockLabelCache()
+        shared: dict = {}
         for sigma in enumerate_sigmas(service, db):
             ref = _search(_search_valuations, service, sentence, ba, db, sigma)
             got = _search(

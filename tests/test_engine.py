@@ -30,6 +30,8 @@ import pytest
 from repro.verifier import (
     RunConfig,
     RunConfigError,
+    UndecidableInstanceError,
+    Verdict,
     accepted_options,
     verify,
     verify_ctl,
@@ -136,6 +138,64 @@ def test_config_provenance_recorded(case):
         assert isinstance(config[key], bool)
     # provenance never leaks into the human-facing summary
     assert "config" not in result.describe(service)
+
+
+# ---------------------------------------------------------------------------
+# the Kripke table: Theorems 4.4, 4.6 and 4.9 share one procedure
+# ---------------------------------------------------------------------------
+
+#: entry point -> (refusal citation, budget-strike coverage line), which
+#: also pins each row's interrupt phase
+KRIPKE_ROWS = {
+    "verify_ctl": (
+        "Theorem 4.2 (input-bounded CTL-FO is undecidable in general)",
+        "checked 1 candidate databases (largest Kripke structure 16 "
+        "states) up to domain size 1; interrupted during Kripke "
+        "construction / model checking by max_states",
+    ),
+    "verify_fully_propositional": (
+        "Theorem 4.6 requires a fully propositional service",
+        "checked 1 candidate databases (largest Kripke structure 16 "
+        "states); interrupted during Kripke construction by max_states",
+    ),
+    "verify_input_driven_search": (
+        "Theorem 4.9 requires the input-driven-search shape "
+        "(Definition 4.7)",
+        "checked 1/1 candidate databases (largest Kripke structure 2 "
+        "states); interrupted during search-graph Kripke construction / "
+        "model checking by max_states",
+    ),
+}
+
+
+@pytest.mark.parametrize("procedure", sorted(KRIPKE_ROWS))
+def test_kripke_refusal_cites_its_theorem(procedure, core_spec, ag_ef_hp):
+    """The core service lies outside all three classes; each entry point
+    refuses it with its own citation."""
+    service, _ = core_spec
+    with pytest.raises(UndecidableInstanceError) as err:
+        ENTRY_POINTS[procedure](service, ag_ef_hp)
+    assert err.value.citation == KRIPKE_ROWS[procedure][0]
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["seq", "pool"])
+@pytest.mark.parametrize("procedure", sorted(KRIPKE_ROWS))
+def test_kripke_strike_reports_its_phase(procedure, workers, ag_ef_hp):
+    from tests.engine_cases import _build_database, load_spec
+
+    if procedure == "verify_input_driven_search":
+        service = load_spec("search_site.json")
+        options = {"databases": [_build_database("figure1", service)]}
+    else:
+        service = load_spec("propositional.json")
+        options = {"domain_size": 1} if procedure == "verify_ctl" else {}
+    result = ENTRY_POINTS[procedure](
+        service, ag_ef_hp, max_states=2, workers=workers, **options
+    )
+    assert result.verdict is Verdict.INCONCLUSIVE
+    assert result.stats["interrupted_by"] == "max_states"
+    assert result.coverage == KRIPKE_ROWS[procedure][1]
+    assert result.stats["interrupted_phase"] in result.coverage
 
 
 # ---------------------------------------------------------------------------

@@ -565,9 +565,7 @@ class TestFinalCheckpoint:
             )
             assert resumed.verdict is Verdict.VIOLATED
             results[workers] = result
-        # The pool also counts the valuation a unit was checking when
-        # its budget struck; the sequential loop does not.
-        ignore = {"workers", "config", "valuations_checked"}
+        ignore = {"workers", "config"}
         seq, par = (
             {k: v for k, v in results[w].stats.items() if k not in ignore}
             for w in (1, POOL)

@@ -142,8 +142,8 @@ class TestPretty:
 class TestNavigation:
     def test_page_graph_edges(self, core):
         graph = page_graph(core)
-        assert graph.has_edge("HP", "CP")
-        assert graph.has_edge("HP", "HP")  # implicit stay loop
+        assert "CP" in graph["HP"]
+        assert "HP" in graph["HP"]  # implicit stay loop
 
     def test_all_core_pages_reachable(self, core):
         assert unreachable_pages(core) == frozenset()

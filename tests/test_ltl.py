@@ -2,6 +2,8 @@
 construction (cross-checked against the reference semantics with
 hypothesis), and LTL-FO sentences."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,7 @@ from repro.ltl import (
     ltl_size,
     ltl_to_buchi,
 )
+from repro.ltl.buchi import accepting_product_states
 from repro.ltl.syntax import ltl_map_atoms
 
 
@@ -146,6 +149,15 @@ def _ltl_formulas(depth=3):
     )
 
 
+def _random_ltl(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return LTLAtom(rng.choice(ATOMS))
+    op = rng.choice([LNot, LAnd, LOr, LX, LU, LR])
+    if op in (LNot, LX):
+        return op(_random_ltl(rng, depth - 1))
+    return op(_random_ltl(rng, depth - 1), _random_ltl(rng, depth - 1))
+
+
 _words = st.lists(
     st.fixed_dictionaries({a: st.booleans() for a in ATOMS}),
     min_size=1,
@@ -211,6 +223,38 @@ class TestBuchi:
             ba, [0], succ, lambda s, a: word[s][a]
         ) is not None
         assert ref == got
+
+    def test_accepting_states_agree_with_nested_dfs(self):
+        """The SCC-based ``accepting_product_states`` against nested DFS
+        (``find_accepting_lasso``) from each single state, two
+        independent emptiness checks, on seeded random Kripke structures
+        (dead ends and one-node components without a self-loop
+        included) and LTL formulas."""
+        agreed = {True: 0, False: 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            succ = {
+                s: rng.sample(range(n), rng.randint(0, min(3, n)))
+                for s in range(n)
+            }
+            labels = {s: {a: rng.random() < 0.5 for a in ATOMS}
+                      for s in range(n)}
+            ba = ltl_to_buchi(_random_ltl(rng, 3))
+
+            def label(s, atom):
+                return labels[s][atom]
+
+            got = accepting_product_states(
+                ba, list(range(n)), succ.__getitem__, label
+            )
+            for s in range(n):
+                want = find_accepting_lasso(
+                    ba, [s], succ.__getitem__, label
+                ) is not None
+                assert (s in got) == want, (seed, s)
+                agreed[want] += 1
+        assert min(agreed.values()) > 100  # both answers well exercised
 
     @settings(max_examples=80, deadline=None)
     @given(f=_ltl_formulas(2), word=_words, data=st.data())

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.ctl import AG, CAtom, CNot, EF
-from repro.fol import Atom, Not
+from repro.fol import Atom, Not, Var
 from repro.ltl import F, G, LTLFOSentence
 from repro.schema import Database
 from repro.service import ServiceBuilder
@@ -282,6 +282,143 @@ class TestParallelBudgets:
         for _ in range(10):
             _, result = run_case(case, workers=POOL)
             assert json.loads(json.dumps(fingerprint(result))) == want
+
+
+# ---------------------------------------------------------------------------
+# a unit's own budget strikes: the pool reports the sequential stats
+# ---------------------------------------------------------------------------
+
+def _registration():
+    """E12's registration service (arity 2): rows of ``allowed`` are
+    recorded on FORM, stored, and acknowledged on REVIEW."""
+    b = ServiceBuilder("registration-2")
+    b.database("allowed", 2)
+    b.input("record", 2)
+    b.input("done")
+    b.state("stored", 2)
+    b.state("closed")
+    b.action("ack", 2)
+    form = b.page("FORM", home=True)
+    form.toggle("done")
+    form.options("record", "allowed(x0, x1)", ("x0", "x1"))
+    form.insert("stored", "record(x0, x1) & !closed", ("x0", "x1"))
+    form.insert("closed", "done")
+    form.target("REVIEW", "done")
+    review = b.page("REVIEW")
+    review.act("ack", "stored(x0, x1)", ("x0", "x1"))
+    review.toggle("done")
+    review.target("FORM", "done")
+    return b.build()
+
+
+def _strike_registration(workers):
+    """Two clean units (10 snapshots each), then a strike on the last."""
+    from repro.ltl import B
+    from repro.verifier.engine import candidate_databases
+
+    svc = _registration()
+    terms = (Var("x"), Var("y"))
+    prop = LTLFOSentence(
+        ("x", "y"), B(Atom("record", terms), Not(Atom("stored", terms)))
+    )
+    dbs = list(candidate_databases(svc, prop, None, 2, True)[0])
+    return verify_ltlfo(
+        svc, prop, databases=[dbs[0], dbs[0], dbs[6]],
+        budget=Budget(max_snapshots=10), workers=workers,
+    )
+
+
+def _strike_core(entry, cap):
+    """Three sigmas of the core database, each over a snapshot cap of
+    1-3: the first strikes while the pool runs the others."""
+    from tests.engine_cases import _build_database, load_spec
+
+    def run(workers):
+        svc = load_spec("core.json")
+        db = _build_database("core", svc)
+        sigmas = list(enumerate_sigmas(svc, db))[:3]
+        args = (svc,) if entry is verify_error_free else (svc, _no_error())
+        return entry(
+            *args, databases=[db], sigmas=sigmas,
+            budget=Budget(max_snapshots=cap), workers=workers,
+        )
+
+    return run
+
+
+def _strike_kripke(entry):
+    """A state cap of 3 on one database's Kripke structure."""
+    from tests.engine_cases import _build_database, load_spec
+
+    def run(workers):
+        if entry is verify_input_driven_search:
+            svc = load_spec("search_site.json")
+            options = {"databases": [_build_database("figure1", svc)]}
+        else:
+            svc = load_spec("propositional.json")
+            options = {} if entry is verify_fully_propositional else {
+                "databases": [Database(svc.schema.database)]
+            }
+        return entry(
+            svc, AG(EF(CAtom("HP"))), max_states=3, workers=workers,
+            **options,
+        )
+
+    return run
+
+
+STRIKES = {
+    "ltl-registration": _strike_registration,
+    **{f"ltl-core-cap{cap}": _strike_core(verify_ltlfo, cap)
+       for cap in (1, 2, 3)},
+    **{f"error-free-core-cap{cap}": _strike_core(verify_error_free, cap)
+       for cap in (1, 2, 3)},
+    "ctl": _strike_kripke(verify_ctl),
+    "fully-propositional": _strike_kripke(verify_fully_propositional),
+    "input-driven-search": _strike_kripke(verify_input_driven_search),
+}
+
+
+class TestStrikeStats:
+    """When a unit's own budget strikes, the pool reports what the
+    sequential loop reports: the run's totals (not the struck unit's
+    partial counters), nothing of the valuation in progress, and no
+    counter the procedure does not declare.  Every case strikes with no
+    later database pulled: a strike on an early database while the pool
+    window has pulled later ones is still counted differently."""
+
+    @pytest.mark.parametrize("case", sorted(STRIKES))
+    def test_pool_matches_sequential(self, case, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        seq, par = (STRIKES[case](workers) for workers in (1, POOL))
+        assert seq.verdict is par.verdict is Verdict.INCONCLUSIVE
+        assert list(seq.stats) == list(par.stats)
+        _stats_match(seq.stats, par.stats)
+        assert seq.coverage == par.coverage
+
+    def test_parent_cap_keeps_its_limit(self, monkeypatch):
+        """A global cap that strikes in the parent, absorbing a clean
+        unit at the stream's cursor, stays the interrupt: no unit
+        struck, so no unit's outcome may stand in for it."""
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        from tests.engine_cases import _build_database, load_spec
+
+        svc = load_spec("core.json")
+        db = _build_database("core", svc)
+        sigmas = list(enumerate_sigmas(svc, db))[:3]
+        for workers in (1, POOL):
+            result = verify_ltlfo(
+                svc, _no_error(), databases=[db], sigmas=sigmas,
+                budget=Budget(max_valuations=2), workers=workers,
+            )
+            assert result.stats["interrupted_by"] == "max_valuations"
+            assert result.stats["interrupted_phase"] == "lasso search"
+
+    def test_registration_counts_every_unit(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        stats = _strike_registration(POOL).stats
+        assert stats["snapshots_explored"] == 31
+        assert stats["valuations_checked"] == 8
 
 
 # ---------------------------------------------------------------------------
