@@ -7,6 +7,8 @@
   one session (Remark 3.6) vs the exhaustive generic enumeration;
 - **counterexample confirmation**: the (cheap) re-check of every lasso
   against the reference semantics.
+
+Every round verifies a fresh service (the ``cold`` fixture).
 """
 
 import pytest
@@ -21,13 +23,13 @@ from workloads import registration_database, registration_service
 @pytest.mark.parametrize("up_to_iso", [True, False],
                          ids=["iso-pruned", "no-pruning"])
 @pytest.mark.benchmark(group="E10 isomorphism pruning (domain sweep)")
-def test_iso_pruning(benchmark, up_to_iso):
-    service = registration_service(1)
+def test_iso_pruning(cold, up_to_iso):
     prop = LTLFOSentence((), G(Not(Atom("ERROR", ()))))
-    result = benchmark(
-        lambda: verify_ltlfo(
+    result = cold(
+        lambda: (registration_service(1),),
+        lambda service: verify_ltlfo(
             service, prop, domain_size=3, up_to_iso=up_to_iso
-        )
+        ),
     )
     assert result.holds
 
@@ -35,36 +37,38 @@ def test_iso_pruning(benchmark, up_to_iso):
 @pytest.mark.parametrize("scoped", [True, False],
                          ids=["session-sigma", "generic-sigmas"])
 @pytest.mark.benchmark(group="E10 sigma scoping (core error-freeness)")
-def test_sigma_scoping(benchmark, scoped):
+def test_sigma_scoping(cold, scoped):
     from repro.demo import core_database, core_service
 
-    service = core_service()
-    db = core_database(service)
+    def make():
+        service = core_service()
+        return service, core_database(service)
+
     sigmas = [{"name": "alice", "password": "pw1"}] if scoped else None
-    result = benchmark(
-        lambda: verify_error_free(service, databases=[db], sigmas=sigmas)
-    )
+    result = cold(make, lambda service, db: verify_error_free(
+        service, databases=[db], sigmas=sigmas
+    ))
     assert result.holds
 
 
 @pytest.mark.parametrize("confirm", [True, False],
                          ids=["confirmed", "unconfirmed"])
 @pytest.mark.benchmark(group="E10 counterexample confirmation")
-def test_confirmation_cost(benchmark, confirm):
-    service = registration_service(1)
-    db = registration_database(service, 2)
+def test_confirmation_cost(cold, confirm):
     from repro.fol import Var
+
+    def make():
+        service = registration_service(1)
+        return service, registration_database(service, 2)
 
     prop = LTLFOSentence(
         ("x0",),
         G(Not(Atom("stored", (Var("x0"),)))),
         name="nothing stored (false)",
     )
-    result = benchmark(
-        lambda: verify_ltlfo(
-            service, prop, databases=[db], confirm_counterexamples=confirm
-        )
-    )
+    result = cold(make, lambda service, db: verify_ltlfo(
+        service, prop, databases=[db], confirm_counterexamples=confirm
+    ))
     assert not result.holds
 
 

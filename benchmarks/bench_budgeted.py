@@ -11,6 +11,7 @@ capped roughly proportionally to the budget at the low end.
 
 Series: time and resolution (1 = verdict reached, 0 = INCONCLUSIVE) vs
 budget fraction, on the registration workload at two domain sizes.
+Every round verifies a fresh service (the ``cold`` fixture).
 """
 
 import pytest
@@ -47,17 +48,19 @@ def _baseline_snapshots(domain_size: int) -> int:
 @pytest.mark.parametrize("fraction", [0.01, 0.10, 1.00])
 @pytest.mark.parametrize("domain_size", [1, 2])
 @pytest.mark.benchmark(group="E11 budgeted degradation")
-def test_budget_sweep(benchmark, domain_size, fraction):
-    service = registration_service(1)
-    db = registration_database(service, domain_size)
+def test_budget_sweep(benchmark, cold, domain_size, fraction):
     prop = _property()
     cap = max(1, int(_baseline_snapshots(domain_size) * fraction))
 
-    def bounded():
+    def make():
+        service = registration_service(1)
+        return service, registration_database(service, domain_size)
+
+    def bounded(service, db):
         return verify_ltlfo(service, prop, databases=[db],
                             budget=Budget(max_snapshots=cap))
 
-    result = benchmark(bounded)
+    result = cold(make, bounded)
     resolved = 0 if result.inconclusive else 1
     benchmark.extra_info["snapshot_cap"] = cap
     benchmark.extra_info["resolved"] = resolved

@@ -8,7 +8,7 @@ uses for uniformity) over the dedicated reachability search.
 
 Workloads: the error-free e-commerce core and a mutated variant whose
 logout button returns to HP, re-requesting the constants (the bug class
-the paper's own Figure 2 demo contains).
+the paper's own Figure 2 demo contains).  Every round verifies a fresh service (the ``cold`` fixture).
 """
 
 import pytest
@@ -34,27 +34,25 @@ def _mutated_core():
     return service_from_dict(data)
 
 
+def _time_error_free(cold, factory, method):
+    def make():
+        service = factory()
+        return service, core_database(service)
+
+    return cold(make, lambda service, db: verify_error_free(
+        service, databases=[db], method=method, sigmas=SESSION
+    ))
+
+
 @pytest.mark.parametrize("method", ["direct", "reduction"])
 @pytest.mark.benchmark(group="E3 error-freeness on the clean core")
-def test_clean_core(benchmark, method):
-    service = core_service()
-    db = core_database(service)
-    result = benchmark(
-        lambda: verify_error_free(
-            service, databases=[db], method=method, sigmas=SESSION
-        )
-    )
+def test_clean_core(cold, method):
+    result = _time_error_free(cold, core_service, method)
     assert result.holds
 
 
 @pytest.mark.parametrize("method", ["direct", "reduction"])
 @pytest.mark.benchmark(group="E3 error-freeness on the mutated core")
-def test_mutated_core(benchmark, method):
-    service = _mutated_core()
-    db = core_database(service)
-    result = benchmark(
-        lambda: verify_error_free(
-            service, databases=[db], method=method, sigmas=SESSION
-        )
-    )
+def test_mutated_core(cold, method):
+    result = _time_error_free(cold, _mutated_core, method)
     assert not result.holds

@@ -120,10 +120,16 @@ def main() -> int:
 
 @pytest.mark.benchmark(group="E12 parallel speedup")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_workers_sweep(benchmark, workers):
-    service, prop = _workload()
-    result = benchmark(
-        lambda: verify_ltlfo(service, prop, domain_size=2, workers=workers)
+def test_workers_sweep(cold, workers):
+    # a fresh service per round: at workers=1 a reused one would serve
+    # every round after the first from its exploration cache
+    _, prop = _workload()
+    result = cold(
+        lambda: _workload()[:1],
+        lambda service: verify_ltlfo(
+            service, prop, domain_size=2, workers=workers
+        ),
+        rounds=5,
     )
     assert result.holds
 

@@ -6,6 +6,7 @@ PSPACE collapses).  Series: error-freeness time on ``qbf_to_service``
 encodings of random alternating QBFs vs the variable count, plus a
 valid/invalid fixed pair.  Each verdict is asserted against brute-force
 QBF evaluation — the benchmark doubles as a correctness check.
+Every round verifies a fresh service (the ``cold`` fixture).
 """
 
 import pytest
@@ -22,28 +23,31 @@ from repro.reductions import (
 from repro.verifier import verify_error_free
 
 
+def _time_error_free(cold, formula):
+    return cold(
+        lambda: (qbf_to_service(formula),),
+        lambda service: verify_error_free(service, domain_size=2),
+    )
+
+
 @pytest.mark.parametrize("n_vars", [2, 3, 4])
 @pytest.mark.benchmark(group="E2 QBF hardness (variables sweep)")
-def test_qbf_variable_sweep(benchmark, n_vars):
+def test_qbf_variable_sweep(cold, n_vars):
     formula = random_qbf(n_vars, n_clauses=3, rng=n_vars)
     expected = qbf_evaluate(formula)
-    service = qbf_to_service(formula)
-
-    result = benchmark(lambda: verify_error_free(service, domain_size=2))
+    result = _time_error_free(cold, formula)
     assert (not result.holds) == expected
 
 
 @pytest.mark.benchmark(group="E2 QBF hardness (fixed instances)")
-def test_qbf_tautology(benchmark):
+def test_qbf_tautology(cold):
     formula = QForall("x", QOr(QVar("x"), QNot(QVar("x"))))
-    service = qbf_to_service(formula)
-    result = benchmark(lambda: verify_error_free(service, domain_size=2))
+    result = _time_error_free(cold, formula)
     assert not result.holds  # the QBF is true, so the service errs
 
 
 @pytest.mark.benchmark(group="E2 QBF hardness (fixed instances)")
-def test_qbf_contradiction(benchmark):
+def test_qbf_contradiction(cold):
     formula = QForall("x", QVar("x"))
-    service = qbf_to_service(formula)
-    result = benchmark(lambda: verify_error_free(service, domain_size=2))
+    result = _time_error_free(cold, formula)
     assert result.holds

@@ -8,7 +8,7 @@ time vs tape-domain size for a 1-step halting machine and the looper
 
 Expected shape: cost grows steeply with the domain (the tape-choice
 state space), and "HOLDS" (loopers) costs more than finding a halting
-witness early.
+witness early.  Every round verifies a fresh service (the ``cold`` fixture).
 """
 
 import pytest
@@ -43,35 +43,31 @@ def _db(service, n):
     )
 
 
+def _time_halting(cold, tm, n):
+    def make():
+        service = tm_to_service(tm)
+        return service, _db(service, n)
+
+    prop = halting_sentence(tm)
+    return cold(make, lambda service, db: verify_ltlfo(
+        service, prop, databases=[db], check_restrictions=False,
+        max_snapshots=500_000,
+    ))
+
+
 @pytest.mark.parametrize("tm,n,finds_halt", [
     (ONE_STEP, 1, True),
     (ONE_STEP, 2, True),
     (TWO_STEP, 2, True),
 ], ids=["1step-dom1", "1step-dom2", "2step-dom2"])
 @pytest.mark.benchmark(group="E8 halting machines (witness search)")
-def test_halting_detection(benchmark, tm, n, finds_halt):
-    service = tm_to_service(tm)
-    db = _db(service, n)
-    prop = halting_sentence(tm)
-    result = benchmark(
-        lambda: verify_ltlfo(
-            service, prop, databases=[db], check_restrictions=False,
-            max_snapshots=500_000,
-        )
-    )
+def test_halting_detection(cold, tm, n, finds_halt):
+    result = _time_halting(cold, tm, n)
     assert (not result.holds) == finds_halt
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.benchmark(group="E8 looper (exhaustive HOLDS)")
-def test_looper_domain_sweep(benchmark, n):
-    service = tm_to_service(LOOPER)
-    db = _db(service, n)
-    prop = halting_sentence(LOOPER)
-    result = benchmark(
-        lambda: verify_ltlfo(
-            service, prop, databases=[db], check_restrictions=False,
-            max_snapshots=500_000,
-        )
-    )
+def test_looper_domain_sweep(cold, n):
+    result = _time_halting(cold, LOOPER, n)
     assert result.holds

@@ -9,7 +9,9 @@ registers every spec under ``examples/specs/``, then for each one:
    they must be identical (the daemon adds transport, not semantics);
 4. repeats the request and checks the registry amortization: the
    second job's trace must show ``registry.hit`` and a Büchi automaton
-   served from cache.
+   served from cache, and the spec's exploration cache must report
+   successor-set hits for it (``GET /specs/<id>``): the repeat reads
+   the graph the first request explored instead of stepping again.
 
 Exit code 0 when everything matches; 1 with a diff otherwise.  This is
 what CI's ``server-smoke`` job runs.
@@ -33,7 +35,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "examples" / "specs"
-VERIFY_OPTIONS = {"max_databases": 1, "max_snapshots": 5000}
+# workers=1: the exploration cache lives in the daemon process; pool
+# workers are fresh processes that see no earlier request's graph
+VERIFY_OPTIONS = {"max_databases": 1, "max_snapshots": 5000, "workers": 1}
 
 
 def free_port() -> int:
@@ -147,9 +151,15 @@ def main() -> int:
                       f"{served['verdict']} (parity)")
 
             # amortization check: the repeat request hits every cache
+            status, before = request(base, "GET", f"/specs/{sid}")
+            assert status == 200, before
             status, body = request(base, "POST", "/verify",
                                    {**payload, "wait": True})
             assert status == 200, body
+            status, after = request(base, "GET", f"/specs/{sid}")
+            assert status == 200, after
+            hits = (after["exploration"]["successor_hits"]
+                    - before["exploration"]["successor_hits"])
             with urllib.request.urlopen(
                 f"{base}/jobs/{body['job_id']}/events", timeout=30
             ) as resp:
@@ -163,9 +173,14 @@ def main() -> int:
                 print(f"FAIL {spec_path.name}: repeat request recompiled "
                       f"(events: {names})")
                 failures += 1
+            elif hits <= 0:
+                print(f"FAIL {spec_path.name}: repeat request explored "
+                      f"again (exploration: {after['exploration']})")
+                failures += 1
             else:
                 print(f"ok   {spec_path.name}: repeat request cached "
-                      f"(registry.hit, buchi cached)")
+                      f"(registry.hit, buchi cached, {hits} successor "
+                      f"sets read from the exploration cache)")
 
         status, stats = request(base, "GET", "/healthz")
         print("registry stats:", stats["registry"])

@@ -36,8 +36,10 @@ Event taxonomy (``name`` → meaning, extra fields):
   ``reachability`` / ``input_constants`` / ``relation_liveness`` /
   ``rule_firability``, plus family-specific fields; emitted by the
   lint pre-flight alongside ``lint.finding``);
-- ``kripke.built`` — one configuration Kripke structure was constructed
-  (``dur``, ``n_states``);
+- ``kripke.built`` — one configuration Kripke structure was obtained
+  (``dur``, ``n_states``, ``cached``; ``cached=True`` when it was served
+  from the service's exploration cache, with its state charges replayed,
+  instead of being constructed);
 - ``budget.charge`` — the resource governor charged a coarse counter
   (``counter``, ``value``; per database / per absorbed unit, never per
   snapshot);

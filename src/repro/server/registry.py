@@ -27,6 +27,22 @@ The per-entry ``buchi_cache`` completes the picture for the LTL path:
 skeleton's Büchi automaton in it, so repeated verifications of the same
 property skip the automaton construction too (``buchi.compiled`` events
 then carry ``cached=True``).
+
+Exploration is amortized the same way.  The pinned
+:class:`CompiledService` carries the service's exploration cache
+(:class:`~repro.service.compiled.ExplorationCache`): the successor sets
+and Kripke structures explored per (database, extra domain), bounded by
+:data:`~repro.service.compiled.EXPLORATION_CACHE_ENTRIES` entries with
+least-recently-used databases evicted first.  A repeated request over
+the same databases reads the explored graph instead of stepping the
+service again, whatever its property (``kripke.built`` events then carry
+``cached=True``).  Requests run in-process share it; a request with
+``workers`` > 1 runs its units in fresh worker processes, which see only
+what their own call explored.  ``GET /specs/<id>`` reports the cache's
+hits, misses and evicted databases under ``exploration``.  A request
+with an inline ``spec`` parses a service of its own and pins nothing:
+its plans and explored graphs are freed with the service once the
+request is done, so inline requests never accumulate caches.
 """
 
 from __future__ import annotations
@@ -95,6 +111,7 @@ class RegistryEntry:
             "pages": len(self.service.pages),
             "n_plans": self.n_plans,
             "buchi_cached": len(self.buchi_cache),
+            "exploration": self.compiled.exploration.stats(),
             "registered_at": self.registered_at,
             "hits": self.hits,
             "verifications": self.verifications,

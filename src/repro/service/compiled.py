@@ -35,12 +35,22 @@ two at every reachable snapshot.
 configurations collapse to one object, so the BFS ``seen`` sets and
 successor caches hash each distinct snapshot once (snapshots memoise
 their hash) and equality checks usually short-circuit on identity.
+
+:class:`ExplorationCache` (``CompiledService.exploration``) keeps what
+the verifiers explored per (database, extra domain) — successor sets
+keyed by snapshot and the sigma a step from it reads, and completed
+Kripke structures — so later calls over the same service object read
+the graph instead of stepping again.  It lives and dies with the
+compiled service and holds at most :data:`EXPLORATION_CACHE_ENTRIES`
+entries, evicting least-recently-used databases first.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
-from typing import TYPE_CHECKING
+from collections import OrderedDict
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.fol.compile import (
     CompiledFormula,
@@ -52,11 +62,15 @@ from repro.fol.compile import (
 from repro.schema.symbols import prev_symbol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runs.py)
+    from repro.ctl.kripke import KripkeStructure
     from repro.service.webservice import WebService
 
 __all__ = [
     "CompiledPage",
     "CompiledService",
+    "EXPLORATION_CACHE_ENTRIES",
+    "ExplorationCache",
+    "ExploredGraph",
     "SnapshotInterner",
     "compiled_service",
     "warm_service_plans",
@@ -71,8 +85,10 @@ class CompiledPage:
     ``state_updates`` and ``action_rules`` are keyed by the head's
     :class:`~repro.schema.symbols.RelationSymbol`; ``inputs`` holds the
     page's input symbols in ``page.inputs`` order, ``prev_pairs`` each of
-    them with its ``prev_I`` symbol, and ``requested`` the input
-    constants the page requests (what a step adds to Γ).
+    them with its ``prev_I`` symbol, ``requested`` the input constants
+    the page requests (what a step adds to Γ), and ``step_constants``
+    those plus the constants requested by every page a target rule
+    names: beyond Γ_{i-1}, all a step from this page can read of sigma.
 
     ``dead`` holds ``(kind, index)`` pairs of rules whose plans are
     skipped (dataflow pruning); indices refer to declaration order
@@ -84,12 +100,15 @@ class CompiledPage:
 
     __slots__ = (
         "name", "input_rules", "state_updates", "action_rules", "target_rules",
-        "inputs", "prev_pairs", "requested", "pruned_rules",
+        "inputs", "prev_pairs", "requested", "step_constants",
+        "pruned_rules",
     )
 
     def __init__(
-        self, page, schema, dead: frozenset[tuple[str, int]] = frozenset()
+        self, page, service: "WebService",
+        dead: frozenset[tuple[str, int]] = frozenset(),
     ) -> None:
+        schema = service.schema
         self.name: str = page.name
         self.pruned_rules: int = 0
 
@@ -136,6 +155,13 @@ class CompiledPage:
             (sym, prev_symbol(sym)) for sym in self.inputs
         )
         self.requested: frozenset[str] = frozenset(page.input_constants)
+        # The next page is a target-rule target or this page; pruned
+        # target rules stay in, which only makes the scope wider.
+        targets = {rule.target for rule in page.target_rules}
+        self.step_constants: frozenset[str] = self.requested.union(*(
+            service.pages[target].input_constants
+            for target in targets if target in service.pages
+        ))
 
     @property
     def n_plans(self) -> int:
@@ -155,14 +181,14 @@ class CompiledService:
     executable path enters and rules that provably never fire;
     ``pruned_rules`` / ``pruned_pages`` count what was skipped.
     ``prune=False`` keeps every plan: the reference the differential
-    tests compare the pruned plans against.
+    tests compare the pruned plans against.  ``exploration`` is the
+    service's :class:`ExplorationCache`.
     """
 
-    __slots__ = ("service", "pages", "n_plans", "pruned_rules",
-                 "pruned_pages", "literals")
+    __slots__ = ("pages", "n_plans", "pruned_rules", "pruned_pages",
+                 "literals", "exploration")
 
     def __init__(self, service: "WebService", prune: bool = False) -> None:
-        self.service = service
         self.pruned_rules: int = 0
         self.pruned_pages: int = 0
         dead_pages: frozenset[str] = frozenset()
@@ -186,7 +212,7 @@ class CompiledService:
                 )
                 continue
             compiled = CompiledPage(
-                page, service.schema, frozenset(dead_by_page.get(name, ()))
+                page, service, frozenset(dead_by_page.get(name, ()))
             )
             self.pruned_rules += compiled.pruned_rules
             self.pages[name] = compiled
@@ -194,6 +220,27 @@ class CompiledService:
         # The specification's literal constants, which every run
         # context adds to its quantification domain.
         self.literals: frozenset = service.literal_constants()
+        self.exploration = ExplorationCache()
+
+    def extra_domain(self, extra: Iterable = ()) -> frozenset:
+        """The quantification domain a run context adds to its
+        database's: ``extra`` plus the specification's literals."""
+        return frozenset(extra) | self.literals
+
+    def successor_key(self, snap, sigma: Mapping) -> tuple:
+        """``(snap, sigma restricted to what a step from snap reads)``.
+
+        The step reads sigma within Γ_{i-1} plus the page's
+        ``step_constants``; the successor of an error or pending-error
+        snapshot reads none of it.  The pairs sort by constant name
+        alone, so mixed-type values are never compared.
+        """
+        if not sigma or snap.is_error or snap.pending_error:
+            return (snap, ())
+        scope = snap.provided_before | self.page(snap.page).step_constants
+        return (snap, tuple(sorted(
+            (c, sigma[c]) for c in scope if c in sigma
+        )))
 
     def page(self, name: str) -> CompiledPage:
         """The plans of page ``name``.
@@ -211,7 +258,9 @@ class CompiledService:
 
 
 # One compiled form per live service object per process.  Weak keys:
-# a discarded service drops its plans with it.
+# a discarded service drops its plans and its exploration cache with
+# it.  That holds only while no value refers back to its key, which is
+# why a CompiledService keeps no reference to its service.
 _CACHE: "weakref.WeakKeyDictionary[WebService, CompiledService]" = (
     weakref.WeakKeyDictionary()
 )
@@ -271,3 +320,151 @@ class SnapshotInterner:
 
     def __len__(self) -> int:
         return len(self._snapshots) + len(self._instances)
+
+
+#: Cap on the explored-graph entries one service retains: a successor
+#: set or a Kripke state counts one.  At the 0.4-0.9 KB per entry
+#: measured on the benchmark workloads (EXPERIMENTS, E18), a full cache
+#: holds some 28-59 MB, about twenty times the largest benchmark graph.
+EXPLORATION_CACHE_ENTRIES = 1 << 16
+
+
+class ExploredGraph:
+    """What has been explored over one (database, extra domain) pair.
+
+    ``successor_sets`` maps :meth:`CompiledService.successor_key` keys
+    to successor tuples; ``structure`` is ``(structure, n_initial)``
+    once a :func:`~repro.verifier.branching.build_snapshot_kripke` call
+    over the pair completed.  Both are only ever added to, and what
+    they hold is immutable.  ``size`` counts the entries charged to the
+    cap; ``retained`` turns False when the cache drops the graph, after
+    which the calls still holding it keep filling it for themselves.
+    A graph holds no reference to its cache: without a cycle, reference
+    counting frees a dropped cache and its graphs at once.
+    """
+
+    __slots__ = ("key", "successor_sets", "structure", "size", "retained")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.successor_sets: dict[tuple, tuple] = {}
+        self.structure: tuple[KripkeStructure, int] | None = None
+        self.size = 0
+        self.retained = True
+
+
+class ExplorationCache:
+    """The configuration graphs one service has explored, bounded.
+
+    Under Definition 2.3 the snapshot graph of a (database, sigma) pair
+    is a function of the service, the database, sigma and the
+    quantification domain, so every property checked over one database
+    can share it.  One :class:`ExploredGraph` per (database, extra
+    domain) pair, keyed by value and kept in least-recently-used order;
+    callers :meth:`open` one per exploration.  When an insert takes the
+    entry count past ``cap`` (:data:`EXPLORATION_CACHE_ENTRIES`), whole
+    graphs are dropped, least recently used first; a graph that alone
+    would exceed the cap is dropped itself and serves only the calls
+    holding it.  The lock guards the order and the entry count, so
+    concurrent verifications may share one service; lookups
+    (:meth:`successors`, :meth:`kripke`) read a graph's dicts without
+    it.  The hit and miss counters are exact in a single-threaded run.
+    """
+
+    def __init__(self) -> None:
+        self.cap = EXPLORATION_CACHE_ENTRIES
+        self._graphs: OrderedDict[tuple, ExploredGraph] = OrderedDict()
+        self._lock = threading.Lock()
+        self.entries = 0
+        self.successor_hits = 0
+        self.successor_misses = 0
+        self.kripke_hits = 0
+        self.kripke_misses = 0
+        self.evictions = 0
+
+    def open(self, database, extra_domain: frozenset) -> ExploredGraph:
+        """The graph of ``(database, extra_domain)``, most recently used
+        from now on; a new, empty one when none is held."""
+        key = (database, extra_domain)
+        with self._lock:
+            graph = self._graphs.get(key)
+            if graph is None:
+                graph = self._graphs[key] = ExploredGraph(key)
+            else:
+                self._graphs.move_to_end(key)
+        return graph
+
+    def successors(self, graph: ExploredGraph, ctx, snap, step) -> tuple:
+        """The successors of ``snap`` in ``ctx``: the tuple ``graph``
+        holds, or ``step(ctx, snap)`` (the caller's ``successors``)
+        stored there as one."""
+        key = ctx.compiled.successor_key(snap, ctx.sigma)
+        found = graph.successor_sets.get(key)
+        if found is not None:
+            self.successor_hits += 1
+            return found
+        return self._store_successors(graph, key, tuple(step(ctx, snap)))
+
+    def kripke(
+        self, graph: ExploredGraph
+    ) -> "tuple[KripkeStructure, int] | None":
+        """The ``(structure, n_initial)`` ``graph`` holds, or None."""
+        stored = graph.structure
+        if stored is None:
+            self.kripke_misses += 1
+        else:
+            self.kripke_hits += 1
+        return stored
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "databases": len(self._graphs),
+                "entries": self.entries,
+                "successor_hits": self.successor_hits,
+                "successor_misses": self.successor_misses,
+                "kripke_hits": self.kripke_hits,
+                "kripke_misses": self.kripke_misses,
+                "evicted_databases": self.evictions,
+            }
+
+    def _store_successors(
+        self, graph: ExploredGraph, key: tuple, succ: tuple
+    ) -> tuple:
+        with self._lock:
+            self.successor_misses += 1
+            found = graph.successor_sets.get(key)
+            if found is None:
+                graph.successor_sets[key] = found = succ
+                self._grow(graph, 1)
+        return found
+
+    def store_kripke(
+        self, graph: ExploredGraph, structure: "KripkeStructure",
+        n_initial: int,
+    ) -> None:
+        """Keep a completed structure with its initial-state count."""
+        with self._lock:
+            if graph.structure is None:
+                graph.structure = (structure, n_initial)
+                self._grow(graph, structure.n_states)
+
+    def _grow(self, graph: ExploredGraph, n: int) -> None:
+        """Charge ``n`` new entries of ``graph``, then restore the cap."""
+        if not graph.retained:
+            return
+        if graph.size + n > self.cap:
+            self._drop(graph)
+            return
+        graph.size += n
+        self.entries += n
+        while self.entries > self.cap:
+            self._drop(next(
+                g for g in self._graphs.values() if g is not graph
+            ))
+
+    def _drop(self, graph: ExploredGraph) -> None:
+        del self._graphs[graph.key]
+        graph.retained = False
+        self.entries -= graph.size
+        self.evictions += 1

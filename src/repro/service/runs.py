@@ -207,7 +207,7 @@ class RunContext:
         # Active-domain semantics: the specification's literal constants
         # belong to every structure's domain (schemas share constant
         # symbols, paper §2), so quantifiers must range over them too.
-        self.extra_domain = frozenset(extra_domain) | self.compiled.literals
+        self.extra_domain = self.compiled.extra_domain(extra_domain)
         schema = service.schema
         declared = [r.name for r in schema.state.relations]
         declared += [r.name for r in schema.input.relations]

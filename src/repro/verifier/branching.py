@@ -46,7 +46,7 @@ from repro.service.runs import (
     deterministic_step,
     error_snapshot,
 )
-from repro.service.compiled import SnapshotInterner
+from repro.service.compiled import SnapshotInterner, compiled_service
 from repro.service.webservice import WebService
 from repro.verifier.budget import Budget, Checkpoint
 from repro.verifier.engine import (  # noqa: F401 - historical home, re-exported
@@ -88,13 +88,57 @@ def build_snapshot_kripke(
 ) -> KripkeStructure:
     """The configuration Kripke structure of one database (Lemma A.12).
 
-    A blown state budget or deadline raises
-    :class:`VerificationBudgetExceeded` with the partial exploration
-    stats attached.
+    The structure depends only on the service, the database and the
+    extra domain, so a completed one is kept in the service's
+    exploration cache and served to later calls.  A served structure
+    replays the construction's state charges in construction order, so
+    a budget strikes at the same state either way.  A blown state
+    budget or deadline raises :class:`VerificationBudgetExceeded` with
+    the partial exploration stats attached; nothing is kept then.
     """
     gov = Budget.ensure(budget, max_states=max_states)
     gov.begin_structure()
     build_started = time.monotonic()
+    compiled = compiled_service(service)
+    extra = compiled.extra_domain(extra_domain)
+    exploration = compiled.exploration
+    graph = exploration.open(database, extra)
+    stored = exploration.kripke(graph)
+    if stored is None:
+        kripke, n_initial = _construct_kripke(service, database, extra, gov)
+        exploration.store_kripke(graph, kripke, n_initial)
+    else:
+        kripke, n_initial = stored
+        _replay_charges(gov, n_initial, kripke.n_states - 1)
+    if gov.tracer.active:
+        gov.tracer.emit(
+            "kripke.built",
+            dur=time.monotonic() - build_started, n_states=kripke.n_states,
+            cached=stored is not None,
+        )
+    return kripke
+
+
+def _replay_charges(gov: Budget, n_initial: int, n_states: int) -> None:
+    """Charge ``gov`` as constructing ``n_states`` states does: the
+    ``n_initial`` initial states at once, then one state at a time."""
+    seen = n_initial
+    try:
+        gov.charge_state(n_initial)
+        while seen < n_states:
+            gov.charge_state()
+            seen += 1
+    except VerificationBudgetExceeded as exc:
+        exc.stats.setdefault("kripke_states", seen)
+        raise
+
+
+def _construct_kripke(
+    service: WebService, database: Database, extra_domain: frozenset,
+    gov: Budget,
+) -> tuple[KripkeStructure, int]:
+    """Build the structure, charging ``gov`` per state; the structure
+    and its number of initial states."""
     contexts: dict[SigmaItems, RunContext] = {}
     # One interner for the whole structure: Kripke states of different
     # sigmas frequently share snapshots, and interning across the run
@@ -182,10 +226,11 @@ def build_snapshot_kripke(
     states: list[KripkeState] = []
     edges: dict[KripkeState, tuple[KripkeState, ...]] = {}
     seen: set[KripkeState] = set(initial)
+    n_initial = len(seen)
     frontier = list(initial)
     states.extend(initial)
     try:
-        gov.charge_state(len(seen))
+        gov.charge_state(n_initial)
         while frontier:
             node = frontier.pop()
             nexts = branch_successors(node)
@@ -216,14 +261,9 @@ def build_snapshot_kripke(
     # sentences are evaluated there (the Theorem 4.2 proof's EX steps to
     # the first configuration).  Model the root explicitly.
     states.insert(0, ROOT_STATE)
-    edges[ROOT_STATE] = list(initial)
+    edges[ROOT_STATE] = initial
     labels[ROOT_STATE] = frozenset()
-    if gov.tracer.active:
-        gov.tracer.emit(
-            "kripke.built",
-            dur=time.monotonic() - build_started, n_states=len(states),
-        )
-    return KripkeStructure(states, [ROOT_STATE], edges, labels)
+    return KripkeStructure(states, [ROOT_STATE], edges, labels), n_initial
 
 
 def _labels(service: WebService, node: KripkeState) -> frozenset:
@@ -242,7 +282,7 @@ def _labels(service: WebService, node: KripkeState) -> frozenset:
 
 
 def _check_kripke_unit(
-    spec: TaskSpec, unit: WorkUnit, gov: Budget, cache: dict
+    spec: TaskSpec, unit: WorkUnit, gov: Budget
 ) -> UnitOutcome:
     """Build and model check the Kripke structure of one database."""
     kripke = build_snapshot_kripke(spec.service, unit.database, budget=gov)

@@ -78,7 +78,9 @@ def error_page_reachable(
     """Shortest run reaching the error page for one (database, sigma).
 
     Returns the error trace as a lasso (looping on the error page), or
-    None when the error page is unreachable.  A blown budget raises
+    None when the error page is unreachable.  Successor sets come
+    through the service's exploration cache; snapshots are charged on
+    discovery either way.  A blown budget raises
     :class:`VerificationBudgetExceeded` with the partial BFS stats
     attached.
     """
@@ -91,6 +93,8 @@ def error_page_reachable(
         queue.append(snap)
     gov.charge_snapshot(len(parent))
 
+    exploration = ctx.compiled.exploration
+    graph = exploration.open(ctx.database, ctx.extra_domain)
     try:
         while queue:
             snap = queue.popleft()
@@ -101,7 +105,7 @@ def error_page_reachable(
                 return Run(
                     ctx.database, dict(ctx.sigma), trace, loop_index=len(trace) - 1
                 )
-            for nxt in successors(ctx, snap):
+            for nxt in exploration.successors(graph, ctx, snap, successors):
                 if nxt not in parent:
                     gov.charge_snapshot()
                     parent[nxt] = snap
@@ -113,7 +117,7 @@ def error_page_reachable(
 
 
 def _check_errorfree_unit(
-    spec: TaskSpec, unit: WorkUnit, gov: Budget, cache: dict
+    spec: TaskSpec, unit: WorkUnit, gov: Budget
 ) -> UnitOutcome:
     """Error-page BFS over one (database, sigma) pair."""
     ((_sigma_index, sigma),) = unit.sigmas

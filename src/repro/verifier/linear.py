@@ -58,7 +58,7 @@ from repro.ltl.ltlfo import LTLFOSentence, check_ltlfo_input_bounded
 from repro.ltl.syntax import LNot
 from repro.schema.database import Database
 from repro.service.classify import ServiceClass, classify
-from repro.service.compiled import SnapshotInterner
+from repro.service.compiled import SnapshotInterner, compiled_service
 from repro.service.runs import (
     Run,
     RunContext,
@@ -320,48 +320,33 @@ def _search_valuations_setwise(
 
 
 def _check_ltlfo_unit(
-    spec: TaskSpec, unit: WorkUnit, gov: Budget, cache: dict
+    spec: TaskSpec, unit: WorkUnit, gov: Budget
 ) -> UnitOutcome:
     """Lasso search over the sigmas of one unit (Theorem 3.5).
 
-    A unit holding more than one sigma shares the snapshot interner,
-    the label bitsets and the successor sets across its sigmas.  A
-    single-sigma unit has nothing to share and skips that bookkeeping:
-    sending it through the shared path measurably slows the
-    one-sigma-per-unit ``ltl_registration`` benchmark workload.  Every
-    sigma keeps its own run context, successor cache and charge order,
-    so the merged stats do not depend on how many sigmas a unit holds.
+    Every sigma reads its successor sets through the service's
+    exploration cache (:class:`~repro.service.compiled.ExplorationCache`),
+    so sigmas, units and calls agreeing on the constants a step reads
+    share one computation.  The sigmas of a unit share one snapshot
+    interner.  A unit holding more than one sigma also shares the label
+    bitsets across its sigmas; a single-sigma unit has nothing to share
+    there and skips that bookkeeping, which would cost the
+    one-sigma-per-unit ``ltl_registration`` benchmark workload 21 % of
+    its warm latency (DESIGN, "Block boundaries").  Every sigma
+    keeps its own run context, successor cache and charge order, so the
+    merged stats depend neither on how many sigmas a unit holds nor on
+    what the cache held.
     """
     service: WebService = spec.service
     sentence: LTLFOSentence = spec.payload["sentence"]
     literals: frozenset = spec.payload["literals"]
-    ba = spec.payload.get("automaton")
-    if ba is None:  # pragma: no cover - spec always precompiles today
-        ba = ltl_to_buchi(LNot(sentence.skeleton), cache=cache)
+    ba = spec.payload["automaton"]
     db = unit.database
     pairs = unit.sigmas
     names = sentence.variables
-    interner = SnapshotInterner() if len(pairs) > 1 else None
-    shared: dict | None = None
-    shared_succ: dict | None = None
-    page_extra: dict[str, frozenset] = {}
-    if len(pairs) > 1:
-        shared = {}
-        # successors(ctx, snap) reads sigma only scoped to the snapshot's
-        # gamma (deterministic_step) plus the next page's input constants
-        # (choice enumeration) — and the possible next pages are static:
-        # the page's target-rule targets and the page itself.  Key the
-        # block-shared successor cache on exactly that restriction, so
-        # sigmas agreeing on the constants a snapshot can actually read
-        # share one successors() computation.
-        shared_succ = {}
-        for name, page in service.pages.items():
-            extra = set(page.input_constants)
-            for target in {r.target for r in page.target_rules} | {name}:
-                nxt = service.pages.get(target)
-                if nxt is not None:
-                    extra.update(nxt.input_constants)
-            page_extra[name] = frozenset(extra)
+    interner = SnapshotInterner()
+    exploration = compiled_service(service).exploration
+    shared: dict | None = {} if len(pairs) > 1 else None
 
     stats: dict = {
         "sigmas_checked": 0,
@@ -387,29 +372,18 @@ def _check_ltlfo_unit(
             service, db, sigma=sigma, extra_domain=literals, interner=interner
         )
         labeller = _SnapshotLabeller(ctx, literals, variables=names)
-        succ_cache: dict[Snapshot, list[Snapshot]] = {}
+        succ_cache: dict[Snapshot, tuple[Snapshot, ...]] = {}
+        graph = exploration.open(db, ctx.extra_domain)
 
         def succ(
-            snap: Snapshot, _ctx=ctx, _cache=succ_cache, _sigma=sigma
-        ) -> list[Snapshot]:
+            snap: Snapshot, _ctx=ctx, _cache=succ_cache, _graph=graph
+        ) -> tuple[Snapshot, ...]:
             out = _cache.get(snap)
             if out is None:
-                if shared_succ is None:
-                    out = successors(_ctx, snap)
-                else:
-                    relevant = snap.provided_here(service) | page_extra.get(
-                        snap.page, frozenset()
-                    )
-                    scoped = tuple(sorted(
-                        (c, _sigma[c]) for c in relevant if c in _sigma
-                    ))
-                    skey = (snap, scoped)
-                    out = shared_succ.get(skey)
-                    if out is None:
-                        out = successors(_ctx, snap)
-                        shared_succ[skey] = out
-                # Per-sigma accounting even when the computation was
-                # shared: charges and stats stay block-size-independent.
+                # A miss steps through this module's ``successors``.
+                out = exploration.successors(_graph, _ctx, snap, successors)
+                # Per-sigma accounting whether or not the set was
+                # cached: charges and stats stay cache-independent.
                 _cache[snap] = out
                 stats["snapshots_explored"] += 1
                 gov.charge_snapshot()

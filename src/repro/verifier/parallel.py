@@ -283,7 +283,7 @@ class TaskSpec:
     """Picklable description of the per-unit work of one entry point.
 
     ``checker`` is the procedure's module-level per-unit checker,
-    ``checker(spec, unit, budget, cache) -> UnitOutcome``, which raises
+    ``checker(spec, unit, budget) -> UnitOutcome``, which raises
     :class:`VerificationBudgetExceeded` when its governor strikes;
     pickle stores it by reference.  ``payload`` carries the
     procedure's own data (sentence, precompiled automaton, formula,
@@ -319,13 +319,11 @@ class TaskSpec:
 # -- worker-side plumbing ---------------------------------------------------
 
 _WORKER_SPEC: TaskSpec | None = None
-_WORKER_CACHE: dict | None = None
 
 
 def _init_worker(spec: TaskSpec) -> None:
-    global _WORKER_SPEC, _WORKER_CACHE
+    global _WORKER_SPEC
     _WORKER_SPEC = spec
-    _WORKER_CACHE = {}
     # Compile the service's rule plans once per worker per TaskSpec (the
     # spec's service is unpickled exactly once per worker), so units never
     # pay plan-compile time.
@@ -338,7 +336,6 @@ def _run_unit(
     spec: TaskSpec,
     unit: WorkUnit,
     gov: Budget,
-    cache: dict,
     injector: FaultInjector | None,
     attempt: int,
 ) -> UnitOutcome:
@@ -361,7 +358,7 @@ def _run_unit(
             # may raise (a unit failure for the supervisor) or, in a
             # pool worker, kill the process outright — that is the point
             injector.fire_unit(unit.cursor, attempt)
-        outcome = spec.checker(spec, unit, gov, cache)
+        outcome = spec.checker(spec, unit, gov)
     except Exception as exc:
         if tracer.active:
             tracer.emit(
@@ -383,7 +380,6 @@ def _execute_unit(
     spec: TaskSpec,
     unit: WorkUnit,
     timeout_s: float | None,
-    cache: dict,
     injector: FaultInjector | None,
     attempt: int,
 ) -> UnitOutcome:
@@ -400,7 +396,7 @@ def _execute_unit(
     gov = spec.make_unit_budget(timeout_s)
     gov.tracer = CollectingTracer() if spec.traced else NULL_TRACER
     try:
-        outcome = _run_unit(spec, unit, gov, cache, injector, attempt)
+        outcome = _run_unit(spec, unit, gov, injector, attempt)
     except VerificationBudgetExceeded as exc:
         stats = {"snapshots_explored": gov.snapshots_total}
         outcome = UnitOutcome(
@@ -416,15 +412,13 @@ def _execute_unit(
 def _pool_check(
     unit: WorkUnit, timeout_s: float | None, attempt: int
 ) -> UnitOutcome:
-    """Run one unit in a worker: local budget, shared per-worker cache."""
+    """Run one unit in a worker, under its own budget."""
     spec = _WORKER_SPEC
     assert spec is not None, "worker used before initialization"
     injector = None
     if spec.faults is not None:
         injector = FaultInjector(spec.faults, in_worker=True)
-    return _execute_unit(
-        spec, unit, timeout_s, _WORKER_CACHE, injector, attempt
-    )
+    return _execute_unit(spec, unit, timeout_s, injector, attempt)
 
 
 # -- the unit stream --------------------------------------------------------
@@ -945,7 +939,6 @@ def _run_sequential(
     is not expendable.
     """
     tracer = gov.tracer
-    cache: dict = {}
     injector = sup.local_injector()
     out = EnumerationOutcome()
     try:
@@ -955,9 +948,7 @@ def _run_sequential(
                 sup.check_stop(tracer)
                 sup.announce_fault(tracer, "unit", unit.cursor, attempt)
                 try:
-                    result = _run_unit(
-                        spec, unit, gov, cache, injector, attempt
-                    )
+                    result = _run_unit(spec, unit, gov, injector, attempt)
                 except VerificationBudgetExceeded:
                     raise
                 except Exception as exc:
@@ -1012,7 +1003,6 @@ class _InlineExecutor:
     def __init__(self, spec: TaskSpec, injector: FaultInjector | None):
         self._spec = spec
         self._injector = injector
-        self._cache: dict = {}
 
     def submit(
         self, fn, unit: WorkUnit, timeout_s: float | None, attempt: int
@@ -1020,8 +1010,7 @@ class _InlineExecutor:
         fut: Future = Future()
         try:
             fut.set_result(_execute_unit(
-                self._spec, unit, timeout_s, self._cache,
-                self._injector, attempt,
+                self._spec, unit, timeout_s, self._injector, attempt
             ))
         except Exception as exc:
             fut.set_exception(exc)

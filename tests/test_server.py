@@ -221,6 +221,51 @@ class TestAmortization:
         assert buchi and buchi[0]["cached"] is True
         assert events[-1]["name"] == "verdict"
 
+    def test_repeat_verify_reads_the_explored_graph(
+        self, server, base, registered
+    ):
+        """The second request steps nothing: every successor set it asks
+        for was explored by the first (in-process, so ``workers`` 1)."""
+        sid = registered["core.json"]
+        payload = {
+            "spec_id": sid, "ltl": "G !ERROR", "force": True,
+            "options": {**VERIFY_OPTIONS, "workers": 1},
+        }
+        status, body = request(base, "POST", "/verify", payload)
+        assert status == 200, body
+        status, first = request(base, "GET", f"/specs/{sid}")
+        assert status == 200
+        status, body = request(base, "POST", "/verify", payload)
+        assert status == 200, body
+        status, second = request(base, "GET", f"/specs/{sid}")
+        before, after = first["exploration"], second["exploration"]
+        assert after["successor_misses"] == before["successor_misses"]
+        assert after["successor_hits"] > before["successor_hits"]
+        assert after["entries"] <= server.registry.get(
+            sid
+        ).compiled.exploration.cap
+
+    def test_inline_requests_do_not_pin_their_graphs(self, server, base):
+        """An inline spec is parsed per request; once the request is
+        done, its service and the graph it explored are collectable.
+        Each job thread may still hold the task it ran last."""
+        import gc
+
+        from repro.service import compiled as compiled_module
+
+        spec = json.loads(EXAMPLES[0].read_text(encoding="utf-8"))
+        payload = {
+            "spec": spec, "ltl": "G !ERROR", "force": True,
+            "options": {**VERIFY_OPTIONS, "workers": 1},
+        }
+        gc.collect()
+        held = len(compiled_module._CACHE)
+        for _ in range(6):
+            status, body = request(base, "POST", "/verify", payload)
+            assert status == 200, body
+        gc.collect()
+        assert len(compiled_module._CACHE) <= held + len(server.jobs._threads)
+
     @staticmethod
     def _events(base, job_id):
         with urllib.request.urlopen(
