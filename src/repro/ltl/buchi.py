@@ -10,8 +10,11 @@ automaton with a round-robin counter.
 
 Emptiness of the product with a transition system is decided two ways:
 
-- :func:`find_accepting_lasso` — on-the-fly nested DFS, returning a
-  concrete lasso (the verifier's counterexample);
+- :func:`nested_dfs` — on-the-fly nested DFS over opaque nodes,
+  returning a concrete lasso.  :func:`find_accepting_lasso` runs it over
+  ``(state, q)`` pairs for one letter function (the reference);
+  :class:`CompiledProduct` runs it over ints, once per valuation of a
+  bitset block (the verifier's counterexample search);
 - :func:`accepting_product_states` — SCC-based, labelling *every* system
   state from which an accepting run exists (the CTL* model checker's
   ``Eψ`` subroutine).
@@ -19,6 +22,7 @@ Emptiness of the product with a transition system is decided two ways:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -264,6 +268,7 @@ def _ltl_to_buchi(formula: LTLFormula) -> BuchiAutomaton:
 SystemState = Hashable
 LabelFn = Callable[[SystemState, Payload], bool]
 SuccFn = Callable[[SystemState], Iterable[SystemState]]
+Node = Hashable  # a product node, opaque to the nested DFS
 
 
 @dataclass
@@ -298,89 +303,97 @@ def find_accepting_lasso(
             for s2 in successors(s):
                 yield (s2, t.dst)
 
-    # --- outer (blue) DFS, iterative, post-order seeding of red DFS -----
-    blue: set[tuple[SystemState, int]] = set()
-    red: set[tuple[SystemState, int]] = set()
-    parent: dict[tuple[SystemState, int], tuple[SystemState, int] | None] = {}
+    found = nested_dfs(
+        init_product, product_successors, lambda node: node[1] in ba.accepting
+    )
+    if found is None:
+        return None
+    nodes, loop_index = found
+    return Lasso(states=[s for s, _q in nodes], loop_index=loop_index)
 
-    for start in init_product:
+
+def nested_dfs(
+    starts: Iterable[Node],
+    expand: Callable[[Node], Iterable[Node]],
+    accepting: Callable[[Node], bool],
+) -> tuple[list[Node], int] | None:
+    """The nested DFS of Courcoubetis, Vardi, Wolper and Yannakakis.
+
+    Nodes are opaque: ``expand(node)`` iterates a node's successors and
+    ``accepting(node)`` says whether it is accepting.  The outer (blue)
+    DFS launches the inner (red) DFS from each accepting node in
+    post-order; an inner DFS that closes a cycle yields the lasso.  An
+    iterator returned by ``expand`` is advanced lazily, once per child
+    the blue DFS descends into.
+
+    Returns ``(nodes, loop_index)``, the stem followed by the cycle
+    (``nodes[-1]`` steps back to ``nodes[loop_index]``, the accepting
+    node), or None when no accepting lasso is reachable.
+    """
+    blue: set = set()
+    red: set = set()
+    parent: dict = {}
+    for start in starts:
         if start in blue:
             continue
         parent.setdefault(start, None)
-        stack: list[tuple[tuple[SystemState, int], Iterator]] = [
-            (start, product_successors(start))
-        ]
         blue.add(start)
-        path_set = {start}
-        path: list[tuple[SystemState, int]] = [start]
+        on_path = {start}
+        stack = [(start, iter(expand(start)))]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in blue:
                     blue.add(nxt)
                     parent[nxt] = node
-                    stack.append((nxt, product_successors(nxt)))
-                    path.append(nxt)
-                    path_set.add(nxt)
-                    advanced = True
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(expand(nxt))))
                     break
-            if advanced:
-                continue
-            # post-order: if accepting, launch inner (red) DFS for a cycle
-            stack.pop()
-            path.pop()
-            path_set.discard(node)
-            if node[1] in ba.accepting and node not in red:
-                cycle_hit = _red_dfs(node, product_successors, red, path_set | {node})
-                if cycle_hit is not None:
-                    return _build_lasso(node, parent, product_successors, cycle_hit)
+            else:
+                # post-order: an accepting node seeds the red DFS
+                stack.pop()
+                on_path.discard(node)
+                if (
+                    accepting(node) and node not in red
+                    and _red_dfs(node, expand, red, on_path)
+                ):
+                    return _build_lasso(node, parent, expand)
     return None
 
 
-def _red_dfs(
-    seed: tuple[SystemState, int],
-    product_successors,
-    red: set,
-    on_stack: set,
-) -> tuple[SystemState, int] | None:
+def _red_dfs(seed: Node, expand, red: set, on_path: set) -> bool:
     """Inner DFS: search a path from ``seed`` back to ``seed`` (or to a
-    node on the blue stack, which also closes an accepting cycle)."""
+    node on the blue path, which also closes an accepting cycle)."""
     stack = [seed]
     local: set = set()
     while stack:
         node = stack.pop()
-        for nxt in product_successors(node):
-            if nxt == seed or nxt in on_stack:
-                return node
+        for nxt in expand(node):
+            if nxt == seed or nxt in on_path:
+                return True
             if nxt not in red and nxt not in local:
                 local.add(nxt)
                 stack.append(nxt)
     red.update(local)
     red.add(seed)
-    return None
+    return False
 
 
 def _build_lasso(
-    accepting_node,
-    parent,
-    product_successors,
-    _cycle_hint,
-) -> Lasso:
+    accepting_node: Node, parent: dict, expand
+) -> tuple[list[Node], int]:
     """Reconstruct a lasso through ``accepting_node``.
 
     The stem comes from the blue-DFS parent pointers; the cycle is found
     by a BFS from the accepting node back to itself (guaranteed to exist
     once the red DFS succeeded).
     """
-    # stem: initial -> accepting_node
     stem = [accepting_node]
-    while parent.get(stem[0]) is not None:
-        stem.insert(0, parent[stem[0]])
+    while parent.get(stem[-1]) is not None:
+        stem.append(parent[stem[-1]])
+    stem.reverse()
 
     # cycle: accepting_node -> accepting_node, BFS over the product
-    from collections import deque
-
     start = accepting_node
     back: dict = {}
     queue = deque([start])
@@ -388,7 +401,7 @@ def _build_lasso(
     found = False
     while queue and not found:
         node = queue.popleft()
-        for nxt in product_successors(node):
+        for nxt in expand(node):
             if nxt == start:
                 back[start] = node
                 found = True
@@ -400,15 +413,157 @@ def _build_lasso(
     if not found:  # pragma: no cover - red DFS guarantees a cycle
         raise RuntimeError("accepting cycle vanished during reconstruction")
 
-    cycle = [start]
+    cycle = []
     node = back[start]
     while node != start:
-        cycle.insert(1, node)
+        cycle.append(node)
         node = back[node]
+    cycle.reverse()
+    return stem + cycle, len(stem) - 1
 
-    full = stem + cycle[1:] + [start]
-    states = [s for s, _q in full[:-1]]
-    return Lasso(states=states, loop_index=len(stem) - 1)
+
+class CompiledProduct:
+    """The product of a lazily explored system with ``ba``, over ints,
+    searched once per valuation of a block.
+
+    The letters are valuation bitsets: ``literal_bits(state, payload)``
+    is the set of valuations (bit *i* for valuation *i*, within
+    ``all_mask``) under which ``payload`` holds at ``state``.  States
+    are numbered densely as they are first met, and a product node is
+    the int ``sid * n_states + q``.  The product keeps, across searches,
+
+    - each sid's successor sids, from one ``successors(state)`` call,
+      made on the sid's first expansion with an enabled transition;
+    - each expanded node's enable masks, one per transition of ``q``:
+      the valuations agreeing with all its literals (the AND of the
+      literal bitsets, or of their complements), built from bitsets
+      asked for once per (sid, payload).
+
+    :meth:`search` runs :func:`nested_dfs` for one valuation with a
+    per-search memo of successor lists.  It makes the first
+    ``successors`` call per state that :func:`find_accepting_lasso`
+    makes for that valuation, at the same point, and finds the same
+    lasso; it never asks for a state's successors twice.
+    """
+
+    def __init__(
+        self,
+        ba: BuchiAutomaton,
+        initial_states: Iterable[SystemState],
+        successors: SuccFn,
+        literal_bits: Callable[[SystemState, Payload], int],
+        all_mask: int,
+    ) -> None:
+        self.n_states = n = ba.n_states
+        self.accepting = ba.accepting
+        self._successors = successors
+        self._literal_bits = literal_bits
+        self._all_mask = all_mask
+        # The automaton over ints: state q's transitions as their
+        # literals, (payload number, value) pairs, and destinations.
+        payloads: dict = {}
+        self._literals_of: list[tuple[tuple[tuple[int, bool], ...], ...]] = []
+        self._dsts_of: list[tuple[int, ...]] = []
+        for outs in ba.transitions_from:
+            self._literals_of.append(tuple(
+                tuple(
+                    (payloads.setdefault(payload, len(payloads)), value)
+                    for payload, value in t.literals
+                )
+                for t in outs
+            ))
+            self._dsts_of.append(tuple(t.dst for t in outs))
+        self._payloads = list(payloads)
+        self._states: list = []
+        self._ids: dict = {}
+        self._succ: list = []  # per sid: its successors' sid * n, or None
+        self._bits: dict[int, int] = {}  # at sid * n_payloads + payload
+        self._masks: dict[int, tuple[int, ...]] = {}  # at node
+        self.starts = [
+            self._sid(s) * n + q
+            for s in initial_states for q in sorted(ba.initial)
+        ]
+
+    def _sid(self, state) -> int:
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self._states)
+            self._states.append(state)
+            self._succ.append(None)
+        return sid
+
+    def _successor_bases(self, sid: int) -> list[int]:
+        n, ids = self.n_states, self._ids
+        bases = []
+        for s in self._successors(self._states[sid]):
+            succ_sid = ids.get(s)
+            if succ_sid is None:
+                succ_sid = self._sid(s)
+            bases.append(succ_sid * n)
+        self._succ[sid] = bases
+        return bases
+
+    def _node_masks(self, node: int) -> tuple[int, ...]:
+        sid, q = divmod(node, self.n_states)
+        state = self._states[sid]
+        base = sid * len(self._payloads)
+        masks = []
+        for literals in self._literals_of[q]:
+            mask = self._all_mask
+            for p, value in literals:
+                bits = self._bits.get(base + p)
+                if bits is None:
+                    bits = self._literal_bits(state, self._payloads[p])
+                    self._bits[base + p] = bits
+                mask &= bits if value else ~bits
+            masks.append(mask)
+        masks = self._masks[node] = tuple(masks)
+        return masks
+
+    def search(self, bit: int) -> tuple[Lasso | None, int | None]:
+        """The lasso for the valuation ``bit``, and its clean class.
+
+        The class is None when a lasso is found.  Otherwise it is the
+        valuations that agree with ``bit`` on every enable mask of every
+        node this search expanded: they would expand the same nodes to
+        the same successor lists, so their searches are clean too.
+        """
+        n = self.n_states
+        dsts_of, node_masks, succ = self._dsts_of, self._masks, self._succ
+        memo: dict[int, list[int]] = {}
+
+        def expand(node: int) -> list[int]:
+            nexts = memo.get(node)
+            if nexts is None:
+                masks = node_masks.get(node)
+                if masks is None:
+                    masks = self._node_masks(node)
+                dsts = [
+                    dst for dst, mask in zip(dsts_of[node % n], masks)
+                    if mask & bit
+                ]
+                if dsts:
+                    bases = succ[node // n]
+                    if bases is None:
+                        bases = self._successor_bases(node // n)
+                    nexts = [base + dst for dst in dsts for base in bases]
+                else:
+                    nexts = []
+                memo[node] = nexts
+            return nexts
+
+        accepting = self.accepting
+        found = nested_dfs(
+            self.starts, expand, lambda node: node % n in accepting
+        )
+        if found is not None:
+            nodes, loop_index = found
+            states = [self._states[node // n] for node in nodes]
+            return Lasso(states=states, loop_index=loop_index), None
+        clean = self._all_mask
+        for mask in {mask for node in memo for mask in node_masks[node]}:
+            clean &= mask if mask & bit else ~mask
+        return None, clean
 
 
 def accepting_product_states(

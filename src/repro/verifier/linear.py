@@ -41,6 +41,7 @@ its per-unit checker.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import deque
@@ -53,7 +54,11 @@ from repro.fol.bitset import ValuationBlock
 from repro.fol.compile import compile_formula
 from repro.fol.evaluation import EvalContext
 from repro.obs import Tracer
-from repro.ltl.buchi import find_accepting_lasso, ltl_to_buchi
+from repro.ltl.buchi import (
+    CompiledProduct,
+    find_accepting_lasso,
+    ltl_to_buchi,
+)
 from repro.ltl.ltlfo import LTLFOSentence, check_ltlfo_input_bounded
 from repro.ltl.syntax import LNot
 from repro.schema.database import Database
@@ -158,6 +163,8 @@ class _SnapshotLabeller:
         self._cache: dict[Snapshot, tuple[EvalContext, frozenset[str]]] = {}
         # id-keyed with a strong payload reference, so ids stay valid.
         self._plans: dict[int, tuple[object, frozenset[str], object]] = {}
+        # (gamma, block) -> its dict in label_bits' ``shared``
+        self._scopes: dict[tuple, dict] = {}
         # set-at-a-time accounting (label.bits trace event)
         self.bits_computed = 0
         self.bits_shared = 0
@@ -200,10 +207,11 @@ class _SnapshotLabeller:
 
         Bit *i* equals ``self(snap, payload, valuation_i)``.  ``shared``
         is an optional dict of label bitsets spanning the sigmas of one
-        work unit: the key adds the gamma-scoped sigma and the block
+        work unit.  It holds one dict per gamma-scoped sigma and block
         layout — everything beyond ``(payload, snap)`` the bitset's
-        value depends on — so sigmas agreeing on the constants the
-        snapshot's page actually reads share one computation.
+        value depends on — keyed by ``(payload, snap)``, so sigmas
+        agreeing on the constants the snapshot's page actually reads
+        share one computation.
         """
         # gamma without the eval context: a shared-cache hit must not
         # pay EvalContext construction for a snapshot it never evaluates.
@@ -219,16 +227,20 @@ class _SnapshotLabeller:
         if shared is None:
             self.bits_computed += 1
             return plan.bits(self._context(snap)[0], block)
-        # (c, v) pairs sort by the distinct constant names alone, so
-        # mixed-type sigma values never get compared.
-        scoped = tuple(sorted(
-            (c, v) for c, v in self.ctx.sigma.items() if c in gamma
-        ))
-        key = (id(payload), snap, scoped, block.key())
-        value = shared.get(key)
+        scope = self._scopes.get((gamma, block))
+        if scope is None:
+            # (c, v) pairs sort by the distinct constant names alone, so
+            # mixed-type sigma values never get compared.
+            scoped = tuple(sorted(
+                (c, v) for c, v in self.ctx.sigma.items() if c in gamma
+            ))
+            scope = shared.setdefault((scoped, block.key()), {})
+            self._scopes[(gamma, block)] = scope
+        key = (id(payload), snap)
+        value = scope.get(key)
         if value is None:
             value = plan.bits(self._context(snap)[0], block)
-            shared[key] = value
+            scope[key] = value
             self.bits_computed += 1
         else:
             self.bits_shared += 1
@@ -244,8 +256,7 @@ def _search_valuations(
     results are pure per (snapshot, payload) at a fixed valuation and
     the search revisits product states, so they are memoised per
     valuation.  Returns ``(lasso, valuation)`` or None.  The verifier
-    runs :func:`_search_valuations_setwise`; the tests compare it with
-    this one.
+    runs :func:`_search_product`; the tests compare it with this one.
     """
     for combo in itertools.product(valuation_domain, repeat=len(names)):
         gov.charge_valuation()
@@ -267,55 +278,40 @@ def _search_valuations(
     return None
 
 
-def _search_valuations_setwise(
+def _search_product(
     ba, starts, succ, labeller, names, valuation_domain, gov, stats, shared
 ):
-    """Set-at-a-time lasso search over the whole valuation block.
+    """Set-at-a-time lasso search over a compiled product.
 
     Each (snapshot, payload) pair is labelled once for *all* valuations
-    (a bitset; see :mod:`repro.fol.bitset`), and every clean search
-    records its *label class* — the valuations agreeing with it on
-    every bitset consulted so far.  A later valuation inside a clean
-    class would walk the identical product trajectory (the search is a
-    pure function of the labels it reads, and the class guarantees
-    agreement on every pair any earlier search read), so its search is
-    skipped outright.  The first violating valuation can never be
-    inside a clean class, so verdicts, witnesses, charge order and
-    stats stay bit-identical with :func:`_search_valuations`.
+    (a bitset; see :mod:`repro.fol.bitset`), and the product of the
+    snapshot graph with ``ba`` is compiled to ints once per sigma and
+    kept across its searches (:class:`~repro.ltl.buchi.CompiledProduct`).
+    Every clean search records its *class*: the valuations agreeing
+    with it on every enable mask it read.  A later valuation inside a
+    clean class would walk the identical product trajectory, so its
+    search is skipped outright.  The first violating valuation can never
+    be inside a clean class, and a skipped search would charge nothing,
+    so verdicts, witnesses, charge order and stats stay bit-identical
+    with :func:`_search_valuations`.
     """
     block = ValuationBlock(names, valuation_domain)
-    full = block.all_mask
-    bits_memo: dict = {}
-
-    def bits_for(snap: Snapshot, payload) -> int:
-        key = (id(payload), snap)
-        value = bits_memo.get(key)
-        if value is None:
-            value = labeller.label_bits(snap, payload, block, shared)
-            bits_memo[key] = value
-        return value
-
-    classes: list[int] = []  # one mask per clean label class found
+    literal_bits = functools.partial(
+        labeller.label_bits, block=block, shared=shared
+    )
+    product = CompiledProduct(ba, starts, succ, literal_bits, block.all_mask)
+    covered = 0  # the union of the clean classes found
     for i, combo in enumerate(block.combos()):
         # Charge and count every valuation — covered, not skipped.
         gov.charge_valuation()
         stats["valuations_checked"] += 1
         bit = 1 << i
-        if any(mask & bit for mask in classes):
+        if covered & bit:
             continue
-
-        def label(snap: Snapshot, payload, _bit=bit) -> bool:
-            return bool(bits_for(snap, payload) & _bit)
-
-        lasso = find_accepting_lasso(ba, starts, succ, label)
+        lasso, clean = product.search(bit)
         if lasso is not None:
             return lasso, dict(zip(names, combo))
-        mask = full
-        for bits in bits_memo.values():
-            mask &= bits if bits & bit else (~bits & full)
-            if mask == bit:
-                break
-        classes.append(mask)
+        covered |= clean
     return None
 
 
@@ -333,9 +329,9 @@ def _check_ltlfo_unit(
     there and skips that bookkeeping, which would cost the
     one-sigma-per-unit ``ltl_registration`` benchmark workload 21 % of
     its warm latency (DESIGN, "Block boundaries").  Every sigma
-    keeps its own run context, successor cache and charge order, so the
-    merged stats depend neither on how many sigmas a unit holds nor on
-    what the cache held.
+    keeps its own run context, compiled product and charge order, so
+    the merged stats depend neither on how many sigmas a unit holds nor
+    on what the cache held.
     """
     service: WebService = spec.service
     sentence: LTLFOSentence = spec.payload["sentence"]
@@ -372,21 +368,18 @@ def _check_ltlfo_unit(
             service, db, sigma=sigma, extra_domain=literals, interner=interner
         )
         labeller = _SnapshotLabeller(ctx, literals, variables=names)
-        succ_cache: dict[Snapshot, tuple[Snapshot, ...]] = {}
         graph = exploration.open(db, ctx.extra_domain)
 
         def succ(
-            snap: Snapshot, _ctx=ctx, _cache=succ_cache, _graph=graph
+            snap: Snapshot, _ctx=ctx, _graph=graph
         ) -> tuple[Snapshot, ...]:
-            out = _cache.get(snap)
-            if out is None:
-                # A miss steps through this module's ``successors``.
-                out = exploration.successors(_graph, _ctx, snap, successors)
-                # Per-sigma accounting whether or not the set was
-                # cached: charges and stats stay cache-independent.
-                _cache[snap] = out
-                stats["snapshots_explored"] += 1
-                gov.charge_snapshot()
+            # The sigma's product asks once per snapshot.  A miss steps
+            # through this module's ``successors``.
+            out = exploration.successors(_graph, _ctx, snap, successors)
+            # Per-sigma accounting whether or not the set was cached:
+            # charges and stats stay cache-independent.
+            stats["snapshots_explored"] += 1
+            gov.charge_snapshot()
             return out
 
         starts = initial_snapshots(ctx)
@@ -394,7 +387,7 @@ def _check_ltlfo_unit(
             set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
             key=repr,
         )
-        found = _search_valuations_setwise(
+        found = _search_product(
             ba, starts, succ, labeller, names, valuation_domain,
             gov, stats, shared,
         )

@@ -13,11 +13,12 @@ Three layers of evidence:
   generator as ``test_compile`` plus every rule formula of the
   ``examples/specs`` corpus (where every compiled rule plan is also
   checked against the interpreter);
-- search-level differential: the set-at-a-time lasso search against
-  the valuation-at-a-time reference search on every (database, sigma)
-  of three small services — same result, stats and governor charges —
-  and end-to-end ``verify_ltlfo`` fingerprints with and without sigma
-  blocking, sequential and pooled;
+- search-level differential: the compiled product search against the
+  valuation-at-a-time reference search on every (database, sigma) of
+  four small services — same result, stats and governor charges, also
+  when a snapshot or valuation cap strikes mid-search; every lasso
+  replays as a violating run — and end-to-end ``verify_ltlfo``
+  fingerprints with and without sigma blocking, sequential and pooled;
 - trace-level accounting: with sigma blocking on, the ``label.bits``
   events show fewer bitsets computed.
 """
@@ -43,6 +44,7 @@ from repro.fol.bitset import ValuationBlock, compile_bits
 from repro.ltl import B, G, LTLAtom, LTLFOSentence, ltl_to_buchi
 from repro.ltl.syntax import LNot
 from repro.obs import CollectingTracer
+from repro.schema import Database
 from repro.service import (
     CompiledService,
     RunContext,
@@ -50,12 +52,13 @@ from repro.service import (
     initial_snapshots,
     successors,
 )
-from repro.verifier import verify_ltlfo
+from repro.service.runs import Run
+from repro.verifier import VerificationBudgetExceeded, verify_ltlfo
 from repro.verifier.budget import Budget
 from repro.verifier.engine import candidate_databases, enumerate_sigmas
 from repro.verifier.linear import (
+    _search_product,
     _search_valuations,
-    _search_valuations_setwise,
     _SnapshotLabeller,
 )
 
@@ -69,6 +72,7 @@ from tests.test_compile import (
     _pingpong,
     _registration,
 )
+from tests.witness import check_violation, replay_witness
 
 # ---------------------------------------------------------------------------
 # block layout
@@ -281,7 +285,7 @@ def test_bits_specs_corpus(path):
 
 
 # ---------------------------------------------------------------------------
-# search level: the set-at-a-time lasso search vs the reference search
+# search level: the compiled product search vs the reference search
 # ---------------------------------------------------------------------------
 
 def _session_service():
@@ -347,11 +351,72 @@ def _result_fingerprint(result):
     )
 
 
+def _session_ring_service():
+    """The shape of perfbench's ``ltl_session_block``: arity-2
+    registration whose CONFIRM page requests ``who`` and acknowledges
+    only the owner's rows, so sigmas that differ in ``who`` step
+    differently from CONFIRM on."""
+    b = ServiceBuilder("session-ring")
+    b.database("allowed", 2)
+    b.input("record", 2)
+    b.input("done")
+    b.state("stored", 2)
+    b.state("closed")
+    b.action("ack", 2)
+    b.input_constant("who")
+    form = b.page("FORM", home=True)
+    form.toggle("done")
+    form.options("record", "allowed(x, y)", ("x", "y"))
+    form.insert("stored", "record(x, y) & !closed", ("x", "y"))
+    form.insert("closed", "done")
+    form.target("REVIEW", "done")
+    review = b.page("REVIEW")
+    review.act("ack", "stored(x, y)", ("x", "y"))
+    review.toggle("done")
+    review.target("CONFIRM", "done")
+    confirm = b.page("CONFIRM")
+    confirm.request("who")
+    confirm.act("ack", "stored(x, y) & x = who", ("x", "y"))
+    confirm.target("FINAL", "true")
+    b.page("FINAL")
+    return b.build()
+
+
+def _ring_databases(service):
+    """``rows`` consecutive pairs around a ring of ``size`` values, for
+    (size, rows) in (3, 2) and (4, 3)."""
+    databases = []
+    for size, rows in ((3, 2), (4, 3)):
+        dom = [f"v{i}" for i in range(size)]
+        facts = [(dom[i % size], dom[(i + 1) % size]) for i in range(rows)]
+        databases.append(Database(service.schema.database, {"allowed": facts}))
+    return databases
+
+
+def _ring_never_acked_prop():
+    x, y = Var("x"), Var("y")
+    return LTLFOSentence(
+        ("x", "y"), G(Not(Atom("ack", (x, y)))), name="never acked"
+    )
+
+
+def _ring_chained_prop():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    return LTLFOSentence(
+        ("x", "y", "z"),
+        B(
+            Atom("record", (x, y)),
+            Not(And([Atom("stored", (x, y)), Atom("stored", (y, z))])),
+        ),
+        name="no chained store before its record",
+    )
+
+
 class _ChargeLog(Budget):
     """A governor that also records the order of its charges."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, **limits) -> None:
+        super().__init__(**limits)
         self.charges: list = []
 
     def charge_valuation(self) -> None:
@@ -363,13 +428,15 @@ class _ChargeLog(Budget):
         super().charge_snapshot(n)
 
 
-def _search(search, service, sentence, ba, db, sigma, *extra):
+def _search(search, service, sentence, ba, db, sigma, *extra, limits=None):
     """One lasso search over one (database, sigma), wired as the
-    verifier's unit checker wires it, with a fresh governor and stats."""
+    verifier's unit checker wires it, with a fresh governor (``limits``
+    are its caps) and stats.  Returns ``(found, stats, governor)``;
+    ``found`` is the limit's name when a cap struck."""
     literals = frozenset(sentence.literals())
     ctx = RunContext(service, db, sigma=sigma, extra_domain=literals)
     labeller = _SnapshotLabeller(ctx, literals, variables=sentence.variables)
-    gov = _ChargeLog()
+    gov = _ChargeLog(**(limits or {}))
     gov.begin_pair()
     stats = {"valuations_checked": 0, "snapshots_explored": 0}
     cache: dict = {}
@@ -386,10 +453,13 @@ def _search(search, service, sentence, ba, db, sigma, *extra):
         set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
         key=repr,
     )
-    found = search(
-        ba, initial_snapshots(ctx), succ, labeller, sentence.variables,
-        domain, gov, stats, *extra,
-    )
+    try:
+        found = search(
+            ba, initial_snapshots(ctx), succ, labeller, sentence.variables,
+            domain, gov, stats, *extra,
+        )
+    except VerificationBudgetExceeded as exc:
+        found = exc.limit
     return found, stats, gov
 
 
@@ -405,36 +475,84 @@ SEARCH_CASES = {
     "session-owner-never-stored": (
         _session_service, _owner_never_stored_prop,
     ),
+    "session-ring-never-acked": (
+        _session_ring_service, _ring_never_acked_prop, _ring_databases,
+    ),
+    "session-ring-chained": (
+        _session_ring_service, _ring_chained_prop, _ring_databases,
+    ),
 }
 
+#: Every case unbudgeted (its id is the case name), and with each cap
+#: set to half of what the unbudgeted reference search charges.
+SEARCH_PARAMS = [pytest.param(case, None, id=case) for case in sorted(SEARCH_CASES)]
+SEARCH_PARAMS += [
+    pytest.param(case, limit, id=f"{case}-{limit}")
+    for case in sorted(SEARCH_CASES)
+    for limit in ("max_snapshots", "max_valuations")
+]
 
-@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
-def test_setwise_search_matches_reference(case):
+
+def _half_cap(limit: str, charges: list) -> int:
+    valuations = charges.count("valuation")
+    if limit == "max_valuations":
+        return valuations // 2
+    return (len(charges) - valuations) // 2
+
+
+@pytest.mark.parametrize(("case", "limit"), SEARCH_PARAMS)
+def test_setwise_search_matches_reference(case, limit):
     """Every (database, sigma): same ``(lasso, valuation)``, same stats,
-    same governor charges in the same order.  The set-at-a-time search
+    same governor charges in the same order — and with ``limit``, the
+    same cap striking after the same charges.  The product search
     shares one label cache across the sigmas of a database, as a
-    blocked work unit does."""
-    make_service, make_prop = SEARCH_CASES[case]
+    blocked work unit does.  Every violating lasso replays as a run of
+    the service that violates the property under the reported
+    valuation."""
+    make_service, make_prop, *make_databases = SEARCH_CASES[case]
     service, sentence = make_service(), make_prop()
     ba = ltl_to_buchi(LNot(sentence.skeleton))
-    dbs, _ = candidate_databases(service, sentence, None, 2, True)
-    pairs = found_any = 0
+    if make_databases:
+        dbs = make_databases[0](service)
+    else:
+        dbs, _ = candidate_databases(service, sentence, None, 2, True)
+    literals = frozenset(sentence.literals())
+    pairs = found_any = struck = 0
     for db in dbs:
         shared: dict = {}
         for sigma in enumerate_sigmas(service, db):
             ref = _search(_search_valuations, service, sentence, ba, db, sigma)
+            limits = None
+            if limit is not None:
+                limits = {limit: _half_cap(limit, ref[2].charges)}
+                ref = _search(
+                    _search_valuations, service, sentence, ba, db, sigma,
+                    limits=limits,
+                )
             got = _search(
-                _search_valuations_setwise, service, sentence, ba, db, sigma,
-                shared,
+                _search_product, service, sentence, ba, db, sigma, shared,
+                limits=limits,
             )
             assert got[0] == ref[0]
             assert got[1] == ref[1]
             assert got[2].charges == ref[2].charges
             assert got[2].counters() == ref[2].counters()
             pairs += 1
-            found_any += ref[0] is not None
+            struck += ref[0] == limit
+            if isinstance(ref[0], tuple):
+                found_any += 1
+                lasso, valuation = ref[0]
+                run = Run(db, dict(sigma), list(lasso.states), lasso.loop_index)
+                replay_witness(service, run, extra_domain=literals)
+                check_violation(
+                    service, run, sentence, extra_domain=literals,
+                    valuation=valuation,
+                )
     assert pairs
-    assert bool(found_any) == ("never" in case)
+    if limit is None:
+        assert bool(found_any) == ("never" in case)
+    else:
+        assert struck
 
 
 class TestVerifierSetwiseIdentity:

@@ -27,6 +27,7 @@ import json
 
 import pytest
 
+from repro.ltl import LNot, LTLFOSentence
 from repro.verifier import (
     RunConfig,
     RunConfigError,
@@ -41,7 +42,14 @@ from repro.verifier import (
     verify_ltlfo,
 )
 from repro.verifier import engine
-from tests.engine_cases import CASES, ORACLE_PATH, fingerprint, run_case
+from tests.engine_cases import (
+    CASES,
+    ORACLE_PATH,
+    _build_property,
+    fingerprint,
+    run_case,
+)
+from tests.witness import check_violation, replay_witness
 
 ENTRY_POINTS = {
     "verify_ltlfo": verify_ltlfo,
@@ -122,6 +130,51 @@ def test_differential_against_oracle(case, workers, oracle):
     _, result = run_case(case, workers=workers)
     got = json.loads(json.dumps(fingerprint(result)))
     assert got == oracle[case["id"]][f"workers={workers}"]
+
+
+def _ltl_violated_cases() -> list:
+    """The LTL-FO cases (``verify_ltlfo``, or the dispatcher given an
+    LTL-FO property) the committed oracle records as VIOLATED."""
+    recorded = json.loads(ORACLE_PATH.read_text())
+    return [
+        c for c in CASES
+        if "ltl" in c
+        and recorded[c["id"]]["workers=1"]["verdict"] == "violated"
+    ]
+
+
+_LTL_VIOLATED = _ltl_violated_cases()
+
+
+@pytest.mark.parametrize(
+    "case", _LTL_VIOLATED, ids=[c["id"] for c in _LTL_VIOLATED]
+)
+def test_ltlfo_witness_replays_and_violates(case):
+    """The counterexample is a run of the service (replayed step by
+    step) that violates the property (evaluated without the
+    verifier's labeller)."""
+    service, result = run_case(case, workers=1)
+    assert result.verdict is Verdict.VIOLATED
+    sentence = _build_property(case)
+    literals = frozenset(sentence.literals())
+    run = result.counterexample
+    replay_witness(service, run, extra_domain=literals)
+    check_violation(service, run, sentence, extra_domain=literals)
+
+
+def test_violation_check_rejects_a_satisfied_property():
+    """The witness of ``G !MP`` satisfies its negation ``!G !MP``, so
+    the check must refuse it as a violation of the negation."""
+    case = next(c for c in _LTL_VIOLATED if c["id"] == "ltlfo-core-violated")
+    service, result = run_case(case, workers=1)
+    sentence = _build_property(case)
+    assert not sentence.variables
+    negated = LTLFOSentence((), LNot(sentence.skeleton), name="F MP")
+    with pytest.raises(AssertionError, match="satisfies"):
+        check_violation(
+            service, result.counterexample, negated,
+            extra_domain=sentence.literals(),
+        )
 
 
 @pytest.mark.parametrize(

@@ -452,7 +452,12 @@ class TestLintCLI:
         assert code in (0, 1)
         assert "lint" in capsys.readouterr().out
 
-    def test_error_free_lint_off_suppresses(self, spec_path, capsys):
+    def test_error_free_lint_off_suppresses(
+        self, spec_path, capsys, monkeypatch
+    ):
+        # a REPRO_TRACE tracer would print the lint events of earlier
+        # tests in its timings
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         code = self.main("verify", spec_path, "--error-free",
                          "--domain-size", "1", "--lint", "off")
         assert code in (0, 1)

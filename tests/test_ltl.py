@@ -37,7 +37,7 @@ from repro.ltl import (
     ltl_size,
     ltl_to_buchi,
 )
-from repro.ltl.buchi import accepting_product_states
+from repro.ltl.buchi import CompiledProduct, accepting_product_states
 from repro.ltl.syntax import ltl_map_atoms
 
 
@@ -255,6 +255,55 @@ class TestBuchi:
                 assert (s in got) == want, (seed, s)
                 agreed[want] += 1
         assert min(agreed.values()) > 100  # both answers well exercised
+
+    def test_compiled_product_agrees_with_nested_dfs(self):
+        """``CompiledProduct.search`` against ``find_accepting_lasso``
+        for every valuation of a 4-valuation block, on seeded random
+        systems whose atom labels are bitsets: the same lasso, and the
+        same first ``successors`` call per state in the same order.  A
+        valuation inside a clean class has no lasso either, and the
+        product never asks for a state's successors twice."""
+        width = 4
+        found = {True: 0, False: 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            succ = {
+                s: rng.sample(range(n), rng.randint(0, min(3, n)))
+                for s in range(n)
+            }
+            bits = {(s, a): rng.getrandbits(width)
+                    for s in range(n) for a in ATOMS}
+            ba = ltl_to_buchi(_random_ltl(rng, 3))
+            product_calls: list = []
+            product = CompiledProduct(
+                ba, [0], lambda s: product_calls.append(s) or succ[s],
+                lambda s, a: bits[(s, a)], (1 << width) - 1,
+            )
+            first_calls: list = []
+            covered = 0
+            for i in range(width):
+                bit = 1 << i
+
+                def ref_succ(s):
+                    if s not in first_calls:
+                        first_calls.append(s)
+                    return succ[s]
+
+                want = find_accepting_lasso(
+                    ba, [0], ref_succ, lambda s, a: bool(bits[(s, a)] & bit)
+                )
+                if covered & bit:
+                    assert want is None, (seed, i)
+                else:
+                    got, clean = product.search(bit)
+                    assert got == want, (seed, i)
+                    found[got is not None] += 1
+                    if got is None:
+                        assert clean & bit
+                        covered |= clean
+                assert product_calls == first_calls, (seed, i)
+        assert min(found.values()) > 100  # both answers well exercised
 
     @settings(max_examples=80, deadline=None)
     @given(f=_ltl_formulas(2), word=_words, data=st.data())

@@ -95,8 +95,15 @@ class TestTracedUntracedEquivalence:
     """Null tracer, collecting tracer, and workers=POOL with a tracer
     all agree with the plain sequential run, per procedure."""
 
+    @pytest.fixture(autouse=True)
+    def _monkeypatch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
     def _check(self, call):
-        base = call()
+        with self.monkeypatch.context() as env:
+            # untraced means no tracer at all, not the REPRO_TRACE one
+            env.delenv("REPRO_TRACE", raising=False)
+            base = call()
         null = call(tracer=NullTracer())
         traced = call(tracer=CollectingTracer())
         pooled = call(tracer=CollectingTracer(), workers=POOL)

@@ -16,12 +16,24 @@ for every edge, the lasso's closing edge included, it checks
   page, a page whose option generation reads an unprovided constant is
   entered as a ``pending_error`` snapshot with no inputs and leads to
   the error page, and the error page loops on itself.
+
+:func:`check_violation` checks that such a run violates an LTL-FO
+sentence, without the verifier's labeller: it grounds the sentence
+itself and evaluates every FO component with the reference interpreter
+on eval contexts it builds.
 """
 
 from __future__ import annotations
 
-from repro.fol.evaluation import MissingInputConstantError
-from repro.schema.instances import Instance
+import itertools
+
+from repro.fol.analysis import input_constants_of
+from repro.fol.evaluation import (
+    MissingInputConstantError,
+    evaluate_interpreted,
+)
+from repro.ltl.lasso import eval_on_lasso
+from repro.schema.instances import Instance, union_active_domain
 from repro.service.runs import (
     Run,
     RunContext,
@@ -55,6 +67,66 @@ def replay_witness(service, run: Run, extra_domain=()) -> None:
         edges.append((snaps[-1], snaps[run.loop_index]))
     for i, (cur, nxt) in enumerate(edges, start=1):
         _check_edge(service, ctx, cur, nxt, i)
+
+
+def check_violation(
+    service, run: Run, sentence, extra_domain=(), valuation=None
+) -> dict:
+    """Raise AssertionError unless the lasso ``run`` violates ``sentence``.
+
+    The closure ranges over the run's domain: the database's, sigma's
+    and ``extra_domain``'s values (the specification's constants are
+    added by the run context) and every value in the run's instances.
+    Each grounded FO component is evaluated by
+    :func:`~repro.fol.evaluation.evaluate_interpreted` on an eval
+    context built here per snapshot; a component that mentions an input
+    constant outside the snapshot's ``Γ`` is false (§3).  The run
+    violates the sentence when :func:`~repro.ltl.lasso.eval_on_lasso`
+    is false for some valuation — for ``valuation`` itself when one is
+    given.  Returns the violating valuation.
+    """
+    assert run.loop_index is not None, "a violation witness is a lasso"
+    ctx = RunContext(
+        service, run.database, sigma=run.sigma, extra_domain=extra_domain
+    )
+    domain = set(run.database.domain) | set(run.sigma.values())
+    domain |= set(ctx.extra_domain)
+    contexts, gammas = [], []
+    for snap in run.snapshots:
+        gamma = snap.provided_here(service)
+        gammas.append(gamma)
+        contexts.append(ctx.make_eval_context(
+            snap.state, snap.inputs, snap.prev, snap.actions,
+            gamma=gamma, page=snap.page,
+        ))
+        domain |= union_active_domain(
+            snap.state, snap.inputs, snap.prev, snap.actions
+        )
+
+    def holds(pos: int, payload) -> bool:
+        if not input_constants_of(payload) <= gammas[pos]:
+            return False
+        return evaluate_interpreted(payload, contexts[pos])
+
+    names = tuple(sentence.variables)
+    if valuation is None:
+        combos = itertools.product(sorted(domain, key=repr), repeat=len(names))
+    else:
+        combo = tuple(valuation[name] for name in names)
+        assert set(combo) <= domain, (
+            f"valuation {valuation} is outside the run's domain"
+        )
+        combos = [combo]
+    for combo in combos:
+        grounded = sentence.instantiate(dict(zip(names, combo)))
+        if not eval_on_lasso(
+            grounded, holds, len(run.snapshots), run.loop_index
+        ):
+            return dict(zip(names, combo))
+    raise AssertionError(
+        f"the run satisfies {sentence} under "
+        f"{'every valuation' if valuation is None else valuation}"
+    )
 
 
 def _check_edge(service, ctx, cur, nxt, i: int) -> None:
