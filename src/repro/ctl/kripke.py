@@ -4,6 +4,13 @@ A Kripke structure is ``(S, S0, R, L)`` with a total transition relation
 ``R`` and a labelling ``L`` assigning to each state the set of atomic
 propositions true there.  States and propositions are arbitrary hashable
 values.
+
+A structure numbers its states once, when it is built: state ``i`` is
+``states[i]``, and successors, predecessors and labels are stored by id.
+Sets of states are then int bitsets (bit ``i`` is state ``i``), the
+representation :mod:`repro.ctl.modelcheck` labels with; :func:`to_flags`
+and :func:`to_mask` convert between a bitset and a ``bytearray``
+membership table.
 """
 
 from __future__ import annotations
@@ -12,6 +19,22 @@ from typing import Hashable, Iterable, Iterator, Mapping
 
 State = Hashable
 Proposition = Hashable
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def to_flags(mask: int, n: int) -> bytearray:
+    """The membership table of ``mask`` over ``n`` states: ``flags[i]``
+    is bit ``i`` (0 or 1)."""
+    # the last n binary digits, lowest bit first (none when n is 0)
+    digits = format(mask, f"0{n}b")[:-n - 1:-1]
+    return bytearray(digits, "ascii").translate(_TO_FLAGS)
+
+
+def to_mask(flags: bytes | bytearray) -> int:
+    """The bitset whose bit ``i`` is ``flags[i]`` (each 0 or 1)."""
+    return int(flags.translate(_TO_DIGITS)[::-1] or b"0", 2)
 
 
 class KripkeStructure:
@@ -30,6 +53,13 @@ class KripkeStructure:
         successor (add a self-loop for terminal states).
     labels:
         Mapping from state to the set of propositions true there.
+
+    ``index`` maps a state to its id; ``succ_ids[i]`` and
+    ``pred_ids[i]`` are the ids of state ``i``'s successors and
+    predecessors, in state order.  A structure is immutable except for
+    its memo of proposition masks (:meth:`prop_mask`), whose entries are
+    each written once, as a complete int, so threads may label one
+    structure at once.
     """
 
     def __init__(
@@ -39,49 +69,70 @@ class KripkeStructure:
         edges: Mapping[State, Iterable[State]],
         labels: Mapping[State, Iterable[Proposition]],
     ) -> None:
-        self.states: list[State] = list(dict.fromkeys(states))
-        state_set = set(self.states)
+        index: dict[State, int] = {}
+        for s in states:
+            index.setdefault(s, len(index))
+        self.index = index
+        self.states: list[State] = list(index)
         self.initial: frozenset[State] = frozenset(initial)
-        if not self.initial <= state_set:
-            missing = self.initial - state_set
+        if not self.initial <= index.keys():
+            missing = self.initial - index.keys()
             raise ValueError(f"initial states not in state set: {sorted(missing, key=repr)}")
-        self._succ: dict[State, tuple[State, ...]] = {}
-        for s in self.states:
-            succs = tuple(dict.fromkeys(edges.get(s, ())))
+        succ_ids: list[tuple[int, ...]] = []
+        preds: list[list[int]] = [[] for _ in self.states]
+        for s, i in index.items():
+            succs = tuple(edges.get(s, ()))
             if not succs:
                 raise ValueError(
                     f"transition relation is not total: state {s!r} has no "
                     "successor (add a self-loop)"
                 )
-            bad = [t for t in succs if t not in state_set]
-            if bad:
-                raise ValueError(f"successors of {s!r} not in state set: {bad}")
-            self._succ[s] = succs
-        self._labels: dict[State, frozenset[Proposition]] = {
-            s: frozenset(labels.get(s, ())) for s in self.states
-        }
+            try:
+                # dedupe ids, not states: an int hashes cheaper than a state
+                out = tuple(dict.fromkeys([index[t] for t in succs]))
+            except KeyError:
+                bad = [t for t in dict.fromkeys(succs) if t not in index]
+                raise ValueError(f"successors of {s!r} not in state set: {bad}") from None
+            succ_ids.append(out)
+            for j in out:
+                preds[j].append(i)
+        self.succ_ids: tuple[tuple[int, ...], ...] = tuple(succ_ids)
+        self.pred_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, preds))
+        self._labels: list[frozenset[Proposition]] = [
+            frozenset(labels.get(s, ())) for s in self.states
+        ]
+        self._masks: dict[Proposition, int] = {}
 
     # -- queries ---------------------------------------------------------
 
     def successors(self, state: State) -> tuple[State, ...]:
         """The successors of a state (never empty)."""
-        return self._succ[state]
+        states = self.states
+        return tuple([states[j] for j in self.succ_ids[self.index[state]]])
 
     def label(self, state: State) -> frozenset[Proposition]:
         """Propositions true at a state."""
-        return self._labels[state]
+        return self._labels[self.index[state]]
 
     def holds(self, state: State, prop: Proposition) -> bool:
         """Whether a proposition is true at a state."""
-        return prop in self._labels[state]
+        return prop in self._labels[self.index[state]]
+
+    def prop_mask(self, prop: Proposition) -> int:
+        """The bitset of the states where ``prop`` holds (memoized)."""
+        mask = self._masks.get(prop)
+        if mask is None:
+            mask = to_mask(bytearray([prop in lab for lab in self._labels]))
+            self._masks[prop] = mask
+        return mask
 
     def predecessors_map(self) -> dict[State, list[State]]:
-        """Reverse adjacency (computed on demand)."""
-        preds: dict[State, list[State]] = {s: [] for s in self.states}
-        for s in self.states:
-            for t in self._succ[s]:
-                preds[t].append(s)
-        return preds
+        """Reverse adjacency, by state."""
+        states = self.states
+        return {
+            s: [states[i] for i in pred]
+            for s, pred in zip(states, self.pred_ids)
+        }
 
     @property
     def n_states(self) -> int:
@@ -89,7 +140,7 @@ class KripkeStructure:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(v) for v in self._succ.values())
+        return sum(map(len, self.succ_ids))
 
     def __iter__(self) -> Iterator[State]:
         return iter(self.states)

@@ -5,10 +5,19 @@ three set-level primitives:
 
 - ``EX T`` — pre-image of ``T``;
 - ``E(S U T)`` — least fixpoint by backward propagation from ``T``;
-- ``EG S`` — greatest fixpoint by iterated removal.
+- ``EG S`` — greatest fixpoint: every member counts its successors in
+  ``S``, and a member whose count reaches zero is retired, which
+  decrements its predecessors' counts (linear in the structure).
 
 The universal quantifier and derived operators reduce to these by the
 standard dualities (e.g. ``A(f U g) = ¬(E(¬g U ¬f∧¬g) ∨ EG ¬g)``).
+
+Labelling runs over the structure's state ids: a set of states is an int
+bitset (bit ``i`` is state ``i``), an atom is the structure's memoized
+proposition mask, the Boolean connectives are ``&``, ``|`` and
+``all & ~x``, and the fixpoints walk predecessor ids over a ``bytearray``
+membership table.  :func:`satisfying_states` maps the final bitset back
+to states.
 
 For full CTL* the checker recurses: every maximal state subformula under
 a path quantifier is evaluated first and replaced by a fresh atom; the
@@ -21,9 +30,10 @@ on.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Hashable
 
-from repro.ctl.kripke import KripkeStructure
+from repro.ctl.kripke import KripkeStructure, to_flags, to_mask
 from repro.ctl.syntax import (
     A,
     CAnd,
@@ -55,8 +65,8 @@ def satisfying_states(kripke: KripkeStructure, formula: StateFormula) -> set[Sta
     Dispatches to the labelling algorithm for CTL formulas and to the
     automata-theoretic algorithm otherwise.
     """
-    checker = _Checker(kripke)
-    return checker.sat(formula)
+    mask = _Checker(kripke).sat(formula)
+    return set(compress(kripke.states, to_flags(mask, kripke.n_states)))
 
 
 def check_ctl(kripke: KripkeStructure, formula: StateFormula) -> bool:
@@ -72,65 +82,77 @@ def check_ctl_star(kripke: KripkeStructure, formula: StateFormula) -> bool:
 
 
 class _Checker:
-    """Shared memoisation for one (structure, formula) evaluation."""
+    """Shared memoisation for one (structure, formula) evaluation; every
+    set of states is a bitset over the structure's ids."""
 
     def __init__(self, kripke: KripkeStructure) -> None:
         self.k = kripke
-        self.all_states = set(kripke.states)
-        self.preds = kripke.predecessors_map()
-        self._cache: dict[StateFormula, frozenset[State]] = {}
+        self.n = kripke.n_states
+        self.all = (1 << self.n) - 1
+        self._cache: dict[StateFormula, int] = {}
 
     # -- set-level primitives ------------------------------------------------
 
-    def ex(self, target: set[State]) -> set[State]:
+    def ex(self, target: int) -> int:
         """States with some successor in ``target``."""
-        return {
-            s for s in self.k.states if any(t in target for t in self.k.successors(s))
-        }
+        preds = self.k.pred_ids
+        out = bytearray(self.n)
+        for t in compress(range(self.n), to_flags(target, self.n)):
+            for s in preds[t]:
+                out[s] = 1
+        return to_mask(out)
 
-    def eu(self, left: set[State], right: set[State]) -> set[State]:
+    def eu(self, left: int, right: int) -> int:
         """States satisfying ``E(left U right)`` (least fixpoint)."""
-        result = set(right)
-        frontier = list(right)
+        preds = self.k.pred_ids
+        todo = left & ~right
+        pending = to_flags(todo, self.n)
+        frontier = list(compress(range(self.n), to_flags(right, self.n)))
         while frontier:
-            t = frontier.pop()
-            for s in self.preds[t]:
-                if s not in result and s in left:
-                    result.add(s)
+            for s in preds[frontier.pop()]:
+                if pending[s]:
+                    pending[s] = 0
                     frontier.append(s)
-        return result
+        return right | (todo & ~to_mask(pending))
 
-    def eg(self, inside: set[State]) -> set[State]:
+    def eg(self, inside: int) -> int:
         """States satisfying ``EG inside`` (greatest fixpoint)."""
-        result = set(inside)
-        changed = True
-        while changed:
-            changed = False
-            for s in list(result):
-                if not any(t in result for t in self.k.successors(s)):
-                    result.discard(s)
-                    changed = True
-        return result
+        succs, preds = self.k.succ_ids, self.k.pred_ids
+        live = to_flags(inside, self.n)
+        count = [0] * self.n
+        retired = []
+        for s in compress(range(self.n), live):
+            count[s] = c = sum(map(live.__getitem__, succs[s]))
+            if not c:
+                retired.append(s)
+        for s in retired:
+            live[s] = 0
+        while retired:
+            for s in preds[retired.pop()]:
+                if live[s]:
+                    count[s] -= 1
+                    if not count[s]:
+                        live[s] = 0
+                        retired.append(s)
+        return to_mask(live)
 
     # -- state formulas ----------------------------------------------------
 
-    def sat(self, f: StateFormula) -> set[State]:
+    def sat(self, f: StateFormula) -> int:
         cached = self._cache.get(f)
-        if cached is not None:
-            return set(cached)
-        result = self._sat(f)
-        self._cache[f] = frozenset(result)
-        return result
+        if cached is None:
+            cached = self._cache[f] = self._sat(f)
+        return cached
 
-    def _sat(self, f: StateFormula) -> set[State]:
+    def _sat(self, f: StateFormula) -> int:
         if isinstance(f, CTrue):
-            return set(self.all_states)
+            return self.all
         if isinstance(f, CFalse):
-            return set()
+            return 0
         if isinstance(f, CAtom):
-            return {s for s in self.k.states if self.k.holds(s, f.payload)}
+            return self.k.prop_mask(f.payload)
         if isinstance(f, CNot):
-            return self.all_states - self.sat(f.body)
+            return self.all & ~self.sat(f.body)
         if isinstance(f, CAnd):
             return self.sat(f.left) & self.sat(f.right)
         if isinstance(f, COr):
@@ -143,7 +165,7 @@ class _Checker:
 
     # -- quantified path formulas --------------------------------------------
 
-    def sat_path(self, p: PathFormula, existential: bool) -> set[State]:
+    def sat_path(self, p: PathFormula, existential: bool) -> int:
         """States satisfying ``E p`` (or ``A p``)."""
         # CTL shapes first — they keep the complexity polynomial.
         if isinstance(p, PState):
@@ -151,12 +173,12 @@ class _Checker:
             return self.sat(p.state)
         if isinstance(p, PNot):
             # E ¬q = ¬A q;  A ¬q = ¬E q.
-            return self.all_states - self.sat_path(p.body, not existential)
+            return self.all & ~self.sat_path(p.body, not existential)
         if isinstance(p, PX) and isinstance(p.body, PState):
             target = self.sat(p.body.state)
             if existential:
                 return self.ex(target)
-            return self.all_states - self.ex(self.all_states - target)
+            return self.all & ~self.ex(self.all & ~target)
         if (
             isinstance(p, PU)
             and isinstance(p.left, PState)
@@ -167,23 +189,24 @@ class _Checker:
             if existential:
                 return self.eu(left, right)
             # A(f U g) = ¬( E(¬g U (¬f ∧ ¬g)) ∨ EG ¬g )
-            not_left = self.all_states - left
-            not_right = self.all_states - right
+            not_left = self.all & ~left
+            not_right = self.all & ~right
             bad = self.eu(not_right, not_left & not_right) | self.eg(not_right)
-            return self.all_states - bad
+            return self.all & ~bad
         # General CTL* path formula: automata-theoretic route.
         if existential:
             return self._sat_e_path_ltl(p)
-        return self.all_states - self._sat_e_path_ltl(PNot(p))
+        return self.all & ~self._sat_e_path_ltl(PNot(p))
 
-    def _sat_e_path_ltl(self, p: PathFormula) -> set[State]:
-        """``E p`` for an arbitrary path formula, via LTL → Büchi."""
-        sets: list[frozenset[State]] = []
+    def _sat_e_path_ltl(self, p: PathFormula) -> int:
+        """``E p`` for an arbitrary path formula, via LTL → Büchi, over
+        the structure's ids."""
+        tables: list[bytearray] = []
 
         def to_ltl(q: PathFormula) -> LTLFormula:
             if isinstance(q, PState):
-                sets.append(frozenset(self.sat(q.state)))
-                return LTLAtom(("sat", len(sets) - 1))
+                tables.append(to_flags(self.sat(q.state), self.n))
+                return LTLAtom(("sat", len(tables) - 1))
             if isinstance(q, PNot):
                 return LNot(to_ltl(q.body))
             if isinstance(q, PAnd):
@@ -199,10 +222,14 @@ class _Checker:
         ltl = to_ltl(p)
         ba = ltl_to_buchi(ltl)
 
-        def label(state: State, payload) -> bool:
+        def label(state: int, payload) -> bool:
             _tag, idx = payload
-            return state in sets[idx]
+            return tables[idx][state] == 1
 
-        return accepting_product_states(
-            ba, self.k.states, self.k.successors, label
+        found = accepting_product_states(
+            ba, range(self.n), self.k.succ_ids.__getitem__, label
         )
+        out = bytearray(self.n)
+        for s in found:
+            out[s] = 1
+        return to_mask(out)

@@ -121,13 +121,20 @@ def build_snapshot_kripke(
 
 def _replay_charges(gov: Budget, n_initial: int, n_states: int) -> None:
     """Charge ``gov`` as constructing ``n_states`` states does: the
-    ``n_initial`` initial states at once, then one state at a time."""
+    ``n_initial`` initial states at once, then the rest one at a time.
+    Every state up to the state cap is charged in one call and the next
+    one alone, so a cap strikes at the state construction strikes at."""
     seen = n_initial
     try:
         gov.charge_state(n_initial)
-        while seen < n_states:
-            gov.charge_state()
-            seen += 1
+        rest = n_states - seen
+        if gov.max_states is not None:
+            rest = min(rest, gov.max_states - gov.structure_states)
+        if rest > 0:
+            gov.charge_state(rest)
+            seen += rest
+        if seen < n_states:
+            gov.charge_state()  # one state past the cap: strikes
     except VerificationBudgetExceeded as exc:
         exc.stats.setdefault("kripke_states", seen)
         raise

@@ -224,15 +224,15 @@ def _force_automata_route(k, f):
     """Evaluate every path quantifier through the LTL/Büchi route."""
     checker = _Checker(k)
 
-    def go(g):
+    def go(g):  # a bitset over the structure's state ids
         if isinstance(g, CAtom):
             return checker.sat(g)
         if isinstance(g, (CTrue,)):
-            return set(checker.all_states)
+            return checker.all
         if isinstance(g, (CFalse,)):
-            return set()
+            return 0
         if isinstance(g, CNot):
-            return checker.all_states - go(g.body)
+            return checker.all & ~go(g.body)
         if isinstance(g, CAnd):
             return go(g.left) & go(g.right)
         if isinstance(g, COr):
@@ -240,10 +240,11 @@ def _force_automata_route(k, f):
         if isinstance(g, E):
             return checker._sat_e_path_ltl(g.path)
         if isinstance(g, A):
-            return checker.all_states - checker._sat_e_path_ltl(PNot(g.path))
+            return checker.all & ~checker._sat_e_path_ltl(PNot(g.path))
         raise TypeError(g)
 
-    return go(f)
+    mask = go(f)
+    return {s for i, s in enumerate(k.states) if mask >> i & 1}
 
 
 class TestCTLAgainstAutomata:
@@ -281,6 +282,138 @@ class TestCTLAgainstAutomata:
         assert satisfying_states(k, EG(f)) == satisfying_states(
             k, CAnd(f, EX(EG(f)))
         )
+
+
+# ---------------------------------------------------------------------------
+# a textbook labelling oracle: fixpoint definitions over sets of states
+# ---------------------------------------------------------------------------
+
+def _textbook_sat(k, f):
+    """CTL from its fixpoint definitions, over Python sets of states:
+    ``E(l U r)`` and ``EG l`` iterate to stability, and every A-form and
+    negated path comes through the dualities."""
+    every = set(k.states)
+    succ = {s: k.successors(s) for s in every}
+
+    def ex(target):
+        return {s for s in every if not target.isdisjoint(succ[s])}
+
+    def fixpoint(step, start):
+        while (nxt := step(start)) != start:
+            start = nxt
+        return start
+
+    def eu(left, right):
+        return fixpoint(lambda z: right | (left & ex(z)), set())
+
+    def eg(inside):
+        return fixpoint(lambda z: inside & ex(z), set(every))
+
+    def e(p):  # E p for a CTL path formula
+        if isinstance(p, PState):
+            return sat(p.state)
+        if isinstance(p, PX):
+            return ex(sat(p.body.state))
+        if isinstance(p, PU):
+            return eu(sat(p.left.state), sat(p.right.state))
+        q = p.body  # E ¬q
+        if isinstance(q, PState):
+            return every - sat(q.state)
+        if isinstance(q, PNot):
+            return e(q.body)
+        if isinstance(q, PX):
+            return ex(every - sat(q.body.state))
+        # E ¬(l U r) = E(¬r U (¬l ∧ ¬r)) ∨ EG ¬r
+        left, right = sat(q.left.state), sat(q.right.state)
+        return eu(every - right, every - left - right) | eg(every - right)
+
+    def sat(g):
+        if isinstance(g, CTrue):
+            return set(every)
+        if isinstance(g, CFalse):
+            return set()
+        if isinstance(g, CAtom):
+            return {s for s in every if k.holds(s, g.payload)}
+        if isinstance(g, CNot):
+            return every - sat(g.body)
+        if isinstance(g, CAnd):
+            return sat(g.left) & sat(g.right)
+        if isinstance(g, COr):
+            return sat(g.left) | sat(g.right)
+        if isinstance(g, E):
+            return e(g.path)
+        return every - e(PNot(g.path))  # A p = ¬E¬p
+
+    return sat(f)
+
+
+def _random_kripke(rng, n):
+    """``n`` states with fan-out up to 4, some self-loops, p/q labels."""
+    edges = {}
+    for s in range(n):
+        out = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            out.append(s)
+        edges[s] = out
+    labels = {s: [a for a in PROPS if rng.random() < 0.5] for s in range(n)}
+    return KripkeStructure(range(n), [0], edges, labels)
+
+
+def _chain(n, labels):
+    """0 -> 1 -> ... -> n-1, with a self-loop at the end."""
+    edges = {i: [min(i + 1, n - 1)] for i in range(n)}
+    return KripkeStructure(range(n), [0], edges, labels)
+
+
+def _one_formula_per_operator(p, q):
+    return [
+        p, CTL_TRUE, CTL_FALSE, CNot(p), CAnd(p, q), COr(p, q),
+        EX(p), AX(p), EF(q), AF(q), EG(p), AG(p), EU(p, q), AU(p, q),
+        AG(EF(p)), AG(CImplies(p, AF(q))), EG(CNot(q)), AU(EX(p), EG(q)),
+    ]
+
+
+class TestCTLAgainstTextbook:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), f=_ctl_formulas(depth=3))
+    def test_seeded_random_structures(self, seed, f):
+        import random
+
+        rng = random.Random(seed)
+        k = _random_kripke(rng, rng.choice([2, 3, 7, 40, rng.randint(2, 300)]))
+        assert satisfying_states(k, f) == _textbook_sat(k, f)
+
+    def test_long_chain_eg_af_au(self):
+        # p everywhere but the last state and every 500th; q at state 1500
+        n = 2000
+        labels = {i: ["p"] for i in range(n - 1) if i % 500 != 499}
+        labels[1500] = ["q"]
+        k = _chain(n, labels)
+        p, q = CAtom("p"), CAtom("q")
+        for f in (EG(p), EG(CNot(q)), AF(q), AF(CNot(p)), AU(p, q),
+                  AU(CNot(q), CNot(p))):
+            assert satisfying_states(k, f) == _textbook_sat(k, f), f
+
+    def test_store_structure(self):
+        from repro.demo.propositional import propositional_service
+        from repro.schema import Database
+        from repro.verifier.branching import build_snapshot_kripke
+
+        service = propositional_service()
+        k = build_snapshot_kripke(service, Database(service.schema.database))
+        p, q = CAtom("HP"), CAtom("has_order")
+        for f in _one_formula_per_operator(p, q):
+            assert satisfying_states(k, f) == _textbook_sat(k, f), f
+
+    def test_search_site_structure(self):
+        from repro.demo.search_site import figure1_database, search_service
+        from repro.verifier.branching import build_snapshot_kripke
+
+        service = search_service()
+        k = build_snapshot_kripke(service, figure1_database(service))
+        p, q = CAtom("new"), CAtom(("I", ("nl1",)))
+        for f in _one_formula_per_operator(p, q):
+            assert satisfying_states(k, f) == _textbook_sat(k, f), f
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,14 @@ from typing import Callable
 import pytest
 
 import repro.verifier as verifier
+from repro.ctl.modelcheck import satisfying_states
 from repro.ctl.parser import parse_ctl
 from repro.ltl.parser import parse_ltlfo
 from repro.schema import Database
 from repro.service import ServiceBuilder
 from repro.service.compiled import ExplorationCache, compiled_service
 from repro.verifier import Budget, Verdict
-from repro.verifier.branching import build_snapshot_kripke
+from repro.verifier.branching import ROOT_STATE, build_snapshot_kripke
 from repro.verifier.errors import errorfree_reduction
 from tests.engine_cases import (
     CASES,
@@ -656,6 +657,65 @@ def test_concurrent_stores_lose_no_update():
     assert sum(len(g.successor_sets) for g in graphs) == n_keys
 
 
+def _label_concurrently(shop, database, formulas) -> tuple[list, object]:
+    """One thread per formula labels the structure ``shop``'s cache
+    serves with it, three times; the sets each got and the structure."""
+    cached = build_snapshot_kripke(shop, database)
+    assert not cached._masks
+    barrier = threading.Barrier(len(formulas))
+    got: list = [None] * len(formulas)
+    errors: list[BaseException] = []
+
+    def work(i: int) -> None:
+        try:
+            kripke = build_snapshot_kripke(shop, database)
+            assert kripke is cached
+            barrier.wait(timeout=60)
+            for _ in range(3):
+                sat = satisfying_states(kripke, formulas[i])
+                assert got[i] is None or sat == got[i]
+                got[i] = sat
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(formulas))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    return got, cached
+
+
+def test_concurrent_labelling_of_one_cached_structure():
+    """Eight threads label one structure served from the exploration
+    cache with different CTL formulas that share atoms: each gets the
+    sets a sequential run gets, and the proposition masks the threads
+    built lazily equal those of a fresh structure.  Eight races, each on
+    a new service, since only the first request for an atom builds
+    its mask."""
+    database = Database(store().schema.database)
+    formulas = [parse_ctl(text) for text in (
+        "AG EF HP", "EF (HP & has_order)", "AG (HP -> EF has_order)",
+        "EG (HP | !logged_in)", "AG (HP -> AF logged_in)",
+        "A ((HP | !has_cart) U logged_in)", "EX EX (HP & has_cart)",
+        "E (F HP & F CC)",
+    )]
+    fresh = build_snapshot_kripke(store(), database)
+    expected = [satisfying_states(fresh, f) for f in formulas]
+    for _race in range(8):
+        got, cached = _label_concurrently(store(), database, formulas)
+        assert got == expected
+        assert cached._masks == fresh._masks
+
+
 def test_stores_wait_for_the_lock():
     """Opening a graph and both stores change shared counts, so each
     waits while another thread holds the lock."""
@@ -885,20 +945,27 @@ def test_counts_are_exact():
 
 
 def test_kripke_hit_replays_the_budget_strike():
-    """A state cap strikes at the same state on a served structure."""
+    """A state cap strikes at the same state on a served structure: in
+    the initial batch, just past it, mid-way, and at the last state."""
     prop = store()
     ag = parse_ctl("AG EF HP")
     full = verifier.verify_fully_propositional(prop, ag, workers=1)
     n = full.stats["kripke_states"]  # the root is never charged
-    for cap in (1, 2, n // 2, n - 2):
+    kripke = build_snapshot_kripke(prop, Database(prop.schema.database))
+    n_initial = len(kripke.successors(ROOT_STATE))
+    assert 1 < n_initial < n // 2
+    caps = (1, 2, n // 2, n - 2, n_initial - 1, n_initial, n_initial + 1,
+            n - 1)
+    for cap in caps:
         warm = verifier.verify_fully_propositional(
             prop, ag, max_states=cap, workers=1
         )
         cold = verifier.verify_fully_propositional(
             store(), ag, max_states=cap, workers=1
         )
-        assert warm.verdict is Verdict.INCONCLUSIVE
-        assert fingerprint(warm) == fingerprint(cold)
+        expected = Verdict.HOLDS if cap == n - 1 else Verdict.INCONCLUSIVE
+        assert warm.verdict is cold.verdict is expected, cap
+        assert fingerprint(warm) == fingerprint(cold), cap
         assert warm.stats["kripke_states"] == cold.stats["kripke_states"]
 
 
