@@ -25,7 +25,9 @@ remaining pure path formula is translated to LTL, compiled to a Büchi
 automaton (:mod:`repro.ltl.buchi`), and ``E ψ`` holds at the states from
 which the product has an accepting run — the automata-theoretic approach
 of Kupferman, Vardi & Wolper [19] that the paper's Theorem 4.6 builds
-on.
+on.  The product is the LTL-FO search's
+:class:`~repro.ltl.buchi.CompiledProduct` over the structure's ids, with
+a single valuation.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from repro.ctl.syntax import (
     StateFormula,
     is_ctl,
 )
-from repro.ltl.buchi import accepting_product_states, ltl_to_buchi
+from repro.ltl.buchi import CompiledProduct, ltl_to_buchi
 from repro.ltl.syntax import LAnd, LNot, LOr, LTLAtom, LTLFormula, LU, LX
 
 State = Hashable
@@ -219,17 +221,13 @@ class _Checker:
                 return LU(to_ltl(q.left), to_ltl(q.right))
             raise TypeError(f"unknown path formula {q!r}")
 
-        ltl = to_ltl(p)
-        ba = ltl_to_buchi(ltl)
-
-        def label(state: int, payload) -> bool:
-            _tag, idx = payload
-            return tables[idx][state] == 1
-
-        found = accepting_product_states(
-            ba, range(self.n), self.k.succ_ids.__getitem__, label
+        ba = ltl_to_buchi(to_ltl(p))
+        # one valuation, bit 0: a literal's bitset is its table entry
+        product = CompiledProduct(
+            ba, range(self.n), self.k.succ_ids.__getitem__,
+            lambda state, payload: tables[payload[1]][state], 1,
         )
         out = bytearray(self.n)
-        for s in found:
+        for s in product.accepting_starts(1):
             out[s] = 1
         return to_mask(out)

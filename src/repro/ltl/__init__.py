@@ -5,8 +5,9 @@
 - :mod:`repro.ltl.lasso` — reference semantics on ultimately periodic
   words (used for testing and counterexample confirmation);
 - :mod:`repro.ltl.buchi` — the tableau LTL→Büchi construction
-  (transition-based generalized Büchi, degeneralised) and nested-DFS
-  emptiness on products with a transition system;
+  (transition-based generalized Büchi, degeneralised) and emptiness on
+  its product with a transition system (``CompiledProduct``): a
+  nested-DFS lasso search and the states with an accepting run;
 - :mod:`repro.ltl.ltlfo` — LTL-FO sentences (Definition 3.1): universal
   closure of an LTL skeleton whose atoms are FO formulas.
 """
@@ -33,12 +34,7 @@ from repro.ltl.syntax import (
     ltl_size,
 )
 from repro.ltl.lasso import eval_on_lasso
-from repro.ltl.buchi import (
-    BuchiAutomaton,
-    BuchiTransition,
-    ltl_to_buchi,
-    find_accepting_lasso,
-)
+from repro.ltl.buchi import BuchiAutomaton, BuchiTransition, ltl_to_buchi
 from repro.ltl.ltlfo import (
     LTLFOSentence,
     X, U, G, F, B, Next, Until, Always, Eventually, Before,
@@ -53,7 +49,7 @@ __all__ = [
     "LNot", "LAnd", "LOr", "LX", "LU", "LR", "LF", "LG", "LB", "LImplies",
     "ltl_nnf", "ltl_atoms", "ltl_size",
     "eval_on_lasso",
-    "BuchiAutomaton", "BuchiTransition", "ltl_to_buchi", "find_accepting_lasso",
+    "BuchiAutomaton", "BuchiTransition", "ltl_to_buchi",
     "LTLFOSentence",
     "X", "U", "G", "F", "B", "Next", "Until", "Always", "Eventually", "Before",
     "check_ltlfo_input_bounded", "ltlfo_free_variables",

@@ -8,23 +8,27 @@ postponed.  Postponement yields a transition-based generalised Büchi
 acceptance (one set per until), degeneralised into an ordinary Büchi
 automaton with a round-robin counter.
 
-Emptiness of the product with a transition system is decided two ways:
+Emptiness of the product with a transition system is decided on one
+construction, :class:`CompiledProduct`: int product nodes, expanded
+lazily, with per-node enable masks over the valuations of a bitset
+block.  It answers two questions:
 
-- :func:`nested_dfs` — on-the-fly nested DFS over opaque nodes,
-  returning a concrete lasso.  :func:`find_accepting_lasso` runs it over
-  ``(state, q)`` pairs for one letter function (the reference);
-  :class:`CompiledProduct` runs it over ints, once per valuation of a
-  bitset block (the verifier's counterexample search);
-- :func:`accepting_product_states` — SCC-based, labelling *every* system
-  state from which an accepting run exists (the CTL* model checker's
-  ``Eψ`` subroutine).
+- :meth:`CompiledProduct.search` — a concrete accepting lasso for one
+  valuation, by the nested DFS of :func:`nested_dfs` (the verifier's
+  counterexample search);
+- :meth:`CompiledProduct.accepting_starts` — every start state with an
+  accepting run, by one Tarjan pass (the CTL* model checker's ``Eψ``
+  subroutine).
+
+The tests compare both with simpler products over ``(state, q)`` tuples
+(``tests/product_reference.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable
 
 from repro.ltl.syntax import (
     LAnd,
@@ -66,16 +70,6 @@ class BuchiAutomaton:
     initial: frozenset[int]
     accepting: frozenset[int]
     transitions_from: list[list[BuchiTransition]]
-
-    def transitions(self) -> Iterator[BuchiTransition]:
-        for outs in self.transitions_from:
-            yield from outs
-
-    def enabled(self, q: int, label: Callable[[Payload], bool]) -> Iterator[BuchiTransition]:
-        """Transitions from ``q`` compatible with the letter ``label``."""
-        for t in self.transitions_from[q]:
-            if all(label(payload) == value for payload, value in t.literals):
-                yield t
 
     @property
     def n_transitions(self) -> int:
@@ -163,31 +157,13 @@ def _covers(
     return list(results.values())
 
 
-def ltl_to_buchi(
-    formula: LTLFormula,
-    cache: "dict[LTLFormula, BuchiAutomaton] | None" = None,
-) -> BuchiAutomaton:
+def ltl_to_buchi(formula: LTLFormula) -> BuchiAutomaton:
     """Construct a Büchi automaton accepting exactly the models of
     ``formula`` (over infinite words of atom valuations).
 
-    ``cache`` is an optional memo table keyed by the formula: the
-    verifier passes one per verification call (per worker process under
-    parallel execution) so a sentence compiled for one (database, sigma)
-    pair is reused by every other pair instead of being rebuilt.  The
-    construction is deterministic, so cached and fresh automata are
-    interchangeable.
+    The construction is deterministic, so an automaton may be memoized
+    by its formula (``verify_ltlfo``'s ``buchi_cache`` does).
     """
-    if cache is not None:
-        hit = cache.get(formula)
-        if hit is not None:
-            return hit
-        ba = _ltl_to_buchi(formula)
-        cache[formula] = ba
-        return ba
-    return _ltl_to_buchi(formula)
-
-
-def _ltl_to_buchi(formula: LTLFormula) -> BuchiAutomaton:
     nnf = ltl_nnf(formula)
     untils = _until_subformulas(nnf)
     k = len(untils)
@@ -266,7 +242,6 @@ def _ltl_to_buchi(formula: LTLFormula) -> BuchiAutomaton:
 # ---------------------------------------------------------------------------
 
 SystemState = Hashable
-LabelFn = Callable[[SystemState, Payload], bool]
 SuccFn = Callable[[SystemState], Iterable[SystemState]]
 Node = Hashable  # a product node, opaque to the nested DFS
 
@@ -277,39 +252,6 @@ class Lasso:
 
     states: list[SystemState]
     loop_index: int
-
-
-def find_accepting_lasso(
-    ba: BuchiAutomaton,
-    initial_states: Iterable[SystemState],
-    successors: SuccFn,
-    label: LabelFn,
-) -> Lasso | None:
-    """Nested DFS for an accepting lasso in the on-the-fly product.
-
-    The product pairs a system state ``s`` (whose label is the letter
-    being read) with a Büchi state ``q`` (the automaton state *before*
-    reading that letter).  Returns the lasso projected to system states,
-    or None when the product language is empty.
-    """
-    init_product = [
-        (s, q) for s in initial_states for q in sorted(ba.initial)
-    ]
-
-    def product_successors(node: tuple[SystemState, int]) -> Iterator[tuple[SystemState, int]]:
-        s, q = node
-        letter = lambda payload: label(s, payload)
-        for t in ba.enabled(q, letter):
-            for s2 in successors(s):
-                yield (s2, t.dst)
-
-    found = nested_dfs(
-        init_product, product_successors, lambda node: node[1] in ba.accepting
-    )
-    if found is None:
-        return None
-    nodes, loop_index = found
-    return Lasso(states=[s for s, _q in nodes], loop_index=loop_index)
 
 
 def nested_dfs(
@@ -441,9 +383,10 @@ class CompiledProduct:
 
     :meth:`search` runs :func:`nested_dfs` for one valuation with a
     per-search memo of successor lists.  It makes the first
-    ``successors`` call per state that :func:`find_accepting_lasso`
-    makes for that valuation, at the same point, and finds the same
-    lasso; it never asks for a state's successors twice.
+    ``successors`` call per state that a nested DFS over the
+    ``(state, q)`` product makes for that valuation, at the same point,
+    and finds the same lasso; it never asks for a state's successors
+    twice.  :meth:`accepting_starts` walks the same expansion.
     """
 
     def __init__(
@@ -520,14 +463,11 @@ class CompiledProduct:
         masks = self._masks[node] = tuple(masks)
         return masks
 
-    def search(self, bit: int) -> tuple[Lasso | None, int | None]:
-        """The lasso for the valuation ``bit``, and its clean class.
-
-        The class is None when a lasso is found.  Otherwise it is the
-        valuations that agree with ``bit`` on every enable mask of every
-        node this search expanded: they would expand the same nodes to
-        the same successor lists, so their searches are clean too.
-        """
+    def _expansion(
+        self, bit: int
+    ) -> tuple[Callable[[int], list[int]], dict[int, list[int]]]:
+        """``expand(node)`` under the valuation ``bit``, and its memo of
+        the successor lists it has returned."""
         n = self.n_states
         dsts_of, node_masks, succ = self._dsts_of, self._masks, self._succ
         memo: dict[int, list[int]] = {}
@@ -552,7 +492,18 @@ class CompiledProduct:
                 memo[node] = nexts
             return nexts
 
-        accepting = self.accepting
+        return expand, memo
+
+    def search(self, bit: int) -> tuple[Lasso | None, int | None]:
+        """The lasso for the valuation ``bit``, and its clean class.
+
+        The class is None when a lasso is found.  Otherwise it is the
+        valuations that agree with ``bit`` on every enable mask of every
+        node this search expanded: they would expand the same nodes to
+        the same successor lists, so their searches are clean too.
+        """
+        n, accepting = self.n_states, self.accepting
+        expand, memo = self._expansion(bit)
         found = nested_dfs(
             self.starts, expand, lambda node: node % n in accepting
         )
@@ -560,107 +511,60 @@ class CompiledProduct:
             nodes, loop_index = found
             states = [self._states[node // n] for node in nodes]
             return Lasso(states=states, loop_index=loop_index), None
+        node_masks = self._masks
         clean = self._all_mask
         for mask in {mask for node in memo for mask in node_masks[node]}:
             clean &= mask if mask & bit else ~mask
         return None, clean
 
+    def accepting_starts(self, bit: int) -> set[SystemState]:
+        """The initial states with an accepting run under the valuation
+        ``bit``.
 
-def accepting_product_states(
-    ba: BuchiAutomaton,
-    system_states: Sequence[SystemState],
-    successors: SuccFn,
-    label: LabelFn,
-) -> set[SystemState]:
-    """System states from which some path satisfies the automaton.
-
-    Builds the full product over the given (finite) system state set,
-    finds the cycles through accepting Büchi states, and returns every
-    system state ``s`` such that some initial Büchi state paired with
-    ``s`` can reach such a cycle.  This is the ``Eψ`` subroutine of the
-    CTL* model checker.
-    """
-    graph: dict = {(s, q): [] for s in system_states for q in range(ba.n_states)}
-    for s in system_states:
-        letter = lambda payload, _s=s: label(_s, payload)
-        for q in range(ba.n_states):
-            out = graph[(s, q)]
-            for t in ba.enabled(q, letter):
-                for s2 in successors(s):
-                    out.append((s2, t.dst))
-
-    # nodes on an accepting cycle: a component with more than one node,
-    # or one node with a self-loop, holding an accepting Büchi state
-    seeds: set = set()
-    for scc in _strongly_connected_components(graph):
-        has_cycle = len(scc) > 1 or scc[0] in graph.get(scc[0], ())
-        if has_cycle and any(q in ba.accepting for _s, q in scc):
-            seeds.update(scc)
-
-    # backward reachability to the seeds
-    preds: dict = {}
-    for node, nexts in graph.items():
-        for nxt in nexts:
-            preds.setdefault(nxt, []).append(node)
-    reach = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        node = frontier.pop()
-        for pred in preds.get(node, ()):
-            if pred not in reach:
-                reach.add(pred)
-                frontier.append(pred)
-
-    return {
-        s
-        for s in system_states
-        if any((s, q) in reach for q in ba.initial)
-    }
-
-
-def _strongly_connected_components(
-    graph: dict[Hashable, Iterable[Hashable]],
-) -> list[list[Hashable]]:
-    """The strongly connected components of a successor map (Tarjan).
-
-    Iterative, so deep products never hit the recursion limit.  A node
-    that appears only as a successor has no successors of its own.
-    """
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    on_stack: set = set()
-    sccs: list[list[Hashable]] = []
-    for root in graph:
-        if root in index:
-            continue
-        work = [(root, iter(graph.get(root, ())))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, nexts = work[-1]
-            for nxt in nexts:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(graph.get(nxt, ()))))
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    scc = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc.append(member)
-                        if member == node:
-                            break
-                    sccs.append(scc)
-    return sccs
+        One iterative Tarjan pass over the nodes reachable from the
+        starts, expanded as :meth:`search` expands them.  Tarjan
+        completes SCCs in reverse topological order, so each SCC is
+        judged as it completes: it is good when it is a cycle through an
+        accepting Büchi state or has an edge into a good SCC.  A start
+        node has an accepting run exactly when its SCC is good.
+        """
+        n, accepting = self.n_states, self.accepting
+        expand = self._expansion(bit)[0]
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []  # nodes of the SCCs not yet completed
+        completed: set[int] = set()
+        good: set[int] = set()
+        for root in self.starts:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            work = [(root, iter(expand(root)))]
+            while work:
+                node, nexts = work[-1]
+                for nxt in nexts:
+                    if nxt not in index:
+                        index[nxt] = low[nxt] = len(index)
+                        stack.append(nxt)
+                        work.append((nxt, iter(expand(nxt))))
+                        break
+                    if nxt not in completed and index[nxt] < low[node]:
+                        low[node] = index[nxt]
+                else:
+                    work.pop()
+                    if work and low[node] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[node]
+                    if low[node] != index[node]:
+                        continue
+                    scc = [stack.pop()]
+                    while scc[-1] != node:
+                        scc.append(stack.pop())
+                    completed.update(scc)
+                    cycle = len(scc) > 1 or node in expand(node)
+                    if (
+                        cycle and any(m % n in accepting for m in scc)
+                    ) or any(nxt in good for m in scc for nxt in expand(m)):
+                        good.update(scc)
+        states = self._states
+        return {states[node // n] for node in self.starts if node in good}

@@ -42,7 +42,6 @@ its per-unit checker.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from collections import deque
 from typing import (
@@ -54,11 +53,7 @@ from repro.fol.bitset import ValuationBlock
 from repro.fol.compile import compile_formula
 from repro.fol.evaluation import EvalContext
 from repro.obs import Tracer
-from repro.ltl.buchi import (
-    CompiledProduct,
-    find_accepting_lasso,
-    ltl_to_buchi,
-)
+from repro.ltl.buchi import CompiledProduct, ltl_to_buchi
 from repro.ltl.ltlfo import LTLFOSentence, check_ltlfo_input_bounded
 from repro.ltl.syntax import LNot
 from repro.schema.database import Database
@@ -247,37 +242,6 @@ class _SnapshotLabeller:
         return value
 
 
-def _search_valuations(
-    ba, starts, succ, labeller, names, valuation_domain, gov, stats
-):
-    """Valuation-at-a-time lasso search (the reference engine).
-
-    One product search per valuation of the universal closure; label
-    results are pure per (snapshot, payload) at a fixed valuation and
-    the search revisits product states, so they are memoised per
-    valuation.  Returns ``(lasso, valuation)`` or None.  The verifier
-    runs :func:`_search_product`; the tests compare it with this one.
-    """
-    for combo in itertools.product(valuation_domain, repeat=len(names)):
-        gov.charge_valuation()
-        stats["valuations_checked"] += 1
-        valuation = dict(zip(names, combo))
-        memo: dict = {}
-
-        def label(snap: Snapshot, payload, _env=valuation, _memo=memo) -> bool:
-            key = (id(payload), snap)
-            value = _memo.get(key)
-            if value is None:
-                value = labeller(snap, payload, _env)
-                _memo[key] = value
-            return value
-
-        lasso = find_accepting_lasso(ba, starts, succ, label)
-        if lasso is not None:
-            return lasso, valuation
-    return None
-
-
 def _search_product(
     ba, starts, succ, labeller, names, valuation_domain, gov, stats, shared
 ):
@@ -293,7 +257,8 @@ def _search_product(
     search is skipped outright.  The first violating valuation can never
     be inside a clean class, and a skipped search would charge nothing,
     so verdicts, witnesses, charge order and stats stay bit-identical
-    with :func:`_search_valuations`.
+    with one search per valuation (the reference in
+    ``tests/product_reference.py``).
     """
     block = ValuationBlock(names, valuation_domain)
     literal_bits = functools.partial(

@@ -31,7 +31,9 @@ Guarantees, regardless of worker count:
 - **Resumable frontier.**  On interruption the checkpoint records the
   lowest incomplete cursor plus the out-of-order completions beyond it
   (``extra["completed_units"]``), so a resume — sequential or parallel —
-  re-runs exactly the incomplete units.
+  re-runs exactly the incomplete units.  When the frontier unit struck
+  its own budget, the run ends there as a sequential one does: the
+  completions beyond it are dropped, and a resume redoes them.
 - **Deterministic traces.**  When a :mod:`repro.obs` tracer is active,
   workers collect their unit's events locally and ship the batch back
   with the :class:`UnitOutcome`; the parent buffers batches and merges
@@ -514,9 +516,10 @@ class UnitStream:
         was entered.
 
         The pool's submission window pulls this stream ahead of the
-        units actually resolved, so on a violation the counters must be
-        reset to the prefix a sequential run would have charged before
-        stopping at that database.
+        units actually resolved, so on a violation, or on a strike at
+        the frontier unit, the counters must be reset to the prefix a
+        sequential run would have charged before stopping at that
+        database.
         """
         mark = self._db_marks.get(db_index)
         if mark is not None:
@@ -1301,6 +1304,7 @@ def _run_pool(
         pool.shutdown(wait=True, cancel_futures=True)
 
     pending = sorted({*out.pending, *(job.unit.cursor for job in jobs)})
+    frontier = finished.get(pending[0]) if pending else None
     limit = None  # the last cursor whose stats and events count
     if best is not None:
         # The lowest violation wins unless a unit below it is pending: a
@@ -1308,6 +1312,12 @@ def _run_pool(
         # run ends there, INCONCLUSIVE, exactly as sequential does, and
         # a resume finds the violation again.
         limit = min(best.cursor, pending[0]) if pending else best.cursor
+    elif frontier is not None and frontier.status == BUDGET:
+        # The frontier unit struck its own budget, where a sequential run
+        # stops: units the window ran past it do not count, and a resume
+        # redoes them.
+        limit = pending[0]
+    if limit is not None:
         out.completed = [c for c in out.completed if c < limit]
         stream.clamp_db_stats(limit[0])
     for cursor in sorted(finished):

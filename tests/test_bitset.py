@@ -56,12 +56,9 @@ from repro.service.runs import Run
 from repro.verifier import VerificationBudgetExceeded, verify_ltlfo
 from repro.verifier.budget import Budget
 from repro.verifier.engine import candidate_databases, enumerate_sigmas
-from repro.verifier.linear import (
-    _search_product,
-    _search_valuations,
-    _SnapshotLabeller,
-)
+from repro.verifier.linear import _search_product, _SnapshotLabeller
 
+from tests.product_reference import _search_valuations
 from tests.test_compile import (
     EVAL_ERRORS,
     VALUES,

@@ -1,6 +1,7 @@
-"""Cross-procedure equivalences on the propositional store (Example 4.3).
+"""Cross-procedure equivalences between the paper's procedures.
 
-The paper's procedures overlap, so one can check another:
+The paper's procedures overlap, so one can check another.  On the
+propositional store (Example 4.3):
 
 - an LTL formula ψ holds of every run (Theorem 3.5, ``verify_ltlfo``)
   exactly when ``A X ψ`` holds at the run-tree root (Theorem 4.4,
@@ -9,8 +10,16 @@ The paper's procedures overlap, so one can check another:
 - on a fully propositional service, Theorem 4.4 and Theorem 4.6
   (``verify_fully_propositional``) decide the same CTL(*) properties.
 
+On the direct error-freeness cases of the engine oracle:
+
+- a service is error free (``verify_error_free``, a reachability
+  search) exactly when ``G !ERROR`` holds of every run (Theorem 3.5's
+  lasso search): the error page is absorbing, so a run errs exactly
+  when it reaches it.
+
 The LTL side never builds a Kripke structure, so the first equivalence
-checks the CTL labeller against an independent search.  Every verdict
+checks the CTL labeller against an independent search; the last checks
+the lasso search against a plain breadth-first one.  Every verdict
 below is written by hand, with the reason it holds or fails.
 """
 
@@ -25,9 +34,13 @@ from repro.schema import Database
 from repro.verifier import (
     Verdict,
     verify_ctl,
+    verify_error_free,
     verify_fully_propositional,
     verify_ltlfo,
 )
+
+from tests.engine_cases import CASES, build_options, load_spec
+from tests.witness import replay_witness
 
 HOLDS, VIOLATED = Verdict.HOLDS, Verdict.VIOLATED
 
@@ -69,6 +82,21 @@ CTL_CASES = [
     ("AG AF HP", VIOLATED),  # a run can stay at CP forever
 ]
 
+#: direct error-freeness case of ``tests/engine_cases.py`` -> its verdict
+ERROR_FREE_CASES = [
+    # HP's two targets are complementary, so HP, the one page that
+    # requests constants, is left at once and never entered again; the
+    # other pages' targets read distinct values of one button
+    ("ef-core-direct", HOLDS),
+    # no input constants, and every page's targets exclude each other
+    ("ef-prop-direct-d1", HOLDS),
+    # a run that presses nothing stays at HP, which then requests @name
+    # and @password a second time: error condition (ii)
+    ("ef-ecommerce-violated", VIOLATED),
+    # likewise at HOME, which requests @token a second time
+    ("ef-dataflow-violated-d1", VIOLATED),
+]
+
 
 @pytest.fixture(scope="module")
 def store():
@@ -97,3 +125,29 @@ def test_theorem_4_4_agrees_with_theorem_4_6(store, text, verdict):
     fully = verify_fully_propositional(service, formula, workers=1)
     assert general.verdict is fully.verdict is verdict
     assert general.stats["kripke_states"] == fully.stats["kripke_states"]
+
+
+@pytest.mark.parametrize("case_id,verdict", ERROR_FREE_CASES,
+                         ids=[case_id for case_id, _v in ERROR_FREE_CASES])
+def test_error_free_agrees_with_ltl_never_error(case_id, verdict):
+    case = next(c for c in CASES if c["id"] == case_id)
+    # a fresh service per side: neither reads the other's exploration cache
+    service = load_spec(case["spec"])
+    sides = [(service, verify_error_free(
+        service, **build_options(case, service, workers=1)
+    ))]
+    service = load_spec(case["spec"])
+    options = build_options(case, service, workers=1)
+    options.pop("method", None)
+    # The violated services are not input-bounded, but on the same
+    # databases and sigmas both searches are exhaustive.
+    sides.append((service, verify_ltlfo(
+        service, parse_ltlfo("G !ERROR"), check_restrictions=False,
+        **options,
+    )))
+    for service, result in sides:
+        assert result.verdict is verdict
+        if verdict is VIOLATED:
+            run = result.counterexample
+            replay_witness(service, run)
+            assert run.snapshots[-1].page == service.error_page

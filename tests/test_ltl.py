@@ -31,14 +31,15 @@ from repro.ltl import (
     X,
     check_ltlfo_input_bounded,
     eval_on_lasso,
-    find_accepting_lasso,
     ltl_atoms,
     ltl_nnf,
     ltl_size,
     ltl_to_buchi,
 )
-from repro.ltl.buchi import CompiledProduct, accepting_product_states
+from repro.ltl.buchi import CompiledProduct
 from repro.ltl.syntax import ltl_map_atoms
+
+from tests.product_reference import accepting_product_states, find_accepting_lasso
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,12 @@ class TestBuchi:
     @settings(max_examples=150, deadline=None)
     @given(f=_ltl_formulas(), word=_words, data=st.data())
     def test_buchi_agrees_with_lasso_semantics(self, f, word, data):
+        """The automaton accepts a lasso word exactly when the word
+        satisfies ``f``, decided three ways: the tuple-product nested
+        DFS, ``CompiledProduct.search`` with one valuation, and
+        ``CompiledProduct.accepting_starts`` over the lasso as a
+        deterministic structure, where state ``i`` must be in the set
+        exactly when the suffix from position ``i`` satisfies ``f``."""
         loop = data.draw(st.integers(min_value=0, max_value=len(word) - 1))
         length = len(word)
         ref = eval_on_lasso(f, lambda i, a: word[i][a], length, loop)
@@ -224,12 +231,31 @@ class TestBuchi:
         ) is not None
         assert ref == got
 
+        bits = lambda s, a: int(word[s][a])
+        lasso, _clean = CompiledProduct(ba, [0], succ, bits, 1).search(1)
+        assert (lasso is not None) == ref
+
+        def holds_from(i):
+            order = list(range(i, length)) + list(range(loop, i))
+            return eval_on_lasso(
+                f, lambda j, a: word[order[j]][a], len(order),
+                max(loop - i, 0),
+            )
+
+        starts = CompiledProduct(
+            ba, range(length), succ, bits, 1
+        ).accepting_starts(1)
+        assert (0 in starts) == ref
+        assert starts == {i for i in range(length) if holds_from(i)}
+
     def test_accepting_states_agree_with_nested_dfs(self):
-        """The SCC-based ``accepting_product_states`` against nested DFS
-        (``find_accepting_lasso``) from each single state, two
-        independent emptiness checks, on seeded random Kripke structures
-        (dead ends and one-node components without a self-loop
-        included) and LTL formulas."""
+        """``CompiledProduct.accepting_starts``, the SCC-based
+        ``accepting_product_states`` and nested DFS
+        (``find_accepting_lasso``) from each single state, three
+        emptiness checks, on seeded random Kripke structures (dead ends
+        and one-node components without a self-loop included) and LTL
+        formulas.  The compiled product reads a two-valuation block:
+        valuation 0 sees the labels and valuation 1 their complements."""
         agreed = {True: 0, False: 0}
         for seed in range(300):
             rng = random.Random(seed)
@@ -248,6 +274,15 @@ class TestBuchi:
             got = accepting_product_states(
                 ba, list(range(n)), succ.__getitem__, label
             )
+            product = CompiledProduct(
+                ba, range(n), succ.__getitem__,
+                lambda s, a: 1 if labels[s][a] else 2, 3,
+            )
+            assert product.accepting_starts(1) == got, seed
+            assert product.accepting_starts(2) == accepting_product_states(
+                ba, list(range(n)), succ.__getitem__,
+                lambda s, a: not labels[s][a],
+            ), seed
             for s in range(n):
                 want = find_accepting_lasso(
                     ba, [s], succ.__getitem__, label

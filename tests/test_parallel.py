@@ -311,8 +311,9 @@ def _registration():
     return b.build()
 
 
-def _strike_registration(workers):
-    """Two clean units (10 snapshots each), then a strike on the last."""
+def _strike_registration(workers, order=(0, 0, 6)):
+    """``order`` picks the candidate databases in run order: by default
+    two clean units (10 snapshots each), then one that strikes."""
     from repro.ltl import B
     from repro.verifier.engine import candidate_databases
 
@@ -323,9 +324,15 @@ def _strike_registration(workers):
     )
     dbs = list(candidate_databases(svc, prop, None, 2, True)[0])
     return verify_ltlfo(
-        svc, prop, databases=[dbs[0], dbs[0], dbs[6]],
+        svc, prop, databases=[dbs[i] for i in order],
         budget=Budget(max_snapshots=10), workers=workers,
     )
+
+
+def _strike_registration_first(workers):
+    """The strike on the first unit, while the pool window runs the two
+    clean ones past it."""
+    return _strike_registration(workers, order=(6, 0, 0))
 
 
 def _strike_core(entry, cap):
@@ -369,6 +376,7 @@ def _strike_kripke(entry):
 
 STRIKES = {
     "ltl-registration": _strike_registration,
+    "ltl-registration-first": _strike_registration_first,
     **{f"ltl-core-cap{cap}": _strike_core(verify_ltlfo, cap)
        for cap in (1, 2, 3)},
     **{f"error-free-core-cap{cap}": _strike_core(verify_error_free, cap)
@@ -379,13 +387,22 @@ STRIKES = {
 }
 
 
+def _checkpoint(result):
+    """The result's checkpoint as a dict without its worker count, which
+    differs between the backends by construction (None without one)."""
+    ck = result.checkpoint
+    if ck is None:
+        return None
+    return {k: v for k, v in ck.to_dict().items() if k != "workers"}
+
+
 class TestStrikeStats:
     """When a unit's own budget strikes, the pool reports what the
     sequential loop reports: the run's totals (not the struck unit's
-    partial counters), nothing of the valuation in progress, and no
-    counter the procedure does not declare.  Every case strikes with no
-    later database pulled: a strike on an early database while the pool
-    window has pulled later ones is still counted differently."""
+    partial counters), nothing of the valuation in progress, no counter
+    the procedure does not declare, and the same checkpoint.  That holds
+    too when the strike is on an early unit and the pool window has run
+    later ones: they do not count."""
 
     @pytest.mark.parametrize("case", sorted(STRIKES))
     def test_pool_matches_sequential(self, case, monkeypatch):
@@ -395,6 +412,7 @@ class TestStrikeStats:
         assert list(seq.stats) == list(par.stats)
         _stats_match(seq.stats, par.stats)
         assert seq.coverage == par.coverage
+        assert _checkpoint(seq) == _checkpoint(par)
 
     def test_parent_cap_keeps_its_limit(self, monkeypatch):
         """A global cap that strikes in the parent, absorbing a clean
@@ -548,9 +566,9 @@ class TestStatsAccuracy:
         calls = []
         real = linear.ltl_to_buchi
 
-        def counting(formula, cache=None):
+        def counting(formula):
             calls.append(formula)
-            return real(formula, cache)
+            return real(formula)
 
         monkeypatch.setattr(linear, "ltl_to_buchi", counting)
         prop = _no_error()

@@ -23,8 +23,14 @@ from tests.conftest import build_toy_service
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
-#: stale since the choice memo moved the call into ``service.runs``
-KNOWN_ABSENT = ["repro.verifier.branching:enumerate_choices"]
+KNOWN_ABSENT = [
+    # stale since the choice memo moved the call into ``service.runs``
+    "repro.verifier.branching:enumerate_choices",
+    # now a test reference: the verifier searches through
+    # ``CompiledProduct.search``, so the probe read 0 even before its
+    # target moved; it is to be retargeted there
+    "repro.verifier.linear:find_accepting_lasso",
+]
 
 
 def _load_layers():
