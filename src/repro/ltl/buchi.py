@@ -162,7 +162,8 @@ def ltl_to_buchi(formula: LTLFormula) -> BuchiAutomaton:
     ``formula`` (over infinite words of atom valuations).
 
     The construction is deterministic, so an automaton may be memoized
-    by its formula (``verify_ltlfo``'s ``buchi_cache`` does).
+    by its formula (``verify_ltlfo`` keeps one per service and negated
+    skeleton).
     """
     nnf = ltl_nnf(formula)
     untils = _until_subformulas(nnf)

@@ -17,9 +17,9 @@ Event taxonomy (``name`` → meaning, extra fields):
   were enumerated (``count``);
 - ``buchi.compiled`` — the negated property's Büchi automaton was
   obtained (``dur``, ``n_states``, ``cached``; once per
-  ``verify_ltlfo`` call — ``cached=True`` when it was served from a
-  caller-provided ``buchi_cache`` such as the serving daemon's
-  per-spec memo, instead of being constructed);
+  ``verify_ltlfo`` call — ``cached=True`` when an earlier call on the
+  same service object had constructed it, as the serving daemon's
+  pinned services have);
 - ``label.bits`` — set-at-a-time labelling accounting for one work
   unit (``computed``, ``shared``: label bitsets evaluated vs reused
   from the block's shared cache);

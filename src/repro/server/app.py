@@ -370,10 +370,6 @@ class VerifierHTTPHandler(BaseHTTPRequestHandler):
                     spec_id=spec_id,
                     n_plans=entry.n_plans if entry is not None else 0,
                 )
-            if entry is not None and kind == "ltl":
-                # per-spec Büchi memo: repeat requests skip the
-                # automaton construction (buchi.compiled cached=True)
-                opts["buchi_cache"] = entry.buchi_cache
             if kind == "error_free":
                 diagnostics = lint_preflight(service, opts)
                 result = verify_error_free(service, **opts)

@@ -22,11 +22,12 @@ check below observes exactly that identity, and ``recompiles`` counts
 the times it ever broke — it stays 0 unless someone calls
 ``clear_compile_cache`` mid-flight).
 
-The per-entry ``buchi_cache`` completes the picture for the LTL path:
-:func:`~repro.verifier.linear.verify_ltlfo` memoizes the negated
-skeleton's Büchi automaton in it, so repeated verifications of the same
+The pinned :class:`CompiledService` completes the picture for the LTL
+path: :func:`~repro.verifier.linear.verify_ltlfo` keeps the negated
+skeleton's Büchi automaton on it, so repeated verifications of the same
 property skip the automaton construction too (``buchi.compiled`` events
-then carry ``cached=True``).
+then carry ``cached=True``; ``GET /specs/<id>`` counts them under
+``buchi_cached``).
 
 Exploration is amortized the same way.  The pinned
 :class:`CompiledService` carries the service's exploration cache
@@ -72,7 +73,7 @@ class RegistryEntry:
     """One registered spec with its amortized artefacts and counters."""
 
     __slots__ = (
-        "spec_id", "service", "data", "n_plans", "compiled", "buchi_cache",
+        "spec_id", "service", "data", "n_plans", "compiled",
         "registered_at", "hits", "verifications", "recompiles",
     )
 
@@ -84,7 +85,6 @@ class RegistryEntry:
         # fast as the thousandth.
         self.n_plans = warm_service_plans(service)
         self.compiled = compiled_service(service)
-        self.buchi_cache: dict[Any, Any] = {}
         self.registered_at = time.time()
         self.hits = 0
         self.verifications = 0
@@ -110,7 +110,7 @@ class RegistryEntry:
             "name": self.service.name,
             "pages": len(self.service.pages),
             "n_plans": self.n_plans,
-            "buchi_cached": len(self.buchi_cache),
+            "buchi_cached": len(self.compiled.automata),
             "exploration": self.compiled.exploration.stats(),
             "registered_at": self.registered_at,
             "hits": self.hits,

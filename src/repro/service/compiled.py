@@ -182,11 +182,14 @@ class CompiledService:
     ``pruned_rules`` / ``pruned_pages`` count what was skipped.
     ``prune=False`` keeps every plan: the reference the differential
     tests compare the pruned plans against.  ``exploration`` is the
-    service's :class:`ExplorationCache`.
+    service's :class:`ExplorationCache`; ``automata`` maps each negated
+    LTL-FO skeleton verified against the service to its Büchi
+    automaton, a deterministic function of the formula (an entry is
+    written whole, so a racing store keeps an equal automaton).
     """
 
     __slots__ = ("pages", "n_plans", "pruned_rules", "pruned_pages",
-                 "literals", "exploration")
+                 "literals", "exploration", "automata")
 
     def __init__(self, service: "WebService", prune: bool = False) -> None:
         self.pruned_rules: int = 0
@@ -221,6 +224,7 @@ class CompiledService:
         # context adds to its quantification domain.
         self.literals: frozenset = service.literal_constants()
         self.exploration = ExplorationCache()
+        self.automata: dict = {}
 
     def extra_domain(self, extra: Iterable = ()) -> frozenset:
         """The quantification domain a run context adds to its

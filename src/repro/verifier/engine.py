@@ -41,9 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import (
-    Any, Callable, Hashable, Iterable, Iterator, Mapping, MutableMapping,
-)
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.obs import Tracer, finalize_result, resolve_tracer
 from repro.schema.database import Database
@@ -150,7 +148,6 @@ OPTION_TABLE: dict[str, OptionSpec] = {
     "confirm_counterexamples": OptionSpec(
         frozenset({LTL}), default=True, wire=(bool,)
     ),
-    "on_database": OptionSpec(frozenset({LTL})),
     "sigmas": OptionSpec(frozenset({LTL, EF})),
     "budget": OptionSpec(ALL_PROCEDURES),
     "timeout_s": OptionSpec(
@@ -223,7 +220,6 @@ OPTION_TABLE: dict[str, OptionSpec] = {
                      "(default: $REPRO_CHECKPOINT_EVERY or off)"},
         env="REPRO_CHECKPOINT_EVERY",
     ),
-    "buchi_cache": OptionSpec(frozenset({LTL})),
     "method": OptionSpec(frozenset({EF}), default="direct"),
     "lint": OptionSpec(
         frozenset(),  # popped by lint_preflight before any dispatch
@@ -374,7 +370,6 @@ class RunConfig:
     max_snapshots: int = DEFAULT_SNAPSHOT_BUDGET
     max_states: int = DEFAULT_KRIPKE_BUDGET
     confirm_counterexamples: bool = True
-    on_database: Callable[[Database], None] | None = None
     sigmas: Iterable[Mapping[str, Value]] | None = None
     budget: Budget | None = None
     timeout_s: float | None = None
@@ -388,7 +383,6 @@ class RunConfig:
     faults: Any = None
     checkpoint_path: str | None = None
     checkpoint_every: int | None = None
-    buchi_cache: MutableMapping | None = None
     method: str = "direct"
 
     @classmethod
@@ -601,10 +595,9 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     """Run one verification end to end — the pipeline, written once.
 
     Resolution, enumeration, compilation, streaming, supervision and
-    folding happen in exactly the order the historical per-procedure
-    drivers used, so verdicts, witnesses, stats and trace events are
-    bit-identical with the pre-engine code (the differential suite in
-    ``tests/test_engine.py`` holds this against a recorded oracle).
+    folding happen in one fixed order, so verdicts, witnesses and stats
+    are bit-identical with the pre-engine code (the differential suite
+    in ``tests/test_engine.py`` holds this against a recorded oracle).
     The stats are ``databases_checked`` and ``databases_skipped``, the
     procedure's own :meth:`~Procedure.counters`, ``domain_size``
     (enumerating procedures only) and ``workers``, in that order.
@@ -644,10 +637,9 @@ def run_procedure(proc: Procedure) -> VerificationResult:
 
     property_name = proc.property_name()
     method = proc.method()
-    payload = proc.compile_payload(tr)
     # Rule plans, once per call in the parent (workers re-warm their own
     # copy in the pool initialiser), so traces stay worker-count
-    # independent.
+    # independent; before the payload, whose lookups they serve.
     plan_started = time.monotonic()
     n_plans = warm_service_plans(service)
     if tr.active:
@@ -661,6 +653,7 @@ def run_procedure(proc: Procedure) -> VerificationResult:
                 "plan.pruned",
                 pruned_rules=pruned_rules, pruned_pages=pruned_pages,
             )
+    payload = proc.compile_payload(tr)
     stats = {"databases_checked": 0, "databases_skipped": 0, **proc.counters()}
     if proc.enumerates:
         stats["domain_size"] = used_size
@@ -701,7 +694,7 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     snap_base = gov.snapshots_total
     stream = UnitStream(
         dbs, gov, stats, sigma_fn=sigma_fn, resume=cfg.resume,
-        on_database=cfg.on_database, block_size=n_block,
+        block_size=n_block,
     )
     outcome = run_units(spec, stream, gov, n_workers, supervisor=sup)
     merge_unit_stats(stats, outcome.unit_stats)

@@ -44,9 +44,7 @@ from __future__ import annotations
 import functools
 import time
 from collections import deque
-from typing import (
-    Any, Callable, Hashable, Iterable, Mapping, MutableMapping,
-)
+from typing import Any, Hashable, Iterable, Mapping
 
 from repro.fol.analysis import input_constants_of
 from repro.fol.bitset import ValuationBlock
@@ -402,23 +400,21 @@ class _LtlfoProcedure(Procedure):
         return self.sentence
 
     def compile_payload(self, tracer: Tracer) -> dict:
-        # One automaton per verification call: the negated *symbolic*
-        # skeleton, with valuations supplied at labelling time.  With a
-        # buchi_cache, one automaton per *property* across calls.
-        buchi_cache = self.cfg.buchi_cache
+        # One automaton per property and service: the negated *symbolic*
+        # skeleton, with valuations supplied at labelling time, kept on
+        # the service's compiled plans (warmed before this call).
+        automata = compiled_service(self.service).automata
         compile_started = time.monotonic()
         negated = LNot(self.sentence.skeleton)
-        ba = buchi_cache.get(negated) if buchi_cache is not None else None
-        buchi_cached = ba is not None
+        ba = automata.get(negated)
+        cached = ba is not None
         if ba is None:
-            ba = ltl_to_buchi(negated)
-            if buchi_cache is not None:
-                buchi_cache[negated] = ba
+            ba = automata[negated] = ltl_to_buchi(negated)
         if tracer.active:
             tracer.emit(
                 "buchi.compiled",
                 dur=time.monotonic() - compile_started, n_states=ba.n_states,
-                cached=buchi_cached,
+                cached=cached,
             )
         self.ba = ba
         return {
@@ -453,7 +449,6 @@ def verify_ltlfo(
     up_to_iso: bool = True,
     max_snapshots: int = DEFAULT_SNAPSHOT_BUDGET,
     confirm_counterexamples: bool = True,
-    on_database: Callable[[Database], None] | None = None,
     sigmas: Iterable[Mapping[str, Value]] | None = None,
     budget: Budget | None = None,
     timeout_s: float | None = None,
@@ -467,7 +462,6 @@ def verify_ltlfo(
     faults: Any = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int | None = None,
-    buchi_cache: "MutableMapping | None" = None,
     **unsupported: Any,
 ) -> VerificationResult:
     """Decide ``service ⊨ sentence`` for input-bounded instances.
@@ -549,16 +543,6 @@ def verify_ltlfo(
         ``checkpoint_path`` every ``checkpoint_every`` completed units
         (env ``REPRO_CHECKPOINT_EVERY``) and on interruption, so a kill
         at any moment loses bounded work and never corrupts the file.
-    buchi_cache:
-        A mutable mapping memoizing the negated-skeleton Büchi
-        automaton across calls, keyed by the negated skeleton formula.
-        Long-running callers (the HTTP daemon's spec registry) pass a
-        per-spec dict so repeated verifications of the same property
-        skip the automaton construction; the ``buchi.compiled`` trace
-        event then carries ``cached=True`` with a ~0 duration.  The
-        automaton is immutable after construction (the symbolic
-        skeleton; valuations are supplied at labelling time), so reuse
-        cannot change verdicts.
     """
     cfg = RunConfig.build("verify_ltlfo", dict(
         databases=databases,
@@ -567,7 +551,6 @@ def verify_ltlfo(
         up_to_iso=up_to_iso,
         max_snapshots=max_snapshots,
         confirm_counterexamples=confirm_counterexamples,
-        on_database=on_database,
         sigmas=sigmas,
         budget=budget,
         timeout_s=timeout_s,
@@ -581,7 +564,6 @@ def verify_ltlfo(
         faults=faults,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
-        buchi_cache=buchi_cache,
     ), unsupported)
     return run_procedure(_LtlfoProcedure(service, sentence, cfg))
 

@@ -12,35 +12,48 @@ in-process (the classic sequential loop) or on a
 :class:`~concurrent.futures.ProcessPoolExecutor` selected with
 ``workers=N``.
 
-Guarantees, regardless of worker count:
+Guarantees, regardless of worker count, all from one rule: the pool
+runs units in any order but **commits** them in cursor order, each once
+every unit below it has committed, and only a commit folds anything
+into the run.
 
 - **Deterministic verdicts.**  A violated property always reports the
   violation with the *lowest* (db_index, sigma_index) cursor, not the
   first one a worker happened to finish — so ``workers=1`` and
   ``workers=8`` return the same verdict, the same counterexample
   database and the same counterexample cursor.
-- **Early cancellation.**  Once a violation at cursor *c* is confirmed,
-  units beyond *c* are cancelled and no new units are submitted; units
-  below *c* are still awaited (one of them could hold an even lower
-  violation).
+- **Early cancellation.**  Once a violation, or a unit's own budget
+  strike, arrives at cursor *c*, no new units are pulled and the units
+  above *c* are cancelled or dropped; the units below *c* still run,
+  retry and commit (one of them could hold a lower violation or
+  strike), and the run ends when *c* commits.
 - **Budget integration.**  The parent governor keeps charging the
-  database cap and the wall-clock deadline at submission time; workers
-  enforce the per-pair caps and the remaining deadline locally, and the
-  parent absorbs their counters as units complete so global caps and
-  aggregate stats stay meaningful.
-- **Resumable frontier.**  On interruption the checkpoint records the
-  lowest incomplete cursor plus the out-of-order completions beyond it
-  (``extra["completed_units"]``), so a resume — sequential or parallel —
-  re-runs exactly the incomplete units.  When the frontier unit struck
-  its own budget, the run ends there as a sequential one does: the
-  completions beyond it are dropped, and a resume redoes them.
+  database cap and the wall-clock deadline as the stream is pulled;
+  workers enforce the per-pair caps and the remaining deadline locally,
+  and the parent absorbs their counters as units commit, so global caps
+  and aggregate stats cover exactly the prefix a sequential run covers.
+- **Resumable frontier.**  On interruption the checkpoint's cursor is
+  the lowest unit pulled and not committed; completions beyond it
+  (units committed past a quarantined one) are recorded in
+  ``extra["completed_units"]``, so a resume — sequential or parallel —
+  re-runs exactly the rest.  Where no uncommitted unit has been pulled
+  (always, in the sequential loop) the cursor is the unit just
+  committed, listed as completed.  Units that finished past the
+  frontier never committed, so a resume redoes them: at most one
+  submission window.
 - **Deterministic traces.**  When a :mod:`repro.obs` tracer is active,
   workers collect their unit's events locally and ship the batch back
-  with the :class:`UnitOutcome`; the parent buffers batches and merges
-  them into its tracer in **cursor order**, under the same
-  prefix filter as the stats aggregation — so the traced unit set is
-  identical at every worker count, and per-process timestamps stay
-  monotonic in file order.
+  with the :class:`UnitOutcome`; the parent emits each batch into its
+  tracer as the unit commits, in **cursor order** — so the traced unit
+  set is identical at every worker count, progress shows live, and
+  per-process timestamps stay monotonic in file order.
+
+Supervision is the one exception to the commit rule: the parent
+emits ``fault.injected``, ``unit.retry``, ``unit.timeout``,
+``unit.quarantined`` and ``pool.rebuilt`` and counts ``units_retried``
+and ``pool_rebuilds`` when they happen, so in a pool run they may cover
+a unit that a stop below it later drops, which the sequential loop
+never runs.  The quarantine *record* commits like an outcome.
 
 The streaming is lazy end-to-end: databases are pulled from the
 canonical enumeration one at a time and shipped to workers in a bounded
@@ -75,7 +88,9 @@ model:
 - **Unit timeouts.**  With ``unit_timeout_s`` set, a unit that exceeds
   its wall-clock allowance is treated as hung: the pool is rebuilt
   (a stuck worker cannot be preempted, only killed) and the unit
-  retried.
+  retried.  The allowance also bounds executions whose outcome the run
+  will never read (dropped above a stop, or running when the run
+  ends): past it they are killed, uncharged.
 - **Quarantine.**  A unit that exhausts its retries is quarantined —
   recorded in ``stats["quarantined_units"]`` and the checkpoint — and
   the run *continues*; an otherwise-clean verdict degrades to
@@ -85,10 +100,11 @@ model:
   more than :data:`_MAX_POOL_REBUILDS` times, an in-process executor
   takes its place and runs the remaining units one at a time —
   slower, but the run finishes.
-- **Crash-safe checkpoints.**  With ``checkpoint_every=N``, the merged
-  frontier is atomically written every N completed units (and on
+- **Crash-safe checkpoints.**  With ``checkpoint_every=N``, the
+  frontier is atomically written every N committed units (and on
   SIGINT/SIGTERM via :data:`GLOBAL_STOP`), so a kill at any moment
-  loses at most N units of work and can never corrupt the resume file.
+  loses at most N units of work, plus the pool's window, and can never
+  corrupt the resume file.
 
 Deterministic fault *injection* for testing all of the above lives in
 :mod:`repro.faults`.
@@ -100,6 +116,7 @@ import itertools
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -443,14 +460,12 @@ class UnitStream:
         *,
         sigma_fn: Callable[[Any], Iterable[Mapping[str, Any]]] | None = None,
         resume: Checkpoint | None = None,
-        on_database: Callable[[Any], None] | None = None,
         block_size: int = 1,
     ) -> None:
         self._databases = databases
         self._gov = gov
         self._stats = stats
         self._sigma_fn = sigma_fn
-        self._on_database = on_database
         self._block_size = max(1, block_size)
         self._skip_db = resume.db_index if resume is not None else 0
         self._skip_sigma = resume.sigma_index if resume is not None else 0
@@ -478,8 +493,6 @@ class UnitStream:
                     "database.enumerated", cursor=(db_index, 0),
                     db_index=db_index, domain=len(db.domain),
                 )
-            if self._on_database is not None:
-                self._on_database(db)
             if self._sigma_fn is None:
                 yield WorkUnit(db_index, db, ((0, None),))
                 continue
@@ -516,9 +529,9 @@ class UnitStream:
         was entered.
 
         The pool's submission window pulls this stream ahead of the
-        units actually resolved, so on a violation, or on a strike at
-        the frontier unit, the counters must be reset to the prefix a
-        sequential run would have charged before stopping at that
+        units actually committed, so when the run stops at a violation
+        or a unit's own strike, the counters must be reset to the prefix
+        a sequential run would have charged before stopping at that
         database.
         """
         mark = self._db_marks.get(db_index)
@@ -546,7 +559,7 @@ class EnumerationOutcome:
 
     Exactly one of three shapes: a ``violation`` (lowest cursor), an
     ``interrupted`` budget exception with the ``pending`` frontier and
-    ``completed`` out-of-order cursors, or neither (exhausted — HOLDS).
+    the ``completed`` cursors, or neither (exhausted — HOLDS).
     ``quarantined`` is orthogonal: units that exhausted their retry
     budget, each recorded as ``{"cursor", "attempts", "error"}`` — a
     non-empty list degrades an otherwise-clean run to INCONCLUSIVE via
@@ -574,9 +587,12 @@ def frontier_checkpoint(
 ) -> Checkpoint:
     """The merged resumable checkpoint of an interrupted enumeration.
 
-    The cursor is the lowest incomplete unit; completions beyond it
-    (out-of-order parallel finishes, plus any carried over from the
-    checkpoint being resumed) are recorded so the next run skips them.
+    The cursor is the lowest incomplete unit; completions at or beyond
+    it (units committed past a quarantined one, plus any carried over
+    from the checkpoint being resumed) are recorded so the next run
+    skips them.  A cursor that is itself completed — the stream's
+    cursor, given when the caller could name no unit past the last one
+    committed — is listed too, so a resume skips it.
     Quarantined units count as incomplete — a resume retries them with
     a fresh attempt budget — and are additionally recorded under
     ``extra["quarantined_units"]`` (the ``repro.checkpoint/2`` field)
@@ -590,7 +606,7 @@ def frontier_checkpoint(
     done: set[tuple[int, int]] = set(outcome.completed)
     if resume is not None:
         done |= resume.completed_units()
-    ahead = sorted(c for c in done if c > cursor)
+    ahead = sorted(c for c in done if c >= cursor)
     payload = dict(extra or {})
     if ahead:
         payload["completed_units"] = [list(c) for c in ahead]
@@ -762,27 +778,28 @@ class Supervisor:
     # -- the failure rule ---------------------------------------------------
 
     def failed(
-        self, out: EnumerationOutcome, tracer: Tracer,
+        self, tracer: Tracer,
         cursor: tuple[int, int], attempt: int, error: BaseException | str,
-    ) -> float | None:
+    ) -> float | dict:
         """Execution ``attempt`` of the unit at ``cursor`` failed.
 
         Returns the backoff to wait before running it again at
         ``attempt + 1``; or, once its retries are spent, quarantines it
-        — the run continues without it — and returns None.
+        and returns its record (``{"cursor", "attempts", "error"}``),
+        which the caller files in ``EnumerationOutcome.quarantined``
+        when the unit commits; the run continues without it.
         """
         if attempt >= self.max_retries:
-            out.quarantined.append({
-                "cursor": tuple(cursor),
-                "attempts": attempt + 1,
-                "error": str(error),
-            })
             if tracer.active:
                 tracer.emit(
                     "unit.quarantined", cursor=cursor,
                     attempts=attempt + 1, error=str(error),
                 )
-            return None
+            return {
+                "cursor": tuple(cursor),
+                "attempts": attempt + 1,
+                "error": str(error),
+            }
         delay = backoff_s(
             cursor, attempt, self.plan.seed if self.plan is not None else 0
         )
@@ -811,9 +828,9 @@ class Supervisor:
 
     def note_completed(
         self, tracer: Tracer, out: EnumerationOutcome,
-        incomplete: Iterable[tuple[int, int]] = (),
+        incomplete: Iterable[tuple[int, int]],
     ) -> None:
-        """One unit completed; maybe flush a periodic checkpoint."""
+        """One unit committed; maybe flush a periodic checkpoint."""
         if self.checkpoint_path is None or self.checkpoint_every is None:
             return
         self._since_checkpoint += 1
@@ -824,13 +841,14 @@ class Supervisor:
 
     def write_checkpoint(
         self, tracer: Tracer, out: EnumerationOutcome,
-        incomplete: Iterable[tuple[int, int]] = (),
+        incomplete: Iterable[tuple[int, int]],
     ) -> None:
         """Atomically write the current frontier to ``checkpoint_path``.
 
-        ``incomplete`` is the set of cursors known to be in flight,
-        queued for retry, or otherwise unfinished; everything completed
-        is recorded so a resume re-runs exactly the rest.  An injected
+        ``incomplete`` holds the cursors of the units pulled and not yet
+        committed, or else the stream's cursor (then the unit just
+        committed); everything completed at or past the frontier is
+        recorded so a resume re-runs exactly the rest.  An injected
         ``checkpoint`` fault interrupts between the temp write and the
         rename — the previous file must survive (that is the test).
         """
@@ -913,10 +931,14 @@ def run_units(
 
     The two loops stay separate because they differ where it matters:
     the sequential one charges the parent governor and traces live; the
-    pool gives each unit its own budget, folds the counters back with
-    ``Budget.absorb`` and buffers each unit's events until the verdict
-    is known.  Both run the same attempt body (:func:`_run_unit`) and
-    apply the same failure rule (:meth:`Supervisor.failed`).
+    pool gives each unit its own budget and commits units in cursor
+    order, folding the counters back with ``Budget.absorb`` and each
+    unit's events into the trace as it commits.  Both run the same
+    attempt body (:func:`_run_unit`), apply the same failure rule
+    (:meth:`Supervisor.failed`) and checkpoint by one rule: at the
+    lowest unit pulled and not committed, else at the stream's cursor,
+    the unit just committed, which the checkpoint then lists as done.
+    The sequential loop always takes the second form.
     """
     sup = supervisor if supervisor is not None else Supervisor()
     if workers <= 1:
@@ -955,10 +977,11 @@ def _run_sequential(
                 except VerificationBudgetExceeded:
                     raise
                 except Exception as exc:
-                    delay = sup.failed(out, tracer, unit.cursor, attempt, exc)
-                    if delay is not None:
-                        _SLEEP(delay)
+                    retry = sup.failed(tracer, unit.cursor, attempt, exc)
+                    if not isinstance(retry, dict):
+                        _SLEEP(retry)
                         continue
+                    out.quarantined.append(retry)
                 break
             if result is None:  # quarantined; move on
                 continue
@@ -967,11 +990,11 @@ def _run_sequential(
             if result.status == VIOLATED:
                 out.violation = result
                 return out
-            sup.note_completed(tracer, out)
+            sup.note_completed(tracer, out, [stream.cursor])
     except VerificationBudgetExceeded as exc:
         out.interrupted = exc
         out.pending = [stream.cursor]
-        sup.write_checkpoint(tracer, out, incomplete=out.pending)
+        sup.write_checkpoint(tracer, out, out.pending)
     return out
 
 
@@ -1027,25 +1050,47 @@ def _run_pool(
     spec: TaskSpec, stream: UnitStream, gov: Budget, workers: int,
     sup: Supervisor,
 ) -> EnumerationOutcome:
+    """The process-pool loop: units run in any order and commit in
+    cursor order.
+
+    Every unit pulled from the stream keeps its place in ``order`` until
+    it commits, and its outcome (or its quarantine) waits in ``arrived``
+    until every unit below it has committed.  Only a commit folds
+    anything into the run: the unit's trace batch, stats, completions,
+    ``gov.absorb`` and the periodic checkpoint, so the verdict, the
+    search stats, the unit events and the checkpoint are what the
+    sequential loop reports over the same prefix.  Supervision is the
+    exception: retries, timeouts, quarantines and rebuilds are counted
+    and traced when they happen, so they may cover a unit that a stop
+    below it later drops, which the sequential loop never runs.
+
+    A violation or a unit's own strike arriving at cursor *c* stops the
+    pull and drops what lies above *c*; the units below keep running,
+    retrying and committing, and the run ends when *c* commits.  A
+    parent-side halt (the idle-tick deadline, the stop token, a cap
+    struck on absorb) ends the run at once: nothing further starts or
+    commits, and whatever has not committed is pending.  A dropped
+    execution that had started, and any still running when the run
+    ends, is never read but keeps its unit timeout: past it the pool is
+    killed (and, mid-run, rebuilt without charging the dropped unit).
+    Without a unit timeout the pool's shutdown awaits them; the stop
+    token kills them at once.
+    """
     out = EnumerationOutcome()
     tracer = gov.tracer
     window = max(2 * workers, workers + 2)
     units = iter(stream)
-    exhausted = False
-    stop_stream = False  # no more units pulled from the stream
-    halt = False  # interrupted: nothing new starts, running units drain
+    pulling = True  # the stream may yield further units
+    refused: VerificationBudgetExceeded | None = None
+    stop: tuple[int, int] | None = None  # the run ends when it commits
+    order: deque[WorkUnit] = deque()  # pulled, not yet committed
+    arrived: dict[tuple[int, int], UnitOutcome | dict] = {}
+    #: submitted executions, until they end; those above ``stop`` are
+    #: never read, but hold a worker and their deadline all the same
     in_flight: dict[Future, _Job] = {}
     #: units waiting to run: retries, crash suspects, units a pool
-    #: rebuild took down with it; at the end, whatever is left is pending
+    #: rebuild took down with it
     jobs: list[_Job] = []
-    best: UnitOutcome | None = None
-    # Finished units by cursor, folded into the outcome only once the
-    # verdict is known: on a violation the stats and the trace must
-    # cover exactly the prefix of units at or below the winning cursor
-    # (what a sequential run charges), not whatever speculative units
-    # happened to finish before cancellation.  Stats merge and events
-    # flush in cursor order, so both are worker-count-independent.
-    finished: dict[tuple[int, int], UnitOutcome] = {}
 
     def start_pool(inline: bool):
         nonlocal window
@@ -1062,26 +1107,15 @@ def _run_pool(
 
     pool = start_pool(inline=False)
 
-    def interrupt(exc: VerificationBudgetExceeded, drain: bool = False):
-        # Stop pulling the stream and, unless draining, halt: nothing
-        # new starts, running units finish, queued jobs stay pending.
-        nonlocal stop_stream, halt
-        if out.interrupted is None:
-            out.interrupted = exc
-        stop_stream = True
-        halt = halt or not drain
-
-    def incomplete_cursors() -> set[tuple[int, int]]:
-        cursors = {job.unit.cursor for job in (*in_flight.values(), *jobs)}
-        if not exhausted:
-            cursors.add(stream.cursor)
-        return cursors
+    def incomplete() -> list[tuple[int, int]]:
+        # the units a checkpoint written now leaves to a resume
+        return [unit.cursor for unit in order] or [stream.cursor]
 
     def next_job() -> _Job | None:
         # The first job whose backoff has elapsed, else the next unit of
         # the stream; but a crash suspect starts only in an empty pool,
         # and nothing starts beside it.
-        nonlocal exhausted
+        nonlocal pulling, refused
         if any(job.solo for job in in_flight.values()):
             return None
         now = _MONOTONIC()
@@ -1090,49 +1124,75 @@ def _run_pool(
                 if job.solo and in_flight:
                     return None
                 return jobs.pop(i)
-        if exhausted or stop_stream:
+        if not pulling:
             return None
         try:
-            return _Job(next(units))
+            unit = next(units)
         except StopIteration:
-            exhausted = True
+            pulling = False
+            return None
         except VerificationBudgetExceeded as exc:
-            # The stream raised while yielding its next unit (the
-            # database cap, or the deadline during enumeration): stop
-            # pulling, but let the units already pulled drain — running
-            # or queued — as the sequential loop finishes every unit
-            # before the stream refuses the next.  Their databases are
-            # already charged inside the cap.  ``pending`` then falls
-            # back to ``stream.cursor``, as in sequential; a deadline
-            # still halts through the idle tick or the drained units'
-            # own budgets.
-            interrupt(exc, drain=True)
-        return None
+            # The stream refused its next database (the database cap, or
+            # the deadline during enumeration).  The units already pulled
+            # still run and commit, as the sequential loop finishes every
+            # unit before the stream refuses the next; the refusal ends
+            # the run once they have.
+            pulling, refused = False, exc
+            return None
+        order.append(unit)
+        return _Job(unit)
 
-    def handle_result(unit: WorkUnit, result: UnitOutcome) -> None:
-        nonlocal best
-        finished[unit.cursor] = result
-        if result.status == BUDGET:
-            out.pending.append(unit.cursor)
-            interrupt(_budget_error(result))
-            return
-        # never the violating cursor, which a resume must reach again
-        out.completed.extend(unit.completed(result))
-        if result.status == VIOLATED and (
-            best is None or result.cursor < best.cursor
-        ):
-            best = result
-        try:
-            gov.absorb(result.stats)
-        except VerificationBudgetExceeded as exc:
-            interrupt(exc)
-        sup.note_completed(tracer, out, incomplete=incomplete_cursors())
+    def dropped(job: _Job) -> bool:
+        return stop is not None and job.unit.cursor > stop
+
+    def stop_at(cursor: tuple[int, int]) -> None:
+        # The run ends when ``cursor`` commits: pull nothing more, count
+        # no database past its own, and cancel or drop everything above
+        # it.
+        nonlocal pulling, stop
+        pulling, stop = False, cursor
+        stream.clamp_db_stats(cursor[0])
+        while order[-1].cursor > cursor:
+            order.pop()
+        jobs[:] = [job for job in jobs if job.unit.cursor < cursor]
+        for fut, job in list(in_flight.items()):
+            if dropped(job) and fut.cancel():
+                del in_flight[fut]
+
+    def commit() -> None:
+        while order and order[0].cursor in arrived:
+            result = arrived.pop(order[0].cursor)
+            if isinstance(result, dict):  # quarantined: the run moves on
+                out.quarantined.append(result)
+                order.popleft()
+                continue
+            if tracer.active:
+                for event in result.events:
+                    tracer.emit_event(event)
+            merge_unit_stats(out.unit_stats, result.stats)
+            if result.status == BUDGET:
+                # the struck unit stays pending: a resume redoes it
+                out.interrupted = _budget_error(result)
+                return
+            # never the violating cursor, which a resume must reach again
+            out.completed.extend(order.popleft().completed(result))
+            if result.status == VIOLATED:
+                out.violation = result
+                return
+            try:
+                gov.absorb(result.stats)
+            except VerificationBudgetExceeded as exc:
+                out.interrupted = exc
+                return
+            sup.note_completed(tracer, out, incomplete())
 
     def fail(job: _Job, error: BaseException | str) -> None:
-        delay = sup.failed(out, tracer, job.unit.cursor, job.attempt, error)
-        if delay is not None:
+        retry = sup.failed(tracer, job.unit.cursor, job.attempt, error)
+        if isinstance(retry, dict):
+            arrived[job.unit.cursor] = retry
+        else:
             jobs.append(
-                _Job(job.unit, job.attempt + 1, _MONOTONIC() + delay)
+                _Job(job.unit, job.attempt + 1, _MONOTONIC() + retry)
             )
 
     def kill_pool() -> None:
@@ -1146,6 +1206,7 @@ def _run_pool(
             except Exception:
                 pass  # already reaped
         pool.shutdown(wait=False, cancel_futures=True)
+        in_flight.clear()
 
     def rebuild(cause: str) -> None:
         nonlocal pool
@@ -1161,8 +1222,8 @@ def _run_pool(
 
     def on_pool_break() -> None:
         broken = sorted(in_flight.values(), key=lambda job: job.unit.cursor)
-        in_flight.clear()
-        if len(broken) == 1:
+        suspects = [job for job in broken if not dropped(job)]
+        if len(broken) == 1 and suspects:
             # a unit that breaks the pool while running alone is the
             # proven culprit: charge the failure to its retry budget
             fail(broken[0], "worker process died (pool broken)")
@@ -1170,21 +1231,25 @@ def _run_pool(
             # cannot tell which in-flight unit killed the pool: re-run
             # them one at a time so the culprit identifies itself
             # without charging the innocents' retry budget
-            for job in broken:
+            for job in suspects:
                 job.solo = True
-            jobs.extend(broken)
+            jobs.extend(suspects)
         rebuild("worker-crash")
 
     def scan_timeouts() -> None:
         if sup.unit_timeout_s is None:
             return
         now = _MONOTONIC()
-        running = sorted(in_flight.values(), key=lambda job: job.unit.cursor)
-        expired = [job for job in running if now >= job.deadline]
-        if not expired:
+        if all(now < job.deadline for job in in_flight.values()):
             return
-        in_flight.clear()
-        for job in expired:
+        # a dropped execution dies with the pool, unread and uncharged
+        running = sorted(
+            (job for job in in_flight.values() if not dropped(job)),
+            key=lambda job: job.unit.cursor,
+        )
+        for job in running:
+            if now < job.deadline:
+                continue
             if tracer.active:
                 tracer.emit(
                     "unit.timeout", cursor=job.unit.cursor,
@@ -1196,7 +1261,7 @@ def _run_pool(
             )
         # the others lose their in-progress work with the pool, but not
         # their retry budget: run them again at the same attempt
-        jobs.extend(job for job in running if job not in expired)
+        jobs.extend(job for job in running if now < job.deadline)
         rebuild("unit-timeout")
 
     def launch(job: _Job) -> bool:
@@ -1216,27 +1281,26 @@ def _run_pool(
         return True
 
     try:
-        while True:
-            # cooperative stop (SIGINT/SIGTERM via the stop token)
-            if GLOBAL_STOP and out.interrupted is None:
+        while out.violation is None and out.interrupted is None:
+            if GLOBAL_STOP:
+                # cooperative stop (SIGINT/SIGTERM via the stop token)
                 try:
                     sup.check_stop(tracer)
                 except RunInterrupted as exc:
-                    # promptness over drain: kill running units, record
-                    # them pending, and flush the final checkpoint
-                    jobs.extend(in_flight.values())
-                    in_flight.clear()
-                    interrupt(exc)
+                    # promptness over drain: kill the running units
+                    out.interrupted = exc
                     kill_pool()
-
-            if halt and not in_flight:
-                break
+                    break
 
             # keep the submission window full
-            while not halt and len(in_flight) < window:
+            while len(in_flight) < window:
                 job = next_job()
                 if job is None or not launch(job):
                     break
+            if not order and not pulling:
+                # every pulled unit committed and the stream is done
+                out.interrupted = refused
+                break
 
             if in_flight:
                 done, _ = wait(
@@ -1247,6 +1311,8 @@ def _run_pool(
                     done, key=lambda f: in_flight[f].unit.cursor
                 ):
                     job = in_flight.pop(fut)
+                    if dropped(job):
+                        continue  # never read
                     try:
                         result = fut.result()
                     except BrokenProcessPool:
@@ -1257,91 +1323,48 @@ def _run_pool(
                     except Exception as exc:
                         fail(job, exc)
                         continue
-                    handle_result(job.unit, result)
+                    arrived[job.unit.cursor] = result
+                    if result.status != CLEAN:
+                        stop_at(job.unit.cursor)
                 if broke:
                     on_pool_break()
                 else:
-                    if not done and not halt:
+                    if not done:
                         # Idle tick: let the parent deadline fire even
                         # when no unit completed in this window.
                         try:
                             gov.check_deadline()
                         except VerificationBudgetExceeded as exc:
-                            interrupt(exc)
+                            out.interrupted = exc
+                            break
                     scan_timeouts()
-
-            if best is not None:
-                # Units beyond the best violation cannot change the
-                # answer: cancel what hasn't started, stop submitting,
-                # and only await the units below the best cursor.
-                stop_stream = True
-                for fut, job in list(in_flight.items()):
-                    if job.unit.cursor > best.cursor and fut.cancel():
-                        del in_flight[fut]
-                jobs[:] = [
-                    job for job in jobs if job.unit.cursor < best.cursor
-                ]
-            if halt and best is None:
-                # Interrupted: anything not yet started is pending; the
-                # already-running units drain (their own deadline mirrors
-                # the parent's, so this does not hang).
-                for fut, job in list(in_flight.items()):
-                    if fut.cancel():
-                        jobs.append(job)
-                        del in_flight[fut]
-
-            if not in_flight and jobs and not halt:
+                commit()
+            elif jobs:
                 # nothing runnable until the earliest backoff elapses
                 idle = min(job.not_before for job in jobs) - _MONOTONIC()
                 if idle > 0:
                     _SLEEP(min(0.1, idle))
-
-            if not in_flight and not jobs and (
-                exhausted or stop_stream or halt
-            ):
-                break
     finally:
+        # What still runs goes unread, but the unit timeout bounds it as
+        # it bounds any execution: past its deadline the pool is killed.
+        # Otherwise a clean join of the workers and the manager thread:
+        # the next pool forks its workers, which is not safe beside a
+        # live thread.
+        if sup.unit_timeout_s is not None:
+            for fut in [fut for fut in in_flight if fut.cancel()]:
+                del in_flight[fut]
+            for fut, job in sorted(
+                in_flight.items(), key=lambda item: item[1].deadline
+            ):
+                left = max(0.0, job.deadline - _MONOTONIC())
+                if not wait([fut], timeout=left).done:
+                    kill_pool()
+                    break
         pool.shutdown(wait=True, cancel_futures=True)
 
-    pending = sorted({*out.pending, *(job.unit.cursor for job in jobs)})
-    frontier = finished.get(pending[0]) if pending else None
-    limit = None  # the last cursor whose stats and events count
-    if best is not None:
-        # The lowest violation wins unless a unit below it is pending: a
-        # sequential run would have stopped at that unit first.  Then the
-        # run ends there, INCONCLUSIVE, exactly as sequential does, and
-        # a resume finds the violation again.
-        limit = min(best.cursor, pending[0]) if pending else best.cursor
-    elif frontier is not None and frontier.status == BUDGET:
-        # The frontier unit struck its own budget, where a sequential run
-        # stops: units the window ran past it do not count, and a resume
-        # redoes them.
-        limit = pending[0]
-    if limit is not None:
-        out.completed = [c for c in out.completed if c < limit]
-        stream.clamp_db_stats(limit[0])
-    for cursor in sorted(finished):
-        if limit is not None and cursor > limit:
-            continue
-        result = finished[cursor]
-        # A struck unit counts only at the frontier, where the
-        # sequential loop stops; a resume redoes every other one.
-        if result.status != BUDGET or cursor == pending[0]:
-            merge_unit_stats(out.unit_stats, result.stats)
-        if tracer.active:
-            for event in result.events:
-                tracer.emit_event(event)
-    if best is not None and limit == best.cursor:
-        out.violation = best
-        out.interrupted = None
-        out.pending = []
-    elif out.interrupted is not None:
-        out.pending = pending or [stream.cursor]
-        struck = finished.get(out.pending[0])
-        if struck is not None and struck.status == BUDGET:
-            # the strike a sequential run meets first
-            out.interrupted = _budget_error(struck)
-        sup.write_checkpoint(tracer, out, incomplete=out.pending)
+    if out.interrupted is not None:
+        out.pending = incomplete()
+        sup.write_checkpoint(tracer, out, out.pending)
     return out
 
 

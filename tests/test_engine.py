@@ -290,14 +290,32 @@ def test_dispatcher_forwards_coded_error(prop_service, ag_ef_hp):
 
 
 def test_unsupported_option_raised_before_any_work(core_spec):
-    """Validation happens before enumeration: no on_database callbacks."""
+    """Validation happens before enumeration: the databases are never
+    iterated."""
+
+    class Databases:
+        iterated = False
+
+        def __iter__(self):
+            self.iterated = True
+            return iter(())
+
     service, sentence = core_spec
-    seen = []
+    databases = Databases()
     with pytest.raises(RunConfigError):
-        verify_ltlfo(
-            service, sentence, on_database=seen.append, bogus_option=1
-        )
-    assert seen == []
+        verify_ltlfo(service, sentence, databases=databases, bogus_option=1)
+    assert not databases.iterated
+
+
+@pytest.mark.parametrize("option", ["buchi_cache", "on_database"])
+def test_retired_options_are_unknown(core_spec, option):
+    """The Büchi memo lives on the service and the per-database callback
+    is gone: both names are refused like a typo."""
+    service, sentence = core_spec
+    with pytest.raises(RunConfigError) as err:
+        verify_ltlfo(service, sentence, **{option: {}})
+    assert err.value.code == "unknown-option"
+    assert err.value.keys == (option,)
 
 
 @pytest.fixture

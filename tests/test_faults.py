@@ -11,6 +11,7 @@ SIGINT/SIGTERM wind down through the checkpoint-flushing stop path.
 
 import json
 import pickle
+import time
 
 import pytest
 
@@ -74,6 +75,19 @@ def _pingpong():
 
 def _no_error():
     return LTLFOSentence((), G(Not(Atom("ERROR", ()))))
+
+
+def _two_constants():
+    """Two input constants over a unary ``item`` relation: at domain
+    size 2, three databases of ten sigmas each."""
+    b = ServiceBuilder("sig")
+    b.database("item", 1)
+    b.input_constant("c", "d")
+    hp = b.page("HP", home=True)
+    hp.request("c", "d")
+    hp.target("P2", "true")
+    b.page("P2")
+    return b.build()
 
 
 def _plan(*specs, seed=0):
@@ -385,6 +399,54 @@ class TestPoolSupervision:
         assert "unit.timeout" in names
         assert "pool.rebuilt" in names
 
+    def test_timeout_bounds_a_unit_above_the_violation(self):
+        # (0, 1) hangs in its worker after the violation at (0, 0) ended
+        # the run; its outcome is never read, but the unit timeout still
+        # bounds it: the call returns without waiting out the hang
+        svc, prop, options = _clean_then_violated()
+        options["sigmas"] = options["sigmas"][::-1]
+        tracer = CollectingTracer()
+        started = time.monotonic()
+        result = verify_ltlfo(
+            svc, prop, workers=POOL, unit_timeout_s=0.5, tracer=tracer,
+            faults=_plan(FaultSpec("hang", 0, 1, delay_s=10.0)), **options,
+        )
+        assert time.monotonic() - started < 5.0
+        assert result.verdict is Verdict.VIOLATED
+        assert (result.stats["counterexample_db_index"],
+                result.stats["counterexample_sigma_index"]) == (0, 0)
+        assert not {"units_retried", "pool_rebuilds"} & set(result.stats)
+        assert not [e for e in tracer.events if e.name == "unit.timeout"]
+
+    def test_timeout_watches_units_dropped_above_a_stop(self, monkeypatch):
+        # (0, 0) fails once and waits out a 0.5 s backoff, (0, 1) is
+        # violated, and (0, 2) and (0, 3) hang on both workers.  The
+        # dropped hangs time out first: the rebuild that kills them
+        # charges nothing, and the retry of (0, 0) queued behind them
+        # runs again at its own attempt instead of timing out itself.
+        monkeypatch.setattr(parallel, "_BACKOFF_BASE_S", 0.5)
+        svc, prop, options = _clean_then_violated()
+        options["sigmas"] = options["sigmas"] + [
+            {"name": "bob", "password": "x"},
+            {"name": "carol", "password": "y"},
+        ]
+        tracer = CollectingTracer()
+        started = time.monotonic()
+        result = verify_ltlfo(
+            svc, prop, workers=POOL, unit_timeout_s=0.5, tracer=tracer,
+            faults=_plan(FaultSpec("error", 0),
+                         FaultSpec("hang", 0, 2, delay_s=10.0),
+                         FaultSpec("hang", 0, 3, delay_s=10.0)),
+            **options,
+        )
+        assert time.monotonic() - started < 5.0
+        assert result.verdict is Verdict.VIOLATED
+        assert (result.stats["counterexample_db_index"],
+                result.stats["counterexample_sigma_index"]) == (0, 1)
+        assert result.stats["units_retried"] == 1
+        assert result.stats["pool_rebuilds"] == 1
+        assert not [e for e in tracer.events if e.name == "unit.timeout"]
+
     def test_persistent_crash_quarantines(self):
         svc, prop = _pingpong(), _no_error()
         faulty = verify_ltlfo(
@@ -473,21 +535,59 @@ class TestAtomicWrites:
 
 
 class TestPeriodicCheckpoints:
-    def test_periodic_writes_and_resume(self, tmp_path):
-        svc, prop = _pingpong(), _no_error()
-        path = tmp_path / "ck.json"
-        result = verify_ltlfo(
-            svc, prop, domain_size=2, workers=1,
-            checkpoint_path=str(path), checkpoint_every=1,
-        )
-        assert result.verdict is Verdict.HOLDS
-        assert result.stats["checkpoints_written"] >= 1
-        ckpt = load_checkpoint(path)
-        # resuming from the mid-run checkpoint reaches the same verdict
-        resumed = verify_ltlfo(
-            svc, prop, domain_size=2, workers=1, resume=ckpt,
-        )
-        assert resumed.verdict is Verdict.HOLDS
+    def test_periodic_writes_and_resume(self, tmp_path, monkeypatch):
+        """A periodic checkpoint sits at the run's frontier: resuming it
+        runs exactly the units the run had not committed and enters no
+        database the run had finished — at either worker count.
+
+        The sequential loop cannot name the next unit before pulling
+        it, so its checkpoint sits on the unit just committed and lists
+        that unit as done; the pool's sits on its lowest unit pulled and
+        not committed, or takes the sequential form when its whole
+        window had committed."""
+        svc, prop = _two_constants(), _no_error()
+        options = dict(domain_size=2, sigma_block=1)
+        written = []
+
+        def recording_save(ckpt, path, **kwargs):
+            written.append((
+                (ckpt.db_index, ckpt.sigma_index),
+                sorted(ckpt.completed_units()),
+            ))
+            save_checkpoint(ckpt, path, **kwargs)
+
+        monkeypatch.setattr("repro.io.save_checkpoint", recording_save)
+        # written after 7, 14, 21 and 28 of the 30 units: the last unit
+        # committed, and the one after it
+        frontiers = [((0, 6), (0, 7)), ((1, 3), (1, 4)),
+                     ((2, 0), (2, 1)), ((2, 7), (2, 8))]
+        for workers in (1, POOL):
+            path = tmp_path / f"ck-{workers}.json"
+            tracer = CollectingTracer()
+            written.clear()
+            result = verify_ltlfo(
+                svc, prop, workers=workers, tracer=tracer,
+                checkpoint_path=str(path), checkpoint_every=7, **options,
+            )
+            assert result.verdict is Verdict.HOLDS
+            saved = [e.cursor for e in tracer.events
+                     if e.name == "checkpoint.saved"]
+            assert result.stats["checkpoints_written"] == len(saved) == 4
+            assert saved == [cursor for cursor, _done in written]
+            for (last, after), ckpt in zip(frontiers, written):
+                if workers == 1:
+                    assert ckpt == (last, [last])
+                else:
+                    assert ckpt in ((after, []), (last, [last])), ckpt
+            tracer = CollectingTracer()
+            resumed = verify_ltlfo(
+                svc, prop, workers=workers, resume=load_checkpoint(path),
+                tracer=tracer, **options,
+            )
+            assert resumed.verdict is Verdict.HOLDS
+            assert [e.fields["db_index"] for e in tracer.events
+                    if e.name == "database.enumerated"] == [2]
+            assert resumed.stats["sigmas_checked"] == 2, workers
 
     def test_injected_checkpoint_fault_preserves_file(self, tmp_path):
         svc, prop = _pingpong(), _no_error()

@@ -256,15 +256,15 @@ class TestParallelBudgets:
         assert result.verdict == unbounded.verdict
         assert rounds > 1
 
-    @pytest.mark.slow
     def test_database_cap_drains_pulled_units(self, monkeypatch):
         """The stream raising the database cap stops pulling, but every
         unit already pulled (its database charged inside the cap) still
         runs, as in sequential: stats, coverage and the checkpoint
-        cursor match the recorded pool entry on every run.  A
-        zero-timeout ``wait`` widens the window in which a cancel could
-        land on a pulled unit that has not started."""
-        import concurrent.futures as cf
+        cursor match the recorded pool entry.  The pool is replaced by
+        :class:`_HeldExecutor`, which starts a unit only when ``wait``
+        releases it, one per call: the stream always refuses while
+        pulled units have not started, so a cancel that lands on one of
+        them shows on every run."""
         import json
 
         import repro.verifier.parallel as parallel
@@ -272,16 +272,62 @@ class TestParallelBudgets:
             CASES, ORACLE_PATH, fingerprint, run_case,
         )
 
-        def zero_wait(fs, timeout=None, return_when=cf.ALL_COMPLETED):
-            return cf.wait(fs, timeout=0, return_when=return_when)
+        pools = []
 
-        monkeypatch.setattr(parallel, "wait", zero_wait)
+        def held_pool(**kwargs):
+            pools.append(_HeldExecutor(**kwargs))
+            return pools[-1]
+
+        def release_one(fs, timeout=None, return_when=None):
+            started = pools[-1].release()
+            done = {started} & set(fs)
+            return done, set(fs) - done
+
+        # the in-process "worker" initialiser sets this module global
+        monkeypatch.setattr(parallel, "_WORKER_SPEC", None)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", held_pool)
+        monkeypatch.setattr(parallel, "wait", release_one)
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         case = next(c for c in CASES if c["id"] == "ltlfo-core-inconclusive")
         want = json.loads(ORACLE_PATH.read_text())[case["id"]]["workers=2"]
-        for _ in range(10):
-            _, result = run_case(case, workers=POOL)
-            assert json.loads(json.dumps(fingerprint(result))) == want
+        _, result = run_case(case, workers=POOL)
+        assert json.loads(json.dumps(fingerprint(result))) == want
+        assert len(pools) == 1 and pools[0].released > POOL
+
+
+class _HeldExecutor:
+    """A stand-in for the process pool that runs units in this process,
+    each only when :meth:`release` is called, in submission order."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+        self.held = []
+        self.released = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        self.held.append((future, fn, args))
+        return future
+
+    def release(self):
+        """Run the first held unit that was not cancelled; its future."""
+        while self.held:
+            future, fn, args = self.held.pop(0)
+            if future.set_running_or_notify_cancel():
+                self.released += 1
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+        return None
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        for future, _fn, _args in self.held:
+            future.cancel()
+        self.held.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +357,11 @@ def _registration():
     return b.build()
 
 
-def _strike_registration(workers, order=(0, 0, 6)):
+def _strike_registration(workers, order=(0, 0, 6), faults=None):
     """``order`` picks the candidate databases in run order: by default
-    two clean units (10 snapshots each), then one that strikes."""
+    two clean units (10 snapshots each), then one that strikes.
+    ``faults`` is the fault plan, passed explicitly because
+    :class:`TestStrikeStats` clears ``REPRO_FAULTS``."""
     from repro.ltl import B
     from repro.verifier.engine import candidate_databases
 
@@ -325,7 +373,7 @@ def _strike_registration(workers, order=(0, 0, 6)):
     dbs = list(candidate_databases(svc, prop, None, 2, True)[0])
     return verify_ltlfo(
         svc, prop, databases=[dbs[i] for i in order],
-        budget=Budget(max_snapshots=10), workers=workers,
+        budget=Budget(max_snapshots=10), workers=workers, faults=faults,
     )
 
 
@@ -333,6 +381,18 @@ def _strike_registration_first(workers):
     """The strike on the first unit, while the pool window runs the two
     clean ones past it."""
     return _strike_registration(workers, order=(6, 0, 0))
+
+
+def _strike_registration_retried(order):
+    """The first unit fails once and waits out its retry backoff while
+    the pool window runs the units above it, up to the strike."""
+    plan = {"faults": [{"kind": "error", "db_index": 0, "sigma_index": 0,
+                        "times": 1}]}
+
+    def run(workers):
+        return _strike_registration(workers, order=order, faults=plan)
+
+    return run
 
 
 def _strike_core(entry, cap):
@@ -377,6 +437,8 @@ def _strike_kripke(entry):
 STRIKES = {
     "ltl-registration": _strike_registration,
     "ltl-registration-first": _strike_registration_first,
+    "ltl-registration-retried": _strike_registration_retried((0, 0, 6)),
+    "ltl-registration-retried-short": _strike_registration_retried((0, 6)),
     **{f"ltl-core-cap{cap}": _strike_core(verify_ltlfo, cap)
        for cap in (1, 2, 3)},
     **{f"error-free-core-cap{cap}": _strike_core(verify_error_free, cap)
@@ -402,7 +464,8 @@ class TestStrikeStats:
     partial counters), nothing of the valuation in progress, no counter
     the procedure does not declare, and the same checkpoint.  That holds
     too when the strike is on an early unit and the pool window has run
-    later ones: they do not count."""
+    later ones (they do not count), and when a unit below the strike is
+    still waiting out a retry backoff (it runs and counts)."""
 
     @pytest.mark.parametrize("case", sorted(STRIKES))
     def test_pool_matches_sequential(self, case, monkeypatch):
