@@ -117,8 +117,9 @@ class ValuationBlock:
         self._masks: dict[tuple[str, int], int] = {}
 
     def key(self) -> tuple:
-        """Everything the bit layout depends on (cache-key component)."""
-        return (self.variables, self.values)
+        """Everything the bit layout depends on (cache-key component):
+        how many variables there are, not their names, and the values."""
+        return (len(self.variables), self.values)
 
     def combos(self):
         """The valuations in index order (mirrors the verifier's loop)."""

@@ -369,14 +369,18 @@ class CompiledProduct:
     """The product of a lazily explored system with ``ba``, over ints,
     searched once per valuation of a block.
 
-    The letters are valuation bitsets: ``literal_bits(state, payload)``
-    is the set of valuations (bit *i* for valuation *i*, within
-    ``all_mask``) under which ``payload`` holds at ``state``.  States
-    are numbered densely as they are first met, and a product node is
-    the int ``sid * n_states + q``.  The product keeps, across searches,
+    System states are the caller's ids, non-negative ints: the starts
+    are ids, ``successors(sid)`` returns ids, and the letters are
+    valuation bitsets, ``literal_bits(sid, payload)`` being the set of
+    valuations (bit *i* for valuation *i*, within ``all_mask``) under
+    which ``payload`` holds at ``sid``.  The verifier passes an explored
+    graph's snapshot ids (``ExploredGraph``), and the CTL* model checker
+    a Kripke structure's state ids; lassos and start sets come back as
+    ids, which the caller maps to its states.  A product node is the int
+    ``sid * n_states + q``.  The product keeps, across searches,
 
-    - each sid's successor sids, from one ``successors(state)`` call,
-      made on the sid's first expansion with an enabled transition;
+    - each sid's successors, from one ``successors(sid)`` call, made on
+      the sid's first expansion with an enabled transition;
     - each expanded node's enable masks, one per transition of ``q``:
       the valuations agreeing with all its literals (the AND of the
       literal bitsets, or of their complements), built from bitsets
@@ -393,9 +397,9 @@ class CompiledProduct:
     def __init__(
         self,
         ba: BuchiAutomaton,
-        initial_states: Iterable[SystemState],
-        successors: SuccFn,
-        literal_bits: Callable[[SystemState, Payload], int],
+        initial_states: Iterable[int],
+        successors: Callable[[int], Iterable[int]],
+        literal_bits: Callable[[int, Payload], int],
         all_mask: int,
     ) -> None:
         self.n_states = n = ba.n_states
@@ -418,38 +422,20 @@ class CompiledProduct:
             ))
             self._dsts_of.append(tuple(t.dst for t in outs))
         self._payloads = list(payloads)
-        self._states: list = []
-        self._ids: dict = {}
-        self._succ: list = []  # per sid: its successors' sid * n, or None
+        self._succ: dict[int, list[int]] = {}  # sid -> successors' sid * n
         self._bits: dict[int, int] = {}  # at sid * n_payloads + payload
         self._masks: dict[int, tuple[int, ...]] = {}  # at node
         self.starts = [
-            self._sid(s) * n + q
-            for s in initial_states for q in sorted(ba.initial)
+            sid * n + q for sid in initial_states for q in sorted(ba.initial)
         ]
 
-    def _sid(self, state) -> int:
-        sid = self._ids.get(state)
-        if sid is None:
-            sid = self._ids[state] = len(self._states)
-            self._states.append(state)
-            self._succ.append(None)
-        return sid
-
     def _successor_bases(self, sid: int) -> list[int]:
-        n, ids = self.n_states, self._ids
-        bases = []
-        for s in self._successors(self._states[sid]):
-            succ_sid = ids.get(s)
-            if succ_sid is None:
-                succ_sid = self._sid(s)
-            bases.append(succ_sid * n)
-        self._succ[sid] = bases
+        n = self.n_states
+        bases = self._succ[sid] = [s * n for s in self._successors(sid)]
         return bases
 
     def _node_masks(self, node: int) -> tuple[int, ...]:
         sid, q = divmod(node, self.n_states)
-        state = self._states[sid]
         base = sid * len(self._payloads)
         masks = []
         for literals in self._literals_of[q]:
@@ -457,7 +443,7 @@ class CompiledProduct:
             for p, value in literals:
                 bits = self._bits.get(base + p)
                 if bits is None:
-                    bits = self._literal_bits(state, self._payloads[p])
+                    bits = self._literal_bits(sid, self._payloads[p])
                     self._bits[base + p] = bits
                 mask &= bits if value else ~bits
             masks.append(mask)
@@ -484,7 +470,7 @@ class CompiledProduct:
                     if mask & bit
                 ]
                 if dsts:
-                    bases = succ[node // n]
+                    bases = succ.get(node // n)
                     if bases is None:
                         bases = self._successor_bases(node // n)
                     nexts = [base + dst for dst in dsts for base in bases]
@@ -496,7 +482,8 @@ class CompiledProduct:
         return expand, memo
 
     def search(self, bit: int) -> tuple[Lasso | None, int | None]:
-        """The lasso for the valuation ``bit``, and its clean class.
+        """The lasso for the valuation ``bit``, over ids, and its clean
+        class.
 
         The class is None when a lasso is found.  Otherwise it is the
         valuations that agree with ``bit`` on every enable mask of every
@@ -510,17 +497,17 @@ class CompiledProduct:
         )
         if found is not None:
             nodes, loop_index = found
-            states = [self._states[node // n] for node in nodes]
-            return Lasso(states=states, loop_index=loop_index), None
+            sids = [node // n for node in nodes]
+            return Lasso(states=sids, loop_index=loop_index), None
         node_masks = self._masks
         clean = self._all_mask
         for mask in {mask for node in memo for mask in node_masks[node]}:
             clean &= mask if mask & bit else ~mask
         return None, clean
 
-    def accepting_starts(self, bit: int) -> set[SystemState]:
-        """The initial states with an accepting run under the valuation
-        ``bit``.
+    def accepting_starts(self, bit: int) -> set[int]:
+        """The ids of the initial states with an accepting run under the
+        valuation ``bit``.
 
         One iterative Tarjan pass over the nodes reachable from the
         starts, expanded as :meth:`search` expands them.  Tarjan
@@ -567,5 +554,4 @@ class CompiledProduct:
                         cycle and any(m % n in accepting for m in scc)
                     ) or any(nxt in good for m in scc for nxt in expand(m)):
                         good.update(scc)
-        states = self._states
-        return {states[node // n] for node in self.starts if node in good}
+        return {node // n for node in self.starts if node in good}

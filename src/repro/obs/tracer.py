@@ -21,8 +21,9 @@ Event taxonomy (``name`` → meaning, extra fields):
   same service object had constructed it, as the serving daemon's
   pinned services have);
 - ``label.bits`` — set-at-a-time labelling accounting for one work
-  unit (``computed``, ``shared``: label bitsets evaluated vs reused
-  from the block's shared cache);
+  unit (``computed``, ``shared``: label bitsets evaluated vs read from
+  the explored graph's label memo, which spans sigmas, units and
+  calls);
 - ``plan.compiled`` — the service's rule formulas were compiled to
   evaluation plans (``dur``, ``n_plans``; once per verification call,
   emitted parent-side so traces stay worker-count independent —

@@ -15,7 +15,10 @@ The verifier dispatches on the class of the (service, property) pair:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -26,6 +29,7 @@ from repro.fol.analysis import (
     free_variables,
     relation_names,
 )
+from repro.fol.compile import register_cache_clearer
 from repro.fol.formulas import And, Atom, Eq, Exists, Formula, Not, Or
 from repro.fol.terms import DbConst, Var
 from repro.service.webservice import WebService
@@ -85,6 +89,16 @@ class ClassificationReport:
     def is_in(self, cls: ServiceClass) -> bool:
         return cls in self.classes
 
+    def copy(self) -> "ClassificationReport":
+        """A copy whose classes, reasons and projection sites the caller
+        may change without changing this report."""
+        return dataclasses.replace(
+            self,
+            classes=set(self.classes),
+            reasons={cls: list(why) for cls, why in self.reasons.items()},
+            state_projections=list(self.state_projections),
+        )
+
     def why_not(self, cls: ServiceClass) -> list[str]:
         """Why the service is *not* in the given class (empty if it is)."""
         return self.reasons.get(cls, [])
@@ -107,8 +121,39 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
+#: per-service memo — services are immutable, so a report never goes
+#: stale; weak keys let services die normally
+_REPORTS: "weakref.WeakKeyDictionary[WebService, ClassificationReport]" = (
+    weakref.WeakKeyDictionary()
+)
+_REPORTS_LOCK = threading.Lock()
+
+
+def _clear_reports() -> None:
+    _REPORTS.clear()
+
+
+# one clear_compile_cache() leaves classification cold too
+register_cache_clearer(_clear_reports)
+
+
 def classify(service: WebService) -> ClassificationReport:
-    """Classify ``service`` against every decidable class."""
+    """Classify ``service`` against every decidable class.
+
+    The classification runs once per service object; every call, the
+    verifiers' pre-flight checks included, gets its own
+    :meth:`~ClassificationReport.copy` of the kept report, so changing a
+    report changes no later call's.
+    """
+    report = _REPORTS.get(service)
+    if report is None:
+        report = _classify(service)
+        with _REPORTS_LOCK:
+            _REPORTS[service] = report
+    return report.copy()
+
+
+def _classify(service: WebService) -> ClassificationReport:
     report = ClassificationReport()
     # The input-bounded check underlies three of the classes; compute it
     # once and share (each dependent check copies before extending).

@@ -37,12 +37,14 @@ successor caches hash each distinct snapshot once (snapshots memoise
 their hash) and equality checks usually short-circuit on identity.
 
 :class:`ExplorationCache` (``CompiledService.exploration``) keeps what
-the verifiers explored per (database, extra domain) — successor sets
-keyed by snapshot and the sigma a step from it reads, and completed
-Kripke structures — so later calls over the same service object read
-the graph instead of stepping again.  It lives and dies with the
-compiled service and holds at most :data:`EXPLORATION_CACHE_ENTRIES`
-entries, evicting least-recently-used databases first.
+the verifiers explored per (database, extra domain) — snapshots
+numbered once, successor-id tuples keyed by snapshot id and the sigma a
+step from it reads, the LTL-FO labeller's atom label bitsets, and
+completed Kripke structures — so later calls over the same service
+object read the graph instead of stepping and labelling again.  It
+lives and dies with the compiled service and holds at most
+:data:`EXPLORATION_CACHE_ENTRIES` entries, evicting least-recently-used
+databases first.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from repro.fol.compile import (
     CompiledFormula,
@@ -231,21 +233,6 @@ class CompiledService:
         database's: ``extra`` plus the specification's literals."""
         return frozenset(extra) | self.literals
 
-    def successor_key(self, snap, sigma: Mapping) -> tuple:
-        """``(snap, sigma restricted to what a step from snap reads)``.
-
-        The step reads sigma within Γ_{i-1} plus the page's
-        ``step_constants``; the successor of an error or pending-error
-        snapshot reads none of it.  The pairs sort by constant name
-        alone, so mixed-type values are never compared.
-        """
-        if not sigma or snap.is_error or snap.pending_error:
-            return (snap, ())
-        scope = snap.provided_before | self.page(snap.page).step_constants
-        return (snap, tuple(sorted(
-            (c, sigma[c]) for c in scope if c in sigma
-        )))
-
     def page(self, name: str) -> CompiledPage:
         """The plans of page ``name``.
 
@@ -326,32 +313,42 @@ class SnapshotInterner:
         return len(self._snapshots) + len(self._instances)
 
 
-#: Cap on the explored-graph entries one service retains: a successor
-#: set or a Kripke state counts one.  At the 0.4-0.9 KB per entry
-#: measured on the benchmark workloads (EXPERIMENTS, E18), a full cache
-#: holds some 28-59 MB, about twenty times the largest benchmark graph.
+#: Cap on the explored-graph entries one service retains: a successor-id
+#: tuple, a label bitset or a Kripke state counts one.  At the sizes
+#: measured on the benchmark workloads (EXPERIMENTS, E20 and E23: about
+#: 1 KB per Kripke state, 0.24 KB per LTL entry), a full cache holds
+#: at most some 68 MB, and some 16 MB of LTL entries.
 EXPLORATION_CACHE_ENTRIES = 1 << 16
 
 
 class ExploredGraph:
     """What has been explored over one (database, extra domain) pair.
 
-    ``successor_sets`` maps :meth:`CompiledService.successor_key` keys
-    to successor tuples; ``structure`` is ``(structure, n_initial)``
-    once a :func:`~repro.verifier.branching.build_snapshot_kripke` call
-    over the pair completed.  Both are only ever added to, and what
-    they hold is immutable.  ``size`` counts the entries charged to the
-    cap; ``retained`` turns False when the cache drops the graph, after
-    which the calls still holding it keep filling it for themselves.
-    A graph holds no reference to its cache: without a cycle, reference
-    counting frees a dropped cache and its graphs at once.
+    Snapshots are numbered once, when first stored: ``snapshots[sid]``
+    is snapshot ``sid`` and ``ids`` maps it back.  ``successor_ids``
+    maps ``(sid, sigma restricted to what a step from it reads)`` (see
+    :meth:`~repro.service.runs.RunContext.step_sigma`) to the
+    successors' ids; ``labels`` maps a label key to a ``sid -> bitset``
+    dict (see :meth:`ExplorationCache.label_memo`); ``structure`` is
+    ``(structure, n_initial)`` once a
+    :func:`~repro.verifier.branching.build_snapshot_kripke` call over
+    the pair completed.  All are only ever added to, and what they hold
+    is immutable.  ``size`` counts the entries charged to the cap;
+    ``retained`` turns False when the cache drops the graph, after which
+    the calls still holding it keep filling it for themselves.  A graph
+    holds no reference to its cache: without a cycle, reference counting
+    frees a dropped cache and its graphs at once.
     """
 
-    __slots__ = ("key", "successor_sets", "structure", "size", "retained")
+    __slots__ = ("key", "ids", "snapshots", "successor_ids", "labels",
+                 "structure", "size", "retained")
 
     def __init__(self, key: tuple) -> None:
         self.key = key
-        self.successor_sets: dict[tuple, tuple] = {}
+        self.ids: dict = {}
+        self.snapshots: list = []
+        self.successor_ids: dict[tuple, tuple[int, ...]] = {}
+        self.labels: dict[tuple, dict[int, int]] = {}
         self.structure: tuple[KripkeStructure, int] | None = None
         self.size = 0
         self.retained = True
@@ -362,17 +359,19 @@ class ExplorationCache:
 
     Under Definition 2.3 the snapshot graph of a (database, sigma) pair
     is a function of the service, the database, sigma and the
-    quantification domain, so every property checked over one database
-    can share it.  One :class:`ExploredGraph` per (database, extra
+    quantification domain, and so is the truth of an FO component at
+    each of its snapshots, so every property checked over one database
+    can share both.  One :class:`ExploredGraph` per (database, extra
     domain) pair, keyed by value and kept in least-recently-used order;
     callers :meth:`open` one per exploration.  When an insert takes the
     entry count past ``cap`` (:data:`EXPLORATION_CACHE_ENTRIES`), whole
     graphs are dropped, least recently used first; a graph that alone
     would exceed the cap is dropped itself and serves only the calls
-    holding it.  The lock guards the order and the entry count, so
-    concurrent verifications may share one service; lookups
-    (:meth:`successors`, :meth:`kripke`) read a graph's dicts without
-    it.  The hit and miss counters are exact in a single-threaded run.
+    holding it.  The lock guards the order, the entry count, snapshot
+    numbering and every store, so concurrent verifications may share one
+    service; lookups (:meth:`successor_ids`, :meth:`kripke`, a label
+    memo's ``get``) read a graph's dicts without it.  The hit and miss
+    counters are exact in a single-threaded run.
     """
 
     def __init__(self) -> None:
@@ -382,6 +381,8 @@ class ExplorationCache:
         self.entries = 0
         self.successor_hits = 0
         self.successor_misses = 0
+        self.label_hits = 0
+        self.label_misses = 0
         self.kripke_hits = 0
         self.kripke_misses = 0
         self.evictions = 0
@@ -398,16 +399,53 @@ class ExplorationCache:
                 self._graphs.move_to_end(key)
         return graph
 
-    def successors(self, graph: ExploredGraph, ctx, snap, step) -> tuple:
-        """The successors of ``snap`` in ``ctx``: the tuple ``graph``
-        holds, or ``step(ctx, snap)`` (the caller's ``successors``)
-        stored there as one."""
-        key = ctx.compiled.successor_key(snap, ctx.sigma)
-        found = graph.successor_sets.get(key)
+    def number(self, graph: ExploredGraph, snaps) -> tuple[int, ...]:
+        """The ids of ``snaps`` in ``graph``, numbering the new ones."""
+        found = tuple(map(graph.ids.get, snaps))
+        if None not in found:
+            return found
+        with self._lock:
+            return self._number(graph, snaps)
+
+    def successor_ids(
+        self, graph: ExploredGraph, ctx, sid: int, step
+    ) -> tuple[int, ...]:
+        """The successors' ids of snapshot ``sid`` in ``ctx``: the tuple
+        ``graph`` holds, or ``step(ctx, snapshot)`` (the caller's
+        ``successors``) numbered and stored there as one."""
+        snap = graph.snapshots[sid]
+        key = (sid, ctx.step_sigma(snap))
+        found = graph.successor_ids.get(key)
         if found is not None:
             self.successor_hits += 1
             return found
-        return self._store_successors(graph, key, tuple(step(ctx, snap)))
+        return self._store_successors(graph, key, step(ctx, snap))
+
+    def label_memo(self, graph: ExploredGraph, key: tuple) -> dict[int, int]:
+        """The ``sid -> bitset`` dict ``graph`` keeps for ``key``, made
+        empty when absent.
+
+        ``key`` must hold everything a label bitset depends on beyond
+        the snapshot and the graph's own key; the LTL-FO labeller's is
+        the payload with its closure variables renamed by position, the
+        block's layout and sigma restricted to Γ_i.  Read the dict
+        without the lock; store into it with :meth:`store_label`.
+        """
+        memo = graph.labels.get(key)
+        if memo is None:
+            with self._lock:
+                memo = graph.labels.setdefault(key, {})
+        return memo
+
+    def store_label(
+        self, graph: ExploredGraph, memo: dict[int, int], sid: int, bits: int
+    ) -> None:
+        """Keep the complete bitset ``bits`` of ``sid`` in ``memo``."""
+        with self._lock:
+            self.label_misses += 1
+            if sid not in memo:
+                memo[sid] = bits
+                self._grow(graph, 1)
 
     def kripke(
         self, graph: ExploredGraph
@@ -427,19 +465,39 @@ class ExplorationCache:
                 "entries": self.entries,
                 "successor_hits": self.successor_hits,
                 "successor_misses": self.successor_misses,
+                "label_entries": sum(
+                    len(memo) for graph in self._graphs.values()
+                    for memo in graph.labels.values()
+                ),
+                "label_hits": self.label_hits,
+                "label_misses": self.label_misses,
                 "kripke_hits": self.kripke_hits,
                 "kripke_misses": self.kripke_misses,
                 "evicted_databases": self.evictions,
             }
 
+    def _number(self, graph: ExploredGraph, snaps) -> tuple[int, ...]:
+        # Under the lock.  The snapshot is listed before its id is
+        # published, so a reader that finds the id can index the list.
+        ids, snapshots = graph.ids, graph.snapshots
+        out = []
+        for snap in snaps:
+            sid = ids.get(snap)
+            if sid is None:
+                sid = len(snapshots)
+                snapshots.append(snap)
+                ids[snap] = sid
+            out.append(sid)
+        return tuple(out)
+
     def _store_successors(
-        self, graph: ExploredGraph, key: tuple, succ: tuple
-    ) -> tuple:
+        self, graph: ExploredGraph, key: tuple, succ
+    ) -> tuple[int, ...]:
         with self._lock:
             self.successor_misses += 1
-            found = graph.successor_sets.get(key)
+            found = graph.successor_ids.get(key)
             if found is None:
-                graph.successor_sets[key] = found = succ
+                graph.successor_ids[key] = found = self._number(graph, succ)
                 self._grow(graph, 1)
         return found
 

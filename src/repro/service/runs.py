@@ -177,14 +177,16 @@ class RunContext:
     fields plus one choice.  The memos live and die with their run
     context (one (database, sigma) exploration, or one sigma's context
     in the Kripke builder) and hold at most one entry per distinct key.
+    :meth:`step_sigma` keeps what a step reads of ``sigma`` per (page
+    name, Γ_{i-1}), the exploration cache's successor key.
     :class:`~repro.service.session.Session` mutates ``sigma`` as the
     user provides constants, so it calls :func:`page_options` and
-    :func:`deterministic_step` directly and never reads either memo.
+    :func:`deterministic_step` directly and never reads a memo.
     """
 
     __slots__ = (
         "service", "database", "sigma", "extra_domain", "compiled",
-        "interner", "_base", "_choices", "_nexts",
+        "interner", "_base", "_choices", "_nexts", "_step_sigmas",
     )
 
     def __init__(
@@ -223,6 +225,7 @@ class RunContext:
         )
         self._choices: dict[tuple, tuple[Instance, ...] | None] = {}
         self._nexts: dict[tuple, tuple[Snapshot, ...]] = {}
+        self._step_sigmas: dict[tuple, tuple] = {}
 
     def make_eval_context(
         self,
@@ -240,6 +243,29 @@ class RunContext:
         """
         scoped = {c: v for c, v in self.sigma.items() if c in gamma}
         return self._base.context(state, inputs, prev, actions, scoped, page)
+
+    def step_sigma(self, snap: Snapshot) -> tuple:
+        """``sigma`` restricted to what a step from ``snap`` reads, as
+        ``(constant, value)`` pairs sorted by constant name, memoized.
+
+        The step reads sigma within Γ_{i-1} plus the page's
+        ``step_constants``; the successor of an error or pending-error
+        snapshot reads none of it.  The pairs sort by the distinct
+        constant names alone, so mixed-type values are never compared.
+        """
+        if snap.is_error or snap.pending_error:
+            return ()
+        key = (snap.page, snap.provided_before)
+        found = self._step_sigmas.get(key)
+        if found is None:
+            scope = (
+                snap.provided_before
+                | self.compiled.page(snap.page).step_constants
+            )
+            found = self._step_sigmas[key] = tuple(sorted(
+                (c, v) for c, v in self.sigma.items() if c in scope
+            ))
+        return found
 
     def compiled_page(self, name: str):
         """The page's precompiled rules (raises for a pruned page)."""

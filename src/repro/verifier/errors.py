@@ -38,7 +38,6 @@ from repro.service.rules import StateRule, TargetRule
 from repro.service.runs import (
     Run,
     RunContext,
-    Snapshot,
     initial_snapshots,
     successors,
 )
@@ -78,37 +77,40 @@ def error_page_reachable(
     """Shortest run reaching the error page for one (database, sigma).
 
     Returns the error trace as a lasso (looping on the error page), or
-    None when the error page is unreachable.  Successor sets come
-    through the service's exploration cache; snapshots are charged on
-    discovery either way.  A blown budget raises
+    None when the error page is unreachable.  The BFS runs over the
+    snapshot ids of the database's explored graph, reading successor-id
+    tuples through the service's exploration cache; snapshots are
+    charged on discovery either way.  A blown budget raises
     :class:`VerificationBudgetExceeded` with the partial BFS stats
     attached.
     """
     gov = Budget.ensure(budget, max_snapshots=max_snapshots)
     gov.begin_pair()
-    parent: dict[Snapshot, Snapshot | None] = {}
-    queue: deque[Snapshot] = deque()
-    for snap in initial_snapshots(ctx):
-        parent.setdefault(snap, None)
-        queue.append(snap)
-    gov.charge_snapshot(len(parent))
-
     exploration = ctx.compiled.exploration
     graph = exploration.open(ctx.database, ctx.extra_domain)
+    snapshots = graph.snapshots
+    parent: dict[int, int | None] = {}
+    queue: deque[int] = deque()
+    for sid in exploration.number(graph, initial_snapshots(ctx)):
+        parent.setdefault(sid, None)
+        queue.append(sid)
+    gov.charge_snapshot(len(parent))
+
     try:
         while queue:
-            snap = queue.popleft()
-            if snap.is_error:
-                trace = [snap]
+            sid = queue.popleft()
+            if snapshots[sid].is_error:
+                trace = [sid]
                 while parent[trace[0]] is not None:
                     trace.insert(0, parent[trace[0]])
                 return Run(
-                    ctx.database, dict(ctx.sigma), trace, loop_index=len(trace) - 1
+                    ctx.database, dict(ctx.sigma),
+                    [snapshots[i] for i in trace], loop_index=len(trace) - 1,
                 )
-            for nxt in exploration.successors(graph, ctx, snap, successors):
+            for nxt in exploration.successor_ids(graph, ctx, sid, successors):
                 if nxt not in parent:
                     gov.charge_snapshot()
-                    parent[nxt] = snap
+                    parent[nxt] = sid
                     queue.append(nxt)
     except VerificationBudgetExceeded as exc:
         exc.stats.setdefault("snapshots_explored", len(parent))

@@ -41,7 +41,6 @@ its per-unit checker.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import deque
 from typing import Any, Hashable, Iterable, Mapping
@@ -50,6 +49,8 @@ from repro.fol.analysis import input_constants_of
 from repro.fol.bitset import ValuationBlock
 from repro.fol.compile import compile_formula
 from repro.fol.evaluation import EvalContext
+from repro.fol.terms import Var
+from repro.fol.transforms import substitute
 from repro.obs import Tracer
 from repro.ltl.buchi import CompiledProduct, ltl_to_buchi
 from repro.ltl.ltlfo import LTLFOSentence, check_ltlfo_input_bounded
@@ -145,22 +146,13 @@ class _SnapshotLabeller:
     """
 
     def __init__(
-        self,
-        ctx: RunContext,
-        extra_domain: frozenset,
-        variables: tuple[str, ...] = (),
+        self, ctx: RunContext, variables: tuple[str, ...] = ()
     ) -> None:
         self.ctx = ctx
-        self.extra_domain = extra_domain
         self.variables = tuple(variables)
         self._cache: dict[Snapshot, tuple[EvalContext, frozenset[str]]] = {}
         # id-keyed with a strong payload reference, so ids stay valid.
         self._plans: dict[int, tuple[object, frozenset[str], object]] = {}
-        # (gamma, block) -> its dict in label_bits' ``shared``
-        self._scopes: dict[tuple, dict] = {}
-        # set-at-a-time accounting (label.bits trace event)
-        self.bits_computed = 0
-        self.bits_shared = 0
 
     def _context(self, snap: Snapshot) -> tuple[EvalContext, frozenset[str]]:
         entry = self._cache.get(snap)
@@ -193,75 +185,94 @@ class _SnapshotLabeller:
             return False
         return plan.check(ectx, env)
 
-    def label_bits(
-        self, snap: Snapshot, payload, block: ValuationBlock, shared=None
-    ) -> int:
-        """Label ``snap`` for *every* valuation of ``block`` in one pass.
 
-        Bit *i* equals ``self(snap, payload, valuation_i)``.  ``shared``
-        is an optional dict of label bitsets spanning the sigmas of one
-        work unit.  It holds one dict per gamma-scoped sigma and block
-        layout — everything beyond ``(payload, snap)`` the bitset's
-        value depends on — keyed by ``(payload, snap)``, so sigmas
-        agreeing on the constants the snapshot's page actually reads
-        share one computation.
-        """
-        # gamma without the eval context: a shared-cache hit must not
-        # pay EvalContext construction for a snapshot it never evaluates.
-        entry = self._cache.get(snap)
-        gamma = (
-            entry[1] if entry is not None
-            else snap.provided_here(self.ctx.service)
-        )
-        _payload, needed, plan = self._plan(payload)
+class _GraphLabeller(_SnapshotLabeller):
+    """Label the snapshots of an explored graph, by id, for *every*
+    valuation of ``block`` in one pass, through the graph's label memo.
+
+    Bit *i* of ``label_bits(sid, payload)`` equals ``self(snapshot,
+    payload, valuation_i)``.  Beyond the snapshot, a bitset depends on
+    the database and the extra domain, which key the graph, and on
+    what the memo key holds (:meth:`ExplorationCache.label_memo`): the
+    payload with its closure variables renamed by position to names no
+    built or parsed formula contains (``#0``, ``#1``, ...), the block's
+    bit layout (:meth:`~repro.fol.bitset.ValuationBlock.key`: the number
+    of closure variables and the values), and sigma restricted to Γ_i,
+    all the evaluation reads of sigma.  So sigmas, units, properties and calls agreeing on those
+    share one bitset, and an eval context is built only on a miss.
+    ``computed`` counts the bitsets evaluated, ``hits`` the memo hits.
+    """
+
+    def __init__(
+        self, ctx: RunContext, exploration, graph, block: ValuationBlock
+    ) -> None:
+        super().__init__(ctx, block.variables)
+        self.exploration = exploration
+        self.graph = graph
+        self.block = block
+        # (payload id, page, Γ_{i-1}, is_error), which fix Γ_i, -> the
+        # payload's memo at Γ_i, or None when the §3 check fails there
+        self._memos: dict[tuple, dict | None] = {}
+        self.computed = 0
+        self.hits = 0
+
+    def label_bits(self, sid: int, payload) -> int:
+        snap = self.graph.snapshots[sid]
+        key = (id(payload), snap.page, snap.provided_before, snap.is_error)
+        try:
+            memo = self._memos[key]
+        except KeyError:
+            memo = self._memos[key] = self._memo(
+                payload, snap.provided_here(self.ctx.service)
+            )
+        if memo is None:
+            return 0
+        bits = memo.get(sid)
+        if bits is None:
+            plan = self._plan(payload)[2]
+            bits = plan.bits(self._context(snap)[0], self.block)
+            self.exploration.store_label(self.graph, memo, sid, bits)
+            self.computed += 1
+        else:
+            self.hits += 1
+            self.exploration.label_hits += 1
+        return bits
+
+    def _memo(self, payload, gamma: frozenset[str]) -> dict | None:
+        needed = self._plan(payload)[1]
         # §3 gamma check, valuation-independent: all-false bitset.
         if not needed <= gamma:
-            return 0
-        if shared is None:
-            self.bits_computed += 1
-            return plan.bits(self._context(snap)[0], block)
-        scope = self._scopes.get((gamma, block))
-        if scope is None:
-            # (c, v) pairs sort by the distinct constant names alone, so
-            # mixed-type sigma values never get compared.
-            scoped = tuple(sorted(
-                (c, v) for c, v in self.ctx.sigma.items() if c in gamma
-            ))
-            scope = shared.setdefault((scoped, block.key()), {})
-            self._scopes[(gamma, block)] = scope
-        key = (id(payload), snap)
-        value = scope.get(key)
-        if value is None:
-            value = plan.bits(self._context(snap)[0], block)
-            scope[key] = value
-            self.bits_computed += 1
-        else:
-            self.bits_shared += 1
-        return value
+            return None
+        renamed = substitute(payload, {
+            name: Var(f"#{i}") for i, name in enumerate(self.variables)
+        })
+        # (c, v) pairs sort by the distinct constant names alone, so
+        # mixed-type sigma values never get compared.
+        scoped = tuple(sorted(
+            (c, v) for c, v in self.ctx.sigma.items() if c in gamma
+        ))
+        return self.exploration.label_memo(
+            self.graph, (renamed, self.block.key(), scoped)
+        )
 
 
-def _search_product(
-    ba, starts, succ, labeller, names, valuation_domain, gov, stats, shared
-):
+def _search_product(ba, starts, succ, literal_bits, block, gov, stats):
     """Set-at-a-time lasso search over a compiled product.
 
-    Each (snapshot, payload) pair is labelled once for *all* valuations
-    (a bitset; see :mod:`repro.fol.bitset`), and the product of the
-    snapshot graph with ``ba`` is compiled to ints once per sigma and
-    kept across its searches (:class:`~repro.ltl.buchi.CompiledProduct`).
-    Every clean search records its *class*: the valuations agreeing
-    with it on every enable mask it read.  A later valuation inside a
-    clean class would walk the identical product trajectory, so its
-    search is skipped outright.  The first violating valuation can never
-    be inside a clean class, and a skipped search would charge nothing,
-    so verdicts, witnesses, charge order and stats stay bit-identical
-    with one search per valuation (the reference in
-    ``tests/product_reference.py``).
+    ``starts``, ``succ`` and ``literal_bits`` are over snapshot ids; the
+    lasso found is too.  Each (id, payload) pair is labelled once for
+    *all* valuations of ``block`` (a bitset; see
+    :mod:`repro.fol.bitset`), and the product of the snapshot graph
+    with ``ba`` is compiled to ints once per sigma and kept across its
+    searches (:class:`~repro.ltl.buchi.CompiledProduct`).  Every clean
+    search records its *class*: the valuations agreeing with it on every
+    enable mask it read.  A later valuation inside a clean class would
+    walk the identical product trajectory, so its search is skipped
+    outright.  The first violating valuation can never be inside a clean
+    class, and a skipped search would charge nothing, so verdicts,
+    witnesses, charge order and stats stay bit-identical with one search
+    per valuation (the reference in ``tests/product_reference.py``).
     """
-    block = ValuationBlock(names, valuation_domain)
-    literal_bits = functools.partial(
-        labeller.label_bits, block=block, shared=shared
-    )
     product = CompiledProduct(ba, starts, succ, literal_bits, block.all_mask)
     covered = 0  # the union of the clean classes found
     for i, combo in enumerate(block.combos()):
@@ -273,7 +284,7 @@ def _search_product(
             continue
         lasso, clean = product.search(bit)
         if lasso is not None:
-            return lasso, dict(zip(names, combo))
+            return lasso, dict(zip(block.variables, combo))
         covered |= clean
     return None
 
@@ -283,29 +294,27 @@ def _check_ltlfo_unit(
 ) -> UnitOutcome:
     """Lasso search over the sigmas of one unit (Theorem 3.5).
 
-    Every sigma reads its successor sets through the service's
-    exploration cache (:class:`~repro.service.compiled.ExplorationCache`),
-    so sigmas, units and calls agreeing on the constants a step reads
-    share one computation.  The sigmas of a unit share one snapshot
-    interner.  A unit holding more than one sigma also shares the label
-    bitsets across its sigmas; a single-sigma unit has nothing to share
-    there and skips that bookkeeping, which would cost the
-    one-sigma-per-unit ``ltl_registration`` benchmark workload 21 % of
-    its warm latency (DESIGN, "Block boundaries").  Every sigma
-    keeps its own run context, compiled product and charge order, so
-    the merged stats depend neither on how many sigmas a unit holds nor
-    on what the cache held.
+    Every sigma searches the explored graph of its database in the
+    service's exploration cache
+    (:class:`~repro.service.compiled.ExplorationCache`) by snapshot id:
+    its successor-id tuples and its label bitsets
+    (:class:`_GraphLabeller`), so sigmas, units, properties and calls
+    agreeing on what a step or a label reads share one computation, and
+    a miss steps or labels once and stores the result.  The sigmas of a
+    unit share one snapshot interner for what they step.  Every sigma
+    keeps its own run context, compiled product and charge order, and
+    a lasso is mapped back to snapshots before it leaves the unit, so
+    the merged stats and the witness depend neither on how many sigmas a
+    unit holds nor on what the cache held, and ids never cross a process
+    boundary.
     """
     service: WebService = spec.service
     sentence: LTLFOSentence = spec.payload["sentence"]
     literals: frozenset = spec.payload["literals"]
     ba = spec.payload["automaton"]
     db = unit.database
-    pairs = unit.sigmas
-    names = sentence.variables
     interner = SnapshotInterner()
     exploration = compiled_service(service).exploration
-    shared: dict | None = {} if len(pairs) > 1 else None
 
     stats: dict = {
         "sigmas_checked": 0,
@@ -324,41 +333,39 @@ def _check_ltlfo_unit(
                 computed=bits_computed, shared=bits_shared,
             )
 
-    for sigma_index, sigma in pairs:
+    for sigma_index, sigma in unit.sigmas:
         gov.begin_pair()
         stats["sigmas_checked"] += 1
         ctx = RunContext(
             service, db, sigma=sigma, extra_domain=literals, interner=interner
         )
-        labeller = _SnapshotLabeller(ctx, literals, variables=names)
         graph = exploration.open(db, ctx.extra_domain)
+        block = ValuationBlock(sentence.variables, sorted(
+            set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
+            key=repr,
+        ))
+        labeller = _GraphLabeller(ctx, exploration, graph, block)
 
-        def succ(
-            snap: Snapshot, _ctx=ctx, _graph=graph
-        ) -> tuple[Snapshot, ...]:
+        def succ(sid: int, _ctx=ctx, _graph=graph) -> tuple[int, ...]:
             # The sigma's product asks once per snapshot.  A miss steps
             # through this module's ``successors``.
-            out = exploration.successors(_graph, _ctx, snap, successors)
+            out = exploration.successor_ids(_graph, _ctx, sid, successors)
             # Per-sigma accounting whether or not the set was cached:
             # charges and stats stay cache-independent.
             stats["snapshots_explored"] += 1
             gov.charge_snapshot()
             return out
 
-        starts = initial_snapshots(ctx)
-        valuation_domain = sorted(
-            set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
-            key=repr,
-        )
+        starts = exploration.number(graph, initial_snapshots(ctx))
         found = _search_product(
-            ba, starts, succ, labeller, names, valuation_domain,
-            gov, stats, shared,
+            ba, starts, succ, labeller.label_bits, block, gov, stats
         )
-        bits_computed += labeller.bits_computed
-        bits_shared += labeller.bits_shared
+        bits_computed += labeller.computed
+        bits_shared += labeller.hits
         if found is not None:
             lasso, valuation = found
-            run = Run(db, dict(sigma), list(lasso.states), lasso.loop_index)
+            snapshots = [graph.snapshots[sid] for sid in lasso.states]
+            run = Run(db, dict(sigma), snapshots, lasso.loop_index)
             detail: dict = {"run": run, "database": db}
             if spec.payload.get("confirm", True):
                 detail["confirmed"] = not _violation_confirmed_holds(
@@ -510,9 +517,10 @@ def verify_ltlfo(
     sigma_block:
         Batch that many consecutive sigmas of each database into one
         work unit (default: ``REPRO_SIGMA_BLOCK``, else 1 — classic
-        one-pair units).  Blocked units share the snapshot interner and
-        the set-at-a-time label bitsets across their sigmas and cut
-        pool dispatch overhead; verdicts, counterexamples and stats are
+        one-pair units).  Blocked units share the snapshot interner
+        across their sigmas and cut pool dispatch overhead (successor
+        sets and label bitsets are shared through the explored graph
+        whatever the block); verdicts, counterexamples and stats are
         block-size-independent (resume granularity coarsens to the
         block for interrupted units).
     tracer:
@@ -584,7 +592,7 @@ def _violation_confirmed_holds(
     from repro.ltl.lasso import eval_on_lasso
 
     grounded = sentence.instantiate(dict(valuation))
-    label = _SnapshotLabeller(ctx, frozenset(sentence.literals()))
+    label = _SnapshotLabeller(ctx)
 
     def atom_eval(pos: int, payload) -> bool:
         return label(run.snapshots[pos], payload)

@@ -19,8 +19,10 @@ Three layers of evidence:
   when a snapshot or valuation cap strikes mid-search; every lasso
   replays as a violating run — and end-to-end ``verify_ltlfo``
   fingerprints with and without sigma blocking, sequential and pooled;
-- trace-level accounting: with sigma blocking on, the ``label.bits``
-  events show fewer bitsets computed.
+- trace-level accounting: the ``label.bits`` events show the explored
+  graph's label memo spanning units and calls — a cold unblocked run
+  computes no more bitsets than a blocked one, and a warm repeat
+  computes none.
 """
 
 import random
@@ -42,6 +44,7 @@ from repro.fol import (
 )
 from repro.fol.bitset import ValuationBlock, compile_bits
 from repro.ltl import B, G, LTLAtom, LTLFOSentence, ltl_to_buchi
+from repro.ltl.buchi import Lasso
 from repro.ltl.syntax import LNot
 from repro.obs import CollectingTracer
 from repro.schema import Database
@@ -52,11 +55,16 @@ from repro.service import (
     initial_snapshots,
     successors,
 )
+from repro.service.compiled import ExplorationCache
 from repro.service.runs import Run
 from repro.verifier import VerificationBudgetExceeded, verify_ltlfo
 from repro.verifier.budget import Budget
 from repro.verifier.engine import candidate_databases, enumerate_sigmas
-from repro.verifier.linear import _search_product, _SnapshotLabeller
+from repro.verifier.linear import (
+    _GraphLabeller,
+    _search_product,
+    _SnapshotLabeller,
+)
 
 from tests.product_reference import _search_valuations
 from tests.test_compile import (
@@ -425,36 +433,64 @@ class _ChargeLog(Budget):
         super().charge_snapshot(n)
 
 
-def _search(search, service, sentence, ba, db, sigma, *extra, limits=None):
+def _search(service, sentence, ba, db, sigma, exploration=None,
+            limits=None):
     """One lasso search over one (database, sigma), wired as the
     verifier's unit checker wires it, with a fresh governor (``limits``
-    are its caps) and stats.  Returns ``(found, stats, governor)``;
-    ``found`` is the limit's name when a cap struck."""
+    are its caps) and stats.  Without ``exploration`` it is the
+    valuation-at-a-time reference over snapshots; with it, the product
+    search over the ids of ``exploration``'s graph of ``db``, labelled
+    through that graph's label memo, its lasso mapped back to
+    snapshots.  Returns ``(found, stats, governor)``; ``found`` is the
+    limit's name when a cap struck."""
     literals = frozenset(sentence.literals())
     ctx = RunContext(service, db, sigma=sigma, extra_domain=literals)
-    labeller = _SnapshotLabeller(ctx, literals, variables=sentence.variables)
     gov = _ChargeLog(**(limits or {}))
     gov.begin_pair()
     stats = {"valuations_checked": 0, "snapshots_explored": 0}
-    cache: dict = {}
-
-    def succ(snap):
-        out = cache.get(snap)
-        if out is None:
-            out = cache[snap] = successors(ctx, snap)
-            stats["snapshots_explored"] += 1
-            gov.charge_snapshot()
-        return out
-
     domain = sorted(
         set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
         key=repr,
     )
+    if exploration is None:
+        starts = initial_snapshots(ctx)
+
+        def step(snap):
+            return successors(ctx, snap)
+    else:
+        graph = exploration.open(db, ctx.extra_domain)
+        starts = exploration.number(graph, initial_snapshots(ctx))
+
+        def step(sid):
+            return exploration.successor_ids(graph, ctx, sid, successors)
+
+    cache: dict = {}
+
+    def succ(state):
+        out = cache.get(state)
+        if out is None:
+            out = cache[state] = step(state)
+            stats["snapshots_explored"] += 1
+            gov.charge_snapshot()
+        return out
+
     try:
-        found = search(
-            ba, initial_snapshots(ctx), succ, labeller, sentence.variables,
-            domain, gov, stats, *extra,
-        )
+        if exploration is None:
+            labeller = _SnapshotLabeller(ctx, sentence.variables)
+            found = _search_valuations(
+                ba, starts, succ, labeller, sentence.variables, domain, gov,
+                stats,
+            )
+        else:
+            block = ValuationBlock(sentence.variables, domain)
+            labeller = _GraphLabeller(ctx, exploration, graph, block)
+            found = _search_product(
+                ba, starts, succ, labeller.label_bits, block, gov, stats
+            )
+            if found is not None:
+                lasso, valuation = found
+                snapshots = [graph.snapshots[sid] for sid in lasso.states]
+                found = Lasso(snapshots, lasso.loop_index), valuation
     except VerificationBudgetExceeded as exc:
         found = exc.limit
     return found, stats, gov
@@ -501,9 +537,10 @@ def _half_cap(limit: str, charges: list) -> int:
 def test_setwise_search_matches_reference(case, limit):
     """Every (database, sigma): same ``(lasso, valuation)``, same stats,
     same governor charges in the same order — and with ``limit``, the
-    same cap striking after the same charges.  The product search
-    shares one label cache across the sigmas of a database, as a
-    blocked work unit does.  Every violating lasso replays as a run of
+    same cap striking after the same charges.  The product searches of
+    a case share one exploration cache across its databases and sigmas,
+    as the units and calls on one service do: snapshot ids, successor-id
+    tuples and label bitsets.  Every violating lasso replays as a run of
     the service that violates the property under the reported
     valuation."""
     make_service, make_prop, *make_databases = SEARCH_CASES[case]
@@ -514,21 +551,17 @@ def test_setwise_search_matches_reference(case, limit):
     else:
         dbs, _ = candidate_databases(service, sentence, None, 2, True)
     literals = frozenset(sentence.literals())
+    exploration = ExplorationCache()
     pairs = found_any = struck = 0
     for db in dbs:
-        shared: dict = {}
         for sigma in enumerate_sigmas(service, db):
-            ref = _search(_search_valuations, service, sentence, ba, db, sigma)
+            ref = _search(service, sentence, ba, db, sigma)
             limits = None
             if limit is not None:
                 limits = {limit: _half_cap(limit, ref[2].charges)}
-                ref = _search(
-                    _search_valuations, service, sentence, ba, db, sigma,
-                    limits=limits,
-                )
+                ref = _search(service, sentence, ba, db, sigma, limits=limits)
             got = _search(
-                _search_product, service, sentence, ba, db, sigma, shared,
-                limits=limits,
+                service, sentence, ba, db, sigma, exploration, limits=limits
             )
             assert got[0] == ref[0]
             assert got[1] == ref[1]
@@ -550,6 +583,8 @@ def test_setwise_search_matches_reference(case, limit):
         assert bool(found_any) == ("never" in case)
     else:
         assert struck
+    if "ring" in case:  # its sigmas share labels: some are served
+        assert exploration.stats()["label_hits"] > 0
 
 
 class TestVerifierSetwiseIdentity:
@@ -582,34 +617,44 @@ class TestVerifierSetwiseIdentity:
 
 
 # ---------------------------------------------------------------------------
-# satellite: sigma blocking hoists the per-valuation label work
+# the label memo spans sigmas, units and calls
 # ---------------------------------------------------------------------------
 
-def _bits_computed(tracer):
-    return sum(
-        event.fields.get("computed", 0)
-        for event in tracer.events
-        if event.name == "label.bits"
+def _label_counts(tracer) -> tuple[int, int]:
+    events = [e for e in tracer.events if e.name == "label.bits"]
+    return (
+        sum(e.fields["computed"] for e in events),
+        sum(e.fields["shared"] for e in events),
     )
 
 
-def test_sigma_blocking_reduces_label_evaluations():
-    """With blocking on, label bitsets are shared across the block's
-    sigmas instead of being rebuilt per (db, sigma) unit."""
-    svc = _session_service()
+def test_label_memo_spans_sigmas_units_and_calls():
+    """On fresh services, a cold ``sigma_block=1`` run computes no more
+    label bitsets than a cold ``sigma_block=8`` run: the explored
+    graph's memo spans units as it spans the sigmas of one.  A warm
+    repeat on the same service computes none, and every run's stats are
+    equal.  In-process (``workers=1``): pool workers start with empty
+    caches."""
     prop = _stored_prop()
-    t_plain = CollectingTracer()
-    plain = verify_ltlfo(
-        svc, prop, domain_size=2, sigma_block=1, tracer=t_plain
-    )
-    t_blocked = CollectingTracer()
-    blocked = verify_ltlfo(
-        svc, prop, domain_size=2, sigma_block=8, tracer=t_blocked
-    )
-    assert plain.verdict is blocked.verdict
-    # stats["config"] records the differing sigma_block by construction
-    assert {k: v for k, v in plain.stats.items() if k != "config"} == \
-           {k: v for k, v in blocked.stats.items() if k != "config"}
-    plain_n, blocked_n = _bits_computed(t_plain), _bits_computed(t_blocked)
-    assert plain_n > 0 and blocked_n > 0
-    assert blocked_n < plain_n, (blocked_n, plain_n)
+    computed = {}
+    stats = []
+    for block in (1, 8):
+        svc = _session_service()
+        runs = []
+        for _ in range(2):
+            tracer = CollectingTracer()
+            result = verify_ltlfo(
+                svc, prop, domain_size=2, sigma_block=block, tracer=tracer,
+                workers=1,
+            )
+            runs.append(_label_counts(tracer))
+            # stats["config"] records the differing sigma_block
+            stats.append(
+                {k: v for k, v in result.stats.items() if k != "config"}
+            )
+        (cold, cold_shared), (warm, warm_shared) = runs
+        assert cold > 0
+        assert warm == 0 and warm_shared == cold + cold_shared
+        computed[block] = cold
+    assert computed[1] <= computed[8], computed
+    assert all(s == stats[0] for s in stats)

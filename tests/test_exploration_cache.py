@@ -475,6 +475,90 @@ SCENARIOS: dict[str, tuple[Callable, list[Call]]] = {
 }
 
 
+# Pairs of calls on one service where one field of the label memo's key
+# alone separates the second call's bitsets from the first's: the
+# payload up to renaming its closure variables by position, the number
+# of closure variables, the block's values, and sigma restricted to
+# Γ_i.  (The graph's extra domain, the remaining field, separates the
+# domain_sensitive scenario above.)
+
+def _allowed(*rows):
+    return lambda service: [
+        Database(service.schema.database, {"allowed": list(rows)})
+    ]
+
+
+#: scenario -> whether its second call reads every label bitset the
+#: first call stored (the field is renamed away) or must compute its own
+LABEL_KEY_CASES: dict[str, bool] = {
+    # the closure variables renamed: one payload, one bitset, and the
+    # first call explored and labelled every snapshot
+    "label_renamed_closure": True,
+    # stored(x1, x0) is not stored(x0, x1): only (v0, v1) is allowed,
+    # so the first violating valuation moves
+    "label_swapped_order": False,
+    # a third closure variable triples the block: same renamed payload,
+    # same values, another bit layout
+    "label_closure_arity": False,
+    # the payload reads who once CONFIRM requested it: stored(x0, x1)
+    # with x0 = who comes true for who = v0 and never for who = v2
+    "label_scoped_who": False,
+    # a fresh who value joins the valuation domain and, sorting first,
+    # moves every valuation's bit
+    "label_fresh_sigma_value": False,
+    # exists x1 binds its own x1: stored(x0, _) is not stored(x0, y)
+    "label_bound_like_closure": False,
+}
+
+_V01 = _allowed(("v0", "v1"))
+
+SCENARIOS.update({
+    "label_renamed_closure": (registration, [
+        Call("verify_ltlfo",
+             "forall x0, x1: record(x0, x1) B !stored(x0, x1)",
+             {"databases": _V01}, expect="holds"),
+        Call("verify_ltlfo", "forall y0, y1: G !stored(y0, y1)",
+             {"databases": _V01}, expect="violated"),
+    ]),
+    "label_swapped_order": (registration, [
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x0, x1)",
+             {"databases": _V01}, expect="violated"),
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x1, x0)",
+             {"databases": _V01}, expect="violated"),
+    ]),
+    "label_closure_arity": (registration, [
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x0, x1)",
+             {"databases": _V01}, expect="violated"),
+        Call("verify_ltlfo", "forall x0, x1, x2: G !stored(x0, x1)",
+             {"databases": _V01}, expect="violated"),
+    ]),
+    "label_scoped_who": (session_registration, [
+        Call("verify_ltlfo", "forall x0, x1: !F (stored(x0, x1) & x0 = who)",
+             {"databases": _one_ring, "sigmas": [{"who": "v0"}]},
+             expect="violated"),
+        Call("verify_ltlfo", "forall x0, x1: !F (stored(x0, x1) & x0 = who)",
+             {"databases": _one_ring, "sigmas": [{"who": "v2"}]},
+             expect="holds"),
+    ]),
+    "label_fresh_sigma_value": (session_registration, [
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x0, x1)",
+             {"databases": _one_ring, "sigmas": [{"who": "v1"}]},
+             expect="violated"),
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x0, x1)",
+             {"databases": _one_ring, "sigmas": [{"who": "a"}]},
+             expect="violated"),
+    ]),
+    "label_bound_like_closure": (registration, [
+        Call("verify_ltlfo",
+             "forall x0, x1: G !(exists x1. stored(x0, x1))",
+             {"databases": _V01}, expect="violated"),
+        Call("verify_ltlfo",
+             "forall x0, y: G !(exists x1. stored(x0, y))",
+             {"databases": _V01}, expect="violated"),
+    ]),
+})
+
+
 @pytest.fixture(scope="module")
 def cold():
     """Each call of each scenario on a fresh service object."""
@@ -501,6 +585,34 @@ def test_warm_calls_fingerprint_as_cold(name, cold):
     assert stats["successor_hits"] + stats["kripke_hits"] > 0, (
         "the sequence never reused a graph: it tests nothing"
     )
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_KEY_CASES))
+def test_one_label_key_field_separates_two_calls(name, cold):
+    """Warm, the second call of each pair fingerprints as it does cold
+    (its witness replayed by the test above), and it computes no label
+    bitset exactly when the field separating it from the first call is
+    one the key renames away.  Where it must compute its own, the two
+    calls differ cold in the verdict or the stats, so a second call
+    served the first call's bitsets would show."""
+    factory, (first, second) = SCENARIOS[name]
+    service = factory()
+    run_call(first, service)
+    cache = compiled_service(service).exploration
+    before = cache.stats()
+    result, _replay = run_call(second, service)
+    after = cache.stats()
+    assert fingerprint(result) == fingerprint(cold[name][1][0])
+    computed = after["label_misses"] - before["label_misses"]
+    if LABEL_KEY_CASES[name]:
+        assert computed == 0
+        assert after["label_hits"] > before["label_hits"]
+    else:
+        assert computed > 0
+        cold_first, cold_second = (fingerprint(r) for r, _ in cold[name])
+        assert (cold_first["verdict"], cold_first["stats"]) != (
+            cold_second["verdict"], cold_second["stats"]
+        )
 
 
 def test_every_scenario_reaches_a_violation(cold):
@@ -620,11 +732,14 @@ def test_threads_on_one_cold_service(name, first, second, cold):
 
 
 def test_concurrent_stores_lose_no_update():
-    """Eight threads store the same keys into two graphs at once; every
-    count a lost read-modify-write would corrupt stays exact."""
+    """Eight threads number the same snapshots and store the same keys
+    and label bitsets into two graphs at once; every count a lost
+    read-modify-write would corrupt stays exact, and every snapshot gets
+    one id."""
     cache = ExplorationCache()
     graphs = [cache.open(name, frozenset()) for name in "ab"]
-    n_threads, n_keys = 8, 20000
+    memos = [cache.label_memo(graph, "p") for graph in graphs]
+    n_threads, n_keys, n_snaps = 8, 20000, 500
     barrier = threading.Barrier(n_threads)
     errors: list[BaseException] = []
 
@@ -635,6 +750,8 @@ def test_concurrent_stores_lose_no_update():
                 # () is one shared object: a store must not mistake
                 # another thread's () for its own
                 cache._store_successors(graphs[i % 2], i, ())
+                cache.store_label(graphs[i % 2], memos[i % 2], i, i)
+                cache.number(graphs[i % 2], [i // 2 % n_snaps])
         except BaseException as exc:  # pragma: no cover - reported below
             errors.append(exc)
 
@@ -652,9 +769,14 @@ def test_concurrent_stores_lose_no_update():
     assert not errors, errors
     stats = cache.stats()
     assert stats["successor_misses"] == n_threads * n_keys
-    assert [g.size for g in graphs] == [n_keys // 2] * 2
-    assert stats["entries"] == n_keys
-    assert sum(len(g.successor_sets) for g in graphs) == n_keys
+    assert stats["label_misses"] == n_threads * n_keys
+    assert [g.size for g in graphs] == [n_keys] * 2
+    assert stats["entries"] == 2 * n_keys
+    assert sum(len(g.successor_ids) for g in graphs) == n_keys
+    assert stats["label_entries"] == n_keys
+    for graph in graphs:
+        assert sorted(graph.snapshots) == list(range(n_snaps))
+        assert all(graph.snapshots[sid] == s for s, sid in graph.ids.items())
 
 
 def _label_concurrently(shop, database, formulas) -> tuple[list, object]:
@@ -717,15 +839,20 @@ def test_concurrent_labelling_of_one_cached_structure():
 
 
 def test_stores_wait_for_the_lock():
-    """Opening a graph and both stores change shared counts, so each
-    waits while another thread holds the lock."""
+    """Opening a graph, numbering a snapshot, making a label memo and
+    every store change shared state, so each waits while another thread
+    holds the lock."""
     cache = ExplorationCache()
     graph = cache.open("a", frozenset())
     shop = store()
     kripke = build_snapshot_kripke(shop, Database(shop.schema.database))
+    memo = cache.label_memo(graph, "p")
     writes = [
         lambda: cache.open("b", frozenset()),
+        lambda: cache.number(graph, ["s"]),
+        lambda: cache.label_memo(graph, "q"),
         lambda: cache._store_successors(graph, 0, ()),
+        lambda: cache.store_label(graph, memo, 0, 5),
         lambda: cache.store_kripke(graph, kripke, 1),
     ]
     for write in writes:
@@ -743,13 +870,22 @@ def test_stores_wait_for_the_lock():
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert list(cache._graphs) == [("a", frozenset()), ("b", frozenset())]
-    assert cache.stats()["entries"] == 1 + kripke.n_states
+    assert cache.stats()["entries"] == 2 + kripke.n_states
+    assert (graph.snapshots, graph.ids, memo) == (["s"], {"s": 0}, {0: 5})
+
+
+def label_entries(graph) -> int:
+    return sum(len(memo) for memo in graph.labels.values())
 
 
 def graph_size(cache: ExplorationCache, key) -> int:
+    """The entries ``key``'s graph is charged: one per successor-id
+    tuple, label bitset and Kripke state it holds."""
     graph = cache._graphs[key]
     kripke = graph.structure[0].n_states if graph.structure else 0
-    assert graph.size == len(graph.successor_sets) + kripke
+    assert graph.size == (
+        len(graph.successor_ids) + label_entries(graph) + kripke
+    )
     return graph.size
 
 
@@ -892,7 +1028,18 @@ def test_cache_dies_with_its_service():
 # counts
 # ---------------------------------------------------------------------------
 
+def _label_events(tracer) -> tuple[int, int]:
+    """The ``computed`` and ``shared`` sums of a run's ``label.bits``."""
+    events = [e for e in tracer.events if e.name == "label.bits"]
+    return (
+        sum(e.fields["computed"] for e in events),
+        sum(e.fields["shared"] for e in events),
+    )
+
+
 def test_counts_are_exact():
+    from repro.obs import CollectingTracer
+
     service = session_registration()
     dbs = [ring(service, 3, 2), ring(service, 4, 3)]
     sentence = parse_ltlfo(  # holds: both databases are explored in full
@@ -901,24 +1048,38 @@ def test_counts_are_exact():
     )
     cache = compiled_service(service).exploration
 
+    tracer = CollectingTracer()
     cold_result = verifier.verify_ltlfo(
-        service, sentence, databases=dbs, workers=1
+        service, sentence, databases=dbs, workers=1, tracer=tracer
     )
     explored = cold_result.stats["snapshots_explored"]
     stats = cache.stats()
     assert stats["successor_hits"] + stats["successor_misses"] == explored
-    assert stats["successor_misses"] == stats["entries"]
+    assert stats["label_misses"] == stats["label_entries"]
+    assert stats["successor_misses"] + stats["label_misses"] == (
+        stats["entries"]
+    )
     assert stats["databases"] == len(dbs)
     assert stats["successor_hits"] > 0  # sigmas share scoped keys
+    assert stats["label_hits"] > 0  # and label keys
+    # the label.bits events count what the cache counts
+    assert _label_events(tracer) == (
+        stats["label_misses"], stats["label_hits"]
+    )
+    labelled = stats["label_hits"] + stats["label_misses"]
 
+    tracer = CollectingTracer()
     warm = verifier.verify_ltlfo(
-        service, sentence, databases=dbs, workers=1
+        service, sentence, databases=dbs, workers=1, tracer=tracer
     )
     assert warm.stats["snapshots_explored"] == explored
     after = cache.stats()
     assert after["successor_misses"] == stats["successor_misses"]
     assert after["successor_hits"] == stats["successor_hits"] + explored
+    assert after["label_misses"] == stats["label_misses"]
+    assert after["label_hits"] == stats["label_hits"] + labelled
     assert after["entries"] == stats["entries"]
+    assert _label_events(tracer) == (0, labelled)
 
     prop = store()
     pcache = compiled_service(prop).exploration
@@ -929,6 +1090,7 @@ def test_counts_are_exact():
     assert (pstats["kripke_hits"], pstats["kripke_misses"]) == (2, 1)
     assert pstats["entries"] == result.stats["kripke_states"]
     assert (pstats["successor_hits"], pstats["successor_misses"]) == (0, 0)
+    assert (pstats["label_hits"], pstats["label_misses"]) == (0, 0)
 
     # a cap that holds either database's graph but not both: from cold,
     # each call after the first evicts the other database, once
@@ -941,7 +1103,12 @@ def test_counts_are_exact():
     cstats = ccache.stats()
     assert cstats["evicted_databases"] == 3
     assert cstats["entries"] == sizes[1]
-    assert cstats["successor_misses"] == 2 * sum(sizes)
+    assert cstats["label_entries"] == label_entries(
+        ccache._graphs[(dbs[1], frozenset())]
+    )
+    assert cstats["successor_misses"] + cstats["label_misses"] == (
+        2 * sum(sizes)
+    )
 
 
 def test_kripke_hit_replays_the_budget_strike():
@@ -1018,12 +1185,23 @@ def test_replay_rejects_forged_witnesses():
 
 
 def test_cached_values_are_immutable():
+    """Successor sets are tuples of snapshot ids and label entries are
+    ints, each naming a numbered snapshot."""
     service = registration()
     db = _registration_dbs(service, 1)[0]
     _verify_registration(service, db)
     graph = compiled_service(service).exploration._graphs[(db, frozenset())]
-    assert graph.successor_sets
-    assert all(type(v) is tuple for v in graph.successor_sets.values())
+    n = len(graph.snapshots)
+    assert graph.successor_ids and graph.labels
+    assert len(graph.ids) == n
+    for (sid, _scoped), succ in graph.successor_ids.items():
+        assert type(succ) is tuple and 0 <= sid < n
+        assert all(type(i) is int and 0 <= i < n for i in succ)
+    for memo in graph.labels.values():
+        assert all(
+            type(sid) is int and 0 <= sid < n and type(bits) is int
+            for sid, bits in memo.items()
+        )
 
 
 def test_trace_marks_cached_kripke_builds():

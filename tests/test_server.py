@@ -224,8 +224,9 @@ class TestAmortization:
     def test_repeat_verify_reads_the_explored_graph(
         self, server, base, registered
     ):
-        """The second request steps nothing: every successor set it asks
-        for was explored by the first (in-process, so ``workers`` 1)."""
+        """The second request steps and labels nothing: every successor
+        set and label bitset it asks for was explored by the first
+        (in-process, so ``workers`` 1)."""
         sid = registered["core.json"]
         payload = {
             "spec_id": sid, "ltl": "G !ERROR", "force": True,
@@ -241,6 +242,9 @@ class TestAmortization:
         before, after = first["exploration"], second["exploration"]
         assert after["successor_misses"] == before["successor_misses"]
         assert after["successor_hits"] > before["successor_hits"]
+        assert after["label_misses"] == before["label_misses"]
+        assert after["label_hits"] > before["label_hits"]
+        assert after["label_entries"] == before["label_entries"] > 0
         assert after["entries"] <= server.registry.get(
             sid
         ).compiled.exploration.cap

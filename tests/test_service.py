@@ -550,6 +550,60 @@ class TestClassification:
         svc = b.build()
         assert classify(svc).has_state_projections
 
+    def test_each_call_gets_its_own_copy_of_one_report(self, core):
+        import sys
+
+        from repro.fol.compile import clear_compile_cache
+
+        kept = sys.modules["repro.service.classify"]._REPORTS
+        first, second = classify(core), classify(core)
+        assert first is not second and first == second
+        assert kept[core] == first and kept[core] is not first
+        first.classes.clear()
+        first.reasons[ServiceClass.INPUT_BOUNDED] = ["forged"]
+        first.state_projections.append("forged")
+        assert classify(core) == second
+        clear_compile_cache()
+        assert core not in kept
+
+    def test_changing_a_report_changes_no_later_preflight(
+        self, core, prop_service
+    ):
+        """A caller that edits the report ``classify()`` handed it can
+        neither admit a service a theorem excludes nor refuse one it
+        admits: the verifiers' pre-flight checks read their own copy."""
+        from repro.ctl.parser import parse_ctl
+        from repro.ltl.parser import parse_ltlfo
+        from repro.verifier import (
+            UndecidableInstanceError,
+            verify_ctl,
+            verify_fully_propositional,
+            verify_ltlfo,
+        )
+
+        for service, excluded in (
+            (core, ServiceClass.INPUT_BOUNDED),
+            (prop_service, ServiceClass.FULLY_PROPOSITIONAL),
+        ):
+            report = classify(service)
+            assert report.is_in(excluded)
+            report.classes.clear()
+            report.reasons[excluded] = ["forged"]
+        admitted = classify(core)
+        admitted.classes.add(ServiceClass.PROPOSITIONAL)
+        admitted.reasons.clear()
+
+        result = verify_ltlfo(
+            core, parse_ltlfo("G !ERROR"), databases=[], workers=1
+        )
+        assert result.verdict.value == "holds"
+        result = verify_fully_propositional(
+            prop_service, parse_ctl("AG EF HP"), workers=1
+        )
+        assert result.verdict.value == "holds"
+        with pytest.raises(UndecidableInstanceError):
+            verify_ctl(core, parse_ctl("AG EF HP"), databases=[], workers=1)
+
     def test_describe_mentions_reasons(self, demo_service, core):
         text = classify(demo_service).describe()
         assert "input-bounded" in text and "[no ]" in text
