@@ -10,8 +10,11 @@ registers every spec under ``examples/specs/``, then for each one:
 4. repeats the request and checks the registry amortization: the
    second job's trace must show ``registry.hit`` and a Büchi automaton
    served from cache, and the spec's exploration cache must report
-   successor-set hits for it (``GET /specs/<id>``): the repeat reads
-   the graph the first request explored instead of stepping again.
+   compiled-product or successor-set hits for it and no successor set
+   or label stepped again (``GET /specs/<id>``): the repeat reads the
+   graph the first request explored instead of exploring again.  The
+   repeat's verdict, counterexample and stats must equal the first
+   request's.
 
 Exit code 0 when everything matches; 1 with a diff otherwise.  This is
 what CI's ``server-smoke`` job runs.
@@ -158,8 +161,17 @@ def main() -> int:
             assert status == 200, body
             status, after = request(base, "GET", f"/specs/{sid}")
             assert status == 200, after
-            hits = (after["exploration"]["successor_hits"]
-                    - before["exploration"]["successor_hits"])
+            delta = {
+                key: after["exploration"][key] - before["exploration"][key]
+                for key in ("product_hits", "successor_hits",
+                            "successor_misses", "label_misses")
+            }
+            hits = delta["product_hits"] + delta["successor_hits"]
+            explored = delta["successor_misses"] + delta["label_misses"]
+            changed = [
+                field for field in ("verdict", "counterexample", "stats")
+                if body["result"].get(field) != served.get(field)
+            ]
             with urllib.request.urlopen(
                 f"{base}/jobs/{body['job_id']}/events", timeout=30
             ) as resp:
@@ -173,14 +185,20 @@ def main() -> int:
                 print(f"FAIL {spec_path.name}: repeat request recompiled "
                       f"(events: {names})")
                 failures += 1
-            elif hits <= 0:
+            elif hits <= 0 or explored:
                 print(f"FAIL {spec_path.name}: repeat request explored "
                       f"again (exploration: {after['exploration']})")
                 failures += 1
+            elif changed:
+                print(f"FAIL {spec_path.name}: repeat request returned "
+                      f"another {changed}")
+                failures += 1
             else:
                 print(f"ok   {spec_path.name}: repeat request cached "
-                      f"(registry.hit, buchi cached, {hits} successor "
-                      f"sets read from the exploration cache)")
+                      f"(registry.hit, buchi cached, "
+                      f"{delta['product_hits']} compiled products and "
+                      f"{delta['successor_hits']} successor sets read "
+                      f"from the exploration cache, same result)")
 
         status, stats = request(base, "GET", "/healthz")
         print("registry stats:", stats["registry"])

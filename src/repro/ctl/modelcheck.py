@@ -55,7 +55,7 @@ from repro.ctl.syntax import (
     StateFormula,
     is_ctl,
 )
-from repro.ltl.buchi import CompiledProduct, ltl_to_buchi
+from repro.ltl.buchi import CompiledProduct, ProductSearch, ltl_to_buchi
 from repro.ltl.syntax import LAnd, LNot, LOr, LTLAtom, LTLFormula, LU, LX
 
 State = Hashable
@@ -223,11 +223,12 @@ class _Checker:
 
         ba = ltl_to_buchi(to_ltl(p))
         # one valuation, bit 0: a literal's bitset is its table entry
-        product = CompiledProduct(
-            ba, range(self.n), self.k.succ_ids.__getitem__,
-            lambda state, payload: tables[payload[1]][state], 1,
+        search = ProductSearch(
+            CompiledProduct(ba, range(self.n), 1),
+            self.k.succ_ids.__getitem__,
+            lambda state, payload: tables[payload[1]][state],
         )
         out = bytearray(self.n)
-        for s in product.accepting_starts(1):
+        for s in search.accepting_starts(1):
             out[s] = 1
         return to_mask(out)

@@ -6,8 +6,9 @@
   words (used for testing and counterexample confirmation);
 - :mod:`repro.ltl.buchi` — the tableau LTL→Büchi construction
   (transition-based generalized Büchi, degeneralised) and emptiness on
-  its product with a transition system (``CompiledProduct``): a
-  nested-DFS lasso search and the states with an accepting run;
+  its product with a transition system (``CompiledProduct``, searched
+  through a ``ProductSearch``): a nested-DFS lasso search and the
+  states with an accepting run;
 - :mod:`repro.ltl.ltlfo` — LTL-FO sentences (Definition 3.1): universal
   closure of an LTL skeleton whose atoms are FO formulas.
 """

@@ -9,14 +9,16 @@ acceptance (one set per until), degeneralised into an ordinary Büchi
 automaton with a round-robin counter.
 
 Emptiness of the product with a transition system is decided on one
-construction, :class:`CompiledProduct`: int product nodes, expanded
-lazily, with per-node enable masks over the valuations of a bitset
-block.  It answers two questions:
+construction in two parts: :class:`CompiledProduct`, int product nodes
+with per-node enable masks over the valuations of a bitset block, kept
+as they are expanded and free of callbacks, so a caller may keep it
+across requests; and :class:`ProductSearch`, one request's callbacks
+and memos over it.  A search context answers two questions:
 
-- :meth:`CompiledProduct.search` — a concrete accepting lasso for one
+- :meth:`ProductSearch.search` — a concrete accepting lasso for one
   valuation, by the nested DFS of :func:`nested_dfs` (the verifier's
   counterexample search);
-- :meth:`CompiledProduct.accepting_starts` — every start state with an
+- :meth:`ProductSearch.accepting_starts` — every start state with an
   accepting run, by one Tarjan pass (the CTL* model checker's ``Eψ``
   subroutine).
 
@@ -365,104 +367,191 @@ def _build_lasso(
     return stem + cycle, len(stem) - 1
 
 
+def _fill(table: list, entries: dict, interned: dict | None) -> int:
+    """Set ``table[index]`` to each ``entries[index]`` where the table
+    holds None, growing it with None (through ``interned`` when given);
+    how many were set."""
+    top = max(entries, default=-1) + 1
+    if top > len(table):
+        table.extend([None] * (top - len(table)))
+    new = 0
+    for index, value in entries.items():
+        if table[index] is None:
+            if interned is not None:
+                value = interned.setdefault(value, value)
+            table[index] = value
+            new += 1
+    return new
+
+
 class CompiledProduct:
-    """The product of a lazily explored system with ``ba``, over ints,
-    searched once per valuation of a block.
+    """The product of a lazily explored system with ``ba``, over ints:
+    the part kept across searches and requests.
 
     System states are the caller's ids, non-negative ints: the starts
-    are ids, ``successors(sid)`` returns ids, and the letters are
-    valuation bitsets, ``literal_bits(sid, payload)`` being the set of
-    valuations (bit *i* for valuation *i*, within ``all_mask``) under
-    which ``payload`` holds at ``sid``.  The verifier passes an explored
-    graph's snapshot ids (``ExploredGraph``), and the CTL* model checker
-    a Kripke structure's state ids; lassos and start sets come back as
-    ids, which the caller maps to its states.  A product node is the int
-    ``sid * n_states + q``.  The product keeps, across searches,
+    are ids, successors are ids, and the letters are valuation bitsets
+    over a block whose valuations ``all_mask`` lists (bit *i* for
+    valuation *i*).  The verifier passes an explored graph's snapshot
+    ids (``ExploredGraph``), and the CTL* model checker a Kripke
+    structure's state ids; lassos and start sets come back as ids, which
+    the caller maps to its states.  A product node is the int ``sid *
+    n_states + q``.  Beyond the automaton's tables and the start nodes,
+    the product keeps two dense tables, filled through :meth:`keep` by
+    its searches (:class:`ProductSearch`) and never overwritten:
 
-    - each sid's successors, from one ``successors(sid)`` call, made on
-      the sid's first expansion with an enabled transition;
-    - each expanded node's enable masks, one per transition of ``q``:
-      the valuations agreeing with all its literals (the AND of the
-      literal bitsets, or of their complements), built from bitsets
-      asked for once per (sid, payload).
+    - ``succ[sid]``: the successors' ids of ``sid``, the tuple its
+      caller handed over (the explored graph's own tuple);
+    - ``masks[node]``: the expanded node's enable masks, one per
+      transition of ``q``: the valuations agreeing with all its literals
+      (the AND of the literal bitsets, or of their complements), one
+      tuple object per distinct tuple.
 
-    :meth:`search` runs :func:`nested_dfs` for one valuation with a
-    per-search memo of successor lists.  It makes the first
-    ``successors`` call per state that a nested DFS over the
-    ``(state, q)`` product makes for that valuation, at the same point,
-    and finds the same lasso; it never asks for a state's successors
-    twice.  :meth:`accepting_starts` walks the same expansion.
+    Each entry is written once, whole, so a reader needs no lock.  The
+    product holds no callback and nothing of one request: what it keeps
+    is a function of the automaton, the block's layout and the system,
+    which is what a caller keys a kept product by.
     """
 
+    __slots__ = ("n_states", "accepting", "all_mask", "starts", "succ",
+                 "masks", "literals_of", "dsts_of", "payloads",
+                 "_interned")
+
     def __init__(
-        self,
-        ba: BuchiAutomaton,
-        initial_states: Iterable[int],
-        successors: Callable[[int], Iterable[int]],
-        literal_bits: Callable[[int, Payload], int],
+        self, ba: BuchiAutomaton, initial_states: Iterable[int],
         all_mask: int,
     ) -> None:
         self.n_states = n = ba.n_states
         self.accepting = ba.accepting
-        self._successors = successors
-        self._literal_bits = literal_bits
-        self._all_mask = all_mask
+        self.all_mask = all_mask
         # The automaton over ints: state q's transitions as their
         # literals, (payload number, value) pairs, and destinations.
         payloads: dict = {}
-        self._literals_of: list[tuple[tuple[tuple[int, bool], ...], ...]] = []
-        self._dsts_of: list[tuple[int, ...]] = []
+        self.literals_of: list[tuple[tuple[tuple[int, bool], ...], ...]] = []
+        self.dsts_of: list[tuple[int, ...]] = []
         for outs in ba.transitions_from:
-            self._literals_of.append(tuple(
+            self.literals_of.append(tuple(
                 tuple(
                     (payloads.setdefault(payload, len(payloads)), value)
                     for payload, value in t.literals
                 )
                 for t in outs
             ))
-            self._dsts_of.append(tuple(t.dst for t in outs))
-        self._payloads = list(payloads)
-        self._succ: dict[int, list[int]] = {}  # sid -> successors' sid * n
-        self._bits: dict[int, int] = {}  # at sid * n_payloads + payload
-        self._masks: dict[int, tuple[int, ...]] = {}  # at node
-        self.starts = [
+            self.dsts_of.append(tuple(t.dst for t in outs))
+        self.payloads = list(payloads)
+        self.starts = tuple(
             sid * n + q for sid in initial_states for q in sorted(ba.initial)
-        ]
+        )
+        self.succ: list[tuple[int, ...] | None] = []
+        self.masks: list[tuple[int, ...] | None] = []
+        self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def _successor_bases(self, sid: int) -> list[int]:
-        n = self.n_states
-        bases = self._succ[sid] = [s * n for s in self._successors(sid)]
-        return bases
+    def keep(
+        self, masks: dict[int, tuple[int, ...]],
+        succ: dict[int, tuple[int, ...]],
+    ) -> int:
+        """Keep the enable masks of each node in ``masks`` and the
+        successor ids of each sid in ``succ`` that the product does not
+        hold yet; how many entries were new.  An entry already held
+        stays: whoever computed it computed the same."""
+        return (
+            _fill(self.succ, succ, None)
+            + _fill(self.masks, masks, self._interned)
+        )
+
+
+class ProductSearch:
+    """One request's searches over a kept :class:`CompiledProduct`.
+
+    ``successors(sid)`` returns the successors' ids of ``sid`` and
+    ``literal_bits(sid, payload)`` the set of valuations under which
+    ``payload`` holds at ``sid``; each is asked only for what the
+    product does not keep yet.  What a search computes is handed to the
+    product when the search ends, struck or not, through
+    ``store(product, masks, succ)``, once per search rather than per
+    node (default: :meth:`CompiledProduct.keep`; a shared product is
+    stored into under its owner's lock).  ``charge(sid)`` is called at the
+    first expansion of a sid with an enabled transition in this context,
+    whether or not the product kept the sid's successors, so what a
+    request charges does not depend on what an earlier one kept.
+
+    :meth:`search` runs :func:`nested_dfs` for one valuation with a
+    per-search memo of successor lists.  It charges each state at the
+    point where a nested DFS over the ``(state, q)`` product makes its
+    first ``successors`` call for that valuation, and finds the same
+    lasso.  :meth:`accepting_starts` walks the same expansion.
+    """
+
+    __slots__ = ("product", "_successors", "_literal_bits", "_charge",
+                 "_store", "_expanded", "_bits", "_new_masks", "_new_succ")
+
+    def __init__(
+        self,
+        product: CompiledProduct,
+        successors: Callable[[int], Iterable[int]],
+        literal_bits: Callable[[int, Payload], int],
+        charge: Callable[[int], None] | None = None,
+        store: Callable[[CompiledProduct, dict, dict], object] | None = None,
+    ) -> None:
+        self.product = product
+        self._successors = successors
+        self._literal_bits = literal_bits
+        self._charge = charge
+        self._store = store if store is not None else CompiledProduct.keep
+        # sid -> successor ids, for every sid this context charged
+        self._expanded: dict[int, tuple[int, ...]] = {}
+        self._bits: dict[int, int] = {}  # at sid * n_payloads + payload
+        # computed by the running search, handed to the product at its end
+        self._new_masks: dict[int, tuple[int, ...]] = {}
+        self._new_succ: dict[int, tuple[int, ...]] = {}
 
     def _node_masks(self, node: int) -> tuple[int, ...]:
-        sid, q = divmod(node, self.n_states)
-        base = sid * len(self._payloads)
+        product = self.product
+        sid, q = divmod(node, product.n_states)
+        base = sid * len(product.payloads)
         masks = []
-        for literals in self._literals_of[q]:
-            mask = self._all_mask
+        for literals in product.literals_of[q]:
+            mask = product.all_mask
             for p, value in literals:
                 bits = self._bits.get(base + p)
                 if bits is None:
-                    bits = self._literal_bits(sid, self._payloads[p])
+                    bits = self._literal_bits(sid, product.payloads[p])
                     self._bits[base + p] = bits
                 mask &= bits if value else ~bits
             masks.append(mask)
-        masks = self._masks[node] = tuple(masks)
+        masks = self._new_masks[node] = tuple(masks)
         return masks
+
+    def _first_expansion(self, sid: int) -> tuple[int, ...]:
+        succ = self.product.succ
+        ids = succ[sid] if sid < len(succ) else None
+        if ids is None:
+            ids = self._new_succ[sid] = tuple(self._successors(sid))
+        self._expanded[sid] = ids
+        if self._charge is not None:
+            self._charge(sid)
+        return ids
+
+    def _keep(self) -> None:
+        if self._new_masks or self._new_succ:
+            masks, succ = self._new_masks, self._new_succ
+            self._new_masks, self._new_succ = {}, {}
+            self._store(self.product, masks, succ)
 
     def _expansion(
         self, bit: int
     ) -> tuple[Callable[[int], list[int]], dict[int, list[int]]]:
         """``expand(node)`` under the valuation ``bit``, and its memo of
         the successor lists it has returned."""
-        n = self.n_states
-        dsts_of, node_masks, succ = self._dsts_of, self._masks, self._succ
+        product = self.product
+        n = product.n_states
+        dsts_of, kept_masks = product.dsts_of, product.masks
+        expanded = self._expanded
         memo: dict[int, list[int]] = {}
 
         def expand(node: int) -> list[int]:
             nexts = memo.get(node)
             if nexts is None:
-                masks = node_masks.get(node)
+                masks = kept_masks[node] if node < len(kept_masks) else None
                 if masks is None:
                     masks = self._node_masks(node)
                 dsts = [
@@ -470,10 +559,11 @@ class CompiledProduct:
                     if mask & bit
                 ]
                 if dsts:
-                    bases = succ.get(node // n)
-                    if bases is None:
-                        bases = self._successor_bases(node // n)
-                    nexts = [base + dst for dst in dsts for base in bases]
+                    sid = node // n
+                    ids = expanded.get(sid)
+                    if ids is None:
+                        ids = self._first_expansion(sid)
+                    nexts = [s * n + dst for dst in dsts for s in ids]
                 else:
                     nexts = []
                 memo[node] = nexts
@@ -490,18 +580,22 @@ class CompiledProduct:
         node this search expanded: they would expand the same nodes to
         the same successor lists, so their searches are clean too.
         """
-        n, accepting = self.n_states, self.accepting
+        product = self.product
+        n, accepting = product.n_states, product.accepting
         expand, memo = self._expansion(bit)
-        found = nested_dfs(
-            self.starts, expand, lambda node: node % n in accepting
-        )
+        try:
+            found = nested_dfs(
+                product.starts, expand, lambda node: node % n in accepting
+            )
+        finally:
+            self._keep()
         if found is not None:
             nodes, loop_index = found
             sids = [node // n for node in nodes]
             return Lasso(states=sids, loop_index=loop_index), None
-        node_masks = self._masks
-        clean = self._all_mask
-        for mask in {mask for node in memo for mask in node_masks[node]}:
+        kept_masks = product.masks
+        clean = product.all_mask
+        for mask in {mask for node in memo for mask in kept_masks[node]}:
             clean &= mask if mask & bit else ~mask
         return None, clean
 
@@ -516,14 +610,21 @@ class CompiledProduct:
         accepting Büchi state or has an edge into a good SCC.  A start
         node has an accepting run exactly when its SCC is good.
         """
-        n, accepting = self.n_states, self.accepting
+        try:
+            return self._accepting_starts(bit)
+        finally:
+            self._keep()
+
+    def _accepting_starts(self, bit: int) -> set[int]:
+        product = self.product
+        n, accepting = product.n_states, product.accepting
         expand = self._expansion(bit)[0]
         index: dict[int, int] = {}
         low: dict[int, int] = {}
         stack: list[int] = []  # nodes of the SCCs not yet completed
         completed: set[int] = set()
         good: set[int] = set()
-        for root in self.starts:
+        for root in product.starts:
             if root in index:
                 continue
             index[root] = low[root] = len(index)
@@ -554,4 +655,4 @@ class CompiledProduct:
                         cycle and any(m % n in accepting for m in scc)
                     ) or any(nxt in good for m in scc for nxt in expand(m)):
                         good.update(scc)
-        return {node // n for node in self.starts if node in good}
+        return {node // n for node in product.starts if node in good}

@@ -32,13 +32,15 @@ then carry ``cached=True``; ``GET /specs/<id>`` counts them under
 Exploration is amortized the same way.  The pinned
 :class:`CompiledService` carries the service's exploration cache
 (:class:`~repro.service.compiled.ExplorationCache`): the numbered
-snapshots, successor-id tuples, atom label bitsets and Kripke
-structures explored per (database, extra domain), bounded by
-:data:`~repro.service.compiled.EXPLORATION_CACHE_ENTRIES` entries with
-least-recently-used databases evicted first.  A repeated request over
-the same databases reads the explored graph instead of stepping and
-labelling again, whatever its property (``kripke.built`` events then carry
-``cached=True``).  Requests run in-process share it; a request with
+snapshots, successor-id tuples, atom label bitsets, compiled Büchi
+products and Kripke structures explored per (database, extra domain),
+bounded by :data:`~repro.service.compiled.EXPLORATION_CACHE_ENTRIES`
+entries with least-recently-used databases evicted first.  A repeated
+request over the same databases reads the explored graph instead of
+stepping and labelling again, whatever its property (``kripke.built``
+events then carry ``cached=True``), and a repeat of an LTL-FO property
+searches the compiled products the first request kept.  Requests run
+in-process share it; a request with
 ``workers`` > 1 runs its units in fresh worker processes, which see only
 what their own call explored.  ``GET /specs/<id>`` reports the cache's
 hits, misses and evicted databases under ``exploration``.  A request

@@ -39,9 +39,10 @@ their hash) and equality checks usually short-circuit on identity.
 :class:`ExplorationCache` (``CompiledService.exploration``) keeps what
 the verifiers explored per (database, extra domain) — snapshots
 numbered once, successor-id tuples keyed by snapshot id and the sigma a
-step from it reads, the LTL-FO labeller's atom label bitsets, and
-completed Kripke structures — so later calls over the same service
-object read the graph instead of stepping and labelling again.  It
+step from it reads, the LTL-FO labeller's atom label bitsets, the
+LTL-FO search's compiled Büchi products, and completed Kripke
+structures — so later calls over the same service object read the
+graph instead of stepping, labelling and expanding again.  It
 lives and dies with the compiled service and holds at most
 :data:`EXPLORATION_CACHE_ENTRIES` entries, evicting least-recently-used
 databases first.
@@ -52,7 +53,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.fol.compile import (
     CompiledFormula,
@@ -65,6 +66,7 @@ from repro.schema.symbols import prev_symbol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runs.py)
     from repro.ctl.kripke import KripkeStructure
+    from repro.ltl.buchi import CompiledProduct
     from repro.service.webservice import WebService
 
 __all__ = [
@@ -314,10 +316,12 @@ class SnapshotInterner:
 
 
 #: Cap on the explored-graph entries one service retains: a successor-id
-#: tuple, a label bitset or a Kripke state counts one.  At the sizes
-#: measured on the benchmark workloads (EXPERIMENTS, E20 and E23: about
-#: 1 KB per Kripke state, 0.24 KB per LTL entry), a full cache holds
-#: at most some 68 MB, and some 16 MB of LTL entries.
+#: tuple, a label bitset, a Kripke state, and a compiled product and each
+#: successor tuple and enable-mask tuple it keeps count one.  At the sizes
+#: measured on the benchmark workloads (EXPERIMENTS, E20, E23 and E24:
+#: about 1 KB per Kripke state, 0.24 KB per LTL graph entry, 26 B per
+#: product entry), a full cache holds at most some 68 MB, and some 16 MB
+#: of LTL entries.
 EXPLORATION_CACHE_ENTRIES = 1 << 16
 
 
@@ -329,11 +333,15 @@ class ExploredGraph:
     maps ``(sid, sigma restricted to what a step from it reads)`` (see
     :meth:`~repro.service.runs.RunContext.step_sigma`) to the
     successors' ids; ``labels`` maps a label key to a ``sid -> bitset``
-    dict (see :meth:`ExplorationCache.label_memo`); ``structure`` is
+    dict (see :meth:`ExplorationCache.label_memo`); ``products`` maps a
+    product key to a kept :class:`~repro.ltl.buchi.CompiledProduct`
+    (see :meth:`ExplorationCache.product`), and ``product_entries``
+    counts the products and what they keep; ``structure`` is
     ``(structure, n_initial)`` once a
     :func:`~repro.verifier.branching.build_snapshot_kripke` call over
     the pair completed.  All are only ever added to, and what they hold
-    is immutable.  ``size`` counts the entries charged to the cap;
+    is immutable once written.  ``size`` counts the entries charged to
+    the cap;
     ``retained`` turns False when the cache drops the graph, after which
     the calls still holding it keep filling it for themselves.  A graph
     holds no reference to its cache: without a cycle, reference counting
@@ -341,7 +349,8 @@ class ExploredGraph:
     """
 
     __slots__ = ("key", "ids", "snapshots", "successor_ids", "labels",
-                 "structure", "size", "retained")
+                 "products", "product_entries", "structure", "size",
+                 "retained")
 
     def __init__(self, key: tuple) -> None:
         self.key = key
@@ -349,6 +358,8 @@ class ExploredGraph:
         self.snapshots: list = []
         self.successor_ids: dict[tuple, tuple[int, ...]] = {}
         self.labels: dict[tuple, dict[int, int]] = {}
+        self.products: dict[tuple, CompiledProduct] = {}
+        self.product_entries = 0
         self.structure: tuple[KripkeStructure, int] | None = None
         self.size = 0
         self.retained = True
@@ -369,8 +380,9 @@ class ExplorationCache:
     would exceed the cap is dropped itself and serves only the calls
     holding it.  The lock guards the order, the entry count, snapshot
     numbering and every store, so concurrent verifications may share one
-    service; lookups (:meth:`successor_ids`, :meth:`kripke`, a label
-    memo's ``get``) read a graph's dicts without it.  The hit and miss
+    service; lookups (:meth:`successor_ids`, :meth:`kripke`,
+    :meth:`product`, a label memo's ``get``, a kept product's tables)
+    read a graph's dicts without it.  The hit and miss
     counters are exact in a single-threaded run.
     """
 
@@ -383,6 +395,8 @@ class ExplorationCache:
         self.successor_misses = 0
         self.label_hits = 0
         self.label_misses = 0
+        self.product_hits = 0
+        self.product_misses = 0
         self.kripke_hits = 0
         self.kripke_misses = 0
         self.evictions = 0
@@ -447,6 +461,48 @@ class ExplorationCache:
                 memo[sid] = bits
                 self._grow(graph, 1)
 
+    def product(
+        self, graph: ExploredGraph, key: tuple,
+        build: "Callable[[], CompiledProduct]",
+    ) -> "CompiledProduct":
+        """The compiled product ``graph`` keeps for ``key``, or
+        ``build()`` stored there as one.
+
+        ``key`` must hold everything the product depends on beyond the
+        graph's own key; the LTL-FO search's is the negated skeleton,
+        the closure variables in order, the block's layout and sigma.
+        ``build`` runs outside the lock; a racing build is dropped for
+        the one stored first.  Fill the product through
+        :meth:`store_product`.
+        """
+        found = graph.products.get(key)
+        if found is not None:
+            self.product_hits += 1
+            return found
+        built = build()
+        with self._lock:
+            self.product_misses += 1
+            found = graph.products.get(key)
+            if found is None:
+                graph.products[key] = found = built
+                graph.product_entries += 1
+                self._grow(graph, 1)
+        return found
+
+    def store_product(
+        self, graph: ExploredGraph, product: "CompiledProduct",
+        masks: dict, succ: dict,
+    ) -> None:
+        """Keep in ``product``, a product ``graph`` keeps, the enable
+        masks and successor ids one search computed
+        (:meth:`~repro.ltl.buchi.CompiledProduct.keep`), under the lock,
+        charging the new entries to ``graph``."""
+        with self._lock:
+            new = product.keep(masks, succ)
+            if new:
+                graph.product_entries += new
+                self._grow(graph, new)
+
     def kripke(
         self, graph: ExploredGraph
     ) -> "tuple[KripkeStructure, int] | None":
@@ -471,6 +527,11 @@ class ExplorationCache:
                 ),
                 "label_hits": self.label_hits,
                 "label_misses": self.label_misses,
+                "product_entries": sum(
+                    graph.product_entries for graph in self._graphs.values()
+                ),
+                "product_hits": self.product_hits,
+                "product_misses": self.product_misses,
                 "kripke_hits": self.kripke_hits,
                 "kripke_misses": self.kripke_misses,
                 "evicted_databases": self.evictions,

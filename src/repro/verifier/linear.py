@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from functools import partial
 from typing import Any, Hashable, Iterable, Mapping
 
 from repro.fol.analysis import input_constants_of
@@ -52,7 +53,7 @@ from repro.fol.evaluation import EvalContext
 from repro.fol.terms import Var
 from repro.fol.transforms import substitute
 from repro.obs import Tracer
-from repro.ltl.buchi import CompiledProduct, ltl_to_buchi
+from repro.ltl.buchi import CompiledProduct, ProductSearch, ltl_to_buchi
 from repro.ltl.ltlfo import LTLFOSentence, check_ltlfo_input_bounded
 from repro.ltl.syntax import LNot
 from repro.schema.database import Database
@@ -256,14 +257,14 @@ class _GraphLabeller(_SnapshotLabeller):
         )
 
 
-def _search_product(ba, starts, succ, literal_bits, block, gov, stats):
+def _search_product(search: ProductSearch, block, gov, stats):
     """Set-at-a-time lasso search over a compiled product.
 
-    ``starts``, ``succ`` and ``literal_bits`` are over snapshot ids; the
-    lasso found is too.  Each (id, payload) pair is labelled once for
-    *all* valuations of ``block`` (a bitset; see
-    :mod:`repro.fol.bitset`), and the product of the snapshot graph
-    with ``ba`` is compiled to ints once per sigma and kept across its
+    ``search`` is one request's context over the product of the
+    snapshot graph with the automaton, over snapshot ids; the lasso
+    found is too.  Each (id, payload) pair is labelled once for *all*
+    valuations of ``block`` (a bitset; see :mod:`repro.fol.bitset`),
+    and the product keeps each expanded node's enable masks across its
     searches (:class:`~repro.ltl.buchi.CompiledProduct`).  Every clean
     search records its *class*: the valuations agreeing with it on every
     enable mask it read.  A later valuation inside a clean class would
@@ -273,7 +274,6 @@ def _search_product(ba, starts, succ, literal_bits, block, gov, stats):
     witnesses, charge order and stats stay bit-identical with one search
     per valuation (the reference in ``tests/product_reference.py``).
     """
-    product = CompiledProduct(ba, starts, succ, literal_bits, block.all_mask)
     covered = 0  # the union of the clean classes found
     for i, combo in enumerate(block.combos()):
         # Charge and count every valuation — covered, not skipped.
@@ -282,7 +282,7 @@ def _search_product(ba, starts, succ, literal_bits, block, gov, stats):
         bit = 1 << i
         if covered & bit:
             continue
-        lasso, clean = product.search(bit)
+        lasso, clean = search.search(bit)
         if lasso is not None:
             return lasso, dict(zip(block.variables, combo))
         covered |= clean
@@ -296,17 +296,20 @@ def _check_ltlfo_unit(
 
     Every sigma searches the explored graph of its database in the
     service's exploration cache
-    (:class:`~repro.service.compiled.ExplorationCache`) by snapshot id:
-    its successor-id tuples and its label bitsets
-    (:class:`_GraphLabeller`), so sigmas, units, properties and calls
-    agreeing on what a step or a label reads share one computation, and
-    a miss steps or labels once and stores the result.  The sigmas of a
-    unit share one snapshot interner for what they step.  Every sigma
-    keeps its own run context, compiled product and charge order, and
-    a lasso is mapped back to snapshots before it leaves the unit, so
-    the merged stats and the witness depend neither on how many sigmas a
-    unit holds nor on what the cache held, and ids never cross a process
-    boundary.
+    (:class:`~repro.service.compiled.ExplorationCache`) by snapshot id,
+    through the compiled product the graph keeps for the property, the
+    block's layout and sigma: its start ids, successor-id tuples and
+    enable masks.  What the product lacks it reads from the graph's
+    successor-id tuples and label bitsets (:class:`_GraphLabeller`),
+    which sigmas, units, properties and calls agreeing on what a step or
+    a label reads share, and a miss there steps or labels once and
+    stores the result.  The sigmas of a unit share one snapshot interner
+    for what they step.  Every sigma keeps its own run context, search
+    context and charge order: a snapshot is charged at its first
+    expansion in the sigma's search, whatever the product kept.  A lasso
+    is mapped back to snapshots before it leaves the unit, so the merged
+    stats and the witness depend neither on how many sigmas a unit holds
+    nor on what the cache held, and ids never cross a process boundary.
     """
     service: WebService = spec.service
     sentence: LTLFOSentence = spec.payload["sentence"]
@@ -315,6 +318,9 @@ def _check_ltlfo_unit(
     db = unit.database
     interner = SnapshotInterner()
     exploration = compiled_service(service).exploration
+    # The negated skeleton fixes the automaton, and the closure
+    # variables' order which bit is which valuation.
+    property_key = (LNot(sentence.skeleton), sentence.variables)
 
     stats: dict = {
         "sigmas_checked": 0,
@@ -333,6 +339,12 @@ def _check_ltlfo_unit(
                 computed=bits_computed, shared=bits_shared,
             )
 
+    def charge(_sid: int) -> None:
+        # Per sigma and request, whether or not the product kept the
+        # successors: charges and stats stay cache-independent.
+        stats["snapshots_explored"] += 1
+        gov.charge_snapshot()
+
     for sigma_index, sigma in unit.sigmas:
         gov.begin_pair()
         stats["sigmas_checked"] += 1
@@ -344,22 +356,25 @@ def _check_ltlfo_unit(
             set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
             key=repr,
         ))
+        product = exploration.product(
+            graph, (property_key, block.key(), frozenset(sigma.items())),
+            lambda: CompiledProduct(
+                ba, exploration.number(graph, initial_snapshots(ctx)),
+                block.all_mask,
+            ),
+        )
         labeller = _GraphLabeller(ctx, exploration, graph, block)
 
         def succ(sid: int, _ctx=ctx, _graph=graph) -> tuple[int, ...]:
-            # The sigma's product asks once per snapshot.  A miss steps
-            # through this module's ``successors``.
-            out = exploration.successor_ids(_graph, _ctx, sid, successors)
-            # Per-sigma accounting whether or not the set was cached:
-            # charges and stats stay cache-independent.
-            stats["snapshots_explored"] += 1
-            gov.charge_snapshot()
-            return out
+            # Asked once per snapshot the product does not keep yet.  A
+            # graph miss steps through this module's ``successors``.
+            return exploration.successor_ids(_graph, _ctx, sid, successors)
 
-        starts = exploration.number(graph, initial_snapshots(ctx))
-        found = _search_product(
-            ba, starts, succ, labeller.label_bits, block, gov, stats
+        search = ProductSearch(
+            product, succ, labeller.label_bits, charge,
+            partial(exploration.store_product, graph),
         )
+        found = _search_product(search, block, gov, stats)
         bits_computed += labeller.computed
         bits_shared += labeller.hits
         if found is not None:

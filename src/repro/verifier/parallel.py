@@ -48,12 +48,14 @@ into the run.
   set is identical at every worker count, progress shows live, and
   per-process timestamps stay monotonic in file order.
 
-Supervision is the one exception to the commit rule: the parent
-emits ``fault.injected``, ``unit.retry``, ``unit.timeout``,
-``unit.quarantined`` and ``pool.rebuilt`` and counts ``units_retried``
-and ``pool_rebuilds`` when they happen, so in a pool run they may cover
-a unit that a stop below it later drops, which the sequential loop
-never runs.  The quarantine *record* commits like an outcome.
+Supervision's trace events and ``pool_rebuilds`` are the one exception
+to the commit rule: the parent emits ``fault.injected``, ``unit.retry``,
+``unit.timeout``, ``unit.quarantined`` and ``pool.rebuilt`` and counts
+``pool_rebuilds`` when they happen, so in a pool run they may cover a
+unit that a stop below it later drops, which the sequential loop never
+runs.  ``units_retried`` commits: a unit's retries count when its
+outcome, its own strike or its quarantine record commits, so a unit
+dropped above a stop adds none.
 
 The streaming is lazy end-to-end: databases are pulled from the
 canonical enumeration one at a time and shipped to workers in a bounded
@@ -787,7 +789,9 @@ class Supervisor:
         ``attempt + 1``; or, once its retries are spent, quarantines it
         and returns its record (``{"cursor", "attempts", "error"}``),
         which the caller files in ``EnumerationOutcome.quarantined``
-        when the unit commits; the run continues without it.
+        when the unit commits; the run continues without it.  The retry
+        is traced now and counted when the unit commits
+        (:meth:`committed`).
         """
         if attempt >= self.max_retries:
             if tracer.active:
@@ -803,13 +807,18 @@ class Supervisor:
         delay = backoff_s(
             cursor, attempt, self.plan.seed if self.plan is not None else 0
         )
-        self.retries += 1
         if tracer.active:
             tracer.emit(
                 "unit.retry", cursor=cursor, attempt=attempt,
                 backoff_s=round(delay, 6), error=str(error),
             )
         return delay
+
+    def committed(self, attempt: int) -> None:
+        """A unit committed from execution ``attempt``: its outcome,
+        its own strike or its quarantine record.  Each execution before
+        it failed and was retried."""
+        self.retries += attempt
 
     def counters(self) -> dict[str, int]:
         """Supervision counters folded into the run's stats (only when
@@ -975,6 +984,7 @@ def _run_sequential(
                 try:
                     result = _run_unit(spec, unit, gov, injector, attempt)
                 except VerificationBudgetExceeded:
+                    sup.committed(attempt)  # the unit's own strike
                     raise
                 except Exception as exc:
                     retry = sup.failed(tracer, unit.cursor, attempt, exc)
@@ -983,6 +993,7 @@ def _run_sequential(
                         continue
                     out.quarantined.append(retry)
                 break
+            sup.committed(attempt)
             if result is None:  # quarantined; move on
                 continue
             out.completed.extend(unit.completed(result))
@@ -1059,10 +1070,13 @@ def _run_pool(
     anything into the run: the unit's trace batch, stats, completions,
     ``gov.absorb`` and the periodic checkpoint, so the verdict, the
     search stats, the unit events and the checkpoint are what the
-    sequential loop reports over the same prefix.  Supervision is the
-    exception: retries, timeouts, quarantines and rebuilds are counted
-    and traced when they happen, so they may cover a unit that a stop
-    below it later drops, which the sequential loop never runs.
+    sequential loop reports over the same prefix, ``units_retried``
+    included: an outcome or quarantine record waits in ``arrived`` with
+    the attempt it came from.  Supervision's trace events and pool
+    rebuilds are the exception: retries, timeouts, quarantines and
+    rebuilds are traced, and rebuilds counted, when they happen, so they
+    may cover a unit that a stop below it later drops, which the
+    sequential loop never runs.
 
     A violation or a unit's own strike arriving at cursor *c* stops the
     pull and drops what lies above *c*; the units below keep running,
@@ -1084,7 +1098,8 @@ def _run_pool(
     refused: VerificationBudgetExceeded | None = None
     stop: tuple[int, int] | None = None  # the run ends when it commits
     order: deque[WorkUnit] = deque()  # pulled, not yet committed
-    arrived: dict[tuple[int, int], UnitOutcome | dict] = {}
+    #: cursor -> (the attempt it came from, its outcome or quarantine)
+    arrived: dict[tuple[int, int], tuple[int, UnitOutcome | dict]] = {}
     #: submitted executions, until they end; those above ``stop`` are
     #: never read, but hold a worker and their deadline all the same
     in_flight: dict[Future, _Job] = {}
@@ -1161,7 +1176,8 @@ def _run_pool(
 
     def commit() -> None:
         while order and order[0].cursor in arrived:
-            result = arrived.pop(order[0].cursor)
+            attempt, result = arrived.pop(order[0].cursor)
+            sup.committed(attempt)
             if isinstance(result, dict):  # quarantined: the run moves on
                 out.quarantined.append(result)
                 order.popleft()
@@ -1189,7 +1205,7 @@ def _run_pool(
     def fail(job: _Job, error: BaseException | str) -> None:
         retry = sup.failed(tracer, job.unit.cursor, job.attempt, error)
         if isinstance(retry, dict):
-            arrived[job.unit.cursor] = retry
+            arrived[job.unit.cursor] = (job.attempt, retry)
         else:
             jobs.append(
                 _Job(job.unit, job.attempt + 1, _MONOTONIC() + retry)
@@ -1323,7 +1339,7 @@ def _run_pool(
                     except Exception as exc:
                         fail(job, exc)
                         continue
-                    arrived[job.unit.cursor] = result
+                    arrived[job.unit.cursor] = (job.attempt, result)
                     if result.status != CLEAN:
                         stop_at(job.unit.cursor)
                 if broke:

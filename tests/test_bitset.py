@@ -26,6 +26,7 @@ Three layers of evidence:
 """
 
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ from repro.fol import (
 )
 from repro.fol.bitset import ValuationBlock, compile_bits
 from repro.ltl import B, G, LTLAtom, LTLFOSentence, ltl_to_buchi
-from repro.ltl.buchi import Lasso
+from repro.ltl.buchi import CompiledProduct, Lasso, ProductSearch
 from repro.ltl.syntax import LNot
 from repro.obs import CollectingTracer
 from repro.schema import Database
@@ -439,9 +440,10 @@ def _search(service, sentence, ba, db, sigma, exploration=None,
     verifier's unit checker wires it, with a fresh governor (``limits``
     are its caps) and stats.  Without ``exploration`` it is the
     valuation-at-a-time reference over snapshots; with it, the product
-    search over the ids of ``exploration``'s graph of ``db``, labelled
-    through that graph's label memo, its lasso mapped back to
-    snapshots.  Returns ``(found, stats, governor)``; ``found`` is the
+    search over the ids of ``exploration``'s graph of ``db``, on the
+    compiled product that graph keeps for the property, the block and
+    sigma, labelled through the graph's label memo, its lasso mapped
+    back to snapshots.  Returns ``(found, stats, governor)``; ``found`` is the
     limit's name when a cap struck."""
     literals = frozenset(sentence.literals())
     ctx = RunContext(service, db, sigma=sigma, extra_domain=literals)
@@ -452,41 +454,48 @@ def _search(service, sentence, ba, db, sigma, exploration=None,
         set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
         key=repr,
     )
-    if exploration is None:
-        starts = initial_snapshots(ctx)
-
-        def step(snap):
-            return successors(ctx, snap)
-    else:
-        graph = exploration.open(db, ctx.extra_domain)
-        starts = exploration.number(graph, initial_snapshots(ctx))
-
-        def step(sid):
-            return exploration.successor_ids(graph, ctx, sid, successors)
-
-    cache: dict = {}
-
-    def succ(state):
-        out = cache.get(state)
-        if out is None:
-            out = cache[state] = step(state)
-            stats["snapshots_explored"] += 1
-            gov.charge_snapshot()
-        return out
+    def charge(_state):
+        stats["snapshots_explored"] += 1
+        gov.charge_snapshot()
 
     try:
         if exploration is None:
+            cache: dict = {}
+
+            def succ(snap):
+                out = cache.get(snap)
+                if out is None:
+                    out = cache[snap] = successors(ctx, snap)
+                    charge(snap)
+                return out
+
             labeller = _SnapshotLabeller(ctx, sentence.variables)
             found = _search_valuations(
-                ba, starts, succ, labeller, sentence.variables, domain, gov,
-                stats,
+                ba, initial_snapshots(ctx), succ, labeller,
+                sentence.variables, domain, gov, stats,
             )
         else:
+            graph = exploration.open(db, ctx.extra_domain)
             block = ValuationBlock(sentence.variables, domain)
-            labeller = _GraphLabeller(ctx, exploration, graph, block)
-            found = _search_product(
-                ba, starts, succ, labeller.label_bits, block, gov, stats
+            product = exploration.product(
+                graph,
+                (LNot(sentence.skeleton), sentence.variables, block.key(),
+                 frozenset(sigma.items())),
+                lambda: CompiledProduct(
+                    ba, exploration.number(graph, initial_snapshots(ctx)),
+                    block.all_mask,
+                ),
             )
+            labeller = _GraphLabeller(ctx, exploration, graph, block)
+            search = ProductSearch(
+                product,
+                lambda sid: exploration.successor_ids(
+                    graph, ctx, sid, successors
+                ),
+                labeller.label_bits, charge,
+                partial(exploration.store_product, graph),
+            )
+            found = _search_product(search, block, gov, stats)
             if found is not None:
                 lasso, valuation = found
                 snapshots = [graph.snapshots[sid] for sid in lasso.states]
@@ -540,7 +549,9 @@ def test_setwise_search_matches_reference(case, limit):
     same cap striking after the same charges.  The product searches of
     a case share one exploration cache across its databases and sigmas,
     as the units and calls on one service do: snapshot ids, successor-id
-    tuples and label bitsets.  Every violating lasso replays as a run of
+    tuples and label bitsets.  Each pair is searched twice through it,
+    the second time on the compiled product the first kept, and both
+    must match the reference.  Every violating lasso replays as a run of
     the service that violates the property under the reported
     valuation."""
     make_service, make_prop, *make_databases = SEARCH_CASES[case]
@@ -560,13 +571,17 @@ def test_setwise_search_matches_reference(case, limit):
             if limit is not None:
                 limits = {limit: _half_cap(limit, ref[2].charges)}
                 ref = _search(service, sentence, ba, db, sigma, limits=limits)
-            got = _search(
-                service, sentence, ba, db, sigma, exploration, limits=limits
-            )
-            assert got[0] == ref[0]
-            assert got[1] == ref[1]
-            assert got[2].charges == ref[2].charges
-            assert got[2].counters() == ref[2].counters()
+            # cold, then on the product the first search kept (a struck
+            # search keeps what it expanded before the cap)
+            for _ in range(2):
+                got = _search(
+                    service, sentence, ba, db, sigma, exploration,
+                    limits=limits,
+                )
+                assert got[0] == ref[0]
+                assert got[1] == ref[1]
+                assert got[2].charges == ref[2].charges
+                assert got[2].counters() == ref[2].counters()
             pairs += 1
             struck += ref[0] == limit
             if isinstance(ref[0], tuple):
@@ -583,8 +598,11 @@ def test_setwise_search_matches_reference(case, limit):
         assert bool(found_any) == ("never" in case)
     else:
         assert struck
+    stats = exploration.stats()
     if "ring" in case:  # its sigmas share labels: some are served
-        assert exploration.stats()["label_hits"] > 0
+        assert stats["label_hits"] > 0
+    # every pair's second search ran on the product its first one kept
+    assert (stats["product_misses"], stats["product_hits"]) == (pairs, pairs)
 
 
 class TestVerifierSetwiseIdentity:
@@ -628,20 +646,32 @@ def _label_counts(tracer) -> tuple[int, int]:
     )
 
 
+def _renamed_stored_prop():
+    """``_stored_prop`` over ``y``: another compiled product, the same
+    label keys."""
+    return LTLFOSentence(
+        ("y",),
+        B(Atom("record", (Var("y"),)), Not(Atom("stored", (Var("y"),)))),
+        name="stored only after recorded",
+    )
+
+
 def test_label_memo_spans_sigmas_units_and_calls():
     """On fresh services, a cold ``sigma_block=1`` run computes no more
     label bitsets than a cold ``sigma_block=8`` run: the explored
     graph's memo spans units as it spans the sigmas of one.  A warm
-    repeat on the same service computes none, and every run's stats are
-    equal.  In-process (``workers=1``): pool workers start with empty
-    caches."""
-    prop = _stored_prop()
+    repeat on the same service asks the labeller nothing, since the
+    compiled products the cold run kept hold every enable mask; the
+    same property over a renamed closure variable, a product of its
+    own, computes none either and is served every bitset the cold run
+    asked for.  Every run's stats are equal.  In-process
+    (``workers=1``): pool workers start with empty caches."""
     computed = {}
     stats = []
     for block in (1, 8):
         svc = _session_service()
         runs = []
-        for _ in range(2):
+        for prop in (_stored_prop(), _stored_prop(), _renamed_stored_prop()):
             tracer = CollectingTracer()
             result = verify_ltlfo(
                 svc, prop, domain_size=2, sigma_block=block, tracer=tracer,
@@ -652,9 +682,10 @@ def test_label_memo_spans_sigmas_units_and_calls():
             stats.append(
                 {k: v for k, v in result.stats.items() if k != "config"}
             )
-        (cold, cold_shared), (warm, warm_shared) = runs
+        (cold, cold_shared), warm, renamed = runs
         assert cold > 0
-        assert warm == 0 and warm_shared == cold + cold_shared
+        assert warm == (0, 0)
+        assert renamed == (0, cold + cold_shared)
         computed[block] = cold
     assert computed[1] <= computed[8], computed
     assert all(s == stats[0] for s in stats)

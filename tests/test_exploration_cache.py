@@ -46,6 +46,8 @@ import pytest
 import repro.verifier as verifier
 from repro.ctl.modelcheck import satisfying_states
 from repro.ctl.parser import parse_ctl
+from repro.ltl import LTLAtom, ltl_to_buchi
+from repro.ltl.buchi import CompiledProduct
 from repro.ltl.parser import parse_ltlfo
 from repro.schema import Database
 from repro.service import ServiceBuilder
@@ -559,6 +561,76 @@ SCENARIOS.update({
 })
 
 
+# Pairs of calls on one database where one field of the compiled
+# product's key alone separates the second call's product from the
+# first's: the negated skeleton, the closure variables in order, and
+# sigma.  (The block's layout, the remaining field, is a function of
+# the graph's key, sigma and the number of closure variables, so no
+# pair of calls on one graph differs in it alone.)
+
+#: scenario -> the product-key field its two calls differ in
+PRODUCT_KEY_CASES: dict[str, str] = {
+    # one skeleton, its closure variables listed in the other order:
+    # another bit layout, so the first violating valuation moves
+    "product_variable_order": "variables",
+    # CONFIRM acknowledges the owner's rows only: who = v0 reaches FINAL
+    # with ack(v0, v1), who = v2 never acknowledges there; both values
+    # lie in the ring, so the block is the same
+    "product_sigma_who": "sigma",
+    # same closure variables, block and sigma, another property
+    "product_two_skeletons": "skeleton",
+}
+
+_FINAL_ACK = "forall x0, x1: G !(FINAL & ack(x0, x1))"
+_STORED_B = "forall x0, x1: record(x0, x1) B !stored(x0, x1)"
+
+SCENARIOS.update({
+    "product_variable_order": (registration, [
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x0, x1)",
+             {"databases": _V01}, expect="violated"),
+        Call("verify_ltlfo", "forall x1, x0: G !stored(x0, x1)",
+             {"databases": _V01}, expect="violated"),
+    ]),
+    "product_sigma_who": (session_registration, [
+        Call("verify_ltlfo", _FINAL_ACK,
+             {"databases": _one_ring, "sigmas": [{"who": "v0"}]},
+             expect="violated"),
+        Call("verify_ltlfo", _FINAL_ACK,
+             {"databases": _one_ring, "sigmas": [{"who": "v2"}]},
+             expect="holds"),
+    ]),
+    "product_two_skeletons": (registration, [
+        Call("verify_ltlfo", _STORED_B, {"databases": _V01},
+             expect="holds"),
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x0, x1)",
+             {"databases": _V01}, expect="violated"),
+    ]),
+    # caps below what the full search charges (48 snapshots, 4
+    # valuations): struck on a product a struck call started, on one a
+    # full call completed, and full calls completing on either
+    "product_budget": (registration, [
+        Call("verify_ltlfo", _STORED_B, {
+            "databases": _V01, "budget": {"max_snapshots": 20}},
+            expect="inconclusive"),
+        Call("verify_ltlfo", _STORED_B, {"databases": _V01},
+             expect="holds"),
+        Call("verify_ltlfo", _STORED_B, {
+            "databases": _V01, "budget": {"max_snapshots": 20}},
+            expect="inconclusive"),
+        Call("verify_ltlfo", _STORED_B, {
+            "databases": _V01, "budget": {"max_valuations": 2}},
+            expect="inconclusive"),
+        Call("verify_ltlfo", _STORED_B, {"databases": _V01},
+             expect="holds"),
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x0, x1)", {
+            "databases": _V01, "budget": {"max_valuations": 1}},
+            expect="inconclusive"),
+        Call("verify_ltlfo", "forall x0, x1: G !stored(x0, x1)",
+             {"databases": _V01}, expect="violated"),
+    ]),
+})
+
+
 @pytest.fixture(scope="module")
 def cold():
     """Each call of each scenario on a fresh service object."""
@@ -582,7 +654,8 @@ def test_warm_calls_fingerprint_as_cold(name, cold):
         stats = compiled_service(service).exploration.stats()
         assert stats["entries"] <= compiled_service(service).exploration.cap
     stats = compiled_service(service).exploration.stats()
-    assert stats["successor_hits"] + stats["kripke_hits"] > 0, (
+    reused = ("successor_hits", "product_hits", "kripke_hits")
+    assert sum(stats[key] for key in reused) > 0, (
         "the sequence never reused a graph: it tests nothing"
     )
 
@@ -613,6 +686,100 @@ def test_one_label_key_field_separates_two_calls(name, cold):
         assert (cold_first["verdict"], cold_first["stats"]) != (
             cold_second["verdict"], cold_second["stats"]
         )
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_KEY_CASES))
+def test_one_product_key_field_separates_two_calls(name, cold):
+    """Warm, the second call of each pair builds a compiled product of
+    its own, no successor set is stepped again, and it fingerprints as
+    it does cold.  The two calls differ cold in the verdict or the
+    stats, so a second call served the first call's product would
+    show."""
+    factory, (first, second) = SCENARIOS[name]
+    service = factory()
+    run_call(first, service)
+    cache = compiled_service(service).exploration
+    before = cache.stats()
+    result, _replay = run_call(second, service)
+    after = cache.stats()
+    assert fingerprint(result) == fingerprint(cold[name][1][0])
+    assert after["product_hits"] == before["product_hits"]
+    assert after["product_misses"] == before["product_misses"] + 1
+    assert after["successor_hits"] > before["successor_hits"]
+    cold_first, cold_second = (fingerprint(r) for r, _ in cold[name])
+    assert (cold_first["verdict"], cold_first["stats"]) != (
+        cold_second["verdict"], cold_second["stats"]
+    )
+
+
+def test_warm_budget_strikes_as_cold(cold):
+    """A call capped below what the full search charges strikes at the
+    cold call's point, with its checkpoint, on a product a struck call
+    started and on one a full call completed; full calls then complete
+    on it."""
+    factory, calls = SCENARIOS["product_budget"]
+    service = factory()
+    cache = compiled_service(service).exploration
+    for i, (call, (cold_result, _)) in enumerate(
+        zip(calls, cold["product_budget"])
+    ):
+        result, _replay = run_call(call, service)
+        assert fingerprint(result) == fingerprint(cold_result), call.label
+        if result.verdict is Verdict.INCONCLUSIVE:
+            assert result.checkpoint is not None
+        # one (database, sigma): a property's first call builds its
+        # product, every later one reads it
+        built = len({c.prop for c in calls[:i + 1]})
+        stats = cache.stats()
+        assert stats["product_misses"] == built, call.label
+        assert stats["product_hits"] == i + 1 - built, call.label
+
+
+@pytest.mark.parametrize("sigma_block", [1, 8])
+def test_warm_repeat_builds_no_start_or_eval_context(
+    sigma_block, monkeypatch
+):
+    """A cold call numbers each sigma's initial snapshots once; a warm
+    repeat of it on the same service reads the start ids its products
+    kept and, on a property that holds, builds no eval context at all:
+    every enable mask was kept, so no label is asked for."""
+    import repro.verifier.linear as linear
+    from repro.service.runs import RunContext
+
+    calls = {"initial_snapshots": 0, "make_eval_context": 0}
+    starts, contexts = linear.initial_snapshots, RunContext.make_eval_context
+
+    def counted_starts(ctx):
+        calls["initial_snapshots"] += 1
+        return starts(ctx)
+
+    def counted_contexts(self, *args, **kwargs):
+        calls["make_eval_context"] += 1
+        return contexts(self, *args, **kwargs)
+
+    monkeypatch.setattr(linear, "initial_snapshots", counted_starts)
+    monkeypatch.setattr(RunContext, "make_eval_context", counted_contexts)
+    service = session_registration()
+    sentence = parse_ltlfo(
+        "forall x0, x1, x2: record(x0, x1) B "
+        "!(stored(x0, x1) & stored(x1, x2))"
+    )
+    results = []
+    for _ in range(2):
+        before = dict(calls)
+        results.append(verifier.verify_ltlfo(
+            service, sentence, databases=_rings(service), workers=1,
+            sigma_block=sigma_block,
+        ))
+        results[-1].calls = {k: calls[k] - before[k] for k in calls}
+    cold_result, warm = results
+    assert cold_result.verdict is Verdict.HOLDS
+    assert fingerprint(warm) == fingerprint(cold_result)
+    assert cold_result.calls["initial_snapshots"] == (
+        cold_result.stats["sigmas_checked"]
+    ) > 1
+    assert cold_result.calls["make_eval_context"] > 0
+    assert warm.calls == {"initial_snapshots": 0, "make_eval_context": 0}
 
 
 def test_every_scenario_reaches_a_violation(cold):
@@ -731,15 +898,22 @@ def test_threads_on_one_cold_service(name, first, second, cold):
     )
 
 
+def _one_state_product():
+    return CompiledProduct(ltl_to_buchi(LTLAtom("p")), [0], 1)
+
+
 def test_concurrent_stores_lose_no_update():
-    """Eight threads number the same snapshots and store the same keys
-    and label bitsets into two graphs at once; every count a lost
-    read-modify-write would corrupt stays exact, and every snapshot gets
-    one id."""
+    """Eight threads number the same snapshots and store the same keys,
+    label bitsets and compiled-product entries into two graphs at once;
+    every count a lost read-modify-write would corrupt stays exact,
+    every snapshot gets one id and every product slot one value."""
+    n_threads, n_keys, n_snaps = 8, 20000, 500
     cache = ExplorationCache()
+    cache.cap = 8 * n_keys  # room for every store: nothing is evicted
     graphs = [cache.open(name, frozenset()) for name in "ab"]
     memos = [cache.label_memo(graph, "p") for graph in graphs]
-    n_threads, n_keys, n_snaps = 8, 20000, 500
+    products = [cache.product(graph, "k", _one_state_product)
+                for graph in graphs]
     barrier = threading.Barrier(n_threads)
     errors: list[BaseException] = []
 
@@ -749,9 +923,14 @@ def test_concurrent_stores_lose_no_update():
             for i in range(n_keys):
                 # () is one shared object: a store must not mistake
                 # another thread's () for its own
-                cache._store_successors(graphs[i % 2], i, ())
-                cache.store_label(graphs[i % 2], memos[i % 2], i, i)
-                cache.number(graphs[i % 2], [i // 2 % n_snaps])
+                graph, product = graphs[i % 2], products[i % 2]
+                cache._store_successors(graph, i, ())
+                cache.store_label(graph, memos[i % 2], i, i)
+                cache.number(graph, [i // 2 % n_snaps])
+                # slots past the end grow the lists under the lock
+                cache.store_product(
+                    graph, product, {i // 2: (i,)}, {i // 2: ()}
+                )
         except BaseException as exc:  # pragma: no cover - reported below
             errors.append(exc)
 
@@ -770,10 +949,19 @@ def test_concurrent_stores_lose_no_update():
     stats = cache.stats()
     assert stats["successor_misses"] == n_threads * n_keys
     assert stats["label_misses"] == n_threads * n_keys
-    assert [g.size for g in graphs] == [n_keys] * 2
-    assert stats["entries"] == 2 * n_keys
+    # per graph: n_keys / 2 successor tuples and label bitsets, and a
+    # product keeping n_keys / 2 successor tuples and mask tuples
+    assert [g.size for g in graphs] == [2 * n_keys + 1] * 2
+    assert stats["entries"] == 2 * (2 * n_keys + 1)
+    assert stats["product_entries"] == 2 * (n_keys + 1)
     assert sum(len(g.successor_ids) for g in graphs) == n_keys
     assert stats["label_entries"] == n_keys
+    for graph, product in zip(graphs, products):
+        assert len(product.succ) == len(product.masks) == n_keys // 2
+        assert product.succ == [()] * (n_keys // 2)
+        side = graphs.index(graph)
+        assert product.masks == [(2 * j + side,) for j in range(n_keys // 2)]
+    assert stats["evicted_databases"] == 0
     for graph in graphs:
         assert sorted(graph.snapshots) == list(range(n_snaps))
         assert all(graph.snapshots[sid] == s for s, sid in graph.ids.items())
@@ -847,6 +1035,7 @@ def test_stores_wait_for_the_lock():
     shop = store()
     kripke = build_snapshot_kripke(shop, Database(shop.schema.database))
     memo = cache.label_memo(graph, "p")
+    product = _one_state_product()
     writes = [
         lambda: cache.open("b", frozenset()),
         lambda: cache.number(graph, ["s"]),
@@ -854,6 +1043,8 @@ def test_stores_wait_for_the_lock():
         lambda: cache._store_successors(graph, 0, ()),
         lambda: cache.store_label(graph, memo, 0, 5),
         lambda: cache.store_kripke(graph, kripke, 1),
+        lambda: cache.product(graph, "k", lambda: product),
+        lambda: cache.store_product(graph, product, {1: (3,)}, {}),
     ]
     for write in writes:
         done = threading.Event()
@@ -870,21 +1061,36 @@ def test_stores_wait_for_the_lock():
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert list(cache._graphs) == [("a", frozenset()), ("b", frozenset())]
-    assert cache.stats()["entries"] == 2 + kripke.n_states
+    assert cache.stats()["entries"] == 4 + kripke.n_states
     assert (graph.snapshots, graph.ids, memo) == (["s"], {"s": 0}, {0: 5})
+    assert graph.products == {"k": product}
+    assert product.masks == [None, (3,)]
 
 
 def label_entries(graph) -> int:
     return sum(len(memo) for memo in graph.labels.values())
 
 
+def product_entries(graph) -> int:
+    """One per compiled product the graph keeps, and one per successor
+    tuple and enable-mask tuple each product holds."""
+    return sum(
+        1 + sum(ids is not None for ids in product.succ)
+        + sum(masks is not None for masks in product.masks)
+        for product in graph.products.values()
+    )
+
+
 def graph_size(cache: ExplorationCache, key) -> int:
     """The entries ``key``'s graph is charged: one per successor-id
-    tuple, label bitset and Kripke state it holds."""
+    tuple, label bitset and Kripke state it holds, and its products'
+    entries."""
     graph = cache._graphs[key]
     kripke = graph.structure[0].n_states if graph.structure else 0
+    assert graph.product_entries == product_entries(graph)
     assert graph.size == (
         len(graph.successor_ids) + label_entries(graph) + kripke
+        + graph.product_entries
     )
     return graph.size
 
@@ -1042,10 +1248,11 @@ def test_counts_are_exact():
 
     service = session_registration()
     dbs = [ring(service, 3, 2), ring(service, 4, 3)]
-    sentence = parse_ltlfo(  # holds: both databases are explored in full
+    text = (  # holds: both databases are explored in full
         "forall x0, x1, x2: record(x0, x1) B "
         "!(stored(x0, x1) & stored(x1, x2))"
     )
+    sentence = parse_ltlfo(text)
     cache = compiled_service(service).exploration
 
     tracer = CollectingTracer()
@@ -1053,12 +1260,17 @@ def test_counts_are_exact():
         service, sentence, databases=dbs, workers=1, tracer=tracer
     )
     explored = cold_result.stats["snapshots_explored"]
+    pairs = cold_result.stats["sigmas_checked"]
     stats = cache.stats()
     assert stats["successor_hits"] + stats["successor_misses"] == explored
     assert stats["label_misses"] == stats["label_entries"]
-    assert stats["successor_misses"] + stats["label_misses"] == (
-        stats["entries"]
-    )
+    assert stats["successor_misses"] + stats["label_misses"] + (
+        stats["product_entries"]
+    ) == stats["entries"]
+    # one product per (database, sigma), each keeping the successors of
+    # every snapshot its search charged and some enable masks
+    assert (stats["product_misses"], stats["product_hits"]) == (pairs, 0)
+    assert stats["product_entries"] > pairs + explored
     assert stats["databases"] == len(dbs)
     assert stats["successor_hits"] > 0  # sigmas share scoped keys
     assert stats["label_hits"] > 0  # and label keys
@@ -1068,17 +1280,42 @@ def test_counts_are_exact():
     )
     labelled = stats["label_hits"] + stats["label_misses"]
 
+    # the same property: every pair's search runs on its kept product,
+    # which asks the graph for no successor set and no label
     tracer = CollectingTracer()
     warm = verifier.verify_ltlfo(
         service, sentence, databases=dbs, workers=1, tracer=tracer
     )
     assert warm.stats["snapshots_explored"] == explored
     after = cache.stats()
-    assert after["successor_misses"] == stats["successor_misses"]
-    assert after["successor_hits"] == stats["successor_hits"] + explored
-    assert after["label_misses"] == stats["label_misses"]
-    assert after["label_hits"] == stats["label_hits"] + labelled
-    assert after["entries"] == stats["entries"]
+    assert after["product_hits"] == pairs
+    assert after["product_misses"] == pairs
+    for key in ("successor_hits", "successor_misses", "label_hits",
+                "label_misses", "product_entries", "entries"):
+        assert after[key] == stats[key], key
+    assert _label_events(tracer) == (0, 0)
+    # each database's graph as one property leaves it, for the cap below
+    sizes = [cache._graphs[(db, frozenset())].size for db in dbs]
+    products = [
+        cache._graphs[(db, frozenset())].product_entries for db in dbs
+    ]
+
+    # the closure variables renamed: another product, which reads every
+    # successor set and label bitset the first stored
+    tracer = CollectingTracer()
+    renamed = verifier.verify_ltlfo(
+        service, parse_ltlfo(text.replace("x", "y")), databases=dbs,
+        workers=1, tracer=tracer,
+    )
+    assert renamed.stats["snapshots_explored"] == explored
+    last = cache.stats()
+    assert last["product_misses"] == 2 * pairs
+    assert last["product_entries"] == 2 * stats["product_entries"]
+    assert last["successor_misses"] == stats["successor_misses"]
+    assert last["successor_hits"] == stats["successor_hits"] + explored
+    assert last["label_misses"] == stats["label_misses"]
+    assert last["label_hits"] == stats["label_hits"] + labelled
+    assert last["entries"] == stats["entries"] + stats["product_entries"]
     assert _label_events(tracer) == (0, labelled)
 
     prop = store()
@@ -1091,10 +1328,10 @@ def test_counts_are_exact():
     assert pstats["entries"] == result.stats["kripke_states"]
     assert (pstats["successor_hits"], pstats["successor_misses"]) == (0, 0)
     assert (pstats["label_hits"], pstats["label_misses"]) == (0, 0)
+    assert (pstats["product_hits"], pstats["product_misses"]) == (0, 0)
 
     # a cap that holds either database's graph but not both: from cold,
     # each call after the first evicts the other database, once
-    sizes = [cache._graphs[(db, frozenset())].size for db in dbs]
     capped = session_registration()
     ccache = compiled_service(capped).exploration
     ccache.cap = max(sizes)
@@ -1106,8 +1343,9 @@ def test_counts_are_exact():
     assert cstats["label_entries"] == label_entries(
         ccache._graphs[(dbs[1], frozenset())]
     )
+    assert cstats["product_entries"] == products[1]
     assert cstats["successor_misses"] + cstats["label_misses"] == (
-        2 * sum(sizes)
+        2 * (sum(sizes) - sum(products))
     )
 
 

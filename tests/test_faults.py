@@ -459,6 +459,50 @@ class TestPoolSupervision:
         assert faulty.stats["databases_checked"] >= 1
 
 
+class TestRetriesCountedAtCommit:
+    def test_retry_dropped_above_a_violation_is_not_counted(self):
+        """core.json's database with the sigmas alice/pw-alice (clean),
+        nobody/nope (violated, behind a 0.5 s ``slow`` fault) and
+        alice/nope (one transient ``error``).  The pool retries (0, 2)
+        while (0, 1) sleeps, then drops it above the violation; the
+        sequential loop never runs it.  The retry is traced when it
+        happens, but only a committed unit's retries count, so both
+        backends report the same verdict, witness and stats."""
+        svc, prop, options = _clean_then_violated()
+        options["sigmas"] = options["sigmas"] + [
+            {"name": "alice", "password": "nope"},
+        ]
+        plan = _plan(FaultSpec("slow", 0, 1, delay_s=0.5),
+                     FaultSpec("error", 0, 2))
+        results, retried = {}, {}
+        for workers in (1, POOL):
+            tracer = CollectingTracer()
+            results[workers] = verify_ltlfo(
+                svc, prop, workers=workers, tracer=tracer, faults=plan,
+                **options,
+            )
+            retried[workers] = [
+                e.cursor for e in tracer.events if e.name == "unit.retry"
+            ]
+        sequential, pooled = results[1], results[POOL]
+        assert sequential.verdict is pooled.verdict is Verdict.VIOLATED
+        assert (sequential.stats["counterexample_db_index"],
+                sequential.stats["counterexample_sigma_index"]) == (0, 1)
+        assert fingerprint(pooled)["counterexample"] == (
+            fingerprint(sequential)["counterexample"]
+        )
+        assert _without_supervision(fingerprint(pooled)) == (
+            _without_supervision(fingerprint(sequential))
+        )
+        config_free = [
+            {k: v for k, v in r.stats.items() if k not in ("workers", "config")}
+            for r in (sequential, pooled)
+        ]
+        assert config_free[0] == config_free[1]
+        assert "units_retried" not in pooled.stats
+        assert retried == {1: [], POOL: [(0, 2)]}
+
+
 class TestInProcessFallback:
     """The in-process executor that replaces a pool which cannot be
     started or has been rebuilt too often."""

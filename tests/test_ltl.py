@@ -3,6 +3,7 @@ construction (cross-checked against the reference semantics with
 hypothesis), and LTL-FO sentences."""
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,10 +37,56 @@ from repro.ltl import (
     ltl_size,
     ltl_to_buchi,
 )
-from repro.ltl.buchi import CompiledProduct
+from repro.ltl.buchi import CompiledProduct, ProductSearch
 from repro.ltl.syntax import ltl_map_atoms
 
 from tests.product_reference import accepting_product_states, find_accepting_lasso
+
+
+class _Baton:
+    """Runs two thread bodies one at a time: ``hand_over(me)`` passes
+    the turn to the other body while it has not finished, and waits for
+    the turn to come back."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._turn = 0
+        self._done = [False, False]
+
+    def _wait(self, me: int) -> None:
+        assert self._cond.wait_for(lambda: self._turn == me, timeout=60)
+
+    def hand_over(self, me: int) -> None:
+        with self._cond:
+            if not self._done[1 - me]:
+                self._turn = 1 - me
+                self._cond.notify_all()
+                self._wait(me)
+
+    def run(self, bodies) -> None:
+        errors: list[BaseException] = []
+
+        def work(me: int) -> None:
+            try:
+                with self._cond:
+                    self._wait(me)
+                bodies[me]()
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            finally:
+                with self._cond:
+                    self._done[me] = True
+                    self._turn = 1 - me
+                    self._cond.notify_all()
+
+        threads = [threading.Thread(target=work, args=(me,))
+                   for me in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +279,9 @@ class TestBuchi:
         assert ref == got
 
         bits = lambda s, a: int(word[s][a])
-        lasso, _clean = CompiledProduct(ba, [0], succ, bits, 1).search(1)
+        lasso, _clean = ProductSearch(
+            CompiledProduct(ba, [0], 1), succ, bits
+        ).search(1)
         assert (lasso is not None) == ref
 
         def holds_from(i):
@@ -242,8 +291,8 @@ class TestBuchi:
                 max(loop - i, 0),
             )
 
-        starts = CompiledProduct(
-            ba, range(length), succ, bits, 1
+        starts = ProductSearch(
+            CompiledProduct(ba, range(length), 1), succ, bits
         ).accepting_starts(1)
         assert (0 in starts) == ref
         assert starts == {i for i in range(length) if holds_from(i)}
@@ -274,9 +323,9 @@ class TestBuchi:
             got = accepting_product_states(
                 ba, list(range(n)), succ.__getitem__, label
             )
-            product = CompiledProduct(
-                ba, range(n), succ.__getitem__,
-                lambda s, a: 1 if labels[s][a] else 2, 3,
+            product = ProductSearch(
+                CompiledProduct(ba, range(n), 3), succ.__getitem__,
+                lambda s, a: 1 if labels[s][a] else 2,
             )
             assert product.accepting_starts(1) == got, seed
             assert product.accepting_starts(2) == accepting_product_states(
@@ -292,12 +341,15 @@ class TestBuchi:
         assert min(agreed.values()) > 100  # both answers well exercised
 
     def test_compiled_product_agrees_with_nested_dfs(self):
-        """``CompiledProduct.search`` against ``find_accepting_lasso``
+        """``ProductSearch.search`` against ``find_accepting_lasso``
         for every valuation of a 4-valuation block, on seeded random
-        systems whose atom labels are bitsets: the same lasso, and the
-        same first ``successors`` call per state in the same order.  A
-        valuation inside a clean class has no lasso either, and the
-        product never asks for a state's successors twice."""
+        systems whose atom labels are bitsets: the same lasso, and a
+        charge at the reference's first ``successors`` call per state,
+        in the same order.  A valuation inside a clean class has no
+        lasso either.  Two contexts run over one kept product, one after
+        the other: the product never asks for a state's successors or a
+        label twice, so the second context asks for none, and it charges
+        what the first did."""
         width = 4
         found = {True: 0, False: 0}
         for seed in range(300):
@@ -310,35 +362,121 @@ class TestBuchi:
             bits = {(s, a): rng.getrandbits(width)
                     for s in range(n) for a in ATOMS}
             ba = ltl_to_buchi(_random_ltl(rng, 3))
-            product_calls: list = []
-            product = CompiledProduct(
-                ba, [0], lambda s: product_calls.append(s) or succ[s],
-                lambda s, a: bits[(s, a)], (1 << width) - 1,
-            )
-            first_calls: list = []
-            covered = 0
-            for i in range(width):
-                bit = 1 << i
-
-                def ref_succ(s):
-                    if s not in first_calls:
-                        first_calls.append(s)
-                    return succ[s]
-
-                want = find_accepting_lasso(
-                    ba, [0], ref_succ, lambda s, a: bool(bits[(s, a)] & bit)
+            product = CompiledProduct(ba, [0], (1 << width) - 1)
+            asked: list = []
+            labelled: list = []
+            for context in range(2):
+                charges: list = []
+                search = ProductSearch(
+                    product, lambda s: asked.append(s) or succ[s],
+                    lambda s, a: labelled.append((s, a)) or bits[(s, a)],
+                    charges.append,
                 )
-                if covered & bit:
-                    assert want is None, (seed, i)
-                else:
-                    got, clean = product.search(bit)
-                    assert got == want, (seed, i)
-                    found[got is not None] += 1
-                    if got is None:
-                        assert clean & bit
-                        covered |= clean
-                assert product_calls == first_calls, (seed, i)
+                first_calls: list = []
+                covered = 0
+                for i in range(width):
+                    bit = 1 << i
+
+                    def ref_succ(s):
+                        if s not in first_calls:
+                            first_calls.append(s)
+                        return succ[s]
+
+                    want = find_accepting_lasso(
+                        ba, [0], ref_succ,
+                        lambda s, a: bool(bits[(s, a)] & bit),
+                    )
+                    if covered & bit:
+                        assert want is None, (seed, i)
+                    else:
+                        got, clean = search.search(bit)
+                        assert got == want, (seed, i)
+                        found[got is not None] += 1
+                        if got is None:
+                            assert clean & bit
+                            covered |= clean
+                    assert charges == first_calls, (seed, context, i)
+                assert asked == first_calls, (seed, context)
+                assert len(set(labelled)) == len(labelled), seed
         assert min(found.values()) > 100  # both answers well exercised
+
+    @pytest.mark.parametrize("step", ["search", "charge"])
+    def test_alternating_contexts_charge_as_cold(self, step):
+        """Two search contexts over one kept product, stepped
+        alternately, each get the lassos, clean classes and charges of a
+        context over a product of its own.  ``search``: a valuation's
+        search in one, then the same in the other, which starts on what
+        the first just kept, so between them they ask for each state's
+        successors and each label once.  ``charge``: two threads handing
+        over at every charge, so both expand the same nodes before
+        either search ends; the product keeps each entry once."""
+        width = 4
+        overlapped = 0  # seeds where both contexts asked for one state
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 7)
+            succ = {
+                s: rng.sample(range(n), rng.randint(0, min(3, n)))
+                for s in range(n)
+            }
+            bits = {(s, a): rng.getrandbits(width)
+                    for s in range(n) for a in ATOMS}
+            ba = ltl_to_buchi(_random_ltl(rng, 3))
+            all_mask = (1 << width) - 1
+
+            cold_log: list = []
+            cold_search = ProductSearch(
+                CompiledProduct(ba, [0], all_mask), succ.__getitem__,
+                lambda s, a: bits[(s, a)], cold_log.append,
+            )
+            cold = [(cold_search.search(1 << i), list(cold_log))
+                    for i in range(width)]
+
+            shared = CompiledProduct(ba, [0], all_mask)
+            asked: list = []
+            labelled: list = []
+            stored: list = []
+            logs: list = [[], []]
+            got: list = [[], []]
+            baton = _Baton()
+
+            def charge(sid, me):
+                logs[me].append(sid)
+                if step == "charge":
+                    baton.hand_over(me)
+
+            searches = [
+                ProductSearch(
+                    shared, lambda s: asked.append(s) or succ[s],
+                    lambda s, a: labelled.append((s, a)) or bits[(s, a)],
+                    lambda sid, me=me: charge(sid, me),
+                    lambda product, masks, ids: stored.append(
+                        product.keep(masks, ids)
+                    ),
+                )
+                for me in range(2)
+            ]
+
+            def run(me, i):
+                got[me].append((searches[me].search(1 << i), list(logs[me])))
+
+            if step == "search":
+                for i in range(width):
+                    run(0, i)
+                    run(1, i)
+                assert sorted(asked) == sorted(set(asked)), seed
+                assert len(set(labelled)) == len(labelled), seed
+            else:
+                baton.run([
+                    lambda me=me: [run(me, i) for i in range(width)]
+                    for me in range(2)
+                ])
+            assert got == [cold, cold], (seed, step)
+            filled = sum(x is not None for x in shared.succ + shared.masks)
+            assert sum(stored) == filled, (seed, step)
+            overlapped += len(asked) > len(set(asked))
+        # the threads really interleave inside searches
+        assert (overlapped > 50) == (step == "charge"), overlapped
 
     @settings(max_examples=80, deadline=None)
     @given(f=_ltl_formulas(2), word=_words, data=st.data())

@@ -224,30 +224,38 @@ class TestAmortization:
     def test_repeat_verify_reads_the_explored_graph(
         self, server, base, registered
     ):
-        """The second request steps and labels nothing: every successor
-        set and label bitset it asks for was explored by the first
-        (in-process, so ``workers`` 1)."""
+        """The second request steps, labels and expands nothing: it
+        searches the compiled products the first kept, which hold every
+        successor set and enable mask it reads, so it does not even look
+        one up in the graph (in-process, so ``workers`` 1).  It returns
+        what the first returned."""
         sid = registered["core.json"]
         payload = {
             "spec_id": sid, "ltl": "G !ERROR", "force": True,
             "options": {**VERIFY_OPTIONS, "workers": 1},
         }
-        status, body = request(base, "POST", "/verify", payload)
-        assert status == 200, body
+        status, first_body = request(base, "POST", "/verify", payload)
+        assert status == 200, first_body
         status, first = request(base, "GET", f"/specs/{sid}")
         assert status == 200
         status, body = request(base, "POST", "/verify", payload)
         assert status == 200, body
         status, second = request(base, "GET", f"/specs/{sid}")
         before, after = first["exploration"], second["exploration"]
-        assert after["successor_misses"] == before["successor_misses"]
-        assert after["successor_hits"] > before["successor_hits"]
-        assert after["label_misses"] == before["label_misses"]
-        assert after["label_hits"] > before["label_hits"]
+        assert after["product_hits"] > before["product_hits"]
+        assert after["product_misses"] == before["product_misses"] > 0
+        assert after["product_entries"] == before["product_entries"] > 0
+        for key in ("successor_hits", "successor_misses", "label_hits",
+                    "label_misses"):
+            assert after[key] == before[key], key
         assert after["label_entries"] == before["label_entries"] > 0
-        assert after["entries"] <= server.registry.get(
+        assert after["entries"] == before["entries"] <= server.registry.get(
             sid
         ).compiled.exploration.cap
+        for field in ("verdict", "counterexample", "stats"):
+            assert body["result"].get(field) == (
+                first_body["result"].get(field)
+            ), field
 
     def test_inline_requests_do_not_pin_their_graphs(self, server, base):
         """An inline spec is parsed per request; once the request is
