@@ -74,7 +74,7 @@ from repro.verifier import (
     verify,
     verify_error_free,
 )
-from repro.verifier.engine import add_cli_option, fold_budget
+from repro.verifier.engine import OPTION_TABLE, add_cli_option, fold_budget
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -277,36 +277,28 @@ def _restore_stop_handlers(previous) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.checkpoint_every is not None and not args.checkpoint:
+        raise _CliError(
+            "error: --checkpoint-every needs --checkpoint: it names the "
+            "file the periodic checkpoint is written to"
+        )
     service = _load_spec(args.spec)
+    # every flag generated from the shared option table forwards under
+    # its row's name; the budget-shaped ones then fold into one governor
+    # (always: the CLI's defaults must win over the procedures' own)
+    options = {
+        name: getattr(args, name)
+        for name, spec in OPTION_TABLE.items()
+        if spec.cli is not None and getattr(args, name) is not None
+    }
+    fold_budget(options, always=True)
     databases = _load_databases(service, args.db)
-    options = {}
     if databases is not None:
         options["databases"] = databases
-    if args.domain_size is not None:
-        options["domain_size"] = args.domain_size
-    # the budget-shaped flags fold into one governor via the shared
-    # option table (always: the CLI's defaults must win over the
-    # procedures' own)
-    if args.max_snapshots is not None:
-        options["max_snapshots"] = args.max_snapshots
-    if args.max_databases is not None:
-        options["max_databases"] = args.max_databases
-    if args.timeout_s is not None:
-        options["timeout_s"] = args.timeout_s
-    options["strict"] = args.strict
-    fold_budget(options, always=True)
-    options["lint"] = args.lint
-    if args.retry is not None:
-        options["retry"] = args.retry
-    if args.unit_timeout_s is not None:
-        options["unit_timeout_s"] = args.unit_timeout_s
-    if args.faults is not None:
-        options["faults"] = args.faults
-    if args.checkpoint and args.checkpoint_every is not None:
+    if args.checkpoint_every is not None:
         # the engine rewrites the checkpoint file periodically and on
         # interruption; the CLI still writes the final one below
         options["checkpoint_path"] = args.checkpoint
-        options["checkpoint_every"] = args.checkpoint_every
     tracer = _make_tracer(args)
     if tracer is not None:
         options["tracer"] = tracer
@@ -340,8 +332,6 @@ def _run_verify(args, service, options) -> int:
             options["domain_size"] = checkpoint.domain_size
         if args.workers is None and checkpoint.workers is not None:
             options["workers"] = checkpoint.workers
-    if args.workers is not None:
-        options["workers"] = args.workers
 
     try:
         if args.error_free:
@@ -424,6 +414,11 @@ def _run_verify(args, service, options) -> int:
         return EXIT_LINT
     except FaultPlanError as exc:
         print(f"error: invalid fault plan: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        # an option out of range, given as a flag or by its REPRO_*
+        # variable (e.g. --workers 0, REPRO_RETRY=zap)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TypeError as exc:
         # e.g. checkpointing options on the fully propositional fast
@@ -546,36 +541,28 @@ def build_parser() -> argparse.ArgumentParser:
                      help="check error-freeness instead of a property")
     ver.add_argument("--db", action="append",
                      help="database JSON (repeatable); default: enumerate")
-    # option-table flags are generated from repro.verifier.engine's
-    # shared OPTION_TABLE, so the CLI, the server wire schema and the
-    # entry-point signatures can never drift apart
-    add_cli_option(ver, "domain_size")
     ver.add_argument("--force", action="store_true",
                      help="run the bounded search on undecidable instances")
     ver.add_argument("--explain", action="store_true",
                      help="print the decidability report first")
-    add_cli_option(ver, "max_snapshots")
-    add_cli_option(ver, "max_databases")
-    add_cli_option(ver, "timeout_s")
-    add_cli_option(ver, "workers")
-    add_cli_option(ver, "strict")
     ver.add_argument("--resume", metavar="CHECKPOINT",
                      help="resume from a checkpoint JSON written by a "
                           "previous interrupted run")
     ver.add_argument("--checkpoint", metavar="PATH",
                      help="where to write the resume checkpoint when the "
                           "budget runs out or the run is interrupted")
-    add_cli_option(ver, "checkpoint_every")
-    add_cli_option(ver, "retry")
-    add_cli_option(ver, "unit_timeout_s")
-    add_cli_option(ver, "faults")
     ver.add_argument("--trace", metavar="FILE",
                      help="stream structured trace events (JSONL) to FILE; "
                           "see the repro.obs event taxonomy")
     ver.add_argument("--progress", action="store_true",
                      help="print coarse progress events to stderr while "
                           "the verification runs")
-    add_cli_option(ver, "lint")
+    # the option-table flags are generated from repro.verifier.engine's
+    # shared OPTION_TABLE, so the CLI, the server wire schema and the
+    # entry-point signatures can never drift apart
+    for name, spec in OPTION_TABLE.items():
+        if spec.cli is not None:
+            add_cli_option(ver, name)
     ver.set_defaults(func=_cmd_verify)
 
     sim = sub.add_parser("simulate", help="random run over a database")

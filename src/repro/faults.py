@@ -46,8 +46,9 @@ schedule is reproducible.
 
 Plans come from ``verify(..., faults=)`` (a :class:`FaultPlan`, a dict,
 or a JSON string) or from the ``REPRO_FAULTS`` environment variable
-(inline JSON, or ``@path`` to a JSON file) — the latter is how CI runs
-an entire test suite under a standing fault plan.  Every injected fault
+(inline JSON, or ``@path`` to a JSON file; the run engine reads it and
+hands the string to :func:`resolve_fault_plan`) — the latter is how CI
+runs an entire test suite under a standing fault plan.  Every injected fault
 is announced as a ``fault.injected`` trace event through
 :mod:`repro.obs` by the *parent* process (the worker may die before it
 could ship the event home).
@@ -260,17 +261,14 @@ class FaultPlan:
 def resolve_fault_plan(faults: Any = None) -> FaultPlan | None:
     """The effective fault plan for one verification call.
 
-    An explicitly passed value wins (a :class:`FaultPlan`, a dict, a
-    JSON string, or ``@path`` to a JSON file); otherwise ``REPRO_FAULTS``
-    in the environment supplies one for the whole process, and finally
-    None — the zero-overhead default: with no plan, the engine's
-    injection sites are a single ``is None`` check.
+    ``faults`` is a :class:`FaultPlan`, a dict, a JSON string (the
+    engine hands over ``REPRO_FAULTS`` this way), or ``@path`` to a
+    JSON file; None, or an empty plan, resolves to None — the
+    zero-overhead default: with no plan, the engine's injection sites
+    are a single ``is None`` check.
     """
     if faults is None:
-        raw = os.environ.get("REPRO_FAULTS", "").strip()
-        if not raw:
-            return None
-        faults = raw
+        return None
     if isinstance(faults, FaultPlan):
         return faults if faults else None
     if isinstance(faults, Mapping):

@@ -318,28 +318,28 @@ class ProgressTracer(_RecordingTracer):
         self._stream.flush()
 
 
-#: JSONL tracers resolved from ``REPRO_TRACE``, one per path — reused
-#: across verification calls so the file handle stays open and appended.
-_ENV_TRACERS: dict[str, JsonlTracer] = {}
+#: JSONL tracers resolved from a path (``REPRO_TRACE``), one per path —
+#: reused across verification calls so the file handle stays open and
+#: appended.
+_PATH_TRACERS: dict[str, JsonlTracer] = {}
 
 
-def resolve_tracer(tracer: Tracer | None) -> Tracer:
+def resolve_tracer(tracer: Tracer | str | None) -> Tracer:
     """The effective tracer for one verification call.
 
-    An explicitly passed tracer wins; otherwise the ``REPRO_TRACE``
-    environment variable names a JSONL file to append to (CI sets it
-    once to trace a whole test suite), and finally the no-op
-    :data:`NULL_TRACER`.
+    A tracer is used as it is; a string names a JSONL file to append to
+    (the engine hands over ``REPRO_TRACE`` this way: CI sets it once to
+    trace a whole test suite), with one tracer per path kept across
+    calls; None is the no-op :data:`NULL_TRACER`.
     """
-    if tracer is not None:
-        return tracer
-    path = os.environ.get("REPRO_TRACE", "").strip()
-    if path:
-        cached = _ENV_TRACERS.get(path)
+    if tracer is None:
+        return NULL_TRACER
+    if isinstance(tracer, str):
+        cached = _PATH_TRACERS.get(tracer)
         if cached is None:
-            cached = _ENV_TRACERS[path] = JsonlTracer(path, append=True)
+            cached = _PATH_TRACERS[tracer] = JsonlTracer(tracer, append=True)
         return cached
-    return NULL_TRACER
+    return tracer
 
 
 def finalize_result(tracer: Tracer, result: Any) -> Any:

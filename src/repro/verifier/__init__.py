@@ -62,16 +62,12 @@ from repro.verifier.engine import (
     fresh_value_pool,
     run_procedure,
 )
-from repro.verifier.linear import (
-    verify_ltlfo,
-    explore_configuration_graph,
-)
+from repro.verifier.linear import verify_ltlfo
 from repro.verifier.parallel import (
     GLOBAL_STOP,
     RunInterrupted,
     StopToken,
     Supervisor,
-    resolve_workers,
 )
 from repro.verifier.errors import (
     verify_error_free,
@@ -96,7 +92,6 @@ __all__ = [
     "CheckpointFormatError",
     "CheckpointMismatchError",
     "coverage_summary",
-    "resolve_workers",
     "RunInterrupted",
     "StopToken",
     "GLOBAL_STOP",
@@ -110,7 +105,6 @@ __all__ = [
     "verify_ltlfo",
     "default_domain_size",
     "enumerate_sigmas",
-    "explore_configuration_graph",
     "fresh_value_pool",
     "verify_error_free",
     "error_page_reachable",

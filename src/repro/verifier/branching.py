@@ -411,23 +411,7 @@ def verify_ctl(
     supervision, fault injection and crash-safe periodic checkpoints —
     see :func:`repro.verifier.linear.verify_ltlfo` for the semantics.
     """
-    cfg = RunConfig.build("verify_ctl", dict(
-        databases=databases,
-        domain_size=domain_size,
-        check_restrictions=check_restrictions,
-        max_states=max_states,
-        budget=budget,
-        timeout_s=timeout_s,
-        strict=strict,
-        resume=resume,
-        workers=workers,
-        tracer=tracer,
-        retry=retry,
-        unit_timeout_s=unit_timeout_s,
-        faults=faults,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-    ), unsupported)
+    cfg = RunConfig.build("verify_ctl", locals())
     return run_procedure(_KripkeProcedure("verify_ctl", service, formula, cfg))
 
 
@@ -462,18 +446,7 @@ def verify_fully_propositional(
     :func:`repro.verifier.linear.verify_ltlfo`); there is no periodic
     checkpointing here because there is no cursor to checkpoint.
     """
-    cfg = RunConfig.build("verify_fully_propositional", dict(
-        check_restrictions=check_restrictions,
-        max_states=max_states,
-        budget=budget,
-        timeout_s=timeout_s,
-        strict=strict,
-        workers=workers,
-        tracer=tracer,
-        retry=retry,
-        unit_timeout_s=unit_timeout_s,
-        faults=faults,
-    ), unsupported, hint=FP_HINT)
+    cfg = RunConfig.build("verify_fully_propositional", locals(), hint=FP_HINT)
     return run_procedure(
         _KripkeProcedure("verify_fully_propositional", service, formula, cfg)
     )

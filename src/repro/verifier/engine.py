@@ -7,42 +7,48 @@ compile plans, stream ``(database, sigma)`` work units under a budget
 governor, run them supervised, fold the outcomes into a verdict.  This
 module is that pipeline, factored once:
 
-- :data:`OPTION_TABLE` — the single source of truth for every option
-  any entry point accepts: which procedures take it, its default, its
-  wire (JSON) types, its generated CLI flag, the ``REPRO_*`` variable
-  that backs it, and whether the front ends fold it into a
-  :class:`~repro.verifier.budget.Budget`.  ``repro.cli`` and
-  ``repro.server.app`` generate their argparse flags and wire schema
-  from this table, so the three front doors can never drift apart.
+- :data:`OPTION_TABLE` — the one list of the options any entry point
+  accepts, a row each: which procedures take it, its default, its wire
+  (JSON) types, its generated CLI flag, the ``REPRO_*`` variable that
+  backs it and how a value is checked and resolved, and whether the
+  front ends fold it into a :class:`~repro.verifier.budget.Budget`.
+  ``repro.cli`` generates and forwards its ``verify`` flags from the
+  table, ``repro.server.app`` its wire schema, and
+  :func:`resolve_option` reads the ``REPRO_*`` fallbacks by the names
+  in the ``env`` column.  The entry-point signatures are written out
+  (they are the public API, with their docstrings);
+  ``tests/test_engine.py`` pins them to the table.
 - :class:`RunConfig` — a frozen snapshot of one verification call's
-  options.  :meth:`RunConfig.build` is where direct kwargs are
-  validated (unknown or procedure-unsupported options raise the coded
-  :class:`RunConfigError`, never a bare ``TypeError`` with no key
-  path).
+  options.  :meth:`RunConfig.build` reads them from the entry point's
+  ``locals()`` and validates them (unknown or procedure-unsupported
+  options raise the coded :class:`RunConfigError`, never a bare
+  ``TypeError`` with no key path).
 - :class:`Procedure` — the short declaration each entry point makes:
   its shape (does it enumerate databases, does it check sigmas), its
   per-unit checker, its own stats counters, what to precompile, and
-  its labels.  Everything else — worker and tracer resolution, budget
-  wiring, candidate-database enumeration, plan warming,
+  its labels.  Everything else — option resolution, budget wiring,
+  candidate-database enumeration, plan warming,
   :class:`~repro.verifier.parallel.UnitStream` construction,
   :class:`~repro.verifier.parallel.Supervisor` setup, stats seeding,
   checkpointing, verdict folding — lives in :func:`run_procedure` and
   is written exactly once.
 
-The resolution order is **kwargs > CLI/wire > env > defaults**: the
+The resolution order is **kwargs > CLI/wire > env > fallbacks**: the
 CLI and the server translate their inputs into plain kwargs (via this
-module's shared table), the driver consults the ``REPRO_*`` variables
-only for options still unset, and the table's defaults fill the rest.
-The values that actually governed a run are recorded in
-``result.stats["config"]`` for provenance.
+module's shared table), :func:`resolve_option` consults a row's
+``REPRO_*`` variable only for an option still unset, and the row's
+``fallback`` fills the rest.  The values that actually governed a run
+are recorded in ``result.stats["config"]`` for provenance.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
+from repro.faults import resolve_fault_plan
 from repro.obs import Tracer, finalize_result, resolve_tracer
 from repro.schema.database import Database
 from repro.schema.enumerate import canonical_domain, enumerate_databases
@@ -56,8 +62,6 @@ from repro.verifier.parallel import (
     apply_quarantine,
     frontier_checkpoint,
     merge_unit_stats,
-    resolve_sigma_block,
-    resolve_workers,
     run_units,
 )
 from repro.verifier.results import (
@@ -106,6 +110,13 @@ class OptionSpec:
     the ``REPRO_*`` variable consulted when the option is unset;
     ``budget`` marks options the CLI and server fold into one
     ``budget=`` governor via :func:`fold_budget`.
+
+    The last three columns are read by :func:`resolve_option` alone.
+    ``minimum`` marks a numeric option: the least value it accepts,
+    explicit or from ``env``, whose type (``int`` or ``float``) also
+    parses the variable; ``fallback`` is the value in effect when
+    neither the call nor ``env`` sets the option; ``resolve`` turns the
+    value in effect into the object the run uses.
     """
 
     procedures: frozenset[str]
@@ -114,6 +125,9 @@ class OptionSpec:
     cli: Mapping[str, Any] | None = None
     env: str | None = None
     budget: bool = False
+    minimum: int | float | None = None
+    fallback: Any = None
+    resolve: Callable[[Any], Any] | None = None
 
 
 OPTION_TABLE: dict[str, OptionSpec] = {
@@ -175,11 +189,16 @@ OPTION_TABLE: dict[str, OptionSpec] = {
                      "enumeration (default: $REPRO_WORKERS or 1); "
                      "verdicts are deterministic regardless of N"},
         env="REPRO_WORKERS",
+        minimum=1,
+        fallback=1,
     ),
     "sigma_block": OptionSpec(
-        frozenset({LTL}), wire=(int,), env="REPRO_SIGMA_BLOCK"
+        frozenset({LTL}), wire=(int,), env="REPRO_SIGMA_BLOCK",
+        minimum=1, fallback=1,
     ),
-    "tracer": OptionSpec(ALL_PROCEDURES, env="REPRO_TRACE"),
+    "tracer": OptionSpec(
+        ALL_PROCEDURES, env="REPRO_TRACE", resolve=resolve_tracer
+    ),
     "retry": OptionSpec(
         ALL_PROCEDURES,
         wire=(int,),
@@ -188,6 +207,8 @@ OPTION_TABLE: dict[str, OptionSpec] = {
                      "exponential backoff before quarantining it "
                      "(default: $REPRO_RETRY or 2)"},
         env="REPRO_RETRY",
+        minimum=0,
+        fallback=2,
     ),
     "unit_timeout_s": OptionSpec(
         ALL_PROCEDURES,
@@ -199,6 +220,7 @@ OPTION_TABLE: dict[str, OptionSpec] = {
                      "and retried (default: $REPRO_UNIT_TIMEOUT_S "
                      "or off)"},
         env="REPRO_UNIT_TIMEOUT_S",
+        minimum=0.0,
     ),
     "faults": OptionSpec(
         ALL_PROCEDURES,
@@ -207,6 +229,7 @@ OPTION_TABLE: dict[str, OptionSpec] = {
                      "the fault-tolerance paths: inline JSON or "
                      "@path/to/plan.json (default: $REPRO_FAULTS)"},
         env="REPRO_FAULTS",
+        resolve=resolve_fault_plan,
     ),
     "checkpoint_path": OptionSpec(_ENUMERATING),
     "checkpoint_every": OptionSpec(
@@ -219,6 +242,7 @@ OPTION_TABLE: dict[str, OptionSpec] = {
                      "kill at any moment loses at most N units "
                      "(default: $REPRO_CHECKPOINT_EVERY or off)"},
         env="REPRO_CHECKPOINT_EVERY",
+        minimum=1,
     ),
     "method": OptionSpec(frozenset({EF}), default="direct"),
     "lint": OptionSpec(
@@ -298,6 +322,38 @@ def fold_budget(options: dict[str, Any], *, always: bool) -> dict[str, Any]:
     return options
 
 
+def resolve_option(name: str, value: Any = None) -> Any:
+    """The value of option ``name`` that governs a run.
+
+    An explicit ``value`` wins; an unset one (None) falls back to the
+    ``REPRO_*`` variable in the row's ``env`` column, then to the row's
+    ``fallback``.  A numeric row refuses a value below its ``minimum``
+    with a ``ValueError`` naming the option, or the variable the value
+    came from.  This is the one place the environment is read for a
+    verification option.
+    """
+    spec = OPTION_TABLE[name]
+    source = name
+    if value is None and spec.env is not None:
+        raw = os.environ.get(spec.env, "").strip()
+        if raw:
+            value, source = raw, spec.env
+            if spec.minimum is not None:
+                kind = type(spec.minimum)
+                try:
+                    value = kind(raw)
+                except ValueError:
+                    article = "an integer" if kind is int else "a number"
+                    raise ValueError(
+                        f"{source} must be {article}, got {raw!r}"
+                    ) from None
+    if value is None:
+        value = spec.fallback
+    if spec.minimum is not None and value is not None and value < spec.minimum:
+        raise ValueError(f"{source} must be >= {spec.minimum}, got {value}")
+    return value if spec.resolve is None else spec.resolve(value)
+
+
 # ---------------------------------------------------------------------------
 # RunConfig
 # ---------------------------------------------------------------------------
@@ -356,11 +412,11 @@ class RunConfig:
     """Frozen snapshot of one verification call's resolved options.
 
     One field per :data:`OPTION_TABLE` row with a non-empty procedure
-    set, in table order.  Instances come from :meth:`build` (direct
-    kwargs — the entry-point wrappers) or from plain construction; the
-    driver resolves the ``REPRO_*`` fallbacks of options still unset
-    and records the values that actually governed the run in
-    ``result.stats["config"]``.
+    set, in table order.  Instances come from :meth:`build` (the
+    entry-point wrappers) or from plain construction; the driver
+    resolves the ``REPRO_*`` fallbacks of options still unset
+    (:meth:`resolved`) and records the values that actually governed
+    the run in ``result.stats["config"]``.
     """
 
     databases: Iterable[Database] | None = None
@@ -387,22 +443,29 @@ class RunConfig:
 
     @classmethod
     def build(
-        cls,
-        procedure: str,
-        named: Mapping[str, Any],
-        extra: Mapping[str, Any] | None = None,
-        hint: str | None = None,
+        cls, procedure: str, scope: Mapping[str, Any], hint: str | None = None
     ) -> "RunConfig":
         """Validate and freeze one entry point's keyword arguments.
 
-        ``named`` holds the options the procedure's signature accepts
-        (by construction a subset of the config fields); ``extra`` is
-        the wrapper's ``**unsupported`` catch-all — any key there is an
-        error, classified against the table as unknown vs unsupported.
+        ``scope`` is the entry point's ``locals()``, taken as its first
+        statement: the options ``procedure`` accepts are read from it by
+        name, and its ``unsupported`` catch-all must be empty — any key
+        there is an error, classified against the table as unknown vs
+        unsupported.
         """
-        if extra:
-            raise _bad_options(procedure, extra, hint)
-        return cls(**named)
+        if scope["unsupported"]:
+            raise _bad_options(procedure, scope["unsupported"], hint)
+        return cls(**{name: scope[name] for name in accepted_options(procedure)})
+
+    def resolved(self, procedure: str) -> "RunConfig":
+        """This config with each option ``procedure`` accepts that has a
+        ``REPRO_*`` variable resolved by :func:`resolve_option`, in
+        table order."""
+        return dataclasses.replace(self, **{
+            name: resolve_option(name, getattr(self, name))
+            for name, spec in OPTION_TABLE.items()
+            if spec.env is not None and procedure in spec.procedures
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +665,13 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     procedure's own :meth:`~Procedure.counters`, ``domain_size``
     (enumerating procedures only) and ``workers``, in that order.
     """
-    cfg = proc.cfg
     service = proc.service
     proc.preflight()
-    n_workers = resolve_workers(cfg.workers)
+    cfg = proc.cfg.resolved(proc.name)
+    n_workers = cfg.workers
     blocked = "sigma_block" in accepted_options(proc.name)
-    n_block = resolve_sigma_block(cfg.sigma_block) if blocked else 1
-    tr = resolve_tracer(cfg.tracer)
+    n_block = cfg.sigma_block if blocked else 1
+    tr = cfg.tracer
     cap = "max_snapshots" if proc.has_sigmas else "max_states"
     gov = Budget.ensure(
         cfg.budget, timeout_s=cfg.timeout_s, strict=cfg.strict,
@@ -667,11 +730,7 @@ def run_procedure(proc: Procedure) -> VerificationResult:
         else:
             sigma_fn = lambda db: enumerate_sigmas(service, db)  # noqa: E731
 
-    sup = Supervisor(
-        retry=cfg.retry, unit_timeout_s=cfg.unit_timeout_s, faults=cfg.faults,
-        checkpoint_path=cfg.checkpoint_path,
-        checkpoint_every=cfg.checkpoint_every,
-    )
+    sup = Supervisor(cfg)
     if proc.enumerates:
         sup.frontier_kwargs = dict(
             procedure=proc.name,
@@ -702,10 +761,10 @@ def run_procedure(proc: Procedure) -> VerificationResult:
     config = {
         "procedure": proc.name,
         "workers": n_workers,
-        "retry": sup.max_retries,
-        "unit_timeout_s": sup.unit_timeout_s,
-        "checkpoint_every": sup.checkpoint_every,
-        "faults": sup.plan is not None,
+        "retry": cfg.retry,
+        "unit_timeout_s": cfg.unit_timeout_s,
+        "checkpoint_every": cfg.checkpoint_every,
+        "faults": cfg.faults is not None,
         "traced": tr.active,
         "strict": gov.strict,
     }

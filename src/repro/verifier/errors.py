@@ -45,8 +45,11 @@ from repro.service.webservice import WebService
 from repro.verifier.budget import Budget, Checkpoint
 from repro.verifier.engine import (
     DEFAULT_SNAPSHOT_BUDGET,
+    EF,
+    LTL,
     Procedure,
     RunConfig,
+    accepted_options,
     run_procedure,
 )
 from repro.verifier.linear import verify_ltlfo
@@ -193,46 +196,15 @@ def verify_error_free(
     supervision, fault injection and crash-safe periodic checkpoints —
     see :func:`repro.verifier.linear.verify_ltlfo` for the semantics.
     """
-    cfg = RunConfig.build("verify_error_free", dict(
-        databases=databases,
-        domain_size=domain_size,
-        method=method,
-        max_snapshots=max_snapshots,
-        sigmas=sigmas,
-        budget=budget,
-        timeout_s=timeout_s,
-        strict=strict,
-        resume=resume,
-        workers=workers,
-        tracer=tracer,
-        retry=retry,
-        unit_timeout_s=unit_timeout_s,
-        faults=faults,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-    ), unsupported)
+    cfg = RunConfig.build("verify_error_free", locals())
     property_name = f"error-free({service.name})"
     if cfg.method == "reduction":
         transformed, sentence = errorfree_reduction(service)
+        # every option both procedures take, as this call received it
         result = verify_ltlfo(
-            transformed,
-            sentence,
-            databases=cfg.databases,
-            domain_size=cfg.domain_size,
-            check_restrictions=False,
-            max_snapshots=cfg.max_snapshots,
-            sigmas=cfg.sigmas,
-            budget=cfg.budget,
-            timeout_s=cfg.timeout_s,
-            strict=cfg.strict,
-            resume=cfg.resume,
-            workers=cfg.workers,
-            tracer=cfg.tracer,
-            retry=cfg.retry,
-            unit_timeout_s=cfg.unit_timeout_s,
-            faults=cfg.faults,
-            checkpoint_path=cfg.checkpoint_path,
-            checkpoint_every=cfg.checkpoint_every,
+            transformed, sentence, check_restrictions=False,
+            **{name: getattr(cfg, name)
+               for name in accepted_options(EF) & accepted_options(LTL)},
         )
         result.method = "error-freeness via Lemma A.5 reduction + Theorem 3.5"
         result.property_name = property_name

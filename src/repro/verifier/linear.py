@@ -42,7 +42,6 @@ its per-unit checker.
 from __future__ import annotations
 
 import time
-from collections import deque
 from functools import partial
 from typing import Any, Hashable, Iterable, Mapping
 
@@ -78,7 +77,6 @@ from repro.verifier.engine import (  # noqa: F401 - historical home, re-exported
     fresh_value_pool,
     run_procedure,
 )
-from repro.verifier.engine import candidate_databases as _candidate_databases  # noqa: F401,E501
 from repro.verifier.parallel import (
     CLEAN,
     VIOLATED,
@@ -88,48 +86,10 @@ from repro.verifier.parallel import (
 )
 from repro.verifier.results import (
     UndecidableInstanceError,
-    VerificationBudgetExceeded,
     VerificationResult,
 )
 
 Value = Hashable
-
-
-def explore_configuration_graph(
-    ctx: RunContext,
-    max_snapshots: int = DEFAULT_SNAPSHOT_BUDGET,
-    budget: Budget | None = None,
-) -> tuple[list[Snapshot], dict[Snapshot, list[Snapshot]]]:
-    """BFS the reachable snapshot graph of one (database, sigma) pair.
-
-    The returned ``order`` is genuine breadth-first (level) order, so
-    the first snapshot satisfying a predicate is one of minimal
-    distance from the initial snapshots — counterexample traces built
-    from it are shortest.
-    """
-    gov = Budget.ensure(budget, max_snapshots=max_snapshots)
-    gov.begin_pair()
-    edges: dict[Snapshot, list[Snapshot]] = {}
-    order: list[Snapshot] = []
-    frontier = deque(initial_snapshots(ctx))
-    seen = set(frontier)
-    order.extend(frontier)
-    gov.charge_snapshot(len(frontier))
-    try:
-        while frontier:
-            snap = frontier.popleft()
-            nexts = successors(ctx, snap)
-            edges[snap] = nexts
-            for nxt in nexts:
-                if nxt not in seen:
-                    gov.charge_snapshot()
-                    seen.add(nxt)
-                    order.append(nxt)
-                    frontier.append(nxt)
-    except VerificationBudgetExceeded as exc:
-        exc.stats.setdefault("snapshots_explored", len(seen))
-        raise
-    return order, edges
 
 
 class _SnapshotLabeller:
@@ -567,27 +527,7 @@ def verify_ltlfo(
         (env ``REPRO_CHECKPOINT_EVERY``) and on interruption, so a kill
         at any moment loses bounded work and never corrupts the file.
     """
-    cfg = RunConfig.build("verify_ltlfo", dict(
-        databases=databases,
-        domain_size=domain_size,
-        check_restrictions=check_restrictions,
-        up_to_iso=up_to_iso,
-        max_snapshots=max_snapshots,
-        confirm_counterexamples=confirm_counterexamples,
-        sigmas=sigmas,
-        budget=budget,
-        timeout_s=timeout_s,
-        strict=strict,
-        resume=resume,
-        workers=workers,
-        sigma_block=sigma_block,
-        tracer=tracer,
-        retry=retry,
-        unit_timeout_s=unit_timeout_s,
-        faults=faults,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-    ), unsupported)
+    cfg = RunConfig.build("verify_ltlfo", locals())
     return run_procedure(_LtlfoProcedure(service, sentence, cfg))
 
 

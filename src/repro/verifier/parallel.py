@@ -67,8 +67,8 @@ the precompiled Büchi automaton, the unit budget caps) — the per-unit
 messages carry only the database and the sigmas.  The checker is a
 module-level function, which pickle stores by reference: unpickling the
 specification imports the checker's module in the worker, so there is
-no checker registry.  ``REPRO_WORKERS`` in the environment supplies a
-default worker count for entry points called without ``workers=``.
+no checker registry.  The worker count, like every option, is resolved
+by the engine (``workers=``, else ``REPRO_WORKERS``, else 1).
 
 **Fault tolerance.**  A run that takes hours must survive the failures
 hours bring: a worker segfault, a stuck unit, a SIGTERM from the
@@ -115,7 +115,6 @@ Deterministic fault *injection* for testing all of the above lives in
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 from collections import deque
@@ -127,17 +126,19 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.faults import (
     CheckpointWriteInterrupted,
     FaultInjector,
     FaultPlan,
-    resolve_fault_plan,
 )
 from repro.obs import NULL_TRACER, CollectingTracer, TraceEvent, Tracer
 from repro.verifier.budget import Budget, Checkpoint
 from repro.verifier.results import VerificationBudgetExceeded
+
+if TYPE_CHECKING:  # the engine imports this module
+    from repro.verifier.engine import RunConfig
 
 __all__ = [
     "WorkUnit",
@@ -152,8 +153,6 @@ __all__ = [
     "apply_quarantine",
     "backoff_s",
     "run_units",
-    "resolve_workers",
-    "resolve_sigma_block",
     "frontier_checkpoint",
     "merge_unit_stats",
     "CLEAN",
@@ -176,10 +175,6 @@ BUDGET = "budget"
 #: Stats keys aggregated by max (structure sizes); everything else sums.
 _MAX_KEYS = frozenset({"buchi_states", "kripke_states"})
 
-#: Retries of a failed unit when neither ``retry=`` nor ``REPRO_RETRY``
-#: says otherwise.
-_DEFAULT_RETRIES = 2
-
 #: The backoff before retry *n* (0-based) is
 #: ``min(_BACKOFF_MAX_S, _BACKOFF_BASE_S * 2**n)``, scaled by
 #: ``1 + _BACKOFF_JITTER * u`` (see :func:`backoff_s`).
@@ -190,54 +185,6 @@ _BACKOFF_JITTER = 0.1
 #: Pool rebuilds (after a worker crash or a unit timeout) before the run
 #: falls back to in-process execution.
 _MAX_POOL_REBUILDS = 8
-
-
-def _env_number(name: str, convert, minimum) -> Any:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = convert(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be {'an integer' if convert is int else 'a number'},"
-            f" got {raw!r}"
-        ) from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _resolve_count(value: int | None, name: str, env: str) -> int:
-    """``value``, else the integer in ``env``, else 1; never below 1."""
-    if value is None:
-        value = _env_number(env, int, 1)
-    if value is None:
-        return 1
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def resolve_workers(workers: int | None) -> int:
-    """The effective worker count for one verification call.
-
-    ``None`` falls back to the ``REPRO_WORKERS`` environment variable
-    (production deployments set it once instead of threading a parameter
-    through every call site), and finally to 1 — the sequential loop.
-    """
-    return _resolve_count(workers, "workers", "REPRO_WORKERS")
-
-
-def resolve_sigma_block(sigma_block: int | None) -> int:
-    """The effective sigma-block size for one verification call.
-
-    ``None`` falls back to the ``REPRO_SIGMA_BLOCK`` environment
-    variable and finally to 1 — one sigma per work unit.  Sizes above 1
-    pack that many consecutive sigmas of a database into one unit (see
-    :class:`WorkUnit`).
-    """
-    return _resolve_count(sigma_block, "sigma_block", "REPRO_SIGMA_BLOCK")
 
 
 @dataclass(frozen=True)
@@ -692,45 +639,25 @@ class Supervisor:
     """Failure handling for one enumeration run.
 
     Owns the retry count, the unit timeout, the resolved fault plan and
-    the periodic-checkpoint sink.  One instance per ``run_units`` call,
-    built from the entry point's ``retry=`` / ``unit_timeout_s=`` /
-    ``faults=`` / ``checkpoint_path=`` / ``checkpoint_every=`` keywords
-    (environment fallbacks: ``REPRO_RETRY``, ``REPRO_UNIT_TIMEOUT_S``,
-    ``REPRO_FAULTS``, ``REPRO_CHECKPOINT_EVERY``).  ``retry`` bounds the
-    *re*-executions of one unit (0: the first failure quarantines);
-    ``unit_timeout_s`` is the per-execution wall-clock allowance (pool
-    backend only — an in-process unit cannot be preempted).  The entry
-    point points ``frontier_kwargs`` at its :func:`frontier_checkpoint`
-    parameters so mid-run checkpoints carry the same identity as
-    end-of-run ones.
+    the periodic-checkpoint sink, read from a resolved
+    :class:`~repro.verifier.engine.RunConfig` (``retry``,
+    ``unit_timeout_s``, ``faults``, ``checkpoint_path``,
+    ``checkpoint_every``; the engine's ``resolve_option`` has applied
+    the ``REPRO_*`` fallbacks).  One instance per ``run_units`` call.
+    ``retry`` bounds the *re*-executions of one unit (0: the first
+    failure quarantines); ``unit_timeout_s`` is the per-execution
+    wall-clock allowance (pool backend only — an in-process unit
+    cannot be preempted).  The entry point points ``frontier_kwargs``
+    at its :func:`frontier_checkpoint` parameters so mid-run
+    checkpoints carry the same identity as end-of-run ones.
     """
 
-    def __init__(
-        self,
-        *,
-        retry: int | None = None,
-        unit_timeout_s: float | None = None,
-        faults: Any = None,
-        checkpoint_path: Any = None,
-        checkpoint_every: int | None = None,
-    ) -> None:
-        if retry is None:
-            retry = _env_number("REPRO_RETRY", int, 0)
-        if unit_timeout_s is None:
-            unit_timeout_s = _env_number("REPRO_UNIT_TIMEOUT_S", float, 0.0)
-        if checkpoint_every is None:
-            checkpoint_every = _env_number("REPRO_CHECKPOINT_EVERY", int, 1)
-        if retry is not None and retry < 0:
-            raise ValueError(f"retry must be >= 0, got {retry}")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        self.max_retries = _DEFAULT_RETRIES if retry is None else retry
-        self.unit_timeout_s = unit_timeout_s
-        self.plan = resolve_fault_plan(faults)
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
+    def __init__(self, cfg: RunConfig) -> None:
+        self.max_retries = cfg.retry
+        self.unit_timeout_s = cfg.unit_timeout_s
+        self.plan: FaultPlan | None = cfg.faults
+        self.checkpoint_path = cfg.checkpoint_path
+        self.checkpoint_every = cfg.checkpoint_every
         #: set by the entry point: frontier_checkpoint(...) keywords for
         #: periodic checkpoints (None = periodic checkpointing disabled)
         self.frontier_kwargs: dict[str, Any] | None = None
@@ -928,7 +855,7 @@ def run_units(
     stream: UnitStream,
     gov: Budget,
     workers: int,
-    supervisor: Supervisor | None = None,
+    supervisor: Supervisor,
 ) -> EnumerationOutcome:
     """Run every pending unit; first confirmed lowest-cursor violation wins.
 
@@ -936,7 +863,7 @@ def run_units(
     governor (identical charging order to the pre-parallel verifier);
     ``workers > 1`` fans units out to a process pool.  ``supervisor``
     carries the failure model (retry, quarantine, timeouts, periodic
-    checkpoints); None builds one from the environment defaults.
+    checkpoints).
 
     The two loops stay separate because they differ where it matters:
     the sequential one charges the parent governor and traces live; the
@@ -949,12 +876,11 @@ def run_units(
     the unit just committed, which the checkpoint then lists as done.
     The sequential loop always takes the second form.
     """
-    sup = supervisor if supervisor is not None else Supervisor()
     if workers <= 1:
-        out = _run_sequential(spec, stream, gov, sup)
+        out = _run_sequential(spec, stream, gov, supervisor)
     else:
-        out = _run_pool(spec, stream, gov, workers, sup)
-    for key, value in sup.counters().items():
+        out = _run_pool(spec, stream, gov, workers, supervisor)
+    for key, value in supervisor.counters().items():
         out.unit_stats[key] = out.unit_stats.get(key, 0) + value
     return out
 

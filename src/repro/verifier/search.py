@@ -73,23 +73,7 @@ def verify_input_driven_search(
     and crash-safe periodic checkpoints — see
     :func:`repro.verifier.linear.verify_ltlfo` for the semantics.
     """
-    cfg = RunConfig.build("verify_input_driven_search", dict(
-        databases=databases,
-        domain_size=domain_size,
-        check_restrictions=check_restrictions,
-        max_states=max_states,
-        budget=budget,
-        timeout_s=timeout_s,
-        strict=strict,
-        resume=resume,
-        workers=workers,
-        tracer=tracer,
-        retry=retry,
-        unit_timeout_s=unit_timeout_s,
-        faults=faults,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-    ), unsupported)
+    cfg = RunConfig.build("verify_input_driven_search", locals())
     return run_procedure(
         _KripkeProcedure("verify_input_driven_search", service, formula, cfg)
     )

@@ -16,10 +16,10 @@ from typing import Any
 
 from repro.ctl.syntax import StateFormula
 from repro.ltl.ltlfo import LTLFOSentence, check_ltlfo_input_bounded
-from repro.obs import resolve_tracer
 from repro.service.classify import ServiceClass, classify
 from repro.service.webservice import WebService
 from repro.verifier.branching import verify_ctl, verify_fully_propositional
+from repro.verifier.engine import resolve_option
 from repro.verifier.linear import verify_ltlfo
 from repro.verifier.results import UndecidableInstanceError, VerificationResult
 from repro.verifier.search import verify_input_driven_search
@@ -104,7 +104,7 @@ def lint_preflight(service: WebService, options: dict[str, Any]) -> list:
 
         report = lint_service(service)
         diagnostics = report.diagnostics
-        tracer = resolve_tracer(options.get("tracer"))
+        tracer = resolve_option("tracer", options.get("tracer"))
         if tracer.active:
             for d in diagnostics:
                 tracer.emit(

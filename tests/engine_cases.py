@@ -150,12 +150,14 @@ def build_options(case, service, workers):
     return options
 
 
-def run_case(case, workers=1):
-    """Execute one case at the given worker count; returns the result."""
+def run_case(case, workers=1, **extra):
+    """Execute one case at the given worker count, with ``extra``
+    options added; returns the service and the result."""
     import repro.verifier as verifier
     service = load_spec(case["spec"])
     prop = _build_property(case)
     options = build_options(case, service, workers)
+    options.update(extra)
     entry = getattr(verifier, case["entry"])
     if case["entry"] == "verify_error_free":
         return service, entry(service, **options)

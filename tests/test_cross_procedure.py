@@ -10,6 +10,14 @@ propositional store (Example 4.3):
 - on a fully propositional service, Theorem 4.4 and Theorem 4.6
   (``verify_fully_propositional``) decide the same CTL(*) properties.
 
+On the Figure 1 search service (Example 4.8):
+
+- Theorem 4.9 (``verify_input_driven_search``) and Theorem 4.4's
+  enumeration (``verify_ctl`` with ``check_restrictions=False``: the
+  service has a unary input, so it is not propositional) decide the
+  same CTL(*) properties over the same databases, with the same stats
+  and the same resume cursor.
+
 On the direct error-freeness cases of the engine oracle:
 
 - a service is error free (``verify_error_free``, a reachability
@@ -29,13 +37,20 @@ import pytest
 
 from repro.ctl.parser import parse_ctl
 from repro.demo.propositional import propositional_service
+from repro.demo.search_site import (
+    figure1_database,
+    scaled_hierarchy_database,
+    search_service,
+)
 from repro.ltl.parser import parse_ltlfo
 from repro.schema import Database
 from repro.verifier import (
+    Budget,
     Verdict,
     verify_ctl,
     verify_error_free,
     verify_fully_propositional,
+    verify_input_driven_search,
     verify_ltlfo,
 )
 
@@ -43,6 +58,7 @@ from tests.engine_cases import CASES, build_options, load_spec
 from tests.witness import replay_witness
 
 HOLDS, VIOLATED = Verdict.HOLDS, Verdict.VIOLATED
+INCONCLUSIVE = Verdict.INCONCLUSIVE
 
 #: LTL formula over page and propositional atoms -> its verdict on the store
 LTL_CASES = [
@@ -98,6 +114,45 @@ ERROR_FREE_CASES = [
 ]
 
 
+#: database space of the Figure 1 service -> the options that select it
+IDS_SPACES = {
+    "figure1": lambda svc: {"databases": [figure1_database(svc)]},
+    # complete binary category trees, all in stock / half the leaves
+    "tree-2": lambda svc: {
+        "databases": [scaled_hierarchy_database(2, service=svc)]},
+    "tree-3-half": lambda svc: {
+        "databases": [scaled_hierarchy_database(
+            3, service=svc, stock_ratio=0.5)]},
+    # the default enumeration, capped: uncapped it checks thousands of
+    # databases, seconds per call
+    "enumerated-50": lambda svc: {"budget": Budget(max_databases=50)},
+}
+
+#: (CTL(*) property, database space) -> its verdict on the search service
+IDS_CASES = [
+    # SEARCH is the only page: every state can stay on it
+    ("AG EF SEARCH", "figure1", HOLDS),
+    ("AG EF SEARCH", "tree-2", HOLDS),
+    ("AG EF SEARCH", "tree-3-half", HOLDS),
+    ("AG EF SEARCH", "enumerated-50", INCONCLUSIVE),
+    # the user can pick the in-stock category "new" below the root
+    ("AG !new", "figure1", VIOLATED),
+    ("EF new", "figure1", HOLDS),
+    # no category of the generated trees is named "new"
+    ("AG !new", "tree-2", HOLDS),
+    ("AG !new", "tree-3-half", HOLDS),
+    ("EF new", "tree-2", VIOLATED),
+    ("EF new", "tree-3-half", VIOLATED),
+    # the first 50 enumerated databases all interpret i0 as the literal
+    # "new", and the first input is always i0: new is set at step one
+    ("AG !new", "enumerated-50", VIOLATED),
+    ("EF new", "enumerated-50", INCONCLUSIVE),
+]
+
+#: stats that name the procedure that ran, like ``result.procedure``
+_PROCEDURE_LABELS = ("config", "interrupted_phase")
+
+
 @pytest.fixture(scope="module")
 def store():
     service = propositional_service()
@@ -151,3 +206,37 @@ def test_error_free_agrees_with_ltl_never_error(case_id, verdict):
             run = result.counterexample
             replay_witness(service, run)
             assert run.snapshots[-1].page == service.error_page
+
+
+@pytest.mark.parametrize("text,space,verdict", IDS_CASES,
+                         ids=[f"{t}-{sp}" for t, sp, _v in IDS_CASES])
+def test_theorem_4_9_agrees_with_theorem_4_4(text, space, verdict):
+    formula = parse_ctl(text)
+    sides = []
+    for verify_side, options in (
+        (verify_input_driven_search, {}),
+        (verify_ctl, {"check_restrictions": False}),
+    ):
+        # a fresh service per side: neither reads the other's cache
+        service = search_service()
+        sides.append(verify_side(
+            service, formula, workers=1, **options,
+            **IDS_SPACES[space](service),
+        ))
+    ids, ctl = sides
+    assert ids.verdict is ctl.verdict is verdict
+    assert ids.stats.keys() == ctl.stats.keys()
+    assert _without(ids.stats, _PROCEDURE_LABELS) == _without(
+        ctl.stats, _PROCEDURE_LABELS
+    )
+    assert _cursor(ids) == _cursor(ctl)
+    assert (_cursor(ids) is None) == (verdict is not INCONCLUSIVE)
+
+
+def _without(stats, keys):
+    return {k: v for k, v in stats.items() if k not in keys}
+
+
+def _cursor(result):
+    ck = result.checkpoint
+    return None if ck is None else (ck.db_index, ck.sigma_index)

@@ -45,6 +45,7 @@ from repro.verifier import engine
 from tests.engine_cases import (
     CASES,
     ORACLE_PATH,
+    SPEC_DIR,
     _build_property,
     fingerprint,
     run_case,
@@ -345,34 +346,38 @@ def ag_ef_hp():
 # environment resolution
 # ---------------------------------------------------------------------------
 
+def _run_entry(procedure, **options):
+    """Run the first engine case of ``procedure`` with ``options`` added.
+
+    ``workers`` is left unset unless given, so every option the call
+    leaves out falls back to its ``REPRO_*`` variable.
+    """
+    case = next(c for c in CASES if c["entry"] == procedure)
+    options.setdefault("workers", None)
+    return run_case(case, **options)[1]
+
+
 def test_from_env_resolves_repro_variables(monkeypatch):
     """Each option left unset falls back to its REPRO_* variable."""
-    from repro.verifier.parallel import (
-        Supervisor,
-        resolve_sigma_block,
-        resolve_workers,
-    )
-
     monkeypatch.setenv("REPRO_WORKERS", "3")
     monkeypatch.setenv("REPRO_SIGMA_BLOCK", "4")
     monkeypatch.setenv("REPRO_RETRY", "7")
     monkeypatch.setenv("REPRO_UNIT_TIMEOUT_S", "2.5")
     monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "9")
-    assert resolve_workers(None) == 3
-    assert resolve_sigma_block(None) == 4
-    sup = Supervisor()
-    assert sup.max_retries == 7
-    assert sup.unit_timeout_s == 2.5
-    assert sup.checkpoint_every == 9
+    config = _run_entry(engine.LTL).stats["config"]
+    assert config["workers"] == 3
+    assert config["sigma_block"] == 4
+    assert config["retry"] == 7
+    assert config["unit_timeout_s"] == 2.5
+    assert config["checkpoint_every"] == 9
 
 
 def test_from_env_kwargs_win(monkeypatch):
-    from repro.verifier.parallel import Supervisor, resolve_workers
-
     monkeypatch.setenv("REPRO_WORKERS", "3")
     monkeypatch.setenv("REPRO_RETRY", "7")
-    assert resolve_workers(1) == 1
-    assert Supervisor(retry=0).max_retries == 0
+    config = _run_entry(engine.LTL, workers=1, retry=0).stats["config"]
+    assert config["workers"] == 1
+    assert config["retry"] == 0
 
 
 def test_env_values_recorded_in_config(monkeypatch):
@@ -390,6 +395,128 @@ def test_env_values_recorded_in_config(monkeypatch):
     assert config["retry"] == 5
     assert config["unit_timeout_s"] == 2.5
     assert config["checkpoint_every"] == 9
+
+
+# ---------------------------------------------------------------------------
+# every row of the table reaches the run: one case per row, generated
+# ---------------------------------------------------------------------------
+
+def _rows(column):
+    """The names of the table rows whose ``column`` is set."""
+    return [name for name, spec in engine.OPTION_TABLE.items()
+            if getattr(spec, column) is not None]
+
+
+@pytest.fixture
+def no_repro_env(monkeypatch):
+    """No ``REPRO_*`` variable of the table is set (CI runs whole
+    suites under some of them)."""
+    for spec in engine.OPTION_TABLE.values():
+        if spec.env is not None:
+            monkeypatch.delenv(spec.env, raising=False)
+    return monkeypatch
+
+
+class _Reached(Exception):
+    """Raised by a stand-in entry point, carrying the options it got."""
+
+
+def _cli_value(cli):
+    """A non-default value for a generated flag, and its argv."""
+    if cli.get("action") == "store_true":
+        return True, [cli["flag"]]
+    if "choices" in cli:
+        value = next(c for c in cli["choices"] if c != cli.get("default"))
+    else:
+        value = {int: 3, float: 2.5}.get(cli.get("type"), "{}")
+    return value, [cli["flag"], str(value)]
+
+
+@pytest.mark.parametrize("name", _rows("cli"))
+def test_cli_flag_reaches_the_entry_point(name, monkeypatch, tmp_path):
+    """``repro verify --flag v`` hands ``name=v`` to the entry point; a
+    budget row arrives inside ``budget=``."""
+    import repro.cli as cli
+
+    def reached(service, prop, force=False, **options):
+        raise _Reached(options)
+
+    monkeypatch.setattr(cli, "verify", reached)
+    spec = engine.OPTION_TABLE[name]
+    value, argv = _cli_value(spec.cli)
+    ck = str(tmp_path / "ck.json")
+    with pytest.raises(_Reached) as got:
+        cli.main(["verify", str(SPEC_DIR / "propositional.json"),
+                  "--ltl", "G !ERROR", "--checkpoint", ck, *argv])
+    options = got.value.args[0]
+    if spec.budget:
+        assert name not in options
+        assert getattr(options["budget"], name) == value
+    else:
+        assert options[name] == value
+    # the periodic checkpoint goes to --checkpoint's file
+    want_path = ck if name == "checkpoint_every" else None
+    assert options.get("checkpoint_path") == want_path
+
+
+@pytest.mark.parametrize("name", _rows("env"))
+def test_env_variable_governs_the_run(name, no_repro_env, tmp_path):
+    """A row's variable, set and left unset in the call, is what the
+    run records in ``stats["config"]``."""
+    from repro.faults import FaultPlan
+    from repro.obs import JsonlTracer
+
+    spec = engine.OPTION_TABLE[name]
+    procedure = sorted(spec.procedures)[0]
+    if spec.minimum is not None:
+        value = spec.minimum + 1
+        no_repro_env.setenv(spec.env, str(value))
+        assert _run_entry(procedure).stats["config"][name] == value
+    elif name == "tracer":
+        import repro.obs.tracer as tracer_module
+
+        # this test's tracer must not outlive it in the per-path cache
+        no_repro_env.setattr(tracer_module, "_PATH_TRACERS", {})
+        path = str(tmp_path / "env.jsonl")
+        no_repro_env.setenv(spec.env, path)
+        result = _run_entry(procedure)
+        assert result.stats["config"]["traced"] is True
+        tracer = engine.resolve_option(name)
+        assert isinstance(tracer, JsonlTracer) and tracer.path == path
+        assert engine.resolve_option(name) is tracer  # one per path
+        tracer.close()
+        with open(path) as fh:
+            names = [json.loads(line)["name"] for line in fh]
+        assert names[-1] == "verdict"
+    elif name == "faults":
+        text = '{"faults": [{"kind": "error", "db_index": 0}]}'
+        no_repro_env.setenv(spec.env, text)
+        result = _run_entry(procedure)
+        assert result.stats["config"]["faults"] is True
+        assert engine.resolve_option(name) == FaultPlan.from_json(text)
+        assert result.stats["units_retried"] == 1  # the plan was in effect
+    else:
+        pytest.fail(f"no check for {spec.env}: add this row's case here")
+
+
+@pytest.mark.parametrize("name", _rows("minimum"))
+def test_numeric_option_refuses_out_of_range(name, no_repro_env):
+    """Below its minimum, explicit or from its variable, or a malformed
+    variable: a ValueError naming the option or the variable."""
+    spec = engine.OPTION_TABLE[name]
+    procedure = sorted(spec.procedures)[0]
+    low = spec.minimum - 1
+    with pytest.raises(ValueError, match=(
+            f"^{name} must be >= {spec.minimum}, got {low}$")):
+        _run_entry(procedure, **{name: low})
+    no_repro_env.setenv(spec.env, "zap")
+    with pytest.raises(ValueError, match=(
+            f"^{spec.env} must be an? (integer|number), got 'zap'$")):
+        _run_entry(procedure)
+    no_repro_env.setenv(spec.env, str(low))
+    with pytest.raises(ValueError, match=(
+            f"^{spec.env} must be >= {spec.minimum}, got {low}$")):
+        _run_entry(procedure)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.verifier import (
     verify_ltlfo,
 )
 import repro.verifier.parallel as parallel
+from repro.verifier.engine import resolve_option
 from tests.engine_cases import (
     CASES, ORACLE_PATH, fingerprint, load_spec, run_case,
 )
@@ -194,16 +195,19 @@ class TestFaultPlan:
         assert plan.match("unit", (2, 0), 0) is None
 
     def test_resolve_precedence(self, monkeypatch, tmp_path):
+        # REPRO_FAULTS is read by the engine's one option resolver,
+        # which hands the string to resolve_fault_plan
         explicit = _plan(FaultSpec("error", 0))
         monkeypatch.setenv(
             "REPRO_FAULTS",
             '{"faults": [{"kind": "slow", "db_index": 9}]}',
         )
-        assert resolve_fault_plan(explicit) is explicit
-        env_plan = resolve_fault_plan(None)
+        assert resolve_option("faults", explicit) is explicit
+        env_plan = resolve_option("faults", None)
         assert env_plan.specs[0].kind == "slow"
+        assert resolve_fault_plan(None) is None  # reads no environment
         monkeypatch.delenv("REPRO_FAULTS")
-        assert resolve_fault_plan(None) is None
+        assert resolve_option("faults", None) is None
         # @path form
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(explicit.to_dict()))
@@ -852,6 +856,30 @@ class TestCLI:
                    "--domain-size", "2", "--resume", str(bad)])
         assert rc == EXIT_USAGE
         assert "malformed" in capsys.readouterr().err
+
+    def test_checkpoint_every_without_checkpoint_exits_2(
+            self, spec_path, capsys):
+        # --checkpoint-every names no file: refused, not silently dropped
+        from repro.cli import EXIT_USAGE, main
+
+        rc = main(["verify", spec_path, "--ltl", "G !ERROR",
+                   "--domain-size", "2", "--checkpoint-every", "5"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--checkpoint-every" in err and "--checkpoint:" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--retry", "-1"], "retry must be >= 0, got -1"),
+    ])
+    def test_out_of_range_option_exits_2(self, spec_path, capsys, argv,
+                                         message):
+        from repro.cli import EXIT_USAGE, main
+
+        rc = main(["verify", spec_path, "--ltl", "G !ERROR",
+                   "--domain-size", "2", *argv])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_checkpointing_refused_on_fp_fast_path(self, spec_path,
                                                    tmp_path, capsys):

@@ -274,15 +274,22 @@ class TestTracers:
         assert "[unit.start]" not in out  # not in SHOWN
 
     def test_resolve_tracer_env(self, tmp_path, monkeypatch):
+        # REPRO_TRACE is read by the engine's one option resolver, which
+        # hands the path to resolve_tracer
+        from repro.verifier.engine import resolve_option
+
         path = tmp_path / "env.jsonl"
         monkeypatch.setenv("REPRO_TRACE", str(path))
-        tr = resolve_tracer(None)
+        tr = resolve_option("tracer", None)
         assert isinstance(tr, JsonlTracer) and tr.path == str(path)
-        assert resolve_tracer(None) is tr  # cached singleton per path
+        assert resolve_option("tracer", None) is tr  # cached singleton per path
+        assert resolve_tracer(str(path)) is tr
         explicit = CollectingTracer()
+        assert resolve_option("tracer", explicit) is explicit
         assert resolve_tracer(explicit) is explicit
+        assert resolve_tracer(None) is NULL_TRACER  # reads no environment
         monkeypatch.delenv("REPRO_TRACE")
-        assert resolve_tracer(None) is NULL_TRACER
+        assert resolve_option("tracer", None) is NULL_TRACER
 
     def test_trace_event_roundtrip(self):
         e = TraceEvent("x", 1.25, 42, (3, 4), {"dur": 0.5})

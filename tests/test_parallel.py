@@ -4,8 +4,8 @@ The headline contract: ``workers=N`` never changes a verdict, a
 counterexample, or a counterexample cursor — the pool backend must be
 observationally identical to the sequential loop on every decision
 procedure.  The satellites: fresh-value collisions in
-``enumerate_sigmas``, breadth-first ``explore_configuration_graph``,
-accurate stats on every verdict, and checkpoint parameter compatibility.
+``enumerate_sigmas``, accurate stats on every verdict, and checkpoint
+parameter compatibility.
 """
 
 import time
@@ -17,16 +17,13 @@ from repro.fol import Atom, Not, Var
 from repro.ltl import F, G, LTLFOSentence
 from repro.schema import Database
 from repro.service import ServiceBuilder
-from repro.service.runs import RunContext
 from repro.verifier import (
     Budget,
     Checkpoint,
     CheckpointMismatchError,
     Verdict,
     enumerate_sigmas,
-    explore_configuration_graph,
     fresh_value_pool,
-    resolve_workers,
     verify_ctl,
     verify_error_free,
     verify_fully_propositional,
@@ -55,20 +52,6 @@ def _pingpong():
     p2 = b.page("P2")
     p2.toggle("go")
     p2.target("P1", "go")
-    return b.build()
-
-
-def _chain():
-    """P1 -> P2 -> P3, strictly one page deeper per step."""
-    b = ServiceBuilder("chain")
-    b.input("go")
-    p1 = b.page("P1", home=True)
-    p1.toggle("go")
-    p1.target("P2", "go")
-    p2 = b.page("P2")
-    p2.toggle("go")
-    p2.target("P3", "go")
-    b.page("P3")
     return b.build()
 
 
@@ -554,48 +537,6 @@ class TestFreshValueCollision:
 
 
 # ---------------------------------------------------------------------------
-# satellite: explore_configuration_graph is breadth-first
-# ---------------------------------------------------------------------------
-
-class TestExplorationOrder:
-    def test_order_is_breadth_first(self):
-        svc = _chain()
-        db = Database(svc.schema.database)
-        ctx = RunContext(svc, db)
-        order, edges = explore_configuration_graph(ctx)
-
-        # recompute true BFS depths from the returned edges
-        from collections import deque
-
-        from repro.service.runs import initial_snapshots
-
-        roots = initial_snapshots(ctx)
-        assert roots
-        depth = {s: 0 for s in roots}
-        queue = deque(roots)
-        while queue:
-            s = queue.popleft()
-            for t in edges.get(s, ()):
-                if t not in depth:
-                    depth[t] = depth[s] + 1
-                    queue.append(t)
-        depths = [depth[s] for s in order]
-        assert depths == sorted(depths), (
-            "explore_configuration_graph no longer yields level order "
-            f"(depths along order: {depths})"
-        )
-
-    def test_deeper_pages_come_later(self):
-        svc = _chain()
-        db = Database(svc.schema.database)
-        order, _ = explore_configuration_graph(RunContext(svc, db))
-        first = {}
-        for i, snap in enumerate(order):
-            first.setdefault(snap.page, i)
-        assert first["P1"] < first["P2"] < first["P3"]
-
-
-# ---------------------------------------------------------------------------
 # satellite: stats are accurate on every verdict
 # ---------------------------------------------------------------------------
 
@@ -748,17 +689,24 @@ class TestUnitMachinery:
         assert ck.workers == 2 and ck.up_to_iso is True
 
     def test_resolve_workers_env(self, monkeypatch):
+        def workers(**options):
+            """The worker count an entry point ran with."""
+            result = verify_fully_propositional(
+                _pingpong(), AG(EF(CAtom("P1"))), **options
+            )
+            return result.stats["workers"]
+
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        assert resolve_workers(3) == 3
+        assert workers() == 1
+        assert workers(workers=3) == 3
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert resolve_workers(None) == 4
-        assert resolve_workers(1) == 1  # explicit beats the environment
+        assert workers() == 4
+        assert workers(workers=1) == 1  # explicit beats the environment
         monkeypatch.setenv("REPRO_WORKERS", "zap")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-        with pytest.raises(ValueError):
-            resolve_workers(0)
+        with pytest.raises(ValueError, match="REPRO_WORKERS must be an"):
+            workers()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            workers(workers=0)
 
 
 # ---------------------------------------------------------------------------

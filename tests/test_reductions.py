@@ -33,6 +33,7 @@ from repro.reductions.turing import BLANK
 from repro.schema import Database
 from repro.service import ServiceClass, classify
 from repro.verifier import verify_error_free, verify_ltlfo
+from tests.witness import check_error_witness
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +69,18 @@ class TestQBF:
         svc = qbf_to_service(formula)
         result = verify_error_free(svc, domain_size=2)
         assert (not result.holds) == expected
+        if expected:
+            check_error_witness(svc, result)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances(self, seed):
         formula = random_qbf(3, 3, rng=seed)
         expected = qbf_evaluate(formula)
-        result = verify_error_free(qbf_to_service(formula), domain_size=2)
+        svc = qbf_to_service(formula)
+        result = verify_error_free(svc, domain_size=2)
         assert (not result.holds) == expected
+        if expected:
+            check_error_witness(svc, result)
 
     def test_random_qbf_deterministic(self):
         assert str(random_qbf(3, 3, rng=5)) == str(random_qbf(3, 3, rng=5))

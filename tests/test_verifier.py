@@ -18,7 +18,6 @@ from repro.verifier import (
     default_domain_size,
     enumerate_sigmas,
     errorfree_reduction,
-    explore_configuration_graph,
     verify,
     verify_ctl,
     verify_error_free,
@@ -28,7 +27,7 @@ from repro.verifier import (
 )
 from repro.verifier.branching import ROOT_STATE, build_snapshot_kripke
 from repro.verifier.errors import TRAP_PAGE
-from repro.service.runs import RunContext
+from tests.witness import check_error_witness
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +174,6 @@ class TestSigmaEnumeration:
         # exactly two equality types: equal fresh, distinct fresh
         assert len(fresh_pairs) == 2
 
-    def test_exploration_graph(self, toy_service, toy_db):
-        ctx = RunContext(toy_service, toy_db)
-        order, edges = explore_configuration_graph(ctx)
-        assert len(order) == len(edges)
-        assert all(edges[s] for s in order)
-
 
 # ---------------------------------------------------------------------------
 # error-freeness (Theorem 3.5(i), Lemma A.5)
@@ -198,14 +191,51 @@ def _ambiguous_service():
     return b.build()
 
 
+def _erring_chain(shallow: bool):
+    """HP -> P1 -> P2 on ``go``; P2's two targets both fire on ``go``,
+    an ambiguity (condition (iii)) four snapshots deep.  With
+    ``shallow``, pressing ``alt`` alone at HP fires two targets at once
+    and errs two snapshots deep.
+
+    HP's choices are enumerated {}, {alt}, {go}, {alt, go}: the first
+    and the last lead down the chain, so a depth-first search from
+    either end meets the deep error before the shallow one."""
+    b = ServiceBuilder("erring-chain")
+    b.input("go")
+    b.input("alt")
+    hp = b.page("HP", home=True)
+    hp.toggle("go", "alt")
+    hp.target("P1", "!alt | go")
+    if shallow:
+        hp.target("P2", "alt & !go")
+        hp.target("P3", "alt & !go")
+    p1 = b.page("P1")
+    p1.toggle("go")
+    p1.target("P2", "go")
+    p2 = b.page("P2")
+    p2.toggle("go")
+    p2.target("P1", "go")
+    p2.target("HP", "go")
+    b.page("P3")
+    return b.build()
+
+
 class TestErrorFreeness:
+    """Every VIOLATED witness is replayed as a run and must end on the
+    error page (``tests/witness.py::check_error_witness``)."""
+
+    def _violated(self, svc, method="direct", **options):
+        result = verify_error_free(svc, method=method, **options)
+        check_error_witness(svc, result, method)
+        return result
+
     def test_ambiguity_found_direct(self):
-        result = verify_error_free(_ambiguous_service(), domain_size=1)
+        result = self._violated(_ambiguous_service(), domain_size=1)
         assert not result.holds
         assert result.counterexample.snapshots[-1].is_error
 
     def test_ambiguity_found_via_reduction(self):
-        result = verify_error_free(
+        result = self._violated(
             _ambiguous_service(), domain_size=1, method="reduction"
         )
         assert not result.holds
@@ -227,8 +257,8 @@ class TestErrorFreeness:
         p2.toggle("go")
         p2.target("HP", "go")  # HP re-requests @name: condition (ii)
         svc = b.build()
-        assert not verify_error_free(svc, domain_size=1).holds
-        assert not verify_error_free(svc, domain_size=1, method="reduction").holds
+        assert not self._violated(svc, domain_size=1).holds
+        assert not self._violated(svc, "reduction", domain_size=1).holds
 
     def test_missing_constant_found(self):
         b = ServiceBuilder("missing")
@@ -239,8 +269,20 @@ class TestErrorFreeness:
         hp.target("P2", b.formula('go & name = "x"'))
         b.page("P2")
         svc = b.build()
-        assert not verify_error_free(svc, domain_size=1).holds
-        assert not verify_error_free(svc, domain_size=1, method="reduction").holds
+        assert not self._violated(svc, domain_size=1).holds
+        assert not self._violated(svc, "reduction", domain_size=1).holds
+
+    def test_shortest_error_trace(self):
+        # the direct search is breadth-first: of the two errors, it
+        # reports the one two snapshots deep, not the one four deep
+        deep = self._violated(_erring_chain(shallow=False), domain_size=1)
+        assert [s.page for s in deep.counterexample.snapshots] == [
+            "HP", "P1", "P2", "ERROR",
+        ]
+        both = self._violated(_erring_chain(shallow=True), domain_size=1)
+        assert [s.page for s in both.counterexample.snapshots] == [
+            "HP", "ERROR",
+        ]
 
     def test_core_is_error_free(self, core, core_db, alice_sigma):
         result = verify_error_free(core, databases=[core_db], sigmas=alice_sigma)
@@ -266,9 +308,12 @@ class TestErrorFreeness:
             b.page("P1")
             b.page("P2")
             svc = b.build()
-            direct = verify_error_free(svc, domain_size=1).holds
-            reduced = verify_error_free(svc, domain_size=1, method="reduction").holds
-            assert direct == reduced, f"variant {variant}"
+            direct = verify_error_free(svc, domain_size=1)
+            reduced = verify_error_free(svc, domain_size=1, method="reduction")
+            assert direct.holds == reduced.holds, f"variant {variant}"
+            if not direct.holds:
+                check_error_witness(svc, direct, "direct")
+                check_error_witness(svc, reduced, "reduction")
 
 
 # ---------------------------------------------------------------------------

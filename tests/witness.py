@@ -20,7 +20,8 @@ for every edge, the lasso's closing edge included, it checks
 :func:`check_violation` checks that such a run violates an LTL-FO
 sentence, without the verifier's labeller: it grounds the sentence
 itself and evaluates every FO component with the reference interpreter
-on eval contexts it builds.
+on eval contexts it builds.  :func:`check_error_witness` replays an
+error-freeness witness and checks that it ends on the error page.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from repro.service.runs import (
     error_snapshot,
     page_options,
 )
+from repro.verifier import Verdict, errorfree_reduction
+from repro.verifier.errors import TRAP_PAGE
 
 
 def replay_witness(service, run: Run, extra_domain=()) -> None:
@@ -67,6 +70,28 @@ def replay_witness(service, run: Run, extra_domain=()) -> None:
         edges.append((snaps[-1], snaps[run.loop_index]))
     for i, (cur, nxt) in enumerate(edges, start=1):
         _check_edge(service, ctx, cur, nxt, i)
+
+
+def check_error_witness(service, result, method: str = "direct") -> None:
+    """Raise AssertionError unless a VIOLATED ``verify_error_free``
+    result's counterexample is a run that ends on the error page.
+
+    A ``method="direct"`` witness is a run of ``service`` and must end
+    on its error page.  A ``method="reduction"`` witness is a run of the
+    Lemma A.5 transformation of ``service``, which enters its trap page
+    exactly where ``service`` would err; it is replayed there and must
+    end on the trap page.
+    """
+    assert result.verdict is Verdict.VIOLATED, result.verdict
+    run = result.counterexample
+    error_page = service.error_page
+    if method == "reduction":
+        service, _sentence = errorfree_reduction(service)
+        error_page = TRAP_PAGE
+    replay_witness(service, run)
+    assert run.snapshots[-1].page == error_page, (
+        f"the witness ends on {run.snapshots[-1].page}, not {error_page}"
+    )
 
 
 def check_violation(
