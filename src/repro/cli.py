@@ -75,6 +75,7 @@ from repro.verifier import (
     verify_error_free,
 )
 from repro.verifier.engine import OPTION_TABLE, add_cli_option, fold_budget
+from repro.verifier.statics import takes_fast_path
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -295,9 +296,10 @@ def _cmd_verify(args) -> int:
     databases = _load_databases(service, args.db)
     if databases is not None:
         options["databases"] = databases
-    if args.checkpoint_every is not None:
-        # the engine rewrites the checkpoint file periodically and on
-        # interruption; the CLI still writes the final one below
+    if args.checkpoint:
+        # the engine rewrites the checkpoint file every --checkpoint-every
+        # (or $REPRO_CHECKPOINT_EVERY) units and on interruption; the CLI
+        # still writes the final one below
         options["checkpoint_path"] = args.checkpoint
     tracer = _make_tracer(args)
     if tracer is not None:
@@ -380,6 +382,12 @@ def _run_verify(args, service, options) -> int:
             if args.explain:
                 print(decidability_report(service, prop))
                 print()
+            if args.checkpoint_every is None and takes_fast_path(
+                    service, prop, options):
+                # Theorem 4.6 enumerates nothing: a plain --checkpoint
+                # has no frontier to write there (--checkpoint-every is
+                # refused by the procedure)
+                options.pop("checkpoint_path", None)
             result = verify(service, prop, force=args.force, **options)
     except CheckpointMismatchError as exc:
         print(f"error: cannot resume from {args.resume}: {exc}",

@@ -16,14 +16,15 @@ across requests; and :class:`ProductSearch`, one request's callbacks
 and memos over it.  A search context answers two questions:
 
 - :meth:`ProductSearch.search` — a concrete accepting lasso for one
-  valuation, by the nested DFS of :func:`nested_dfs` (the verifier's
-  counterexample search);
+  valuation, by a nested DFS over int nodes (the verifier's
+  counterexample search), or the valuations a clean search settles;
 - :meth:`ProductSearch.accepting_starts` — every start state with an
   accepting run, by one Tarjan pass (the CTL* model checker's ``Eψ``
   subroutine).
 
 The tests compare both with simpler products over ``(state, q)`` tuples
-(``tests/product_reference.py``).
+(``tests/product_reference.py``, which also holds the generic nested DFS
+the reference lasso search runs on).
 """
 
 from __future__ import annotations
@@ -246,7 +247,6 @@ def ltl_to_buchi(formula: LTLFormula) -> BuchiAutomaton:
 
 SystemState = Hashable
 SuccFn = Callable[[SystemState], Iterable[SystemState]]
-Node = Hashable  # a product node, opaque to the nested DFS
 
 
 @dataclass
@@ -255,116 +255,6 @@ class Lasso:
 
     states: list[SystemState]
     loop_index: int
-
-
-def nested_dfs(
-    starts: Iterable[Node],
-    expand: Callable[[Node], Iterable[Node]],
-    accepting: Callable[[Node], bool],
-) -> tuple[list[Node], int] | None:
-    """The nested DFS of Courcoubetis, Vardi, Wolper and Yannakakis.
-
-    Nodes are opaque: ``expand(node)`` iterates a node's successors and
-    ``accepting(node)`` says whether it is accepting.  The outer (blue)
-    DFS launches the inner (red) DFS from each accepting node in
-    post-order; an inner DFS that closes a cycle yields the lasso.  An
-    iterator returned by ``expand`` is advanced lazily, once per child
-    the blue DFS descends into.
-
-    Returns ``(nodes, loop_index)``, the stem followed by the cycle
-    (``nodes[-1]`` steps back to ``nodes[loop_index]``, the accepting
-    node), or None when no accepting lasso is reachable.
-    """
-    blue: set = set()
-    red: set = set()
-    parent: dict = {}
-    for start in starts:
-        if start in blue:
-            continue
-        parent.setdefault(start, None)
-        blue.add(start)
-        on_path = {start}
-        stack = [(start, iter(expand(start)))]
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if nxt not in blue:
-                    blue.add(nxt)
-                    parent[nxt] = node
-                    on_path.add(nxt)
-                    stack.append((nxt, iter(expand(nxt))))
-                    break
-            else:
-                # post-order: an accepting node seeds the red DFS
-                stack.pop()
-                on_path.discard(node)
-                if (
-                    accepting(node) and node not in red
-                    and _red_dfs(node, expand, red, on_path)
-                ):
-                    return _build_lasso(node, parent, expand)
-    return None
-
-
-def _red_dfs(seed: Node, expand, red: set, on_path: set) -> bool:
-    """Inner DFS: search a path from ``seed`` back to ``seed`` (or to a
-    node on the blue path, which also closes an accepting cycle)."""
-    stack = [seed]
-    local: set = set()
-    while stack:
-        node = stack.pop()
-        for nxt in expand(node):
-            if nxt == seed or nxt in on_path:
-                return True
-            if nxt not in red and nxt not in local:
-                local.add(nxt)
-                stack.append(nxt)
-    red.update(local)
-    red.add(seed)
-    return False
-
-
-def _build_lasso(
-    accepting_node: Node, parent: dict, expand
-) -> tuple[list[Node], int]:
-    """Reconstruct a lasso through ``accepting_node``.
-
-    The stem comes from the blue-DFS parent pointers; the cycle is found
-    by a BFS from the accepting node back to itself (guaranteed to exist
-    once the red DFS succeeded).
-    """
-    stem = [accepting_node]
-    while parent.get(stem[-1]) is not None:
-        stem.append(parent[stem[-1]])
-    stem.reverse()
-
-    # cycle: accepting_node -> accepting_node, BFS over the product
-    start = accepting_node
-    back: dict = {}
-    queue = deque([start])
-    seen = {start}
-    found = False
-    while queue and not found:
-        node = queue.popleft()
-        for nxt in expand(node):
-            if nxt == start:
-                back[start] = node
-                found = True
-                break
-            if nxt not in seen:
-                seen.add(nxt)
-                back[nxt] = node
-                queue.append(nxt)
-    if not found:  # pragma: no cover - red DFS guarantees a cycle
-        raise RuntimeError("accepting cycle vanished during reconstruction")
-
-    cycle = []
-    node = back[start]
-    while node != start:
-        cycle.append(node)
-        node = back[node]
-    cycle.reverse()
-    return stem + cycle, len(stem) - 1
 
 
 def _fill(table: list, entries: dict, interned: dict | None) -> int:
@@ -474,15 +364,17 @@ class ProductSearch:
     whether or not the product kept the sid's successors, so what a
     request charges does not depend on what an earlier one kept.
 
-    :meth:`search` runs :func:`nested_dfs` for one valuation with a
-    per-search memo of successor lists.  It charges each state at the
-    point where a nested DFS over the ``(state, q)`` product makes its
-    first ``successors`` call for that valuation, and finds the same
-    lasso.  :meth:`accepting_starts` walks the same expansion.
+    :meth:`search` runs a nested DFS for one valuation over a per-search
+    memo of successor lists.  It charges each state at the point where a
+    nested DFS over the ``(state, q)`` product makes its first
+    ``successors`` call for that valuation, and finds the same lasso.
+    :meth:`accepting_starts` walks the same expansion.  ``searches``
+    counts the searches this context ran.
     """
 
-    __slots__ = ("product", "_successors", "_literal_bits", "_charge",
-                 "_store", "_expanded", "_bits", "_new_masks", "_new_succ")
+    __slots__ = ("product", "searches", "_successors", "_literal_bits",
+                 "_charge", "_store", "_expanded", "_bits", "_new_masks",
+                 "_new_succ")
 
     def __init__(
         self,
@@ -493,6 +385,7 @@ class ProductSearch:
         store: Callable[[CompiledProduct, dict, dict], object] | None = None,
     ) -> None:
         self.product = product
+        self.searches = 0
         self._successors = successors
         self._literal_bits = literal_bits
         self._charge = charge
@@ -537,67 +430,114 @@ class ProductSearch:
             self._new_masks, self._new_succ = {}, {}
             self._store(self.product, masks, succ)
 
-    def _expansion(
-        self, bit: int
-    ) -> tuple[Callable[[int], list[int]], dict[int, list[int]]]:
-        """``expand(node)`` under the valuation ``bit``, and its memo of
-        the successor lists it has returned."""
+    def _expansion(self, bit: int) -> tuple[
+        Callable[[int], list[int]], dict[int, list[int]],
+        dict[tuple[int, int], tuple[tuple[int, ...], list[int]]],
+    ]:
+        """``expand(node)`` under the valuation ``bit``, which lists an
+        unexpanded node's successors into the memo; the memo; and the
+        enabled destinations per (Büchi state, mask tuple).
+
+        Nodes with one Büchi state and one mask tuple enable the same
+        destinations, so each such pair is filtered once per search.
+        The pair is keyed by the tuple's id: the product interns the
+        tuples it keeps and never overwrites one, so nodes with equal
+        kept masks share one object, and the entry holds its tuple, so
+        the id stays that tuple's until the search ends.
+        """
         product = self.product
         n = product.n_states
         dsts_of, kept_masks = product.dsts_of, product.masks
         expanded = self._expanded
         memo: dict[int, list[int]] = {}
+        enabled: dict[tuple[int, int], tuple[tuple[int, ...], list[int]]] = {}
 
         def expand(node: int) -> list[int]:
-            nexts = memo.get(node)
-            if nexts is None:
-                masks = kept_masks[node] if node < len(kept_masks) else None
-                if masks is None:
-                    masks = self._node_masks(node)
-                dsts = [
-                    dst for dst, mask in zip(dsts_of[node % n], masks)
-                    if mask & bit
-                ]
-                if dsts:
-                    sid = node // n
-                    ids = expanded.get(sid)
-                    if ids is None:
-                        ids = self._first_expansion(sid)
-                    nexts = [s * n + dst for dst in dsts for s in ids]
-                else:
-                    nexts = []
-                memo[node] = nexts
+            try:
+                masks = kept_masks[node]
+            except IndexError:
+                masks = None
+            if masks is None:
+                masks = self._node_masks(node)
+            q = node % n
+            key = (q, id(masks))
+            entry = enabled.get(key)
+            if entry is None:
+                entry = enabled[key] = (masks, [
+                    dst for dst, mask in zip(dsts_of[q], masks) if mask & bit
+                ])
+            dsts = entry[1]
+            if dsts:
+                sid = node // n
+                ids = expanded.get(sid)
+                if ids is None:
+                    ids = self._first_expansion(sid)
+                nexts = [s * n + dst for dst in dsts for s in ids]
+            else:
+                nexts = []
+            memo[node] = nexts
             return nexts
 
-        return expand, memo
+        return expand, memo, enabled
 
     def search(self, bit: int) -> tuple[Lasso | None, int | None]:
-        """The lasso for the valuation ``bit``, over ids, and its clean
-        class.
+        """The lasso for the valuation ``bit``, over ids, and its
+        dominated class.
+
+        The nested DFS of Courcoubetis, Vardi, Wolper and Yannakakis.
+        The outer (blue) DFS expands each node it reaches once, so the
+        memo's key set is the set it has visited.  It launches the inner
+        (red) DFS from each accepting node in post-order, when every
+        node reachable from it other than through the blue DFS stack is
+        expanded; a red DFS that closes a cycle yields the lasso, its
+        stem read off the stack and its cycle found by a BFS from the
+        accepting node back to itself.
 
         The class is None when a lasso is found.  Otherwise it is the
-        valuations that agree with ``bit`` on every enable mask of every
-        node this search expanded: they would expand the same nodes to
-        the same successor lists, so their searches are clean too.
+        valuations that, at every node this search expanded, enable only
+        transitions ``bit`` enables: the search for one of them would
+        walk a subgraph of the nodes this one expanded, which holds no
+        accepting lasso, and expand no sid this context has not charged.
         """
+        self.searches += 1
         product = self.product
         n, accepting = product.n_states, product.accepting
-        expand, memo = self._expansion(bit)
+        expand, memo, enabled = self._expansion(bit)
+        red: set[int] = set()
         try:
-            found = nested_dfs(
-                product.starts, expand, lambda node: node % n in accepting
-            )
+            for start in product.starts:
+                if start in memo:
+                    continue
+                on_path = {start}
+                stack = [(start, iter(expand(start)))]
+                while stack:
+                    node, nexts = stack[-1]
+                    for nxt in nexts:
+                        if nxt not in memo:
+                            on_path.add(nxt)
+                            stack.append((nxt, iter(expand(nxt))))
+                            break
+                    else:
+                        # post-order: an accepting node seeds the red DFS
+                        stack.pop()
+                        on_path.discard(node)
+                        if (
+                            node % n in accepting and node not in red
+                            and _red_dfs(node, memo, red, on_path)
+                        ):
+                            stem = [m for m, _nexts in stack]
+                            stem.append(node)
+                            nodes = stem + _cycle(node, memo, expand)
+                            return Lasso([m // n for m in nodes],
+                                         len(stem) - 1), None
         finally:
             self._keep()
-        if found is not None:
-            nodes, loop_index = found
-            sids = [node // n for node in nodes]
-            return Lasso(states=sids, loop_index=loop_index), None
-        kept_masks = product.masks
-        clean = product.all_mask
-        for mask in {mask for node in memo for mask in kept_masks[node]}:
-            clean &= mask if mask & bit else ~mask
-        return None, clean
+        union = 0  # the valuations enabling a transition ``bit`` does not
+        for masks, _dsts in enabled.values():
+            for mask in masks:
+                if not mask & bit:
+                    union |= mask
+        return None, product.all_mask & ~union
 
     def accepting_starts(self, bit: int) -> set[int]:
         """The ids of the initial states with an accepting run under the
@@ -618,7 +558,7 @@ class ProductSearch:
     def _accepting_starts(self, bit: int) -> set[int]:
         product = self.product
         n, accepting = product.n_states, product.accepting
-        expand = self._expansion(bit)[0]
+        expand, memo, _enabled = self._expansion(bit)
         index: dict[int, int] = {}
         low: dict[int, int] = {}
         stack: list[int] = []  # nodes of the SCCs not yet completed
@@ -650,9 +590,57 @@ class ProductSearch:
                     while scc[-1] != node:
                         scc.append(stack.pop())
                     completed.update(scc)
-                    cycle = len(scc) > 1 or node in expand(node)
+                    cycle = len(scc) > 1 or node in memo[node]
                     if (
                         cycle and any(m % n in accepting for m in scc)
-                    ) or any(nxt in good for m in scc for nxt in expand(m)):
+                    ) or any(nxt in good for m in scc for nxt in memo[m]):
                         good.update(scc)
         return {node // n for node in product.starts if node in good}
+
+
+def _red_dfs(seed: int, memo: dict, red: set, on_path: set) -> bool:
+    """Inner DFS: search a path from ``seed`` back to ``seed`` (or to a
+    node on the blue path, which also closes an accepting cycle).  The
+    blue DFS has finished ``seed``, so every node reachable from it
+    other than through the blue path is in ``memo``, and the inner DFS
+    stops at the blue path."""
+    stack = [seed]
+    local: set = set()
+    while stack:
+        for nxt in memo[stack.pop()]:
+            if nxt == seed or nxt in on_path:
+                return True
+            if nxt not in red and nxt not in local:
+                local.add(nxt)
+                stack.append(nxt)
+    red.update(local)
+    red.add(seed)
+    return False
+
+
+def _cycle(start: int, memo: dict, expand) -> list[int]:
+    """The nodes after ``start`` on a shortest cycle back to it, by a
+    BFS (one exists once the red DFS closed a cycle).  The BFS may pass
+    through the blue DFS stack to nodes not yet expanded, so it expands
+    them as the search would, charges included."""
+    back: dict = {}
+    queue = deque([start])
+    seen = {start}
+    while queue:
+        node = queue.popleft()
+        nexts = memo.get(node)
+        for nxt in expand(node) if nexts is None else nexts:
+            if nxt == start:
+                cycle = []
+                while node != start:
+                    cycle.append(node)
+                    node = back[node]
+                cycle.reverse()
+                return cycle
+            if nxt not in seen:
+                seen.add(nxt)
+                back[nxt] = node
+                queue.append(nxt)
+    raise RuntimeError(  # pragma: no cover - the red DFS closed a cycle
+        "accepting cycle vanished during reconstruction"
+    )

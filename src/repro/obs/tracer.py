@@ -24,6 +24,11 @@ Event taxonomy (``name`` → meaning, extra fields):
   unit (``computed``, ``shared``: label bitsets evaluated vs read from
   the explored graph's label memo, which spans sigmas, units and
   calls);
+- ``product.searches`` — the LTL-FO lasso search of one work unit,
+  emitted right after its ``label.bits`` (``searches``: product searches
+  run; ``covered``: valuations settled unsearched because a clean
+  search's dominated class held them; the two sum to the unit's
+  ``valuations_checked``);
 - ``plan.compiled`` — the service's rule formulas were compiled to
   evaluation plans (``dur``, ``n_plans``; once per verification call,
   emitted parent-side so traces stay worker-count independent —

@@ -39,7 +39,10 @@ class RelationSymbol:
 
     Instances are immutable, hashable, and ordered (by name then arity),
     so they can serve as dictionary keys and be sorted deterministically
-    for reproducible output.
+    for reproducible output.  The hash is the one the dataclass would
+    generate, computed once: a symbol keys most of the relational
+    substrate's dicts, and the generated hash rehashes the kind through
+    ``Enum.__hash__`` on every probe.
     """
 
     name: str
@@ -51,6 +54,17 @@ class RelationSymbol:
             raise ValueError("relation symbol needs a non-empty name")
         if self.arity < 0:
             raise ValueError(f"negative arity for relation {self.name!r}")
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.arity, self.kind))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are seeded per interpreter, so the hash never
+        # travels: unpickling runs ``__post_init__`` again.
+        return type(self), (self.name, self.arity, self.kind)
 
     @property
     def is_proposition(self) -> bool:

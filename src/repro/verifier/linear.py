@@ -226,15 +226,18 @@ def _search_product(search: ProductSearch, block, gov, stats):
     valuations of ``block`` (a bitset; see :mod:`repro.fol.bitset`),
     and the product keeps each expanded node's enable masks across its
     searches (:class:`~repro.ltl.buchi.CompiledProduct`).  Every clean
-    search records its *class*: the valuations agreeing with it on every
-    enable mask it read.  A later valuation inside a clean class would
-    walk the identical product trajectory, so its search is skipped
-    outright.  The first violating valuation can never be inside a clean
-    class, and a skipped search would charge nothing, so verdicts,
-    witnesses, charge order and stats stay bit-identical with one search
-    per valuation (the reference in ``tests/product_reference.py``).
+    search returns its *dominated class*: the valuations that, at every
+    node it expanded, enable only transitions the searched valuation
+    enables.  A later valuation in a dominated class would walk a
+    subgraph of the product the clean search walked, which holds no
+    accepting lasso, and would expand no snapshot the context has not
+    charged, so its search is skipped outright.  The first violating
+    valuation is never in a dominated class, and a skipped search would
+    charge nothing, so verdicts, witnesses, charge order and stats stay
+    bit-identical with one search per valuation (the reference in
+    ``tests/product_reference.py``).
     """
-    covered = 0  # the union of the clean classes found
+    covered = 0  # the union of the dominated classes found
     for i, combo in enumerate(block.combos()):
         # Charge and count every valuation — covered, not skipped.
         gov.charge_valuation()
@@ -242,10 +245,10 @@ def _search_product(search: ProductSearch, block, gov, stats):
         bit = 1 << i
         if covered & bit:
             continue
-        lasso, clean = search.search(bit)
+        lasso, dominated = search.search(bit)
         if lasso is not None:
             return lasso, dict(zip(block.variables, combo))
-        covered |= clean
+        covered |= dominated
     return None
 
 
@@ -290,13 +293,19 @@ def _check_ltlfo_unit(
     }
     bits_computed = 0
     bits_shared = 0
+    searches = 0  # the product searches run
+    covered = 0  # the valuations a dominated class settled unsearched
     tracer = gov.tracer
 
-    def emit_bits() -> None:
+    def emit_counts() -> None:
         if tracer.active:
             tracer.emit(
                 "label.bits", cursor=unit.cursor,
                 computed=bits_computed, shared=bits_shared,
+            )
+            tracer.emit(
+                "product.searches", cursor=unit.cursor,
+                searches=searches, covered=covered,
             )
 
     def charge(_sid: int) -> None:
@@ -334,9 +343,12 @@ def _check_ltlfo_unit(
             product, succ, labeller.label_bits, charge,
             partial(exploration.store_product, graph),
         )
+        valuations = stats["valuations_checked"]
         found = _search_product(search, block, gov, stats)
         bits_computed += labeller.computed
         bits_shared += labeller.hits
+        searches += search.searches
+        covered += stats["valuations_checked"] - valuations - search.searches
         if found is not None:
             lasso, valuation = found
             snapshots = [graph.snapshots[sid] for sid in lasso.states]
@@ -346,11 +358,11 @@ def _check_ltlfo_unit(
                 detail["confirmed"] = not _violation_confirmed_holds(
                     sentence, run, service, ctx, valuation
                 )
-            emit_bits()
+            emit_counts()
             return UnitOutcome(
                 unit.db_index, sigma_index, VIOLATED, stats=stats, detail=detail
             )
-    emit_bits()
+    emit_counts()
     return UnitOutcome(*unit.cursor, CLEAN, stats=stats)
 
 

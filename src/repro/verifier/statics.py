@@ -155,6 +155,22 @@ def _emit_analysis_facts(tracer, service: WebService) -> None:
     )
 
 
+def takes_fast_path(
+    service: WebService,
+    prop: "LTLFOSentence | StateFormula",
+    options: dict[str, Any],
+) -> bool:
+    """Whether :func:`verify` sends ``prop`` with ``options`` to the
+    Theorem 4.6 procedure, which enumerates no database and so has no
+    frontier to checkpoint: a CTL(*) formula on a fully propositional
+    service, with neither ``databases=`` nor ``domain_size=``."""
+    return (
+        isinstance(prop, StateFormula)
+        and "databases" not in options and "domain_size" not in options
+        and classify(service).is_in(ServiceClass.FULLY_PROPOSITIONAL)
+    )
+
+
 def _dispatch(
     service: WebService,
     prop: "LTLFOSentence | StateFormula",
@@ -166,14 +182,14 @@ def _dispatch(
             service, prop, check_restrictions=not force, **options
         )
     if isinstance(prop, StateFormula):
-        report = classify(service)
-        if report.is_in(ServiceClass.FULLY_PROPOSITIONAL) and "databases" not in options and "domain_size" not in options:
+        if takes_fast_path(service, prop, options):
             # Options the Theorem 4.6 fast path does not accept raise a
             # coded RunConfigError inside the procedure (with the
             # enumeration hint appended) — nothing is silently dropped.
             return verify_fully_propositional(
                 service, prop, check_restrictions=not force, **options
             )
+        report = classify(service)
         if report.is_in(ServiceClass.PROPOSITIONAL):
             return verify_ctl(
                 service, prop, check_restrictions=not force, **options

@@ -6,11 +6,11 @@ per-node enable masks over a block of valuations.  The references the
 tests compare it with are simpler products, over ``(state, q)`` tuples
 and one letter function at a time:
 
-- :func:`find_accepting_lasso` — nested DFS over the on-the-fly tuple
-  product, against :meth:`CompiledProduct.search`;
+- :func:`find_accepting_lasso` — :func:`nested_dfs` over the
+  on-the-fly tuple product, against :meth:`ProductSearch.search`;
 - :func:`accepting_product_states` — the full tuple product, its SCCs
   and backward reachability to the accepting cycles, against
-  :meth:`CompiledProduct.accepting_starts`;
+  :meth:`ProductSearch.accepting_starts`;
 - :func:`_search_valuations` — the LTL-FO search one valuation at a
   time, one :func:`find_accepting_lasso` per valuation, against the
   verifier's ``_search_product``.
@@ -19,6 +19,7 @@ and one letter function at a time:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.ltl.buchi import (
@@ -28,11 +29,122 @@ from repro.ltl.buchi import (
     Payload,
     SuccFn,
     SystemState,
-    nested_dfs,
 )
 from repro.service.runs import Snapshot
 
 LabelFn = Callable[[SystemState, Payload], bool]
+Node = Hashable  # a product node, opaque to the nested DFS
+
+
+def nested_dfs(
+    starts: Iterable[Node],
+    expand: Callable[[Node], Iterable[Node]],
+    accepting: Callable[[Node], bool],
+) -> tuple[list[Node], int] | None:
+    """The nested DFS of Courcoubetis, Vardi, Wolper and Yannakakis.
+
+    Nodes are opaque: ``expand(node)`` iterates a node's successors and
+    ``accepting(node)`` says whether it is accepting.  The outer (blue)
+    DFS launches the inner (red) DFS from each accepting node in
+    post-order; an inner DFS that closes a cycle yields the lasso.  An
+    iterator returned by ``expand`` is advanced lazily, once per child
+    the blue DFS descends into.  ``ProductSearch.search`` runs the same
+    visiting order over int nodes.
+
+    Returns ``(nodes, loop_index)``, the stem followed by the cycle
+    (``nodes[-1]`` steps back to ``nodes[loop_index]``, the accepting
+    node), or None when no accepting lasso is reachable.
+    """
+    blue: set = set()
+    red: set = set()
+    parent: dict = {}
+    for start in starts:
+        if start in blue:
+            continue
+        parent.setdefault(start, None)
+        blue.add(start)
+        on_path = {start}
+        stack = [(start, iter(expand(start)))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if nxt not in blue:
+                    blue.add(nxt)
+                    parent[nxt] = node
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(expand(nxt))))
+                    break
+            else:
+                # post-order: an accepting node seeds the red DFS
+                stack.pop()
+                on_path.discard(node)
+                if (
+                    accepting(node) and node not in red
+                    and _red_dfs(node, expand, red, on_path)
+                ):
+                    return _build_lasso(node, parent, expand)
+    return None
+
+
+def _red_dfs(seed: Node, expand, red: set, on_path: set) -> bool:
+    """Inner DFS: search a path from ``seed`` back to ``seed`` (or to a
+    node on the blue path, which also closes an accepting cycle)."""
+    stack = [seed]
+    local: set = set()
+    while stack:
+        node = stack.pop()
+        for nxt in expand(node):
+            if nxt == seed or nxt in on_path:
+                return True
+            if nxt not in red and nxt not in local:
+                local.add(nxt)
+                stack.append(nxt)
+    red.update(local)
+    red.add(seed)
+    return False
+
+
+def _build_lasso(
+    accepting_node: Node, parent: dict, expand
+) -> tuple[list[Node], int]:
+    """Reconstruct a lasso through ``accepting_node``.
+
+    The stem comes from the blue-DFS parent pointers; the cycle is found
+    by a BFS from the accepting node back to itself (guaranteed to exist
+    once the red DFS succeeded).
+    """
+    stem = [accepting_node]
+    while parent.get(stem[-1]) is not None:
+        stem.append(parent[stem[-1]])
+    stem.reverse()
+
+    # cycle: accepting_node -> accepting_node, BFS over the product
+    start = accepting_node
+    back: dict = {}
+    queue = deque([start])
+    seen = {start}
+    found = False
+    while queue and not found:
+        node = queue.popleft()
+        for nxt in expand(node):
+            if nxt == start:
+                back[start] = node
+                found = True
+                break
+            if nxt not in seen:
+                seen.add(nxt)
+                back[nxt] = node
+                queue.append(nxt)
+    if not found:  # pragma: no cover - red DFS guarantees a cycle
+        raise RuntimeError("accepting cycle vanished during reconstruction")
+
+    cycle = []
+    node = back[start]
+    while node != start:
+        cycle.append(node)
+        node = back[node]
+    cycle.reverse()
+    return stem + cycle, len(stem) - 1
 
 
 def enabled(

@@ -689,3 +689,41 @@ def test_label_memo_spans_sigmas_units_and_calls():
         computed[block] = cold
     assert computed[1] <= computed[8], computed
     assert all(s == stats[0] for s in stats)
+
+
+def test_product_searches_event_counts_searches_and_covered():
+    """Each unit's ``label.bits`` event is followed by its
+    ``product.searches`` event, whose ``searches`` and ``covered`` sum to
+    the valuations the unit charged, so the run's sums are its
+    ``valuations_checked``; dominated classes cover some valuations on
+    the ring databases.  The trace adds no stats key: a traced and an
+    untraced run on fresh services report equal stats."""
+    service = _session_ring_service()
+    databases = _ring_databases(service)
+    tracer = CollectingTracer()
+    traced = verify_ltlfo(
+        service, _ring_chained_prop(), databases=databases, tracer=tracer,
+        workers=1,
+    )
+    names = [e.name for e in tracer.events]
+    pairs = [
+        (e, tracer.events[i + 1])
+        for i, e in enumerate(tracer.events) if e.name == "label.bits"
+    ]
+    assert pairs and len(pairs) == names.count("product.searches")
+    for bits, counts in pairs:
+        assert counts.name == "product.searches"
+        assert counts.cursor == bits.cursor
+    searches = sum(c.fields["searches"] for _b, c in pairs)
+    covered = sum(c.fields["covered"] for _b, c in pairs)
+    assert searches + covered == traced.stats["valuations_checked"]
+    assert searches > 0 and covered > 0
+    service = _session_ring_service()
+    untraced = verify_ltlfo(
+        service, _ring_chained_prop(), databases=_ring_databases(service),
+        workers=1,
+    )
+    # stats["config"] records the differing tracer
+    traced.stats.pop("config")
+    untraced.stats.pop("config")
+    assert traced.stats == untraced.stats

@@ -388,6 +388,31 @@ def test_formula_hash_memoised_per_node():
     assert clone == formula
 
 
+def test_relation_symbol_hash_memoised():
+    """A relation symbol's hash is the dataclass's generated one,
+    computed once at construction and read back on every probe, and it
+    is never pickled: seeded string hashes differ across processes."""
+    import pickle
+
+    from repro.schema.symbols import RelationKind, RelationSymbol
+
+    symbol = RelationSymbol("S", 2, RelationKind.STATE)
+    assert hash(symbol) == hash(("S", 2, RelationKind.STATE))
+    assert "_hash" in symbol.__dict__
+    object.__setattr__(symbol, "_hash", 12345)
+    assert hash(symbol) == 12345  # read back, not recomputed
+    object.__setattr__(symbol, "_hash", hash(("S", 2, RelationKind.STATE)))
+
+    data = pickle.dumps(symbol)
+    assert b"_hash" not in data
+    clone = pickle.loads(data)
+    assert clone == symbol and hash(clone) == hash(symbol)
+    assert clone.__dict__ == symbol.__dict__
+    # the memo is no field: equality, order and repr ignore it
+    assert repr(clone) == "RelationSymbol('S', 2, 'state')"
+    assert sorted([clone, RelationSymbol("R", 1, RelationKind.INPUT)])[0].name == "R"
+
+
 def test_cached_formula_hits_do_not_rehash():
     """An lru-cached compile lookup costs zero node re-hashes."""
     from repro.fol.formulas import hash_miss_count

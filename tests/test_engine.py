@@ -454,9 +454,9 @@ def test_cli_flag_reaches_the_entry_point(name, monkeypatch, tmp_path):
         assert getattr(options["budget"], name) == value
     else:
         assert options[name] == value
-    # the periodic checkpoint goes to --checkpoint's file
-    want_path = ck if name == "checkpoint_every" else None
-    assert options.get("checkpoint_path") == want_path
+    # an enumerating run writes its periodic checkpoints, at
+    # --checkpoint-every or $REPRO_CHECKPOINT_EVERY, to --checkpoint's file
+    assert options.get("checkpoint_path") == ck
 
 
 @pytest.mark.parametrize("name", _rows("env"))

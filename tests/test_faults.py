@@ -895,6 +895,47 @@ class TestCLI:
         assert rc == EXIT_USAGE
         assert "verify_fully_propositional" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("every", [None, "1"])
+    def test_checkpoint_every_variable_writes_periodic_checkpoints(
+            self, spec_path, tmp_path, monkeypatch, every):
+        # $REPRO_CHECKPOINT_EVERY stands in for --checkpoint-every: with
+        # --checkpoint, a run that ends HOLDS (no interruption flush)
+        # writes a checkpoint at every unit, and none without it
+        from repro.cli import EXIT_HOLDS, main
+
+        if every is None:
+            monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", every)
+        trace = tmp_path / "t.jsonl"
+        rc = main(["verify", spec_path, "--ltl", "G !ERROR",
+                   "--domain-size", "2", "--checkpoint",
+                   str(tmp_path / "ck.json"), "--trace", str(trace)])
+        assert rc == EXIT_HOLDS
+        names = [json.loads(line)["name"]
+                 for line in trace.read_text().splitlines()]
+        units = names.count("unit.finish")
+        assert units >= 1
+        assert names.count("checkpoint.saved") == (0 if every is None
+                                                   else units)
+
+    @pytest.mark.parametrize("every", [None, "5"])
+    def test_plain_checkpoint_runs_on_fp_fast_path(
+            self, spec_path, tmp_path, monkeypatch, capsys, every):
+        # Theorem 4.6 enumerates nothing, so a plain --checkpoint (and a
+        # standing $REPRO_CHECKPOINT_EVERY) has nothing to write there:
+        # the run proceeds; only --checkpoint-every itself is refused
+        from repro.cli import EXIT_VIOLATED, main
+
+        if every is None:
+            monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", every)
+        rc = main(["verify", spec_path, "--ctl", "AG !P2",
+                   "--checkpoint", str(tmp_path / "ck.json")])
+        assert rc == EXIT_VIOLATED
+        assert "verify_fully_propositional" in capsys.readouterr().out
+
     def test_cli_faults_flag_roundtrip(self, spec_path, capsys):
         from repro.cli import EXIT_HOLDS, main
 

@@ -37,8 +37,11 @@ from repro.ltl import (
     ltl_size,
     ltl_to_buchi,
 )
-from repro.ltl.buchi import CompiledProduct, ProductSearch
+from repro.fol.bitset import ValuationBlock
+from repro.ltl.buchi import BuchiTransition, CompiledProduct, ProductSearch
 from repro.ltl.syntax import ltl_map_atoms
+from repro.verifier.budget import Budget
+from repro.verifier.linear import _search_product
 
 from tests.product_reference import accepting_product_states, find_accepting_lasso
 
@@ -486,6 +489,99 @@ class TestBuchi:
         pos = eval_on_lasso(f, lambda i, a: word[i][a], length, loop)
         neg = eval_on_lasso(LNot(f), lambda i, a: word[i][a], length, loop)
         assert pos != neg
+
+
+class _RecordingSearch(ProductSearch):
+    """A search context that records the valuations it searched."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.searched: list[int] = []
+
+    def search(self, bit):
+        self.searched.append(bit)
+        return super().search(bit)
+
+
+def _run_search_product(search: ProductSearch, width: int):
+    """``_search_product`` over a ``width``-valuation block, with an
+    unlimited governor; its result and the number of valuations it
+    charged."""
+    block = ValuationBlock(("x",), tuple(range(width)))
+    gov = Budget()
+    gov.begin_pair()
+    stats = {"valuations_checked": 0}
+    found = _search_product(search, block, gov, stats)
+    return found, stats["valuations_checked"]
+
+
+class TestDominance:
+    """A clean search settles the valuations it dominates: those that,
+    at every node it expanded, enable only transitions it enables."""
+
+    def test_dominated_valuation_is_not_searched(self):
+        """System 0 -> 1, a dead end, so no valuation has a lasso.  At
+        every node, valuation 1 (``p`` false) enables only the
+        ``true`` transitions, a strict subset of what valuation 0
+        (``p`` true) enables, so the search for 0 settles 1: one
+        search, not two.  An agreement class would hold 0 alone."""
+        ba = BuchiAutomaton(
+            n_states=2, initial=frozenset({0}), accepting=frozenset({1}),
+            transitions_from=[
+                [BuchiTransition(0, frozenset({("p", True)}), 1),
+                 BuchiTransition(0, frozenset(), 0)],
+                [BuchiTransition(1, frozenset(), 1)],
+            ],
+        )
+        succ = {0: (1,), 1: ()}
+        charges: list = []
+        search = _RecordingSearch(
+            CompiledProduct(ba, [0], 0b11), succ.__getitem__,
+            lambda s, a: 0b01, charges.append,
+        )
+        assert _run_search_product(search, 2) == (None, 2)
+        assert search.searched == [0b01]
+        assert search.searches == 1
+        assert charges == [0, 1]
+
+    def test_skipped_valuations_find_nothing_and_charge_nothing(self):
+        """On seeded random products, every valuation ``_search_product``
+        skipped, searched afterwards in the same context, finds no lasso
+        and asks for no successor, no label and no charge."""
+        width = 6
+        skipped_total = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(1, 6)
+            succ = {
+                s: rng.sample(range(n), rng.randint(0, min(3, n)))
+                for s in range(n)
+            }
+            bits = {(s, a): rng.getrandbits(width)
+                    for s in range(n) for a in ATOMS}
+            ba = ltl_to_buchi(_random_ltl(rng, 3))
+            calls: list = []
+            search = _RecordingSearch(
+                CompiledProduct(ba, [0], (1 << width) - 1),
+                lambda s: calls.append(("succ", s)) or succ[s],
+                lambda s, a: calls.append(("label", s, a)) or bits[(s, a)],
+                lambda s: calls.append(("charge", s)),
+            )
+            found, checked = _run_search_product(search, width)
+            searched = set(search.searched)
+            assert len(searched) == search.searches == len(search.searched)
+            skipped = [1 << i for i in range(checked)
+                       if 1 << i not in searched]
+            if found is not None:
+                assert 1 << (checked - 1) in searched, seed
+            before = len(calls)
+            for bit in skipped:
+                lasso, dominated = search.search(bit)
+                assert lasso is None, (seed, bit)
+                assert dominated & bit
+            assert calls[before:] == [], seed
+            skipped_total += len(skipped)
+        assert skipped_total > 300  # the rule is well exercised
 
 
 # ---------------------------------------------------------------------------
