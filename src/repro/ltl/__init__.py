@@ -7,8 +7,9 @@
 - :mod:`repro.ltl.buchi` — the tableau LTL→Büchi construction
   (transition-based generalized Büchi, degeneralised) and emptiness on
   its product with a transition system (``CompiledProduct``, searched
-  through a ``ProductSearch``): a nested-DFS lasso search and the
-  states with an accepting run;
+  through a ``ProductSearch``): a lasso search that decides a valuation
+  by a plain pre-order walk and runs the nested DFS only when the walk
+  meets an accepting transition, and the states with an accepting run;
 - :mod:`repro.ltl.ltlfo` — LTL-FO sentences (Definition 3.1): universal
   closure of an LTL skeleton whose atoms are FO formulas.
 """

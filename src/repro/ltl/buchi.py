@@ -16,8 +16,13 @@ across requests; and :class:`ProductSearch`, one request's callbacks
 and memos over it.  A search context answers two questions:
 
 - :meth:`ProductSearch.search` — a concrete accepting lasso for one
-  valuation, by a nested DFS over int nodes (the verifier's
-  counterexample search), or the valuations a clean search settles;
+  valuation (the verifier's counterexample search), or the valuations a
+  clean search settles.  A plain walk of the product in pre-order
+  decides a valuation that enables no transition into an accepting
+  state, the common case for safety properties, whose negated automata
+  accept only after a bad prefix; when the walk meets such a
+  transition, a nested DFS over int nodes decides it and finds the
+  lasso;
 - :meth:`ProductSearch.accepting_starts` — every start state with an
   accepting run, by one Tarjan pass (the CTL* model checker's ``Eψ``
   subroutine).
@@ -364,17 +369,19 @@ class ProductSearch:
     whether or not the product kept the sid's successors, so what a
     request charges does not depend on what an earlier one kept.
 
-    :meth:`search` runs a nested DFS for one valuation over a per-search
-    memo of successor lists.  It charges each state at the point where a
-    nested DFS over the ``(state, q)`` product makes its first
-    ``successors`` call for that valuation, and finds the same lasso.
-    :meth:`accepting_starts` walks the same expansion.  ``searches``
-    counts the searches this context ran.
+    :meth:`search` walks the product for one valuation in pre-order and
+    runs a nested DFS, over a per-search memo of successor lists, only
+    when the walk meets an accepting transition.  Either way it charges
+    each state at the point where a nested DFS over the ``(state, q)``
+    product makes its first ``successors`` call for that valuation, and
+    finds the same lasso.  :meth:`accepting_starts` walks the nested
+    DFS's expansion.  ``searches`` counts the searches this context ran,
+    ``nested`` those whose walk handed over to the nested DFS.
     """
 
-    __slots__ = ("product", "searches", "_successors", "_literal_bits",
-                 "_charge", "_store", "_expanded", "_bits", "_new_masks",
-                 "_new_succ")
+    __slots__ = ("product", "searches", "nested", "_successors",
+                 "_literal_bits", "_charge", "_store", "_expanded",
+                 "_children", "_bits", "_new_masks", "_new_succ")
 
     def __init__(
         self,
@@ -386,12 +393,16 @@ class ProductSearch:
     ) -> None:
         self.product = product
         self.searches = 0
+        self.nested = 0
         self._successors = successors
         self._literal_bits = literal_bits
         self._charge = charge
         self._store = store if store is not None else CompiledProduct.keep
         # sid -> successor ids, for every sid this context charged
         self._expanded: dict[int, tuple[int, ...]] = {}
+        # sid * n_states + dst -> the nodes (s, dst) for s in the
+        # successors of sid, reversed: what the walk pushes
+        self._children: dict[int, list[int]] = {}
         self._bits: dict[int, int] = {}  # at sid * n_payloads + payload
         # computed by the running search, handed to the product at its end
         self._new_masks: dict[int, tuple[int, ...]] = {}
@@ -484,14 +495,13 @@ class ProductSearch:
         """The lasso for the valuation ``bit``, over ids, and its
         dominated class.
 
-        The nested DFS of Courcoubetis, Vardi, Wolper and Yannakakis.
-        The outer (blue) DFS expands each node it reaches once, so the
-        memo's key set is the set it has visited.  It launches the inner
-        (red) DFS from each accepting node in post-order, when every
-        node reachable from it other than through the blue DFS stack is
-        expanded; a red DFS that closes a cycle yields the lasso, its
-        stem read off the stack and its cycle found by a BFS from the
-        accepting node back to itself.
+        First a plain walk (:meth:`_walk`) in the nested DFS's blue
+        pre-order; only when it meets an accepting transition does the
+        nested DFS run (:meth:`_nested_dfs`, counted in ``nested``),
+        reading the successor ids and label bitsets the walk left in the
+        context rather than asking, labelling or charging again.  Either
+        way the lasso, the class, the asks and the charge order are the
+        nested DFS's.
 
         The class is None when a lasso is found.  Otherwise it is the
         valuations that, at every node this search expanded, enable only
@@ -500,38 +510,130 @@ class ProductSearch:
         accepting lasso, and expand no sid this context has not charged.
         """
         self.searches += 1
+        try:
+            dominated = self._walk(bit)
+            if dominated is not None:
+                return None, dominated
+            self.nested += 1
+            return self._nested_dfs(bit)
+        finally:
+            self._keep()
+
+    def _walk(self, bit: int) -> int | None:
+        """The dominated class of ``bit`` when the product has no
+        accepting lasso under it; None as soon as a node enables a
+        transition into an accepting Büchi state.
+
+        Marking a node when it is popped, skipping a marked one and
+        pushing a node's successors in reverse visits the nodes in the
+        order a recursive DFS first reaches them: the order in which the
+        blue DFS of :meth:`_nested_dfs` expands them, and until a red DFS
+        closes a cycle the nested DFS expands nothing else.  A cycle
+        through an accepting node enters it by a transition into an
+        accepting state, at a node the walk expands before the nested
+        DFS could close that cycle.  So a walk that meets no such
+        transition has shown that there is no accepting lasso, and a
+        walk that meets one has asked, labelled and charged a prefix of
+        what the nested DFS does, in its order: a struck walk strikes
+        where the nested DFS would.  Enabled destinations are filtered
+        once per (Büchi state, mask tuple), as in :meth:`_expansion`,
+        and each filtering folds the masks read without ``bit`` into
+        the class.
+        """
+        product = self.product
+        n, accepting = product.n_states, product.accepting
+        dsts_of, kept_masks = product.dsts_of, product.masks
+        expanded, children = self._expanded, self._children
+        # per Büchi state: the id of a mask tuple -> its enabled
+        # destinations, reversed for pushing.  The ids stay the tuples'
+        # until the search ends: the product keeps a tuple for good, and
+        # ``_new_masks`` holds one this search computed.
+        enabled: list[dict[int, list[int]]] = [{} for _ in range(n)]
+        union = 0  # the valuations enabling a transition ``bit`` does not
+        marked: set[int] = set()
+        mark = marked.add
+        stack = list(reversed(product.starts))
+        pop, push = stack.pop, stack.extend
+        while stack:
+            node = pop()
+            if node in marked:
+                continue
+            mark(node)
+            try:
+                masks = kept_masks[node]
+            except IndexError:
+                masks = None
+            if masks is None:
+                masks = self._node_masks(node)
+            q = node % n
+            by_masks = enabled[q]
+            dsts = by_masks.get(id(masks))
+            if dsts is None:
+                dsts = []
+                for dst, mask in zip(dsts_of[q], masks):
+                    if not mask & bit:
+                        union |= mask
+                    elif dst in accepting:
+                        return None
+                    else:
+                        dsts.append(dst)
+                dsts.reverse()
+                by_masks[id(masks)] = dsts
+            base = node - q  # sid * n
+            for dst in dsts:
+                nexts = children.get(base + dst)
+                if nexts is None:
+                    sid = node // n
+                    ids = expanded.get(sid)
+                    if ids is None:
+                        ids = self._first_expansion(sid)
+                    nexts = children[base + dst] = [
+                        s * n + dst for s in reversed(ids)
+                    ]
+                push(nexts)
+        return product.all_mask & ~union
+
+    def _nested_dfs(self, bit: int) -> tuple[Lasso | None, int | None]:
+        """:meth:`search` by the nested DFS of Courcoubetis, Vardi,
+        Wolper and Yannakakis.
+
+        The outer (blue) DFS expands each node it reaches once, so the
+        memo's key set is the set it has visited.  It launches the inner
+        (red) DFS from each accepting node in post-order, when every
+        node reachable from it other than through the blue DFS stack is
+        expanded; a red DFS that closes a cycle yields the lasso, its
+        stem read off the stack and its cycle found by a BFS from the
+        accepting node back to itself.
+        """
         product = self.product
         n, accepting = product.n_states, product.accepting
         expand, memo, enabled = self._expansion(bit)
         red: set[int] = set()
-        try:
-            for start in product.starts:
-                if start in memo:
-                    continue
-                on_path = {start}
-                stack = [(start, iter(expand(start)))]
-                while stack:
-                    node, nexts = stack[-1]
-                    for nxt in nexts:
-                        if nxt not in memo:
-                            on_path.add(nxt)
-                            stack.append((nxt, iter(expand(nxt))))
-                            break
-                    else:
-                        # post-order: an accepting node seeds the red DFS
-                        stack.pop()
-                        on_path.discard(node)
-                        if (
-                            node % n in accepting and node not in red
-                            and _red_dfs(node, memo, red, on_path)
-                        ):
-                            stem = [m for m, _nexts in stack]
-                            stem.append(node)
-                            nodes = stem + _cycle(node, memo, expand)
-                            return Lasso([m // n for m in nodes],
-                                         len(stem) - 1), None
-        finally:
-            self._keep()
+        for start in product.starts:
+            if start in memo:
+                continue
+            on_path = {start}
+            stack = [(start, iter(expand(start)))]
+            while stack:
+                node, nexts = stack[-1]
+                for nxt in nexts:
+                    if nxt not in memo:
+                        on_path.add(nxt)
+                        stack.append((nxt, iter(expand(nxt))))
+                        break
+                else:
+                    # post-order: an accepting node seeds the red DFS
+                    stack.pop()
+                    on_path.discard(node)
+                    if (
+                        node % n in accepting and node not in red
+                        and _red_dfs(node, memo, red, on_path)
+                    ):
+                        stem = [m for m, _nexts in stack]
+                        stem.append(node)
+                        nodes = stem + _cycle(node, memo, expand)
+                        return Lasso([m // n for m in nodes],
+                                     len(stem) - 1), None
         union = 0  # the valuations enabling a transition ``bit`` does not
         for masks, _dsts in enabled.values():
             for mask in masks:

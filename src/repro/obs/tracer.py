@@ -28,7 +28,9 @@ Event taxonomy (``name`` → meaning, extra fields):
   emitted right after its ``label.bits`` (``searches``: product searches
   run; ``covered``: valuations settled unsearched because a clean
   search's dominated class held them; the two sum to the unit's
-  ``valuations_checked``);
+  ``valuations_checked``; ``nested``: the searches whose pre-order
+  walk met an accepting transition and handed over to the nested DFS,
+  at most ``searches``);
 - ``plan.compiled`` — the service's rule formulas were compiled to
   evaluation plans (``dur``, ``n_plans``; once per verification call,
   emitted parent-side so traces stay worker-count independent —

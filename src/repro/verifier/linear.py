@@ -294,6 +294,7 @@ def _check_ltlfo_unit(
     bits_computed = 0
     bits_shared = 0
     searches = 0  # the product searches run
+    nested = 0  # the searches whose walk handed over to the nested DFS
     covered = 0  # the valuations a dominated class settled unsearched
     tracer = gov.tracer
 
@@ -305,7 +306,7 @@ def _check_ltlfo_unit(
             )
             tracer.emit(
                 "product.searches", cursor=unit.cursor,
-                searches=searches, covered=covered,
+                searches=searches, covered=covered, nested=nested,
             )
 
     def charge(_sid: int) -> None:
@@ -348,6 +349,7 @@ def _check_ltlfo_unit(
         bits_computed += labeller.computed
         bits_shared += labeller.hits
         searches += search.searches
+        nested += search.nested
         covered += stats["valuations_checked"] - valuations - search.searches
         if found is not None:
             lasso, valuation = found

@@ -44,7 +44,7 @@ from repro.fol import (
     evaluate_query_interpreted,
 )
 from repro.fol.bitset import ValuationBlock, compile_bits
-from repro.ltl import B, G, LTLAtom, LTLFOSentence, ltl_to_buchi
+from repro.ltl import B, G, LTLAtom, LTLFOSentence, ltl_to_buchi, parse_ltlfo
 from repro.ltl.buchi import CompiledProduct, Lasso, ProductSearch
 from repro.ltl.syntax import LNot
 from repro.obs import CollectingTracer
@@ -58,7 +58,7 @@ from repro.service import (
 )
 from repro.service.compiled import ExplorationCache
 from repro.service.runs import Run
-from repro.verifier import VerificationBudgetExceeded, verify_ltlfo
+from repro.verifier import Verdict, VerificationBudgetExceeded, verify_ltlfo
 from repro.verifier.budget import Budget
 from repro.verifier.engine import candidate_databases, enumerate_sigmas
 from repro.verifier.linear import (
@@ -78,6 +78,7 @@ from tests.test_compile import (
     _pingpong,
     _registration,
 )
+from tests.test_exploration_cache import registration
 from tests.witness import check_violation, replay_witness
 
 # ---------------------------------------------------------------------------
@@ -727,3 +728,244 @@ def test_product_searches_event_counts_searches_and_covered():
     traced.stats.pop("config")
     untraced.stats.pop("config")
     assert traced.stats == untraced.stats
+
+
+def test_product_searches_event_counts_hand_overs():
+    """Each ``product.searches`` event's ``nested`` counts the unit's
+    searches whose walk met an accepting transition and handed over to
+    the nested DFS, between 0 and ``searches``.  The negated properties
+    of the ``ltl_session_block`` shape accept only after a bad prefix,
+    which a HOLDS run never has: every unit of a HOLDS run decides every
+    search by the walk alone, and the unit that finds a VIOLATED run's
+    lasso (its last) hands over at least once."""
+    service = _session_ring_service()
+    databases = _ring_databases(service)
+    events = {}
+    for prop in (_ring_chained_prop(), _ring_never_acked_prop()):
+        tracer = CollectingTracer()
+        result = verify_ltlfo(
+            service, prop, databases=databases, tracer=tracer, workers=1,
+        )
+        events[result.verdict] = [
+            e.fields for e in tracer.events if e.name == "product.searches"
+        ]
+        assert events[result.verdict]
+        for fields in events[result.verdict]:
+            assert 0 <= fields["nested"] <= fields["searches"]
+    holds, violated = events[Verdict.HOLDS], events[Verdict.VIOLATED]
+    assert sum(fields["searches"] for fields in holds) > 0
+    assert all(fields["nested"] == 0 for fields in holds)
+    assert violated[-1]["nested"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# the walk's hand-over to the nested DFS
+# ---------------------------------------------------------------------------
+
+def _nonterminal_prop():
+    """On E12's registration service: a record is stored or the form
+    closed by the next step.  The negated automaton (6 states) enters an
+    accepting state after every record, whether or not the run goes on
+    to violate, so the walk hands clean searches to the nested DFS."""
+    return parse_ltlfo(
+        "forall x0, x1: G(record(x0, x1) -> X(stored(x0, x1) | closed))"
+    )
+
+
+def _nonterminal_violated_prop():
+    """The VIOLATED sibling: stored *and* closed, which a record on a
+    form left open breaks."""
+    return parse_ltlfo(
+        "forall x0, x1: G(record(x0, x1) -> X(stored(x0, x1) & closed))"
+    )
+
+
+def _case_pairs(make_service, make_prop, *make_databases):
+    """A case's service, property and databases, and its
+    ``(db_index, sigma_index, database, sigma)`` pairs in enumeration
+    order."""
+    service, sentence = make_service(), make_prop()
+    if make_databases:
+        dbs = make_databases[0](service)
+    else:
+        dbs, _ = candidate_databases(service, sentence, None, 2, True)
+        dbs = list(dbs)
+    pairs = [
+        (db_index, sigma_index, db, sigma)
+        for db_index, db in enumerate(dbs)
+        for sigma_index, sigma in enumerate(enumerate_sigmas(service, db))
+    ]
+    return service, sentence, dbs, pairs
+
+
+def _first_hand_over(service, sentence, ba, pairs, monkeypatch):
+    """The first pair, in enumeration order, whose product search hands
+    over to the nested DFS, and what its first hand-over had charged:
+    ``(pair, valuations, walk_start, hand_over, nested_end)``, the
+    valuations charged when it began and the pair's snapshot charges
+    when its walk began, when the walk handed over and when the nested
+    DFS ended (a context charges each sid once, as it enters
+    ``_expanded``)."""
+    marks: list = []
+    walk, nested_dfs = ProductSearch._walk, ProductSearch._nested_dfs
+
+    def marking_walk(self, bit):
+        start = len(self._expanded)
+        dominated = walk(self, bit)
+        if dominated is None:
+            marks.append([bit.bit_length(), start, len(self._expanded)])
+        return dominated
+
+    def marking_nested_dfs(self, bit):
+        try:
+            return nested_dfs(self, bit)
+        finally:
+            marks[-1].append(len(self._expanded))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProductSearch, "_walk", marking_walk)
+        patch.setattr(ProductSearch, "_nested_dfs", marking_nested_dfs)
+        for pair in pairs:
+            _search(service, sentence, ba, pair[2], pair[3], ExplorationCache())
+            if marks:
+                return (pair, *marks[0])
+    raise AssertionError("no search handed over")
+
+
+#: Where a cap strikes around the first hand-over of a case, the
+#: violating valuation's: as a function of the valuations charged when
+#: its search began and of its pair's snapshot charges when the walk
+#: began, when it handed over and when the nested DFS ended, the cap
+#: that strikes there.  A snapshot cap strikes at the walk's first
+#: charge, at its last charge before the hand-over, or at the nested
+#: DFS's first new charge after it.  A valuation cap cannot strike
+#: inside a search, since neither the walk nor the nested DFS charges a
+#: valuation: it strikes on the violating valuation's own charge, before
+#: the walk, or is met exactly and lets the search run through its walk,
+#: hand-over and nested DFS to the lasso.
+STRIKE_POINTS = [
+    ("max_snapshots", "walk", lambda v, start, over, end: start),
+    ("max_snapshots", "hand-over", lambda v, start, over, end: over - 1),
+    ("max_snapshots", "nested", lambda v, start, over, end: over),
+    ("max_valuations", "before-walk", lambda v, start, over, end: v - 1),
+    ("max_valuations", "through", lambda v, start, over, end: v),
+]
+
+#: Cases whose violating valuation is the first one its pair searches, so
+#: its walk charges at least two snapshots before it hands over and the
+#: nested DFS at least one after.
+HAND_OVER_CASES = {
+    "e12-never-closed": (registration, lambda: parse_ltlfo("G !closed")),
+    "pingpong-never-P2": SEARCH_CASES["pingpong-never-P2"],
+    "session-ring-never-closed": (
+        _session_ring_service, lambda: parse_ltlfo("G !closed"),
+        _ring_databases,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("limit", "point", "cap_at"),
+    [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in STRIKE_POINTS],
+)
+@pytest.mark.parametrize("case", sorted(HAND_OVER_CASES))
+def test_strikes_at_the_hand_over_match_reference(case, limit, point,
+                                                  cap_at, monkeypatch):
+    """A cap striking around the walk's hand-over to the nested DFS
+    (``STRIKE_POINTS``) gives, in every pair up to the first that
+    strikes or finds a lasso, the reference search's verdict, stats,
+    governor charge log and counters, and the same first struck pair,
+    the resume cursor, which ``verify_ltlfo`` reports in its
+    checkpoint."""
+    service, sentence, dbs, pairs = _case_pairs(*HAND_OVER_CASES[case])
+    ba = ltl_to_buchi(LNot(sentence.skeleton))
+    first, valuations, start, over, end = _first_hand_over(
+        service, sentence, ba, pairs, monkeypatch,
+    )
+    assert start + 2 <= over < end
+    cap = cap_at(valuations, start, over, end)
+    exploration = ExplorationCache()
+    cursor = None
+    spent = 0  # the valuations charged so far: that cap spans the run
+    for pair in pairs:
+        _db_index, _sigma_index, db, sigma = pair
+        limits = {limit: cap if limit == "max_snapshots" else cap - spent}
+        ref = _search(service, sentence, ba, db, sigma, limits=limits)
+        got = _search(service, sentence, ba, db, sigma, exploration,
+                      limits=limits)
+        assert got[0] == ref[0]
+        assert got[1] == ref[1]
+        assert got[2].charges == ref[2].charges
+        assert got[2].counters() == ref[2].counters()
+        if pair == first and limit == "max_snapshots":
+            # the strike lands on the pair's (cap + 1)-th snapshot charge
+            assert ref[0] == limit
+            assert ref[2].charges.count(("snapshot", 1)) == cap + 1
+        spent += ref[1]["valuations_checked"]
+        if ref[0] is not None:
+            if ref[0] == limit:
+                cursor = pair[:2]
+            break
+    assert (cursor is None) == (point == "through")
+    result = verify_ltlfo(
+        service, sentence, databases=dbs, workers=1, sigma_block=1,
+        budget=Budget(**{limit: cap}),
+    )
+    if cursor is None:
+        assert result.verdict is Verdict.VIOLATED
+        assert result.checkpoint is None
+    else:
+        assert (result.checkpoint.db_index,
+                result.checkpoint.sigma_index) == cursor
+
+
+@pytest.mark.parametrize(
+    ("make_prop", "verdict"),
+    [(_nonterminal_prop, Verdict.HOLDS),
+     (_nonterminal_violated_prop, Verdict.VIOLATED)],
+    ids=["holds", "violated"],
+)
+def test_nonterminal_automaton_matches_reference(make_prop, verdict):
+    """Where the walk hands clean searches to the nested DFS (see
+    ``_nonterminal_prop``), ``verify_ltlfo`` matches the
+    valuation-at-a-time reference search, run pair by pair in
+    enumeration order up to its first lasso, in verdict, valuations
+    checked, snapshots explored and lasso, cold and warm on one service
+    object, and the VIOLATED witness replays as a run of the service."""
+    service, sentence, dbs, pairs = _case_pairs(registration, make_prop)
+    ba = ltl_to_buchi(LNot(sentence.skeleton))
+    assert ba.n_states == 6
+    literals = frozenset(sentence.literals())
+    checked = explored = 0
+    lasso = None
+    for _db_index, _sigma_index, db, sigma in pairs:
+        found, stats, _gov = _search(service, sentence, ba, db, sigma)
+        checked += stats["valuations_checked"]
+        explored += stats["snapshots_explored"]
+        if found is not None:
+            lasso = (db, sigma, found[0])
+            break
+    assert (lasso is None) == (verdict is Verdict.HOLDS)
+    fingerprints = []
+    for _run in ("cold", "warm"):
+        tracer = CollectingTracer()
+        result = verify_ltlfo(
+            service, sentence, databases=dbs, workers=1, tracer=tracer,
+        )
+        assert result.verdict is verdict
+        assert result.stats["valuations_checked"] == checked
+        assert result.stats["snapshots_explored"] == explored
+        assert sum(
+            e.fields["nested"] for e in tracer.events
+            if e.name == "product.searches"
+        ) > 0
+        if lasso is not None:
+            db, sigma, want = lasso
+            run = result.counterexample
+            assert (run.database, dict(run.sigma)) == (db, dict(sigma))
+            assert (list(run.snapshots), run.loop_index) == (
+                list(want.states), want.loop_index,
+            )
+            replay_witness(service, run, extra_domain=literals)
+        fingerprints.append(_result_fingerprint(result))
+    assert fingerprints[0] == fingerprints[1]

@@ -584,6 +584,44 @@ class TestDominance:
         assert skipped_total > 300  # the rule is well exercised
 
 
+def test_walk_enters_enabled_destinations_in_order():
+    """A node enabling two transitions has the walk enter the first
+    one's successors first, as the blue DFS does.  System 0 -> 1, 2;
+    1, 2 -> 3; 3 -> 3, with ``p`` false at 1 only.  Büchi state 0 moves
+    to 1 and to 2 on anything, state 1 loops on ``p``, state 2 on
+    anything, and no state accepts, so the walk decides the valuation
+    alone.  The blue pre-order enters (1, 1), where state 1 enables
+    nothing, then (2, 1) and (3, 1), then (1, 2): it charges 0, 2, 3, 1,
+    as the reference makes its first ``successors`` calls; entering
+    state 2's successors first would charge 0, 1, 3, 2."""
+    ba = BuchiAutomaton(
+        n_states=3, initial=frozenset({0}), accepting=frozenset(),
+        transitions_from=[
+            [BuchiTransition(0, frozenset(), 1),
+             BuchiTransition(0, frozenset(), 2)],
+            [BuchiTransition(1, frozenset({("p", True)}), 1)],
+            [BuchiTransition(2, frozenset(), 2)],
+        ],
+    )
+    succ = {0: (1, 2), 1: (3,), 2: (3,), 3: (3,)}
+    first_calls: list = []
+
+    def ref_succ(s):
+        if s not in first_calls:
+            first_calls.append(s)
+        return succ[s]
+
+    assert find_accepting_lasso(ba, [0], ref_succ, lambda s, a: s != 1) is None
+    charges: list = []
+    search = ProductSearch(
+        CompiledProduct(ba, [0], 0b1), succ.__getitem__,
+        lambda s, a: 0 if s == 1 else 1, charges.append,
+    )
+    lasso, dominated = search.search(0b1)
+    assert (lasso, dominated, search.nested) == (None, 0b1, 0)
+    assert charges == first_calls == [0, 2, 3, 1]
+
+
 # ---------------------------------------------------------------------------
 # LTL-FO sentences
 # ---------------------------------------------------------------------------
