@@ -12,7 +12,10 @@ registers every spec under ``examples/specs/``, then for each one:
    served from cache, and the spec's exploration cache must report
    compiled-product or successor-set hits for it and no successor set
    or label stepped again (``GET /specs/<id>``): the repeat reads the
-   graph the first request explored instead of exploring again.  The
+   graph the first request explored instead of exploring again.  It
+   must replay every clean lasso search the first request kept an
+   outcome for, and keep no new one (``outcome_hits``,
+   ``outcome_entries``); at least one spec's repeat must replay.  The
    repeat's verdict, counterexample and stats must equal the first
    request's.
 
@@ -102,6 +105,7 @@ def main() -> int:
         env=env,
     )
     failures = 0
+    replays = 0
     try:
         wait_for_boot(base, proc)
 
@@ -164,10 +168,14 @@ def main() -> int:
             delta = {
                 key: after["exploration"][key] - before["exploration"][key]
                 for key in ("product_hits", "successor_hits",
-                            "successor_misses", "label_misses")
+                            "successor_misses", "label_misses",
+                            "outcome_hits", "outcome_entries")
             }
             hits = delta["product_hits"] + delta["successor_hits"]
             explored = delta["successor_misses"] + delta["label_misses"]
+            # the first request kept the outcome of each clean search
+            kept = before["exploration"]["outcome_entries"]
+            replays += delta["outcome_hits"]
             changed = [
                 field for field in ("verdict", "counterexample", "stats")
                 if body["result"].get(field) != served.get(field)
@@ -189,6 +197,11 @@ def main() -> int:
                 print(f"FAIL {spec_path.name}: repeat request explored "
                       f"again (exploration: {after['exploration']})")
                 failures += 1
+            elif delta["outcome_hits"] != kept or delta["outcome_entries"]:
+                print(f"FAIL {spec_path.name}: repeat request replayed "
+                      f"{delta['outcome_hits']} of the {kept} searches the "
+                      f"first kept (exploration: {after['exploration']})")
+                failures += 1
             elif changed:
                 print(f"FAIL {spec_path.name}: repeat request returned "
                       f"another {changed}")
@@ -198,8 +211,13 @@ def main() -> int:
                       f"(registry.hit, buchi cached, "
                       f"{delta['product_hits']} compiled products and "
                       f"{delta['successor_hits']} successor sets read "
-                      f"from the exploration cache, same result)")
+                      f"from the exploration cache, "
+                      f"{delta['outcome_hits']} searches replayed, "
+                      f"same result)")
 
+        if not replays:
+            print("FAIL: no repeat request replayed a kept search")
+            failures += 1
         status, stats = request(base, "GET", "/healthz")
         print("registry stats:", stats["registry"])
         if stats["registry"]["recompiles"]:

@@ -12,8 +12,9 @@ Emptiness of the product with a transition system is decided on one
 construction in two parts: :class:`CompiledProduct`, int product nodes
 with per-node enable masks over the valuations of a bitset block, kept
 as they are expanded and free of callbacks, so a caller may keep it
-across requests; and :class:`ProductSearch`, one request's callbacks
-and memos over it.  A search context answers two questions:
+across requests, with the outcome of each clean search it has served;
+and :class:`ProductSearch`, one request's callbacks and memos over it.
+A search context answers two questions:
 
 - :meth:`ProductSearch.search` — a concrete accepting lasso for one
   valuation (the verifier's counterexample search), or the valuations a
@@ -22,7 +23,8 @@ and memos over it.  A search context answers two questions:
   state, the common case for safety properties, whose negated automata
   accept only after a bad prefix; when the walk meets such a
   transition, a nested DFS over int nodes decides it and finds the
-  lasso;
+  lasso.  A valuation the product already holds a clean outcome for is
+  not searched again: the context replays the outcome's charges;
 - :meth:`ProductSearch.accepting_starts` — every start state with an
   accepting run, by one Tarjan pass (the CTL* model checker's ``Eψ``
   subroutine).
@@ -34,6 +36,7 @@ the reference lasso search runs on).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
@@ -301,6 +304,15 @@ class CompiledProduct:
       (the AND of the literal bitsets, or of their complements), one
       tuple object per distinct tuple.
 
+    ``outcomes[bit]`` is the outcome of a search for the valuation
+    ``bit`` that completed without a lasso, kept through
+    :meth:`keep_outcome` after the search's own masks and successors:
+    its dominated class, and the sids it expanded with an enabled
+    transition in the order it first expanded them (an ``array('i')``).
+    Over the kept tables, a clean search's nodes, class and order are
+    functions of ``bit`` alone, whatever a context has charged before;
+    the context decides only which of those sids are new to it.
+
     Each entry is written once, whole, so a reader needs no lock.  The
     product holds no callback and nothing of one request: what it keeps
     is a function of the automaton, the block's layout and the system,
@@ -308,7 +320,7 @@ class CompiledProduct:
     """
 
     __slots__ = ("n_states", "accepting", "all_mask", "starts", "succ",
-                 "masks", "literals_of", "dsts_of", "payloads",
+                 "masks", "outcomes", "literals_of", "dsts_of", "payloads",
                  "_interned")
 
     def __init__(
@@ -338,6 +350,7 @@ class CompiledProduct:
         )
         self.succ: list[tuple[int, ...] | None] = []
         self.masks: list[tuple[int, ...] | None] = []
+        self.outcomes: dict[int, tuple[int, array]] = {}
         self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def keep(
@@ -353,6 +366,15 @@ class CompiledProduct:
             + _fill(self.masks, masks, self._interned)
         )
 
+    def keep_outcome(self, bit: int, dominated: int, sids: array) -> bool:
+        """Keep a clean search's outcome for the valuation ``bit``
+        unless one is held; whether it was new.  The successors of every
+        sid in ``sids`` must be kept already."""
+        if bit in self.outcomes:
+            return False
+        self.outcomes[bit] = (dominated, sids)
+        return True
+
 
 class ProductSearch:
     """One request's searches over a kept :class:`CompiledProduct`.
@@ -364,24 +386,31 @@ class ProductSearch:
     product when the search ends, struck or not, through
     ``store(product, masks, succ)``, once per search rather than per
     node (default: :meth:`CompiledProduct.keep`; a shared product is
-    stored into under its owner's lock).  ``charge(sid)`` is called at the
-    first expansion of a sid with an enabled transition in this context,
+    stored into under its owner's lock).  A search that ends without a
+    lasso then hands its outcome over through ``keep_outcome(product,
+    bit, dominated, sids)`` (default: :meth:`CompiledProduct.keep_outcome`,
+    likewise under the owner's lock); a struck search and one that found
+    a lasso hand over none.  ``charge(sid)`` is called at the first
+    expansion of a sid with an enabled transition in this context,
     whether or not the product kept the sid's successors, so what a
     request charges does not depend on what an earlier one kept.
 
-    :meth:`search` walks the product for one valuation in pre-order and
-    runs a nested DFS, over a per-search memo of successor lists, only
-    when the walk meets an accepting transition.  Either way it charges
-    each state at the point where a nested DFS over the ``(state, q)``
+    :meth:`search` replays the product's outcome for a valuation when
+    it holds one.  Otherwise it walks the product in pre-order and runs
+    a nested DFS, over a per-search memo of successor lists, only when
+    the walk meets an accepting transition.  In each case it charges each
+    state at the point where a nested DFS over the ``(state, q)``
     product makes its first ``successors`` call for that valuation, and
     finds the same lasso.  :meth:`accepting_starts` walks the nested
     DFS's expansion.  ``searches`` counts the searches this context ran,
-    ``nested`` those whose walk handed over to the nested DFS.
+    ``nested`` those whose walk handed over to the nested DFS, and
+    ``replayed`` those answered from a kept outcome.
     """
 
-    __slots__ = ("product", "searches", "nested", "_successors",
-                 "_literal_bits", "_charge", "_store", "_expanded",
-                 "_children", "_bits", "_new_masks", "_new_succ")
+    __slots__ = ("product", "searches", "nested", "replayed",
+                 "_successors", "_literal_bits", "_charge", "_store",
+                 "_keep_outcome", "_expanded", "_children", "_bits",
+                 "_order", "_new_masks", "_new_succ")
 
     def __init__(
         self,
@@ -390,20 +419,30 @@ class ProductSearch:
         literal_bits: Callable[[int, Payload], int],
         charge: Callable[[int], None] | None = None,
         store: Callable[[CompiledProduct, dict, dict], object] | None = None,
+        keep_outcome: Callable[[CompiledProduct, int, int, array], object]
+        | None = None,
     ) -> None:
         self.product = product
         self.searches = 0
         self.nested = 0
+        self.replayed = 0
         self._successors = successors
         self._literal_bits = literal_bits
         self._charge = charge
         self._store = store if store is not None else CompiledProduct.keep
+        self._keep_outcome = (
+            keep_outcome if keep_outcome is not None
+            else CompiledProduct.keep_outcome
+        )
         # sid -> successor ids, for every sid this context charged
         self._expanded: dict[int, tuple[int, ...]] = {}
         # sid * n_states + dst -> the nodes (s, dst) for s in the
         # successors of sid, reversed: what the walk pushes
         self._children: dict[int, list[int]] = {}
         self._bits: dict[int, int] = {}  # at sid * n_payloads + payload
+        # the running search's sids expanded with an enabled transition,
+        # in first-expansion order (the keys)
+        self._order: dict[int, None] = {}
         # computed by the running search, handed to the product at its end
         self._new_masks: dict[int, tuple[int, ...]] = {}
         self._new_succ: dict[int, tuple[int, ...]] = {}
@@ -446,7 +485,8 @@ class ProductSearch:
         dict[tuple[int, int], tuple[tuple[int, ...], list[int]]],
     ]:
         """``expand(node)`` under the valuation ``bit``, which lists an
-        unexpanded node's successors into the memo; the memo; and the
+        unexpanded node's successors into the memo and its sid into
+        ``_order`` when it enables a transition; the memo; and the
         enabled destinations per (Büchi state, mask tuple).
 
         Nodes with one Büchi state and one mask tuple enable the same
@@ -460,6 +500,7 @@ class ProductSearch:
         n = product.n_states
         dsts_of, kept_masks = product.dsts_of, product.masks
         expanded = self._expanded
+        order = self._order = {}
         memo: dict[int, list[int]] = {}
         enabled: dict[tuple[int, int], tuple[tuple[int, ...], list[int]]] = {}
 
@@ -480,6 +521,7 @@ class ProductSearch:
             dsts = entry[1]
             if dsts:
                 sid = node // n
+                order[sid] = None
                 ids = expanded.get(sid)
                 if ids is None:
                     ids = self._first_expansion(sid)
@@ -495,13 +537,16 @@ class ProductSearch:
         """The lasso for the valuation ``bit``, over ids, and its
         dominated class.
 
-        First a plain walk (:meth:`_walk`) in the nested DFS's blue
-        pre-order; only when it meets an accepting transition does the
-        nested DFS run (:meth:`_nested_dfs`, counted in ``nested``),
-        reading the successor ids and label bitsets the walk left in the
-        context rather than asking, labelling or charging again.  Either
-        way the lasso, the class, the asks and the charge order are the
-        nested DFS's.
+        When the product keeps an outcome for ``bit``, :meth:`_replay`
+        answers (counted in ``replayed``).  Otherwise a plain walk
+        (:meth:`_walk`) in the nested DFS's blue pre-order; only when it
+        meets an accepting transition does the nested DFS run
+        (:meth:`_nested_dfs`, counted in ``nested``), reading the
+        successor ids and label bitsets the walk left in the context
+        rather than asking, labelling or charging again.  In each case
+        the lasso, the class, the asks and the charge order are the
+        nested DFS's.  A search that ends clean hands its outcome to the
+        product once its masks and successors are kept.
 
         The class is None when a lasso is found.  Otherwise it is the
         valuations that, at every node this search expanded, enable only
@@ -510,19 +555,49 @@ class ProductSearch:
         accepting lasso, and expand no sid this context has not charged.
         """
         self.searches += 1
+        kept = self.product.outcomes.get(bit)
+        if kept is not None:
+            self.replayed += 1
+            return None, self._replay(*kept)
         try:
             dominated = self._walk(bit)
-            if dominated is not None:
-                return None, dominated
-            self.nested += 1
-            return self._nested_dfs(bit)
+            if dominated is None:
+                self.nested += 1
+                lasso, dominated = self._nested_dfs(bit)
+                if lasso is not None:
+                    return lasso, None
         finally:
             self._keep()
+        self._keep_outcome(
+            self.product, bit, dominated, array("i", self._order)
+        )
+        return None, dominated
+
+    def _replay(self, dominated: int, sids: array) -> int:
+        """A kept clean search, in this context: ``dominated``, its
+        class, after charging each of ``sids``, its expanded sids in
+        first-expansion order, that this context has not charged.
+
+        That is exactly what the search would charge here: its nodes
+        and order depend only on the kept tables and the valuation, and
+        the context's charged sids decide only which are new.  So the
+        charges, the strikes and the deadline checks between them are
+        the search's own; the product keeps every recorded sid's
+        successors, which a later search of this context reads.
+        """
+        expanded, succ, charge = self._expanded, self.product.succ, self._charge
+        for sid in sids:
+            if sid not in expanded:
+                expanded[sid] = succ[sid]
+                if charge is not None:
+                    charge(sid)
+        return dominated
 
     def _walk(self, bit: int) -> int | None:
         """The dominated class of ``bit`` when the product has no
         accepting lasso under it; None as soon as a node enables a
-        transition into an accepting Büchi state.
+        transition into an accepting Büchi state.  The sids it expands
+        with an enabled transition go into ``_order``, in order.
 
         Marking a node when it is popped, skipping a marked one and
         pushing a node's successors in reverse visits the nodes in the
@@ -544,6 +619,7 @@ class ProductSearch:
         n, accepting = product.n_states, product.accepting
         dsts_of, kept_masks = product.dsts_of, product.masks
         expanded, children = self._expanded, self._children
+        order = self._order = {}
         # per Büchi state: the id of a mask tuple -> its enabled
         # destinations, reversed for pushing.  The ids stay the tuples'
         # until the search ends: the product keeps a tuple for good, and
@@ -579,6 +655,8 @@ class ProductSearch:
                         dsts.append(dst)
                 dsts.reverse()
                 by_masks[id(masks)] = dsts
+            if dsts:
+                order[node // n] = None
             base = node - q  # sid * n
             for dst in dsts:
                 nexts = children.get(base + dst)

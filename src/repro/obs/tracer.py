@@ -29,8 +29,10 @@ Event taxonomy (``name`` → meaning, extra fields):
   run; ``covered``: valuations settled unsearched because a clean
   search's dominated class held them; the two sum to the unit's
   ``valuations_checked``; ``nested``: the searches whose pre-order
-  walk met an accepting transition and handed over to the nested DFS,
-  at most ``searches``);
+  walk met an accepting transition and handed over to the nested DFS;
+  ``replayed``: the searches answered from an outcome the compiled
+  product kept from an earlier clean search, charges replayed in
+  order; ``nested + replayed`` is at most ``searches``);
 - ``plan.compiled`` — the service's rule formulas were compiled to
   evaluation plans (``dur``, ``n_plans``; once per verification call,
   emitted parent-side so traces stay worker-count independent —

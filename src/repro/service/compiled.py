@@ -40,12 +40,12 @@ their hash) and equality checks usually short-circuit on identity.
 the verifiers explored per (database, extra domain) — snapshots
 numbered once, successor-id tuples keyed by snapshot id and the sigma a
 step from it reads, the LTL-FO labeller's atom label bitsets, the
-LTL-FO search's compiled Büchi products, and completed Kripke
-structures — so later calls over the same service object read the
-graph instead of stepping, labelling and expanding again.  It
-lives and dies with the compiled service and holds at most
-:data:`EXPLORATION_CACHE_ENTRIES` entries, evicting least-recently-used
-databases first.
+LTL-FO search's compiled Büchi products with the outcomes of their
+clean searches, and completed Kripke structures — so later calls over
+the same service object read the graph instead of stepping, labelling,
+expanding and searching again.  It lives and dies with the compiled
+service and holds at most :data:`EXPLORATION_CACHE_ENTRIES` entries,
+evicting least-recently-used databases first.
 """
 
 from __future__ import annotations
@@ -317,11 +317,11 @@ class SnapshotInterner:
 
 #: Cap on the explored-graph entries one service retains: a successor-id
 #: tuple, a label bitset, a Kripke state, and a compiled product and each
-#: successor tuple and enable-mask tuple it keeps count one.  At the sizes
-#: measured on the benchmark workloads (EXPERIMENTS, E20, E23 and E24:
-#: about 1 KB per Kripke state, 0.24 KB per LTL graph entry, 26 B per
-#: product entry), a full cache holds at most some 68 MB, and some 16 MB
-#: of LTL entries.
+#: successor tuple, enable-mask tuple and search outcome it keeps count
+#: one.  At the sizes measured on the benchmark workloads (EXPERIMENTS,
+#: E20, E23 and E24: about 1 KB per Kripke state, 0.24 KB per LTL graph
+#: entry, 26 B per product entry), a full cache holds at most some 68 MB,
+#: and some 16 MB of LTL entries.
 EXPLORATION_CACHE_ENTRIES = 1 << 16
 
 
@@ -335,8 +335,11 @@ class ExploredGraph:
     successors' ids; ``labels`` maps a label key to a ``sid -> bitset``
     dict (see :meth:`ExplorationCache.label_memo`); ``products`` maps a
     product key to a kept :class:`~repro.ltl.buchi.CompiledProduct`
-    (see :meth:`ExplorationCache.product`), and ``product_entries``
-    counts the products and what they keep; ``structure`` is
+    (see :meth:`ExplorationCache.product`), ``product_entries`` counts
+    the products and the successor and mask tuples they keep, and
+    ``outcome_entries`` the clean-search outcomes they keep, one per
+    (product key, valuation bit) (see
+    :meth:`ExplorationCache.store_outcome`); ``structure`` is
     ``(structure, n_initial)`` once a
     :func:`~repro.verifier.branching.build_snapshot_kripke` call over
     the pair completed.  All are only ever added to, and what they hold
@@ -349,8 +352,8 @@ class ExploredGraph:
     """
 
     __slots__ = ("key", "ids", "snapshots", "successor_ids", "labels",
-                 "products", "product_entries", "structure", "size",
-                 "retained")
+                 "products", "product_entries", "outcome_entries",
+                 "structure", "size", "retained")
 
     def __init__(self, key: tuple) -> None:
         self.key = key
@@ -360,6 +363,7 @@ class ExploredGraph:
         self.labels: dict[tuple, dict[int, int]] = {}
         self.products: dict[tuple, CompiledProduct] = {}
         self.product_entries = 0
+        self.outcome_entries = 0
         self.structure: tuple[KripkeStructure, int] | None = None
         self.size = 0
         self.retained = True
@@ -381,9 +385,10 @@ class ExplorationCache:
     holding it.  The lock guards the order, the entry count, snapshot
     numbering and every store, so concurrent verifications may share one
     service; lookups (:meth:`successor_ids`, :meth:`kripke`,
-    :meth:`product`, a label memo's ``get``, a kept product's tables)
-    read a graph's dicts without it.  The hit and miss
-    counters are exact in a single-threaded run.
+    :meth:`product`, a label memo's ``get``, a kept product's tables
+    and outcomes) read a graph's dicts without it.  The hit and miss
+    counters are exact in a single-threaded run; ``outcome_hits``
+    counts the LTL-FO searches that replayed a kept outcome.
     """
 
     def __init__(self) -> None:
@@ -397,6 +402,7 @@ class ExplorationCache:
         self.label_misses = 0
         self.product_hits = 0
         self.product_misses = 0
+        self.outcome_hits = 0
         self.kripke_hits = 0
         self.kripke_misses = 0
         self.evictions = 0
@@ -503,6 +509,19 @@ class ExplorationCache:
                 graph.product_entries += new
                 self._grow(graph, new)
 
+    def store_outcome(
+        self, graph: ExploredGraph, product: "CompiledProduct",
+        bit: int, dominated: int, sids,
+    ) -> None:
+        """Keep in ``product``, a product ``graph`` keeps, the outcome
+        of one clean search for the valuation ``bit``
+        (:meth:`~repro.ltl.buchi.CompiledProduct.keep_outcome`), under
+        the lock, charging it to ``graph`` as one entry when new."""
+        with self._lock:
+            if product.keep_outcome(bit, dominated, sids):
+                graph.outcome_entries += 1
+                self._grow(graph, 1)
+
     def kripke(
         self, graph: ExploredGraph
     ) -> "tuple[KripkeStructure, int] | None":
@@ -532,6 +551,10 @@ class ExplorationCache:
                 ),
                 "product_hits": self.product_hits,
                 "product_misses": self.product_misses,
+                "outcome_entries": sum(
+                    graph.outcome_entries for graph in self._graphs.values()
+                ),
+                "outcome_hits": self.outcome_hits,
                 "kripke_hits": self.kripke_hits,
                 "kripke_misses": self.kripke_misses,
                 "evicted_databases": self.evictions,

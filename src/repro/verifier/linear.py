@@ -269,10 +269,12 @@ def _check_ltlfo_unit(
     stores the result.  The sigmas of a unit share one snapshot interner
     for what they step.  Every sigma keeps its own run context, search
     context and charge order: a snapshot is charged at its first
-    expansion in the sigma's search, whatever the product kept.  A lasso
-    is mapped back to snapshots before it leaves the unit, so the merged
-    stats and the witness depend neither on how many sigmas a unit holds
-    nor on what the cache held, and ids never cross a process boundary.
+    expansion in the sigma's search, whatever the product kept, and a
+    search the product kept a clean outcome for replays those charges
+    instead of walking.  A lasso is mapped back to snapshots before it
+    leaves the unit, so the merged stats and the witness depend neither
+    on how many sigmas a unit holds nor on what the cache held, and ids
+    never cross a process boundary.
     """
     service: WebService = spec.service
     sentence: LTLFOSentence = spec.payload["sentence"]
@@ -295,6 +297,7 @@ def _check_ltlfo_unit(
     bits_shared = 0
     searches = 0  # the product searches run
     nested = 0  # the searches whose walk handed over to the nested DFS
+    replayed = 0  # the searches answered from the product's kept outcomes
     covered = 0  # the valuations a dominated class settled unsearched
     tracer = gov.tracer
 
@@ -307,6 +310,7 @@ def _check_ltlfo_unit(
             tracer.emit(
                 "product.searches", cursor=unit.cursor,
                 searches=searches, covered=covered, nested=nested,
+                replayed=replayed,
             )
 
     def charge(_sid: int) -> None:
@@ -343,13 +347,19 @@ def _check_ltlfo_unit(
         search = ProductSearch(
             product, succ, labeller.label_bits, charge,
             partial(exploration.store_product, graph),
+            partial(exploration.store_outcome, graph),
         )
         valuations = stats["valuations_checked"]
-        found = _search_product(search, block, gov, stats)
+        try:
+            found = _search_product(search, block, gov, stats)
+        finally:
+            # an outcome read counts, struck or not, as a product hit does
+            exploration.outcome_hits += search.replayed
         bits_computed += labeller.computed
         bits_shared += labeller.hits
         searches += search.searches
         nested += search.nested
+        replayed += search.replayed
         covered += stats["valuations_checked"] - valuations - search.searches
         if found is not None:
             lasso, valuation = found

@@ -758,6 +758,46 @@ def test_product_searches_event_counts_hand_overs():
     assert violated[-1]["nested"] >= 1
 
 
+def test_product_searches_event_counts_replays():
+    """Each ``product.searches`` event's ``replayed`` counts the unit's
+    searches answered from the outcomes its products kept, so ``nested
+    + replayed <= searches``.  A cold run replays nothing.  Warm, every
+    unit of an ``ltl_session_block``-shaped HOLDS run replays every
+    search it runs and hands none over, and the unit that finds a
+    VIOLATED run's lasso (its last) searches again at least the
+    violating valuation, whose search kept no outcome."""
+    service = _session_ring_service()
+    databases = _ring_databases(service)
+    events = {}
+    for run in ("cold", "warm"):
+        for prop in (_ring_chained_prop(), _ring_never_acked_prop()):
+            tracer = CollectingTracer()
+            result = verify_ltlfo(
+                service, prop, databases=databases, tracer=tracer,
+                workers=1,
+            )
+            events[run, result.verdict] = units = [
+                e.fields for e in tracer.events
+                if e.name == "product.searches"
+            ]
+            assert units
+            for fields in units:
+                assert 0 <= fields["replayed"]
+                assert fields["nested"] + fields["replayed"] <= (
+                    fields["searches"]
+                )
+    for verdict in (Verdict.HOLDS, Verdict.VIOLATED):
+        assert all(fields["replayed"] == 0
+                   for fields in events["cold", verdict])
+    holds = events["warm", Verdict.HOLDS]
+    assert sum(fields["searches"] for fields in holds) > 0
+    for fields in holds:
+        assert fields["replayed"] == fields["searches"]
+        assert fields["nested"] == 0
+    violated = events["warm", Verdict.VIOLATED]
+    assert violated[-1]["replayed"] < violated[-1]["searches"]
+
+
 # ---------------------------------------------------------------------------
 # the walk's hand-over to the nested DFS
 # ---------------------------------------------------------------------------
@@ -931,7 +971,11 @@ def test_nonterminal_automaton_matches_reference(make_prop, verdict):
     valuation-at-a-time reference search, run pair by pair in
     enumeration order up to its first lasso, in verdict, valuations
     checked, snapshots explored and lasso, cold and warm on one service
-    object, and the VIOLATED witness replays as a run of the service."""
+    object, and the VIOLATED witness replays as a run of the service.
+    Warm, a HOLDS run replays every search from the outcomes the cold
+    run kept, handed-over ones included, and hands none over; the
+    VIOLATED run's violating search was never kept, so it hands over
+    again."""
     service, sentence, dbs, pairs = _case_pairs(registration, make_prop)
     ba = ltl_to_buchi(LNot(sentence.skeleton))
     assert ba.n_states == 6
@@ -955,10 +999,18 @@ def test_nonterminal_automaton_matches_reference(make_prop, verdict):
         assert result.verdict is verdict
         assert result.stats["valuations_checked"] == checked
         assert result.stats["snapshots_explored"] == explored
-        assert sum(
-            e.fields["nested"] for e in tracer.events
-            if e.name == "product.searches"
-        ) > 0
+        events = [
+            e.fields for e in tracer.events if e.name == "product.searches"
+        ]
+        searches, nested, replayed = (
+            sum(fields[key] for fields in events)
+            for key in ("searches", "nested", "replayed")
+        )
+        if _run == "warm" and verdict is Verdict.HOLDS:
+            assert replayed == searches > 0
+            assert nested == 0
+        else:
+            assert nested > 0
         if lasso is not None:
             db, sigma, want = lasso
             run = result.counterexample

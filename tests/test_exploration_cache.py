@@ -735,6 +735,61 @@ def test_warm_budget_strikes_as_cold(cold):
         assert stats["product_hits"] == i + 1 - built, call.label
 
 
+def test_replayed_searches_strike_as_cold():
+    """On E12's registration service with one database, warmed by one
+    full call, every search replays a kept outcome: the first charges
+    48 sids, the second 128 of the 176 it recorded.  A snapshot cap at
+    every charge of the pair and a valuation cap at every valuation
+    strike as on a fresh service (verdict, stats, the strike's limit
+    and the checkpoint's cursor), and after each strike a full call
+    still equals the cold one and keeps no new outcome.  A third
+    service takes the caps in rising order from cold: each call replays
+    what an earlier call completed and walks what a strike cut off, and
+    strikes as on a fresh service too."""
+    sentence = parse_ltlfo(_STORED_B)
+
+    def call(service, **limits):
+        db = Database(service.schema.database,
+                      {"allowed": [("d0", "d0"), ("d1", "d1")]})
+        return verifier.verify_ltlfo(
+            service, sentence, databases=[db], workers=1,
+            budget=Budget(**limits),
+        )
+
+    full = call(registration())
+    charges = full.stats["snapshots_explored"]
+    valuations = full.stats["valuations_checked"]
+    assert full.verdict is Verdict.HOLDS
+    assert (charges, valuations) == (176, 4)
+    service, rising = registration(), registration()
+    assert fingerprint(call(service)) == fingerprint(full)
+    cache = compiled_service(service).exploration
+    kept = cache.stats()
+    assert kept["outcome_entries"] == 3
+    caps = [("max_snapshots", cap) for cap in range(1, charges + 1)]
+    caps += [("max_valuations", cap) for cap in range(1, valuations + 1)]
+    for limit, cap in caps:
+        cold = call(registration(), **{limit: cap})
+        for warm in (call(service, **{limit: cap}),
+                     call(rising, **{limit: cap})):
+            assert fingerprint(warm) == fingerprint(cold), (limit, cap)
+        # the fingerprint holds the strike's limit and the checkpoint
+        if cap < (charges if limit == "max_snapshots" else valuations):
+            assert cold.verdict is Verdict.INCONCLUSIVE, (limit, cap)
+            assert cold.stats["interrupted_by"] == limit
+            assert (cold.checkpoint.db_index,
+                    cold.checkpoint.sigma_index) == (0, 0)
+        else:
+            assert cold.verdict is Verdict.HOLDS, (limit, cap)
+        hits = cache.stats()["outcome_hits"]
+        assert fingerprint(call(service)) == fingerprint(full), (limit, cap)
+        after = cache.stats()
+        assert after["outcome_hits"] == hits + 3
+        assert after["outcome_entries"] == kept["outcome_entries"]
+        assert after["entries"] == kept["entries"]
+    assert compiled_service(rising).exploration.stats()["outcome_hits"] > 0
+
+
 @pytest.mark.parametrize("sigma_block", [1, 8])
 def test_warm_repeat_builds_no_start_or_eval_context(
     sigma_block, monkeypatch
@@ -1083,14 +1138,17 @@ def product_entries(graph) -> int:
 
 def graph_size(cache: ExplorationCache, key) -> int:
     """The entries ``key``'s graph is charged: one per successor-id
-    tuple, label bitset and Kripke state it holds, and its products'
-    entries."""
+    tuple, label bitset and Kripke state it holds, its products'
+    entries, and one per clean-search outcome its products keep."""
     graph = cache._graphs[key]
     kripke = graph.structure[0].n_states if graph.structure else 0
     assert graph.product_entries == product_entries(graph)
+    assert graph.outcome_entries == sum(
+        len(product.outcomes) for product in graph.products.values()
+    )
     assert graph.size == (
         len(graph.successor_ids) + label_entries(graph) + kripke
-        + graph.product_entries
+        + graph.product_entries + graph.outcome_entries
     )
     return graph.size
 
@@ -1265,12 +1323,19 @@ def test_counts_are_exact():
     assert stats["successor_hits"] + stats["successor_misses"] == explored
     assert stats["label_misses"] == stats["label_entries"]
     assert stats["successor_misses"] + stats["label_misses"] + (
-        stats["product_entries"]
+        stats["product_entries"] + stats["outcome_entries"]
     ) == stats["entries"]
     # one product per (database, sigma), each keeping the successors of
     # every snapshot its search charged and some enable masks
     assert (stats["product_misses"], stats["product_hits"]) == (pairs, 0)
     assert stats["product_entries"] > pairs + explored
+    # and the outcome of every search it served, all clean, none replayed
+    searched = sum(
+        e.fields["searches"] for e in tracer.events
+        if e.name == "product.searches"
+    )
+    assert (stats["outcome_entries"], stats["outcome_hits"]) == (searched, 0)
+    assert searched >= pairs
     assert stats["databases"] == len(dbs)
     assert stats["successor_hits"] > 0  # sigmas share scoped keys
     assert stats["label_hits"] > 0  # and label keys
@@ -1281,7 +1346,8 @@ def test_counts_are_exact():
     labelled = stats["label_hits"] + stats["label_misses"]
 
     # the same property: every pair's search runs on its kept product,
-    # which asks the graph for no successor set and no label
+    # which asks the graph for no successor set and no label, and
+    # replays every search from its kept outcome
     tracer = CollectingTracer()
     warm = verifier.verify_ltlfo(
         service, sentence, databases=dbs, workers=1, tracer=tracer
@@ -1290,14 +1356,19 @@ def test_counts_are_exact():
     after = cache.stats()
     assert after["product_hits"] == pairs
     assert after["product_misses"] == pairs
+    assert after["outcome_hits"] == searched
     for key in ("successor_hits", "successor_misses", "label_hits",
-                "label_misses", "product_entries", "entries"):
+                "label_misses", "product_entries", "outcome_entries",
+                "entries"):
         assert after[key] == stats[key], key
     assert _label_events(tracer) == (0, 0)
     # each database's graph as one property leaves it, for the cap below
     sizes = [cache._graphs[(db, frozenset())].size for db in dbs]
     products = [
         cache._graphs[(db, frozenset())].product_entries for db in dbs
+    ]
+    outcomes = [
+        cache._graphs[(db, frozenset())].outcome_entries for db in dbs
     ]
 
     # the closure variables renamed: another product, which reads every
@@ -1311,11 +1382,15 @@ def test_counts_are_exact():
     last = cache.stats()
     assert last["product_misses"] == 2 * pairs
     assert last["product_entries"] == 2 * stats["product_entries"]
+    assert last["outcome_entries"] == 2 * stats["outcome_entries"]
+    assert last["outcome_hits"] == after["outcome_hits"]
     assert last["successor_misses"] == stats["successor_misses"]
     assert last["successor_hits"] == stats["successor_hits"] + explored
     assert last["label_misses"] == stats["label_misses"]
     assert last["label_hits"] == stats["label_hits"] + labelled
-    assert last["entries"] == stats["entries"] + stats["product_entries"]
+    assert last["entries"] == stats["entries"] + stats["product_entries"] + (
+        stats["outcome_entries"]
+    )
     assert _label_events(tracer) == (0, labelled)
 
     prop = store()
@@ -1329,6 +1404,7 @@ def test_counts_are_exact():
     assert (pstats["successor_hits"], pstats["successor_misses"]) == (0, 0)
     assert (pstats["label_hits"], pstats["label_misses"]) == (0, 0)
     assert (pstats["product_hits"], pstats["product_misses"]) == (0, 0)
+    assert (pstats["outcome_hits"], pstats["outcome_entries"]) == (0, 0)
 
     # a cap that holds either database's graph but not both: from cold,
     # each call after the first evicts the other database, once
@@ -1344,8 +1420,9 @@ def test_counts_are_exact():
         ccache._graphs[(dbs[1], frozenset())]
     )
     assert cstats["product_entries"] == products[1]
+    assert cstats["outcome_entries"] == outcomes[1]
     assert cstats["successor_misses"] + cstats["label_misses"] == (
-        2 * (sum(sizes) - sum(products))
+        2 * (sum(sizes) - sum(products) - sum(outcomes))
     )
 
 

@@ -622,6 +622,69 @@ def test_walk_enters_enabled_destinations_in_order():
     assert charges == first_calls == [0, 2, 3, 1]
 
 
+class _Strike(Exception):
+    """A budget strike, raised by a charge."""
+
+
+def test_struck_or_violating_search_keeps_no_outcome():
+    """Only a search that ends clean keeps its outcome.  System 0 -> 1
+    -> 2 -> 2, with ``p`` true at 1 only.  Büchi state 0 loops on
+    anything and moves to accepting state 1 on ``p``; state 1 moves to
+    itself on ``q``.  The walk charges 0, meets the accepting transition
+    at 1 and hands over; the nested DFS charges 1 and 2.  With ``q``
+    false, no lasso: a search struck at the walk's charge or at the
+    nested DFS's first keeps no outcome, so a fresh context searches
+    again; the full search keeps one, which a later context replays.
+    With ``q`` true at 2, the lasso 0, 1, (2): no outcome."""
+    ba = BuchiAutomaton(
+        n_states=2, initial=frozenset({0}), accepting=frozenset({1}),
+        transitions_from=[
+            [BuchiTransition(0, frozenset(), 0),
+             BuchiTransition(0, frozenset({("p", True)}), 1)],
+            [BuchiTransition(1, frozenset({("q", True)}), 1)],
+        ],
+    )
+    succ = {0: (1,), 1: (2,), 2: (2,)}
+
+    def context(product, q_at, strike_at=None):
+        charges: list = []
+
+        def charge(sid):
+            charges.append(sid)
+            if len(charges) == strike_at:
+                raise _Strike(sid)
+
+        def bits(s, a):
+            return int(s == 1) if a == "p" else int(s == q_at)
+
+        return ProductSearch(product, succ.__getitem__, bits, charge), charges
+
+    product = CompiledProduct(ba, [0], 0b1)
+    for strike_at, where in ((1, "walk"), (2, "nested DFS")):
+        search, charges = context(product, None, strike_at)
+        with pytest.raises(_Strike):
+            search.search(0b1)
+        assert search.nested == (where == "nested DFS"), where
+        assert charges == [0, 1][:strike_at]
+        assert product.outcomes == {}, where
+    search, charges = context(product, None)
+    assert search.search(0b1) == (None, 0b1)
+    assert (search.nested, search.replayed, charges) == (1, 0, [0, 1, 2])
+    assert list(product.outcomes[0b1][1]) == [0, 1, 2]
+    search, charges = context(product, None)
+    assert search.search(0b1) == (None, 0b1)
+    assert (search.nested, search.replayed, charges) == (0, 1, [0, 1, 2])
+
+    violating = CompiledProduct(ba, [0], 0b1)
+    search, charges = context(violating, 2)
+    lasso, dominated = search.search(0b1)
+    assert (lasso.states, lasso.loop_index, dominated) == ([0, 1, 2], 2, None)
+    assert violating.outcomes == {}
+    search, charges = context(violating, 2)
+    assert search.search(0b1)[0] == lasso
+    assert (search.nested, search.replayed) == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # LTL-FO sentences
 # ---------------------------------------------------------------------------
