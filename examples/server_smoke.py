@@ -17,7 +17,17 @@ registers every spec under ``examples/specs/``, then for each one:
    outcome for, and keep no new one (``outcome_hits``,
    ``outcome_entries``); at least one spec's repeat must replay.  The
    repeat's verdict, counterexample and stats must equal the first
-   request's.
+   request's;
+5. POSTs ``ctl: "AG !ERROR"`` with the same options (their
+   ``max_snapshots`` also caps the Kripke structure's states) and diffs
+   verdict, holds flag and procedure with a direct run on a fresh
+   service; the Kripke builder steps through the explored graph the
+   LTL-FO requests filled, so at least one spec's CTL request must read
+   successor sets they stored (``successor_hits``).  Its repeat must
+   step and label nothing and build no structure again (no successor,
+   label or Kripke miss; a build the state cap struck keeps no
+   structure, so its repeat misses once and reads every successor set
+   the first stepped) and return the same result.
 
 Exit code 0 when everything matches; 1 with a diff otherwise.  This is
 what CI's ``server-smoke`` job runs.
@@ -76,7 +86,10 @@ def wait_for_boot(base: str, proc, deadline_s: float = 30.0) -> None:
     raise SystemExit("daemon did not come up in time")
 
 
-def direct_verify(spec_path: Path) -> dict:
+def direct_verify(spec_path: Path, ctl: str | None = None) -> dict:
+    """The result of ``G !ERROR``, or of the CTL formula ``ctl``, on a
+    fresh service, as the daemon renders it."""
+    from repro.ctl.parser import parse_ctl
     from repro.io import load_service
     from repro.ltl.parser import parse_ltlfo
     from repro.server.app import _fold_budget
@@ -84,14 +97,73 @@ def direct_verify(spec_path: Path) -> dict:
     from repro.verifier import verify
 
     service = load_service(spec_path)
-    prop = parse_ltlfo(
-        "G !ERROR",
-        input_constants=service.schema.input_constants,
-        db_constants=service.schema.database.constants,
-    )
+    if ctl is not None:
+        prop = parse_ctl(ctl)
+    else:
+        prop = parse_ltlfo(
+            "G !ERROR",
+            input_constants=service.schema.input_constants,
+            db_constants=service.schema.database.constants,
+        )
     opts = _fold_budget(dict(VERIFY_OPTIONS))
     result = verify(service, prop, force=True, **opts)
     return result_to_dict(result, service)
+
+
+def check_ctl(
+    base: str, spec_path: Path, sid: str, payload: dict
+) -> tuple[int, int]:
+    """``AG !ERROR`` over the graph the spec's LTL-FO requests explored:
+    parity with a direct run, and a repeat that explores nothing.  The
+    number of failures, and the successor sets the first CTL request
+    read from the graph."""
+    ctl_payload = {key: value for key, value in payload.items()
+                   if key != "ltl"}
+    ctl_payload.update(ctl="AG !ERROR", wait=True)
+    results, stats = [], []
+    for _ in range(2):
+        status, before = request(base, "GET", f"/specs/{sid}")
+        assert status == 200, before
+        status, body = request(base, "POST", "/verify", ctl_payload)
+        assert status == 200, body
+        status, after = request(base, "GET", f"/specs/{sid}")
+        assert status == 200, after
+        results.append(body["result"])
+        stats.append({
+            key: after["exploration"][key] - before["exploration"][key]
+            for key in ("successor_hits", "successor_misses",
+                        "label_misses", "kripke_misses")
+        })
+    served, repeat = results
+    first, again = stats
+    expected = direct_verify(spec_path, ctl="AG !ERROR")
+    diffs = [field for field in ("verdict", "holds", "procedure")
+             if served.get(field) != expected.get(field)]
+    if diffs:
+        print(f"FAIL {spec_path.name}: CTL served != direct on {diffs}")
+        print("  served:  ", {d: served.get(d) for d in diffs})
+        print("  expected:", {d: expected.get(d) for d in diffs})
+        return 1, 0
+    shared = first["successor_hits"]
+    # a build the state cap struck keeps no structure: its repeat
+    # builds again, reading every successor set the first stepped
+    struck = served["stats"].get("interrupted_by") == "max_states"
+    rebuilt = again["kripke_misses"] != (1 if struck else 0)
+    if again["successor_misses"] or again["label_misses"] or rebuilt:
+        print(f"FAIL {spec_path.name}: CTL repeat explored again ({again})")
+        return 1, shared
+    changed = [field for field in ("verdict", "holds", "procedure", "stats")
+               if repeat.get(field) != served.get(field)]
+    if changed:
+        print(f"FAIL {spec_path.name}: CTL repeat returned another "
+              f"{changed}")
+        return 1, shared
+    print(f"ok   {spec_path.name}: AG !ERROR verdict={served['verdict']} "
+          f"(parity; read {shared} of "
+          f"{shared + first['successor_misses']} successor sets from the "
+          "LTL-FO requests' graph; repeat "
+          f"{'rebuilt from the graph' if struck else 'cached'})")
+    return 0, shared
 
 
 def main() -> int:
@@ -106,6 +178,7 @@ def main() -> int:
     )
     failures = 0
     replays = 0
+    shared = 0  # successor sets CTL requests read from LTL-FO's graphs
     try:
         wait_for_boot(base, proc)
 
@@ -215,8 +288,16 @@ def main() -> int:
                       f"{delta['outcome_hits']} searches replayed, "
                       f"same result)")
 
+            failed, read = check_ctl(base, spec_path, sid, payload)
+            failures += failed
+            shared += read
+
         if not replays:
             print("FAIL: no repeat request replayed a kept search")
+            failures += 1
+        if not shared:
+            print("FAIL: no CTL request read a successor set an LTL-FO "
+                  "request stored")
             failures += 1
         status, stats = request(base, "GET", "/healthz")
         print("registry stats:", stats["registry"])

@@ -7,6 +7,9 @@ values.
 
 A structure numbers its states once, when it is built: state ``i`` is
 ``states[i]``, and successors, predecessors and labels are stored by id.
+A caller that explored the states by number hands the structure its
+numbering (:meth:`KripkeStructure.from_ids`), so no state is hashed
+until a state-keyed query asks for one.
 Sets of states are then int bitsets (bit ``i`` is state ``i``), the
 representation :mod:`repro.ctl.modelcheck` labels with; :func:`to_flags`
 and :func:`to_mask` convert between a bitset and a ``bytearray``
@@ -54,12 +57,17 @@ class KripkeStructure:
     labels:
         Mapping from state to the set of propositions true there.
 
-    ``index`` maps a state to its id; ``succ_ids[i]`` and
-    ``pred_ids[i]`` are the ids of state ``i``'s successors and
-    predecessors, in state order.  A structure is immutable except for
-    its memo of proposition masks (:meth:`prop_mask`), whose entries are
-    each written once, as a complete int, so threads may label one
-    structure at once.
+    The constructor numbers the states in order and validates the
+    relation; :meth:`from_ids` takes a numbering its caller already
+    made, and both build the structure in one core.  State ``i`` is
+    ``states[i]``; ``initial_ids`` are the initial states' ids, and
+    ``succ_ids[i]`` and ``pred_ids[i]`` the ids of state ``i``'s
+    successors and predecessors, predecessors in state order.
+    ``index`` maps a state to its id; it is built when a state-keyed
+    query (:meth:`successors`, :meth:`label`, :meth:`holds`) first
+    needs it.  A structure is immutable except for ``index`` and its
+    memo of proposition masks (:meth:`prop_mask`), each written once,
+    whole, so threads may label one structure at once.
     """
 
     def __init__(
@@ -72,15 +80,12 @@ class KripkeStructure:
         index: dict[State, int] = {}
         for s in states:
             index.setdefault(s, len(index))
-        self.index = index
-        self.states: list[State] = list(index)
-        self.initial: frozenset[State] = frozenset(initial)
-        if not self.initial <= index.keys():
-            missing = self.initial - index.keys()
+        initial = frozenset(initial)
+        if not initial <= index.keys():
+            missing = initial - index.keys()
             raise ValueError(f"initial states not in state set: {sorted(missing, key=repr)}")
         succ_ids: list[tuple[int, ...]] = []
-        preds: list[list[int]] = [[] for _ in self.states]
-        for s, i in index.items():
+        for s in index:
             succs = tuple(edges.get(s, ()))
             if not succs:
                 raise ValueError(
@@ -89,21 +94,61 @@ class KripkeStructure:
                 )
             try:
                 # dedupe ids, not states: an int hashes cheaper than a state
-                out = tuple(dict.fromkeys([index[t] for t in succs]))
+                succ_ids.append(tuple(dict.fromkeys([index[t] for t in succs])))
             except KeyError:
                 bad = [t for t in dict.fromkeys(succs) if t not in index]
                 raise ValueError(f"successors of {s!r} not in state set: {bad}") from None
-            succ_ids.append(out)
+        self._build(
+            list(index), sorted(index[s] for s in initial), succ_ids,
+            [labels.get(s, ()) for s in index],
+        )
+        self._index = index
+
+    @classmethod
+    def from_ids(
+        cls,
+        states: list[State],
+        initial_ids: Iterable[int],
+        succ_ids: Iterable[tuple[int, ...]],
+        labels: Iterable[Iterable[Proposition]],
+    ) -> "KripkeStructure":
+        """The structure whose state ``i`` is ``states[i]``, with
+        successor-id tuples ``succ_ids`` (each non-empty, without
+        duplicates) and labels by id.  Nothing is validated and no state
+        is hashed: the caller numbered the states."""
+        kripke = cls.__new__(cls)
+        kripke._build(states, initial_ids, succ_ids, labels)
+        return kripke
+
+    def _build(self, states, initial_ids, succ_ids, labels) -> None:
+        self.states: list[State] = states
+        self.initial_ids: tuple[int, ...] = tuple(initial_ids)
+        self.succ_ids: tuple[tuple[int, ...], ...] = tuple(succ_ids)
+        preds: list[list[int]] = [[] for _ in states]
+        for i, out in enumerate(self.succ_ids):
             for j in out:
                 preds[j].append(i)
-        self.succ_ids: tuple[tuple[int, ...], ...] = tuple(succ_ids)
         self.pred_ids: tuple[tuple[int, ...], ...] = tuple(map(tuple, preds))
-        self._labels: list[frozenset[Proposition]] = [
-            frozenset(labels.get(s, ())) for s in self.states
-        ]
+        self._labels: list[frozenset[Proposition]] = list(map(frozenset, labels))
         self._masks: dict[Proposition, int] = {}
+        self._index: dict[State, int] | None = None
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def index(self) -> dict[State, int]:
+        """State -> id, built on first use."""
+        index = self._index
+        if index is None:
+            index = {s: i for i, s in enumerate(self.states)}
+            self._index = index
+        return index
+
+    @property
+    def initial(self) -> frozenset[State]:
+        """The initial states."""
+        states = self.states
+        return frozenset([states[i] for i in self.initial_ids])
 
     def successors(self, state: State) -> tuple[State, ...]:
         """The successors of a state (never empty)."""
@@ -148,5 +193,5 @@ class KripkeStructure:
     def __repr__(self) -> str:
         return (
             f"KripkeStructure({self.n_states} states, {self.n_edges} edges, "
-            f"{len(self.initial)} initial)"
+            f"{len(self.initial_ids)} initial)"
         )

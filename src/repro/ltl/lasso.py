@@ -108,4 +108,10 @@ def eval_on_lasso(
         cache[f] = result
         return result
 
-    return labels(formula)[0]
+    try:
+        return labels(formula)[0]
+    finally:
+        # ``labels`` refers to itself through its closure cell; dropping
+        # it frees ``atom_eval`` and the cache now, not when the cycle
+        # collector next runs
+        del labels

@@ -39,7 +39,8 @@ their hash) and equality checks usually short-circuit on identity.
 :class:`ExplorationCache` (``CompiledService.exploration``) keeps what
 the verifiers explored per (database, extra domain) — snapshots
 numbered once, successor-id tuples keyed by snapshot id and the sigma a
-step from it reads, the LTL-FO labeller's atom label bitsets, the
+step from it reads (which every procedure steps through), the LTL-FO
+labeller's atom label bitsets, the
 LTL-FO search's compiled Büchi products with the outcomes of their
 clean searches, and completed Kripke structures — so later calls over
 the same service object read the graph instead of stepping, labelling,
@@ -316,12 +317,13 @@ class SnapshotInterner:
 
 
 #: Cap on the explored-graph entries one service retains: a successor-id
-#: tuple, a label bitset, a Kripke state, and a compiled product and each
-#: successor tuple, enable-mask tuple and search outcome it keeps count
-#: one.  At the sizes measured on the benchmark workloads (EXPERIMENTS,
-#: E20, E23 and E24: about 1 KB per Kripke state, 0.24 KB per LTL graph
-#: entry, 26 B per product entry), a full cache holds at most some 68 MB,
-#: and some 16 MB of LTL entries.
+#: tuple, a label bitset, a completed Kripke structure (whose build also
+#: charged each successor tuple it stored), and a compiled product and
+#: each successor tuple, enable-mask tuple and search outcome it keeps
+#: count one.  At the sizes measured on the benchmark workloads
+#: (EXPERIMENTS, E23, E24 and E29: about 1.3 KB per entry of a Kripke
+#: build, 0.24 KB per LTL graph entry, 26 B per product entry), a full
+#: cache holds at most some 87 MB, and some 16 MB of LTL entries.
 EXPLORATION_CACHE_ENTRIES = 1 << 16
 
 
@@ -332,7 +334,8 @@ class ExploredGraph:
     is snapshot ``sid`` and ``ids`` maps it back.  ``successor_ids``
     maps ``(sid, sigma restricted to what a step from it reads)`` (see
     :meth:`~repro.service.runs.RunContext.step_sigma`) to the
-    successors' ids; ``labels`` maps a label key to a ``sid -> bitset``
+    successors' ids, for the LTL-FO search, the error-freeness BFS and
+    the Kripke builder alike; ``labels`` maps a label key to a ``sid -> bitset``
     dict (see :meth:`ExplorationCache.label_memo`); ``products`` maps a
     product key to a kept :class:`~repro.ltl.buchi.CompiledProduct`
     (see :meth:`ExplorationCache.product`), ``product_entries`` counts
@@ -342,7 +345,8 @@ class ExploredGraph:
     :meth:`ExplorationCache.store_outcome`); ``structure`` is
     ``(structure, n_initial)`` once a
     :func:`~repro.verifier.branching.build_snapshot_kripke` call over
-    the pair completed.  All are only ever added to, and what they hold
+    the pair completed, its states ``(sid, sigma)`` pairs over these
+    ids.  All are only ever added to, and what they hold
     is immutable once written.  ``size`` counts the entries charged to
     the cap;
     ``retained`` turns False when the cache drops the graph, after which
@@ -589,11 +593,12 @@ class ExplorationCache:
         self, graph: ExploredGraph, structure: "KripkeStructure",
         n_initial: int,
     ) -> None:
-        """Keep a completed structure with its initial-state count."""
+        """Keep a completed structure with its initial-state count, as
+        one entry: its build charged each successor tuple it stored."""
         with self._lock:
             if graph.structure is None:
                 graph.structure = (structure, n_initial)
-                self._grow(graph, structure.n_states)
+                self._grow(graph, 1)
 
     def _grow(self, graph: ExploredGraph, n: int) -> None:
         """Charge ``n`` new entries of ``graph``, then restore the cap."""

@@ -253,7 +253,7 @@ class RunContext:
         snapshot reads none of it.  The pairs sort by the distinct
         constant names alone, so mixed-type values are never compared.
         """
-        if snap.is_error or snap.pending_error:
+        if not self.sigma or snap.is_error or snap.pending_error:
             return ()
         key = (snap.page, snap.provided_before)
         found = self._step_sigmas.get(key)

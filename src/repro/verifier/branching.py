@@ -11,7 +11,13 @@ Kripke structure for each, and model check.
 Unlike the linear-time case, user-supplied input constants *branch
 inside one structure*: two continuations of the same run may provide
 different values.  The Kripke states are therefore (snapshot, sigma)
-pairs, with sigma growing as pages request constants.
+pairs, with sigma growing as pages request constants.  The snapshot is
+an id of the explored graph the service's exploration cache keeps for
+the database (:class:`~repro.service.compiled.ExploredGraph`), the
+graph the LTL-FO search and the error-freeness BFS read and fill: the
+builder reads every successor set there, or steps it and stores it
+there, so a spec checked under several logics steps each snapshot and
+scoped sigma once.
 
 Propositional labels on a configuration follow §4: the current page
 symbol; every true propositional state/action/input symbol; and a ground
@@ -38,15 +44,19 @@ from repro.obs import Tracer
 from repro.ctl.modelcheck import satisfying_states
 from repro.ctl.syntax import StateFormula, ctl_size, is_ctl
 from repro.schema.database import Database
-from repro.schema.instances import Instance
 from repro.service.classify import ServiceClass, classify
 from repro.service.runs import (
     RunContext,
     Snapshot,
     deterministic_step,
-    error_snapshot,
+    initial_snapshots,
+    successors,
 )
-from repro.service.compiled import SnapshotInterner, compiled_service
+from repro.service.compiled import (
+    ExploredGraph,
+    SnapshotInterner,
+    compiled_service,
+)
 from repro.service.webservice import WebService
 from repro.verifier.budget import Budget, Checkpoint
 from repro.verifier.engine import (  # noqa: F401 - historical home, re-exported
@@ -72,7 +82,6 @@ from repro.verifier.results import (
 
 Value = Hashable
 SigmaItems = tuple  # sorted tuple of (constant, value) pairs
-KripkeState = tuple  # (Snapshot, SigmaItems)
 
 #: The run-tree root (the empty prefix of Appendix A.2): CTL(*) sentences
 #: are evaluated here, one step above the first configurations.
@@ -88,24 +97,34 @@ def build_snapshot_kripke(
 ) -> KripkeStructure:
     """The configuration Kripke structure of one database (Lemma A.12).
 
+    State 0 is :data:`ROOT_STATE`; every other state is a pair ``(sid,
+    sigma)``: ``sid`` numbers a snapshot in the service's explored graph
+    of ``(database, extra domain)``, and ``sigma`` is the sorted tuple of
+    the ``(constant, value)`` pairs provided on the way there.  While
+    the exploration cache holds that graph, the state's configuration is
+    ``graph.snapshots[sid]`` under ``sigma``, with ``graph`` the result
+    of ``compiled.exploration.open(database,
+    compiled.extra_domain(extra_domain))`` for ``compiled =
+    compiled_service(service)``.
+
     The structure depends only on the service, the database and the
-    extra domain, so a completed one is kept in the service's
-    exploration cache and served to later calls.  A served structure
-    replays the construction's state charges in construction order, so
-    a budget strikes at the same state either way.  A blown state
-    budget or deadline raises :class:`VerificationBudgetExceeded` with
-    the partial exploration stats attached; nothing is kept then.
+    extra domain, so a completed one is kept in the graph and served to
+    later calls.  A served structure replays the construction's state
+    charges in construction order, so a budget strikes at the same state
+    either way.  A blown state budget or deadline raises
+    :class:`VerificationBudgetExceeded` with the partial exploration
+    stats attached; the graph then keeps the successor sets the build
+    stored, and no structure.
     """
     gov = Budget.ensure(budget, max_states=max_states)
     gov.begin_structure()
     build_started = time.monotonic()
     compiled = compiled_service(service)
-    extra = compiled.extra_domain(extra_domain)
     exploration = compiled.exploration
-    graph = exploration.open(database, extra)
+    graph = exploration.open(database, compiled.extra_domain(extra_domain))
     stored = exploration.kripke(graph)
     if stored is None:
-        kripke, n_initial = _construct_kripke(service, database, extra, gov)
+        kripke, n_initial = _construct_kripke(service, database, graph, gov)
         exploration.store_kripke(graph, kripke, n_initial)
     else:
         kripke, n_initial = stored
@@ -140,29 +159,57 @@ def _replay_charges(gov: Budget, n_initial: int, n_states: int) -> None:
         raise
 
 
+class _Branch:
+    """One sigma of a build: its run context, the constants it provides,
+    and the ids of its states by snapshot id."""
+
+    __slots__ = ("sigma", "ctx", "provided", "ids")
+
+    def __init__(self, sigma: SigmaItems, ctx: RunContext) -> None:
+        self.sigma = sigma
+        self.ctx = ctx
+        self.provided = frozenset(ctx.sigma)
+        self.ids: dict[int, int] = {}
+
+
 def _construct_kripke(
-    service: WebService, database: Database, extra_domain: frozenset,
+    service: WebService, database: Database, graph: ExploredGraph,
     gov: Budget,
 ) -> tuple[KripkeStructure, int]:
-    """Build the structure, charging ``gov`` per state; the structure
-    and its number of initial states."""
-    contexts: dict[SigmaItems, RunContext] = {}
-    # One interner for the whole structure: Kripke states of different
-    # sigmas frequently share snapshots, and interning across the run
-    # contexts collapses them to one object (hash once, compare by
-    # identity) — which also makes the per-snapshot label cache below a
-    # near-pure identity lookup.
-    interner = SnapshotInterner()
+    """Build the structure over ``graph``'s snapshot ids, charging
+    ``gov`` per state; the structure and its number of initial states.
 
-    def ctx_for(sig: SigmaItems) -> RunContext:
-        ctx = contexts.get(sig)
-        if ctx is None:
-            ctx = RunContext(
+    A depth-first search over states ``(sid, sigma)``, numbered in
+    discovery order after the root.  Every successor set is read from,
+    or stepped into, the graph through
+    :meth:`~repro.service.compiled.ExplorationCache.successor_ids`, the
+    store the LTL-FO search and the error-freeness BFS read and fill.
+    Sigma grows only where a step enters a page requesting a constant
+    sigma lacks: that step is taken once under sigma, and the page is
+    entered under each extension of sigma by a value per new constant,
+    whose successor key (the snapshot and the extension within the
+    step's scope) it shares with any sigma agreeing there.
+    """
+    compiled = compiled_service(service)
+    exploration = compiled.exploration
+    extra_domain = graph.key[1]
+    snapshots = graph.snapshots
+    step_constants = {
+        name: page.step_constants for name, page in compiled.pages.items()
+    }
+    # One interner for the build: the sigmas' run contexts step into
+    # the same instances and snapshots.
+    interner = SnapshotInterner()
+    branches: dict[SigmaItems, _Branch] = {}
+
+    def branch(sig: SigmaItems) -> _Branch:
+        found = branches.get(sig)
+        if found is None:
+            found = branches[sig] = _Branch(sig, RunContext(
                 service, database, sigma=dict(sig),
                 extra_domain=extra_domain, interner=interner,
-            )
-            contexts[sig] = ctx
-        return ctx
+            ))
+        return found
 
     n_constants = len(service.schema.input_constants)
     # Fresh values must be disjoint from the database domain: a domain
@@ -171,111 +218,104 @@ def _construct_kripke(
     fresh, _prefix = fresh_value_pool(database, n_constants)
     candidates = sorted(database.domain, key=repr) + fresh
 
-    def constant_assignments(
-        sig: SigmaItems, page_constants: Iterable[str]
-    ) -> list[SigmaItems]:
-        have = dict(sig)
-        new = [c for c in page_constants if c not in have]
+    def extensions(br: _Branch, page_constants: Iterable[str]) -> list[_Branch]:
+        """``br`` extended by a value for each constant of the page it
+        lacks, in every way."""
+        new = [c for c in page_constants if c not in br.provided]
         if not new:
-            return [sig]
+            return [br]
         out = []
         for combo in itertools.product(candidates, repeat=len(new)):
-            merged = dict(have)
+            merged = dict(br.sigma)
             merged.update(zip(new, combo))
-            out.append(tuple(sorted(merged.items())))
+            out.append(branch(tuple(sorted(merged.items()))))
         return out
 
-    # The (snapshot, σ₂) pairs entered per step outcome and σ, for this
-    # build: equal outcomes share one tuple of pairs and its pair objects.
-    pairs: dict[tuple, tuple[KripkeState, ...]] = {}
+    successor_ids = exploration.successor_ids
 
-    def entries_for(
-        page_name: str,
-        state,
-        prev,
-        actions,
-        provided_before: frozenset[str],
-        sig: SigmaItems,
-    ) -> tuple[KripkeState, ...]:
-        key = (page_name, state, prev, actions, provided_before, sig)
-        found = pairs.get(key)
-        if found is None:
-            assignments = constant_assignments(
-                sig, service.page(page_name).input_constants
-            )
-            found = pairs[key] = tuple(
-                (snap, sig2)
-                for sig2 in assignments
-                for snap in ctx_for(sig2).next_snapshots(
-                    page_name, state, prev, actions, provided_before
-                )
-            )
-        return found
-
-    def branch_successors(node: KripkeState) -> tuple[KripkeState, ...]:
-        snap, sig = node
-        if snap.is_error:
-            return (node,)
-        ctx = ctx_for(sig)
-        if snap.pending_error:
-            return ((ctx.interner.snapshot(error_snapshot(service)), sig),)
-        step = deterministic_step(ctx, snap)
+    def entered(sid: int, snap: Snapshot, br: _Branch) -> list[tuple]:
+        """The successor sets of ``(sid, br)`` by extension of ``br``,
+        for a snapshot whose step may enter a page requesting a constant
+        ``br`` lacks: the step is taken once, under ``br``."""
+        step = deterministic_step(br.ctx, snap)
         if step.error:
-            return ((ctx.interner.snapshot(error_snapshot(service)), sig),)
-        return entries_for(
-            step.next_page, step.next_state, step.next_prev, step.next_actions,
-            step.gamma, sig,
-        )
+            return [(br, successor_ids(graph, br.ctx, sid, successors))]
 
-    empty = Instance.empty()
-    initial = entries_for(service.home, empty, empty, empty, frozenset(), ())
+        def enter(ctx: RunContext, _snap: Snapshot) -> list[Snapshot]:
+            return list(ctx.next_snapshots(
+                step.next_page, step.next_state, step.next_prev,
+                step.next_actions, step.gamma,
+            ))
 
-    states: list[KripkeState] = []
-    edges: dict[KripkeState, tuple[KripkeState, ...]] = {}
-    seen: set[KripkeState] = set(initial)
-    n_initial = len(seen)
-    frontier = list(initial)
-    states.extend(initial)
+        return [
+            (br2, successor_ids(graph, br2.ctx, sid, enter))
+            for br2 in extensions(
+                br, service.page(step.next_page).input_constants
+            )
+        ]
+
+    states: list = [ROOT_STATE]
+    branch_of: list[_Branch | None] = [None]  # each state's sigma
+    initial: list[int] = []
+    for br in extensions(branch(()), service.page(service.home).input_constants):
+        ids = br.ids
+        for sid in exploration.number(graph, initial_snapshots(br.ctx)):
+            if sid not in ids:
+                ids[sid] = len(states)
+                initial.append(len(states))
+                states.append((sid, br.sigma))
+                branch_of.append(br)
+    n_initial = len(initial)
+    succ_ids: list = [tuple(initial)] + [None] * n_initial
+    stack = list(initial)
     try:
         gov.charge_state(n_initial)
-        while frontier:
-            node = frontier.pop()
-            nexts = branch_successors(node)
-            edges[node] = nexts
-            for nxt in nexts:
-                if nxt not in seen:
-                    gov.charge_state()
-                    seen.add(nxt)
-                    states.append(nxt)
-                    frontier.append(nxt)
+        while stack:
+            state = stack.pop()
+            br = branch_of[state]
+            sid = states[state][0]
+            snap = snapshots[sid]
+            if (snap.is_error or snap.pending_error
+                    or step_constants[snap.page] <= br.provided):
+                groups = ((br, successor_ids(graph, br.ctx, sid, successors)),)
+            else:
+                groups = entered(sid, snap, br)
+            out = []
+            for to, sids in groups:
+                ids = to.ids
+                for nsid in sids:
+                    nxt = ids.get(nsid)
+                    if nxt is None:
+                        gov.charge_state()
+                        nxt = ids[nsid] = len(states)
+                        states.append((nsid, to.sigma))
+                        branch_of.append(to)
+                        succ_ids.append(None)
+                        stack.append(nxt)
+                    out.append(nxt)
+            # a successor set holds distinct snapshots, and distinct
+            # sigmas make distinct states: ``out`` has no duplicate
+            succ_ids[state] = tuple(out)
     except VerificationBudgetExceeded as exc:
-        exc.stats.setdefault("kripke_states", len(seen))
+        exc.stats.setdefault("kripke_states", len(states) - 1)
         raise
 
-    # §4 labelling depends only on the snapshot component, and the
-    # shared interner collapsed equal snapshots across sigmas — label
-    # each distinct snapshot once instead of once per Kripke state.
-    label_cache: dict[Snapshot, frozenset] = {}
-    labels: dict[KripkeState, frozenset] = {}
-    for node in states:
-        snap = node[0]
-        lab = label_cache.get(snap)
+    # §4 labelling depends only on the snapshot: label each sid once.
+    by_sid: dict[int, frozenset] = {}
+    labels: list[frozenset] = [frozenset()]
+    for sid, _sig in itertools.islice(states, 1, None):
+        lab = by_sid.get(sid)
         if lab is None:
-            lab = _labels(service, node)
-            label_cache[snap] = lab
-        labels[node] = lab
+            lab = by_sid[sid] = _labels(snapshots[sid])
+        labels.append(lab)
     # The run tree of Appendix A.2 is rooted at the *empty prefix*; CTL(*)
     # sentences are evaluated there (the Theorem 4.2 proof's EX steps to
-    # the first configuration).  Model the root explicitly.
-    states.insert(0, ROOT_STATE)
-    edges[ROOT_STATE] = initial
-    labels[ROOT_STATE] = frozenset()
-    return KripkeStructure(states, [ROOT_STATE], edges, labels), n_initial
+    # the first configuration).  State 0 models the root explicitly.
+    return KripkeStructure.from_ids(states, (0,), succ_ids, labels), n_initial
 
 
-def _labels(service: WebService, node: KripkeState) -> frozenset:
+def _labels(snap: Snapshot) -> frozenset:
     """§4 propositional labelling of one configuration."""
-    snap, _sig = node
     out: set = {snap.page}
     if snap.is_error:
         return frozenset(out)

@@ -319,63 +319,70 @@ def _check_ltlfo_unit(
         stats["snapshots_explored"] += 1
         gov.charge_snapshot()
 
-    for sigma_index, sigma in unit.sigmas:
-        gov.begin_pair()
-        stats["sigmas_checked"] += 1
-        ctx = RunContext(
-            service, db, sigma=sigma, extra_domain=literals, interner=interner
-        )
-        graph = exploration.open(db, ctx.extra_domain)
-        block = ValuationBlock(sentence.variables, sorted(
-            set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
-            key=repr,
-        ))
-        product = exploration.product(
-            graph, (property_key, block.key(), frozenset(sigma.items())),
-            lambda: CompiledProduct(
-                ba, exploration.number(graph, initial_snapshots(ctx)),
-                block.all_mask,
-            ),
-        )
-        labeller = _GraphLabeller(ctx, exploration, graph, block)
-
-        def succ(sid: int, _ctx=ctx, _graph=graph) -> tuple[int, ...]:
-            # Asked once per snapshot the product does not keep yet.  A
-            # graph miss steps through this module's ``successors``.
-            return exploration.successor_ids(_graph, _ctx, sid, successors)
-
-        search = ProductSearch(
-            product, succ, labeller.label_bits, charge,
-            partial(exploration.store_product, graph),
-            partial(exploration.store_outcome, graph),
-        )
-        valuations = stats["valuations_checked"]
-        try:
-            found = _search_product(search, block, gov, stats)
-        finally:
-            # an outcome read counts, struck or not, as a product hit does
-            exploration.outcome_hits += search.replayed
-        bits_computed += labeller.computed
-        bits_shared += labeller.hits
-        searches += search.searches
-        nested += search.nested
-        replayed += search.replayed
-        covered += stats["valuations_checked"] - valuations - search.searches
-        if found is not None:
-            lasso, valuation = found
-            snapshots = [graph.snapshots[sid] for sid in lasso.states]
-            run = Run(db, dict(sigma), snapshots, lasso.loop_index)
-            detail: dict = {"run": run, "database": db}
-            if spec.payload.get("confirm", True):
-                detail["confirmed"] = not _violation_confirmed_holds(
-                    sentence, run, service, ctx, valuation
-                )
-            emit_counts()
-            return UnitOutcome(
-                unit.db_index, sigma_index, VIOLATED, stats=stats, detail=detail
+    try:
+        for sigma_index, sigma in unit.sigmas:
+            gov.begin_pair()
+            stats["sigmas_checked"] += 1
+            ctx = RunContext(
+                service, db, sigma=sigma, extra_domain=literals,
+                interner=interner,
             )
-    emit_counts()
-    return UnitOutcome(*unit.cursor, CLEAN, stats=stats)
+            graph = exploration.open(db, ctx.extra_domain)
+            block = ValuationBlock(sentence.variables, sorted(
+                set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
+                key=repr,
+            ))
+            product = exploration.product(
+                graph, (property_key, block.key(), frozenset(sigma.items())),
+                lambda: CompiledProduct(
+                    ba, exploration.number(graph, initial_snapshots(ctx)),
+                    block.all_mask,
+                ),
+            )
+            labeller = _GraphLabeller(ctx, exploration, graph, block)
+
+            def succ(sid: int, _ctx=ctx, _graph=graph) -> tuple[int, ...]:
+                # Asked once per snapshot the product does not keep yet.  A
+                # graph miss steps through this module's ``successors``.
+                return exploration.successor_ids(_graph, _ctx, sid, successors)
+
+            search = ProductSearch(
+                product, succ, labeller.label_bits, charge,
+                partial(exploration.store_product, graph),
+                partial(exploration.store_outcome, graph),
+            )
+            valuations = stats["valuations_checked"]
+            try:
+                found = _search_product(search, block, gov, stats)
+            finally:
+                # a struck search counts as a finished one does: an outcome
+                # read as a product hit, and the unit's events
+                exploration.outcome_hits += search.replayed
+                bits_computed += labeller.computed
+                bits_shared += labeller.hits
+                searches += search.searches
+                nested += search.nested
+                replayed += search.replayed
+                covered += (
+                    stats["valuations_checked"] - valuations - search.searches
+                )
+            if found is not None:
+                lasso, valuation = found
+                snapshots = [graph.snapshots[sid] for sid in lasso.states]
+                run = Run(db, dict(sigma), snapshots, lasso.loop_index)
+                detail: dict = {"run": run, "database": db}
+                if spec.payload.get("confirm", True):
+                    detail["confirmed"] = not _violation_confirmed_holds(
+                        sentence, run, service, ctx, valuation
+                    )
+                return UnitOutcome(
+                    unit.db_index, sigma_index, VIOLATED, stats=stats,
+                    detail=detail,
+                )
+        return UnitOutcome(*unit.cursor, CLEAN, stats=stats)
+    finally:
+        # every exit reports the unit's counts, a strike's included
+        emit_counts()
 
 
 class _LtlfoProcedure(Procedure):

@@ -758,6 +758,35 @@ def test_product_searches_event_counts_hand_overs():
     assert violated[-1]["nested"] >= 1
 
 
+def test_struck_unit_emits_its_counts():
+    """A unit whose search strikes reports its ``label.bits`` and
+    ``product.searches`` as a finished unit does, the struck sigma's
+    counts folded in: on E12's registration service, warmed and then
+    capped at 100 snapshots, every ``unit.start`` cursor has one event
+    of each kind, and ``nested + replayed <= searches``."""
+    service = registration()
+    sentence = parse_ltlfo("forall x0, x1: record(x0, x1) B !stored(x0, x1)")
+    warm = verify_ltlfo(service, sentence, domain_size=2, workers=1)
+    assert warm.verdict is Verdict.HOLDS
+    tracer = CollectingTracer()
+    result = verify_ltlfo(
+        service, sentence, domain_size=2, workers=1, tracer=tracer,
+        budget=Budget(max_snapshots=100),
+    )
+    assert result.verdict is Verdict.INCONCLUSIVE
+    by_kind = {
+        kind: [e.cursor for e in tracer.events if e.name == kind]
+        for kind in ("unit.start", "label.bits", "product.searches")
+    }
+    assert len(by_kind["unit.start"]) > 1
+    assert by_kind["label.bits"] == by_kind["unit.start"]
+    assert by_kind["product.searches"] == by_kind["unit.start"]
+    for e in tracer.events:
+        if e.name == "product.searches":
+            fields = e.fields
+            assert fields["nested"] + fields["replayed"] <= fields["searches"]
+
+
 def test_product_searches_event_counts_replays():
     """Each ``product.searches`` event's ``replayed`` counts the unit's
     searches answered from the outcomes its products kept, so ``nested

@@ -50,7 +50,7 @@ from repro.schema import Database
 from repro.schema.instances import Instance
 from repro.schema.symbols import prev_symbol
 from repro.service import ServiceBuilder
-from repro.service.compiled import SnapshotInterner
+from repro.service.compiled import SnapshotInterner, compiled_service
 from repro.service.runs import (
     RunContext,
     Snapshot,
@@ -566,19 +566,37 @@ def _gamma_split_db():
     ids=["propositional", "gamma-split"],
 )
 def test_kripke_matches_memo_free_reference(make):
+    """State ``(sid, σ)`` is the reference's ``(snapshot, σ)`` through
+    the explored graph's numbering: same states in the same order, the
+    same successors in order, and the same labels."""
     service, db = make()
     kripke = build_snapshot_kripke(service, db)
     states, edges, initial = _reference_kripke(service, db)
-    assert kripke.states == [ROOT_STATE] + states
-    assert kripke.successors(ROOT_STATE) == tuple(dict.fromkeys(initial))
-    for node in states:
-        assert kripke.successors(node) == tuple(dict.fromkeys(edges[node]))
-        assert kripke.label(node) == _reference_label(node)
+    compiled = compiled_service(service)
+    snapshots = compiled.exploration.open(db, compiled.extra_domain()).snapshots
+
+    def config(state):
+        if state == ROOT_STATE:
+            return state
+        sid, sig = state
+        return (snapshots[sid], sig)
+
+    assert [config(s) for s in kripke.states] == [ROOT_STATE] + states
+    assert tuple(map(config, kripke.successors(ROOT_STATE))) == tuple(
+        dict.fromkeys(initial)
+    )
+    for state, node in zip(kripke.states[1:], states):
+        assert tuple(map(config, kripke.successors(state))) == tuple(
+            dict.fromkeys(edges[node])
+        )
+        assert kripke.label(state) == _reference_label(node)
     if service.schema.input_constants:
         # the constant branches the structure, and γ splits P's choices
-        sigmas = {sig for _snap, sig in states}
+        sigmas = {sig for _sid, sig in kripke.states[1:]}
         assert len(sigmas) > 2
-        assert any(snap.pending_error for snap, _sig in states)
+        assert any(
+            snapshots[sid].pending_error for sid, _sig in kripke.states[1:]
+        )
 
 
 # ---------------------------------------------------------------------------

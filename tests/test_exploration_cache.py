@@ -63,7 +63,7 @@ from tests.engine_cases import (
     fingerprint,
     load_spec,
 )
-from tests.witness import replay_witness
+from tests.witness import check_ctl_counterexample, replay_witness
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +286,31 @@ def _kripke_fingerprint(kripke) -> dict:
     return {
         "states": [repr(s) for s in kripke.states],
         "edges": [[repr(t) for t in kripke.successors(s)]
+                  for s in kripke.states],
+        "labels": [sorted(map(repr, kripke.label(s))) for s in kripke.states],
+    }
+
+
+def _structure_fingerprint(service, database, kripke, extra=()) -> dict:
+    """:func:`_kripke_fingerprint` with each state ``(sid, σ)`` read as
+    its snapshot in ``service``'s explored graph of ``(database,
+    extra)``, which must still be held: equal for structures that differ
+    only in how their graphs numbered snapshots."""
+    compiled = compiled_service(service)
+    snapshots = compiled.exploration._graphs[
+        (database, compiled.extra_domain(extra))
+    ].snapshots
+
+    def config(state) -> str:
+        if state == ROOT_STATE:
+            return repr(state)
+        sid, sigma = state
+        return repr((snapshots[sid], sigma))
+
+    return {
+        "states": [config(s) for s in kripke.states],
+        "initial": sorted(map(config, kripke.initial)),
+        "edges": [[config(t) for t in kripke.successors(s)]
                   for s in kripke.states],
         "labels": [sorted(map(repr, kripke.label(s))) for s in kripke.states],
     }
@@ -1116,7 +1141,8 @@ def test_stores_wait_for_the_lock():
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert list(cache._graphs) == [("a", frozenset()), ("b", frozenset())]
-    assert cache.stats()["entries"] == 4 + kripke.n_states
+    # one entry per store, a completed structure's included
+    assert cache.stats()["entries"] == 5
     assert (graph.snapshots, graph.ids, memo) == (["s"], {"s": 0}, {0: 5})
     assert graph.products == {"k": product}
     assert product.masks == [None, (3,)]
@@ -1138,10 +1164,12 @@ def product_entries(graph) -> int:
 
 def graph_size(cache: ExplorationCache, key) -> int:
     """The entries ``key``'s graph is charged: one per successor-id
-    tuple, label bitset and Kripke state it holds, its products'
-    entries, and one per clean-search outcome its products keep."""
+    tuple and label bitset it holds, whoever stored it, one for a
+    completed Kripke structure (its build charged the successor tuples
+    it stored), its products' entries, and one per clean-search outcome
+    its products keep."""
     graph = cache._graphs[key]
-    kripke = graph.structure[0].n_states if graph.structure else 0
+    kripke = 1 if graph.structure else 0
     assert graph.product_entries == product_entries(graph)
     assert graph.outcome_entries == sum(
         len(product.outcomes) for product in graph.products.values()
@@ -1400,8 +1428,14 @@ def test_counts_are_exact():
         result = verifier.verify_fully_propositional(prop, formula, workers=1)
     pstats = pcache.stats()
     assert (pstats["kripke_hits"], pstats["kripke_misses"]) == (2, 1)
-    assert pstats["entries"] == result.stats["kripke_states"]
-    assert (pstats["successor_hits"], pstats["successor_misses"]) == (0, 0)
+    # the build stepped the successors of every state but the root once,
+    # into the graph (the store has no constant, so one sigma), and the
+    # kept structure counts one entry more
+    n_states = result.stats["kripke_states"]
+    assert (pstats["successor_hits"], pstats["successor_misses"]) == (
+        0, n_states - 1
+    )
+    assert pstats["entries"] == pstats["successor_misses"] + 1 == n_states
     assert (pstats["label_hits"], pstats["label_misses"]) == (0, 0)
     assert (pstats["product_hits"], pstats["product_misses"]) == (0, 0)
     assert (pstats["outcome_hits"], pstats["outcome_entries"]) == (0, 0)
@@ -1452,6 +1486,9 @@ def test_kripke_hit_replays_the_budget_strike():
 
 
 def test_struck_build_is_not_kept():
+    """A struck build keeps the successor sets it stepped and no
+    structure; the next build reads every one of them, steps the rest,
+    and fingerprints as a cold build, state for state."""
     prop = store()
     ag = parse_ctl("AG EF HP")
     struck = verifier.verify_fully_propositional(
@@ -1459,11 +1496,139 @@ def test_struck_build_is_not_kept():
     )
     assert struck.verdict is Verdict.INCONCLUSIVE
     cache = compiled_service(prop).exploration
-    assert cache.stats()["entries"] == 0
+    database = Database(prop.schema.database)
+    graph = cache._graphs[(database, frozenset())]
+    assert graph.structure is None
+    stepped = len(graph.successor_ids)
+    assert stepped > 0
+    stats = cache.stats()
+    assert stats["entries"] == stats["successor_misses"] == stepped
     full = verifier.verify_fully_propositional(prop, ag, workers=1)
     fresh = verifier.verify_fully_propositional(store(), ag, workers=1)
     assert fingerprint(full) == fingerprint(fresh)
-    assert cache.stats()["kripke_misses"] == 2
+    after = cache.stats()
+    assert after["kripke_misses"] == 2
+    assert after["successor_hits"] == stepped
+    assert after["successor_misses"] == full.stats["kripke_states"] - 1
+    cold = store()
+    assert _structure_fingerprint(
+        prop, database, build_snapshot_kripke(prop, database)
+    ) == _structure_fingerprint(
+        cold, database, build_snapshot_kripke(cold, database)
+    )
+
+
+# ---------------------------------------------------------------------------
+# one graph across logics
+# ---------------------------------------------------------------------------
+
+_ORDERS = pytest.mark.parametrize(
+    "ltl_first", [True, False], ids=["ltl-first", "kripke-first"]
+)
+
+
+@_ORDERS
+def test_logics_share_the_store_graph(ltl_first):
+    """LTL-FO and Theorem 4.6 over the store's empty database read and
+    fill one explored graph: in either order, the second call reads
+    successor sets the first stored and fingerprints as it does on a
+    fresh service."""
+    def ltl(service):
+        return verifier.verify_ltlfo(
+            service, parse_ltlfo("G !has_order"),
+            databases=[Database(service.schema.database)], workers=1,
+        )
+
+    def ctl(service):
+        return verifier.verify_fully_propositional(
+            service, parse_ctl("AG !has_order"), workers=1
+        )
+
+    first, second = (ltl, ctl) if ltl_first else (ctl, ltl)
+    service = store()
+    cache = compiled_service(service).exploration
+    first(service)
+    hits = cache.stats()["successor_hits"]
+    result = second(service)
+    assert cache.stats()["successor_hits"] > hits
+    assert result.verdict is Verdict.VIOLATED
+    assert fingerprint(result) == fingerprint(second(store()))
+    if second is ltl:
+        _check_witness(result, (service, frozenset()))
+    else:
+        database = Database(service.schema.database)
+        check_ctl_counterexample(
+            service, database, build_snapshot_kripke(service, database),
+            parse_ctl("!has_order"),
+        )
+
+
+@_ORDERS
+def test_logics_share_a_graph_a_constant_branches(ltl_first):
+    """On a service whose constant is requested mid-run, so that its
+    values branch the structure, a Kripke build after an LTL-FO run over
+    the same database and extra domain, and an LTL-FO run after a build,
+    read successor sets the other stored and equal a fresh run: the
+    structure state for state, the LTL-FO result in verdict, witness and
+    stats."""
+    from tests.test_choice_memo import _gamma_split
+
+    database = Database(
+        _gamma_split().schema.database, {"allowed": [("a",), ("b",)]}
+    )
+    sentence = parse_ltlfo("forall x: G !pick(x)")
+
+    def ltl(service):
+        return verifier.verify_ltlfo(
+            service, sentence, databases=[database], workers=1
+        )
+
+    service = _gamma_split()
+    cache = compiled_service(service).exploration
+    if ltl_first:
+        result = ltl(service)
+        hits = cache.stats()["successor_hits"]
+        kripke = build_snapshot_kripke(service, database)
+    else:
+        kripke = build_snapshot_kripke(service, database)
+        hits = cache.stats()["successor_hits"]
+        result = ltl(service)
+    assert cache.stats()["successor_hits"] > hits
+    assert len({sigma for _sid, sigma in kripke.states[1:]}) > 2
+    assert result.verdict is Verdict.VIOLATED
+    assert fingerprint(result) == fingerprint(ltl(_gamma_split()))
+    _check_witness(result, (service, frozenset()))
+    cold = _gamma_split()
+    assert _structure_fingerprint(service, database, kripke) == (
+        _structure_fingerprint(
+            cold, database, build_snapshot_kripke(cold, database)
+        )
+    )
+
+
+def test_a_structure_the_cap_holds_is_kept():
+    """A completed build is charged one entry per successor tuple it
+    stored and one for the structure.  With the cap at exactly that, the
+    structure is kept and the repeat is a Kripke hit; one entry less,
+    and the structure's entry drops the graph, so the repeat builds
+    again."""
+    database = Database(store().schema.database)
+    sizing = store()
+    build_snapshot_kripke(sizing, database)
+    charged = compiled_service(sizing).exploration.stats()["entries"]
+    for cap, kept in ((charged, True), (charged - 1, False)):
+        service = store()
+        cache = compiled_service(service).exploration
+        cache.cap = cap
+        first = build_snapshot_kripke(service, database)
+        second = build_snapshot_kripke(service, database)
+        stats = cache.stats()
+        assert (second is first) is kept, cap
+        assert (stats["kripke_hits"], stats["kripke_misses"]) == (
+            (1, 1) if kept else (0, 2)
+        ), cap
+        assert stats["entries"] == (charged if kept else 0), cap
+        assert stats["evicted_databases"] == (0 if kept else 2), cap
 
 
 def test_replay_rejects_forged_witnesses():

@@ -176,6 +176,40 @@ class TestLassoSemantics:
         with pytest.raises(ValueError):
             eval_on_lasso(LTLAtom("p"), lambda i, a: True, 2, 5)
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_atom_evaluator_is_freed_when_the_call_ends(self, fails):
+        """The recursive labeller refers to itself; the call breaks that
+        cycle as it ends, so reference counting alone frees an atom
+        evaluator passed in, whether the call returns or raises."""
+        import gc
+        import weakref
+
+        class Evaluator:
+            def __call__(self, i: int, payload) -> bool:
+                if fails:
+                    raise LookupError(payload)
+                return i == 0
+
+        def call(evaluator) -> None:
+            try:
+                eval_on_lasso(
+                    LU(LTLAtom("p"), LX(LTLAtom("q"))), evaluator, 2, 1
+                )
+            except LookupError:
+                assert fails
+            else:
+                assert not fails
+
+        evaluator = Evaluator()
+        ref = weakref.ref(evaluator)
+        gc.disable()
+        try:
+            call(evaluator)
+            del evaluator
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 # ---------------------------------------------------------------------------
 # Büchi construction

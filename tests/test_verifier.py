@@ -5,6 +5,8 @@ procedures (Theorems 4.4/4.6/4.9) and the dispatching front door."""
 import pytest
 
 from repro.ctl import AF, AG, CAtom, CNot, E, EF, EX, PF, PState, PAnd
+from repro.ctl.parser import parse_ctl
+from repro.demo.propositional import propositional_service
 from repro.fol import Atom, Not, Var, parse_formula
 from repro.ltl import B, F, G, LTLFOSentence, U
 from repro.ltl.syntax import LTLAtom, LNot, LOr
@@ -27,7 +29,8 @@ from repro.verifier import (
 )
 from repro.verifier.branching import ROOT_STATE, build_snapshot_kripke
 from repro.verifier.errors import TRAP_PAGE
-from tests.witness import check_error_witness
+from tests.engine_cases import CASES, run_case
+from tests.witness import check_ctl_counterexample, check_error_witness
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +48,26 @@ def _pingpong():
     p2.toggle("go")
     p2.target("P1", "go")
     return b.build()
+
+
+def _constbranch():
+    """A constant requested on the home page decides the next page, so
+    its values branch one Kripke structure; and a database for it."""
+    b = ServiceBuilder("constbranch")
+    b.database("user", 1)
+    b.input_constant("name")
+    b.input("go")
+    b.state("known")
+    hp = b.page("HP", home=True)
+    hp.request("name")
+    hp.toggle("go")
+    hp.insert("known", b.formula("user(name)"))
+    hp.target("OK", b.formula("go & user(name)"))
+    hp.target("BAD", b.formula("go & !user(name)"))
+    b.page("OK")
+    b.page("BAD")
+    svc = b.build()
+    return svc, Database(svc.schema.database, {"user": [("alice",)]})
 
 
 def _flagger():
@@ -370,27 +393,54 @@ class TestBranching:
     def test_input_constant_branching(self):
         # two continuations provide different constant values: E-quantified
         # properties distinguish them inside ONE structure.
-        b = ServiceBuilder("constbranch")
-        b.database("user", 1)
-        b.input_constant("name")
-        b.input("go")
-        b.state("known")
-        hp = b.page("HP", home=True)
-        hp.request("name")
-        hp.toggle("go")
-        hp.insert("known", b.formula("user(name)"))
-        hp.target("OK", b.formula("go & user(name)"))
-        hp.target("BAD", b.formula("go & !user(name)"))
-        b.page("OK")
-        b.page("BAD")
-        svc = b.build()
-        db = Database(svc.schema.database, {"user": [("alice",)]})
+        svc, db = _constbranch()
         k = build_snapshot_kripke(svc, db)
         from repro.ctl import satisfying_states
 
         sat = satisfying_states(k, EF(CAtom("OK")))
         sat2 = satisfying_states(k, EF(CAtom("BAD")))
         assert ROOT_STATE in sat and ROOT_STATE in sat2
+
+
+class TestCTLCounterexamples:
+    """An ``AG p`` violation read out of the built structure, whose
+    states are graph ids, replays as a run of the service and ends on a
+    configuration falsifying ``p`` by labels computed from the snapshot
+    (:func:`tests.witness.check_ctl_counterexample`)."""
+
+    def test_store_reaches_an_order(self):
+        svc = propositional_service()
+        db = Database(svc.schema.database)
+        result = verify_fully_propositional(
+            svc, parse_ctl("AG !has_order"), workers=1
+        )
+        assert result.verdict is Verdict.VIOLATED
+        run = check_ctl_counterexample(
+            svc, db, build_snapshot_kripke(svc, db), parse_ctl("!has_order")
+        )
+        assert run.snapshots[-1].page == "COP"
+
+    def test_engine_case_reaches_rp(self):
+        case = next(c for c in CASES if c["id"] == "ctl-prop-violated")
+        svc, result = run_case(case)
+        assert result.verdict is Verdict.VIOLATED
+        db = result.counterexample_database
+        check_ctl_counterexample(
+            svc, db, build_snapshot_kripke(svc, db), parse_ctl("!RP")
+        )
+
+    def test_constant_branch_reaches_bad(self):
+        svc, db = _constbranch()
+        result = verify_ctl(
+            svc, AG(CNot(CAtom("BAD"))), databases=[db], workers=1
+        )
+        assert result.verdict is Verdict.VIOLATED
+        run = check_ctl_counterexample(
+            svc, db, build_snapshot_kripke(svc, db), CNot(CAtom("BAD"))
+        )
+        assert [snap.page for snap in run.snapshots][-1] == "BAD"
+        # the constant took a value outside the database
+        assert run.sigma["name"] not in db.domain
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,17 @@ sentence, without the verifier's labeller: it grounds the sentence
 itself and evaluates every FO component with the reference interpreter
 on eval contexts it builds.  :func:`check_error_witness` replays an
 error-freeness witness and checks that it ends on the error page.
+:func:`check_ctl_counterexample` reads an ``AG p`` counterexample out
+of a built Kripke structure, replays it, and checks ``p`` on the last
+configuration with labels it computes itself
+(:func:`configuration_label`).
 """
 
 from __future__ import annotations
 
 import itertools
 
+from repro.ctl.syntax import CAnd, CAtom, CFalse, CNot, COr, CTrue
 from repro.fol.analysis import input_constants_of
 from repro.fol.evaluation import (
     MissingInputConstantError,
@@ -42,7 +47,9 @@ from repro.service.runs import (
     error_snapshot,
     page_options,
 )
+from repro.service.compiled import compiled_service
 from repro.verifier import Verdict, errorfree_reduction
+from repro.verifier.branching import ROOT_STATE
 from repro.verifier.errors import TRAP_PAGE
 
 
@@ -152,6 +159,84 @@ def check_violation(
         f"the run satisfies {sentence} under "
         f"{'every valuation' if valuation is None else valuation}"
     )
+
+
+def check_ctl_counterexample(
+    service, database, kripke, body, extra_domain=()
+) -> Run:
+    """Raise AssertionError unless ``kripke``, the structure
+    :func:`~repro.verifier.branching.build_snapshot_kripke` built for
+    ``(service, database, extra_domain)``, reaches a configuration that
+    falsifies the propositional ``body`` of ``AG body`` along a run of
+    the service.
+
+    Walks the structure breadth-first from its root to the first state
+    whose label falsifies ``body``, maps the path's states ``(sid, σ)``
+    to snapshots through the explored graph's ``snapshots[sid]`` (the
+    graph must still be held), replays them with :func:`replay_witness`
+    under the last state's σ, and evaluates ``body`` on the last
+    snapshot's :func:`configuration_label`, not on the structure's
+    label.  Returns the replayed run.
+    """
+    compiled = compiled_service(service)
+    snapshots = compiled.exploration._graphs[
+        (database, compiled.extra_domain(extra_domain))
+    ].snapshots
+    assert kripke.states[0] == ROOT_STATE
+    parent = {0: None}
+    queue = [0]
+    for state in queue:
+        if state and not _holds(body, kripke.label(kripke.states[state])):
+            break
+        for nxt in kripke.succ_ids[state]:
+            if nxt not in parent:
+                parent[nxt] = state
+                queue.append(nxt)
+    else:
+        raise AssertionError(f"no reachable state falsifies {body}")
+    path = []
+    while state:
+        path.append(kripke.states[state])
+        state = parent[state]
+    path.reverse()
+    sigma = dict(path[-1][1])
+    run = Run(database, sigma, [snapshots[sid] for sid, _sig in path])
+    replay_witness(service, run, extra_domain=extra_domain)
+    last = run.snapshots[-1]
+    assert not _holds(body, configuration_label(last)), (
+        f"{last.describe()} satisfies {body}"
+    )
+    return run
+
+
+def configuration_label(snap) -> frozenset:
+    """The §4 propositional labels of a configuration, from its snapshot
+    alone: its page, and every true symbol of its state, inputs and
+    actions with a ground pair per non-empty tuple."""
+    out = {snap.page}
+    if not snap.is_error:
+        for inst in (snap.state, snap.inputs, snap.actions):
+            for sym, rel in inst:
+                out.add(sym.name)
+                out.update((sym.name, t) for t in rel if t)
+    return frozenset(out)
+
+
+def _holds(formula, label) -> bool:
+    """A propositional CTL state formula on one label set."""
+    if isinstance(formula, CTrue):
+        return True
+    if isinstance(formula, CFalse):
+        return False
+    if isinstance(formula, CAtom):
+        return formula.payload in label
+    if isinstance(formula, CNot):
+        return not _holds(formula.body, label)
+    if isinstance(formula, CAnd):
+        return _holds(formula.left, label) and _holds(formula.right, label)
+    if isinstance(formula, COr):
+        return _holds(formula.left, label) or _holds(formula.right, label)
+    raise TypeError(f"{formula} is not propositional")
 
 
 def _check_edge(service, ctx, cur, nxt, i: int) -> None:
