@@ -10,7 +10,7 @@ registers every spec under ``examples/specs/``, then for each one:
 4. repeats the request and checks the registry amortization: the
    second job's trace must show ``registry.hit`` and a Büchi automaton
    served from cache, and the spec's exploration cache must report
-   compiled-product or successor-set hits for it and no successor set
+   replayed searches or successor-set hits for it and no successor set
    or label stepped again (``GET /specs/<id>``): the repeat reads the
    graph the first request explored instead of exploring again.  It
    must replay every clean lasso search the first request kept an
@@ -240,11 +240,11 @@ def main() -> int:
             assert status == 200, after
             delta = {
                 key: after["exploration"][key] - before["exploration"][key]
-                for key in ("product_hits", "successor_hits",
-                            "successor_misses", "label_misses",
-                            "outcome_hits", "outcome_entries")
+                for key in ("successor_hits", "successor_misses",
+                            "label_misses", "outcome_hits",
+                            "outcome_entries")
             }
-            hits = delta["product_hits"] + delta["successor_hits"]
+            hits = delta["outcome_hits"] + delta["successor_hits"]
             explored = delta["successor_misses"] + delta["label_misses"]
             # the first request kept the outcome of each clean search
             kept = before["exploration"]["outcome_entries"]
@@ -282,11 +282,9 @@ def main() -> int:
             else:
                 print(f"ok   {spec_path.name}: repeat request cached "
                       f"(registry.hit, buchi cached, "
-                      f"{delta['product_hits']} compiled products and "
+                      f"{delta['outcome_hits']} searches replayed and "
                       f"{delta['successor_hits']} successor sets read "
-                      f"from the exploration cache, "
-                      f"{delta['outcome_hits']} searches replayed, "
-                      f"same result)")
+                      f"from the exploration cache, same result)")
 
             failed, read = check_ctl(base, spec_path, sid, payload)
             failures += failed

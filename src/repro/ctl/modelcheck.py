@@ -27,7 +27,8 @@ which the product has an accepting run — the automata-theoretic approach
 of Kupferman, Vardi & Wolper [19] that the paper's Theorem 4.6 builds
 on.  The product is the LTL-FO search's
 :class:`~repro.ltl.buchi.CompiledProduct` over the structure's ids, with
-a single valuation.
+a single valuation, searched through a fresh
+:class:`~repro.ltl.buchi.ProductSearch`.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ class _Checker:
         ba = ltl_to_buchi(to_ltl(p))
         # one valuation, bit 0: a literal's bitset is its table entry
         search = ProductSearch(
-            CompiledProduct(ba, range(self.n), 1),
+            lambda: CompiledProduct(ba, range(self.n), 1),
             self.k.succ_ids.__getitem__,
             lambda state, payload: tables[payload[1]][state],
         )

@@ -10,7 +10,8 @@
   through a ``ProductSearch``): a lasso search that decides a valuation
   by a plain pre-order walk and runs the nested DFS only when the walk
   meets an accepting transition, or replays the charges of a clean
-  search the product kept, and the states with an accepting run;
+  search whose outcome its caller kept, and the states with an
+  accepting run;
 - :mod:`repro.ltl.ltlfo` — LTL-FO sentences (Definition 3.1): universal
   closure of an LTL skeleton whose atoms are FO formulas.
 """

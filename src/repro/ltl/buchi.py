@@ -9,12 +9,13 @@ acceptance (one set per until), degeneralised into an ordinary Büchi
 automaton with a round-robin counter.
 
 Emptiness of the product with a transition system is decided on one
-construction in two parts: :class:`CompiledProduct`, int product nodes
-with per-node enable masks over the valuations of a bitset block, kept
-as they are expanded and free of callbacks, so a caller may keep it
-across requests, with the outcome of each clean search it has served;
-and :class:`ProductSearch`, one request's callbacks and memos over it.
-A search context answers two questions:
+construction in two parts: :class:`CompiledProduct`, the automaton over
+ints and the start nodes, whose product nodes carry enable masks over
+the valuations of a bitset block; and :class:`ProductSearch`, one
+request's search state over it: the callbacks, the successor ids,
+enable masks and charged sids it has expanded, and the outcomes of
+clean searches its caller keeps across requests.  A search context
+answers two questions:
 
 - :meth:`ProductSearch.search` — a concrete accepting lasso for one
   valuation (the verifier's counterexample search), or the valuations a
@@ -23,8 +24,9 @@ A search context answers two questions:
   state, the common case for safety properties, whose negated automata
   accept only after a bad prefix; when the walk meets such a
   transition, a nested DFS over int nodes decides it and finds the
-  lasso.  A valuation the product already holds a clean outcome for is
-  not searched again: the context replays the outcome's charges;
+  lasso.  A valuation its caller keeps a clean outcome for is not
+  searched again: the context replays the outcome's charges, and
+  builds no product when it replays every search;
 - :meth:`ProductSearch.accepting_starts` — every start state with an
   accepting run, by one Tarjan pass (the CTL* model checker's ``Eψ``
   subroutine).
@@ -265,26 +267,9 @@ class Lasso:
     loop_index: int
 
 
-def _fill(table: list, entries: dict, interned: dict | None) -> int:
-    """Set ``table[index]`` to each ``entries[index]`` where the table
-    holds None, growing it with None (through ``interned`` when given);
-    how many were set."""
-    top = max(entries, default=-1) + 1
-    if top > len(table):
-        table.extend([None] * (top - len(table)))
-    new = 0
-    for index, value in entries.items():
-        if table[index] is None:
-            if interned is not None:
-                value = interned.setdefault(value, value)
-            table[index] = value
-            new += 1
-    return new
-
-
 class CompiledProduct:
     """The product of a lazily explored system with ``ba``, over ints:
-    the part kept across searches and requests.
+    the automaton's tables and the start nodes.
 
     System states are the caller's ids, non-negative ints: the starts
     are ids, successors are ids, and the letters are valuation bitsets
@@ -293,35 +278,13 @@ class CompiledProduct:
     ids (``ExploredGraph``), and the CTL* model checker a Kripke
     structure's state ids; lassos and start sets come back as ids, which
     the caller maps to its states.  A product node is the int ``sid *
-    n_states + q``.  Beyond the automaton's tables and the start nodes,
-    the product keeps two dense tables, filled through :meth:`keep` by
-    its searches (:class:`ProductSearch`) and never overwritten:
-
-    - ``succ[sid]``: the successors' ids of ``sid``, the tuple its
-      caller handed over (the explored graph's own tuple);
-    - ``masks[node]``: the expanded node's enable masks, one per
-      transition of ``q``: the valuations agreeing with all its literals
-      (the AND of the literal bitsets, or of their complements), one
-      tuple object per distinct tuple.
-
-    ``outcomes[bit]`` is the outcome of a search for the valuation
-    ``bit`` that completed without a lasso, kept through
-    :meth:`keep_outcome` after the search's own masks and successors:
-    its dominated class, and the sids it expanded with an enabled
-    transition in the order it first expanded them (an ``array('i')``).
-    Over the kept tables, a clean search's nodes, class and order are
-    functions of ``bit`` alone, whatever a context has charged before;
-    the context decides only which of those sids are new to it.
-
-    Each entry is written once, whole, so a reader needs no lock.  The
-    product holds no callback and nothing of one request: what it keeps
-    is a function of the automaton, the block's layout and the system,
-    which is what a caller keys a kept product by.
+    n_states + q``.  What the product's nodes expand to is one search
+    context's (:class:`ProductSearch`), which builds the product at its
+    first search that walks.
     """
 
-    __slots__ = ("n_states", "accepting", "all_mask", "starts", "succ",
-                 "masks", "outcomes", "literals_of", "dsts_of", "payloads",
-                 "_interned")
+    __slots__ = ("n_states", "accepting", "all_mask", "starts",
+                 "literals_of", "dsts_of", "payloads")
 
     def __init__(
         self, ba: BuchiAutomaton, initial_states: Iterable[int],
@@ -348,57 +311,41 @@ class CompiledProduct:
         self.starts = tuple(
             sid * n + q for sid in initial_states for q in sorted(ba.initial)
         )
-        self.succ: list[tuple[int, ...] | None] = []
-        self.masks: list[tuple[int, ...] | None] = []
-        self.outcomes: dict[int, tuple[int, array]] = {}
-        self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def keep(
-        self, masks: dict[int, tuple[int, ...]],
-        succ: dict[int, tuple[int, ...]],
-    ) -> int:
-        """Keep the enable masks of each node in ``masks`` and the
-        successor ids of each sid in ``succ`` that the product does not
-        hold yet; how many entries were new.  An entry already held
-        stays: whoever computed it computed the same."""
-        return (
-            _fill(self.succ, succ, None)
-            + _fill(self.masks, masks, self._interned)
-        )
 
-    def keep_outcome(self, bit: int, dominated: int, sids: array) -> bool:
-        """Keep a clean search's outcome for the valuation ``bit``
-        unless one is held; whether it was new.  The successors of every
-        sid in ``sids`` must be kept already."""
-        if bit in self.outcomes:
-            return False
-        self.outcomes[bit] = (dominated, sids)
-        return True
+#: A clean search's outcome: its dominated class, and the sids it
+#: expanded with an enabled transition in first-expansion order.
+Outcome = tuple[int, array]
 
 
 class ProductSearch:
-    """One request's searches over a kept :class:`CompiledProduct`.
+    """One request's searches over the product ``build()`` returns, a
+    :class:`CompiledProduct`, built at the first search that walks.
 
     ``successors(sid)`` returns the successors' ids of ``sid`` and
     ``literal_bits(sid, payload)`` the set of valuations under which
-    ``payload`` holds at ``sid``; each is asked only for what the
-    product does not keep yet.  What a search computes is handed to the
-    product when the search ends, struck or not, through
-    ``store(product, masks, succ)``, once per search rather than per
-    node (default: :meth:`CompiledProduct.keep`; a shared product is
-    stored into under its owner's lock).  A search that ends without a
-    lasso then hands its outcome over through ``keep_outcome(product,
-    bit, dominated, sids)`` (default: :meth:`CompiledProduct.keep_outcome`,
-    likewise under the owner's lock); a struck search and one that found
-    a lasso hand over none.  ``charge(sid)`` is called at the first
-    expansion of a sid with an enabled transition in this context,
-    whether or not the product kept the sid's successors, so what a
-    request charges does not depend on what an earlier one kept.
+    ``payload`` holds at ``sid``; the context asks each once and keeps
+    the answers, with each expanded node's enable masks (one per
+    transition of its Büchi state: the valuations agreeing with all its
+    literals), for its own searches only.  ``charge(sid)`` is called at
+    the first expansion of a sid with an enabled transition in this
+    context, so what a request charges does not depend on what an
+    earlier one kept.
 
-    :meth:`search` replays the product's outcome for a valuation when
-    it holds one.  Otherwise it walks the product in pre-order and runs
-    a nested DFS, over a per-search memo of successor lists, only when
-    the walk meets an accepting transition.  In each case it charges each
+    ``outcomes`` maps a valuation bit to the outcome of a search for it
+    that completed without a lasso (:data:`Outcome`), kept by the caller
+    across contexts over one product key: over the same successors and
+    labels, a clean search's nodes, class and order are functions of the
+    bit alone, whatever a context has charged before, and the context
+    decides only which of those sids are new to it.  A search that ends
+    clean hands its outcome to ``keep_outcome(bit, outcome)`` (default:
+    stored into ``outcomes`` unless one is held); a struck search and one
+    that found a lasso hand over none.
+
+    :meth:`search` replays the outcome for a valuation when ``outcomes``
+    holds one.  Otherwise it walks the product in pre-order and runs a
+    nested DFS, over a per-search memo of successor lists, only when the
+    walk meets an accepting transition.  In each case it charges each
     state at the point where a nested DFS over the ``(state, q)``
     product makes its first ``successors`` call for that valuation, and
     finds the same lasso.  :meth:`accepting_starts` walks the nested
@@ -408,44 +355,54 @@ class ProductSearch:
     """
 
     __slots__ = ("product", "searches", "nested", "replayed",
-                 "_successors", "_literal_bits", "_charge", "_store",
-                 "_keep_outcome", "_expanded", "_children", "_bits",
-                 "_order", "_new_masks", "_new_succ")
+                 "_build", "_successors", "_literal_bits", "_charge",
+                 "_outcomes", "_keep_outcome", "_charged", "_expanded",
+                 "_children", "_bits", "_masks", "_interned", "_order")
 
     def __init__(
         self,
-        product: CompiledProduct,
+        build: Callable[[], CompiledProduct],
         successors: Callable[[int], Iterable[int]],
         literal_bits: Callable[[int, Payload], int],
         charge: Callable[[int], None] | None = None,
-        store: Callable[[CompiledProduct, dict, dict], object] | None = None,
-        keep_outcome: Callable[[CompiledProduct, int, int, array], object]
-        | None = None,
+        outcomes: dict[int, Outcome] | None = None,
+        keep_outcome: Callable[[int, Outcome], object] | None = None,
     ) -> None:
-        self.product = product
+        self.product: CompiledProduct | None = None
         self.searches = 0
         self.nested = 0
         self.replayed = 0
+        self._build = build
         self._successors = successors
         self._literal_bits = literal_bits
         self._charge = charge
-        self._store = store if store is not None else CompiledProduct.keep
+        self._outcomes = {} if outcomes is None else outcomes
         self._keep_outcome = (
             keep_outcome if keep_outcome is not None
-            else CompiledProduct.keep_outcome
+            else self._outcomes.setdefault
         )
-        # sid -> successor ids, for every sid this context charged
+        # every sid this context charged, replayed or expanded
+        self._charged: set[int] = set()
+        # sid -> successor ids, for every sid a search of this context
+        # expanded
         self._expanded: dict[int, tuple[int, ...]] = {}
         # sid * n_states + dst -> the nodes (s, dst) for s in the
         # successors of sid, reversed: what the walk pushes
         self._children: dict[int, list[int]] = {}
         self._bits: dict[int, int] = {}  # at sid * n_payloads + payload
+        # node -> its enable masks, one interned tuple per distinct
+        # tuple: the enabled-destination filters key a tuple by its id,
+        # and every tuple lives as long as the context
+        self._masks: dict[int, tuple[int, ...]] = {}
+        self._interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         # the running search's sids expanded with an enabled transition,
         # in first-expansion order (the keys)
         self._order: dict[int, None] = {}
-        # computed by the running search, handed to the product at its end
-        self._new_masks: dict[int, tuple[int, ...]] = {}
-        self._new_succ: dict[int, tuple[int, ...]] = {}
+
+    def _built(self) -> CompiledProduct:
+        if self.product is None:
+            self.product = self._build()
+        return self.product
 
     def _node_masks(self, node: int) -> tuple[int, ...]:
         product = self.product
@@ -461,24 +418,17 @@ class ProductSearch:
                     self._bits[base + p] = bits
                 mask &= bits if value else ~bits
             masks.append(mask)
-        masks = self._new_masks[node] = tuple(masks)
+        masks = tuple(masks)
+        masks = self._masks[node] = self._interned.setdefault(masks, masks)
         return masks
 
     def _first_expansion(self, sid: int) -> tuple[int, ...]:
-        succ = self.product.succ
-        ids = succ[sid] if sid < len(succ) else None
-        if ids is None:
-            ids = self._new_succ[sid] = tuple(self._successors(sid))
-        self._expanded[sid] = ids
-        if self._charge is not None:
-            self._charge(sid)
+        ids = self._expanded[sid] = tuple(self._successors(sid))
+        if sid not in self._charged:
+            self._charged.add(sid)
+            if self._charge is not None:
+                self._charge(sid)
         return ids
-
-    def _keep(self) -> None:
-        if self._new_masks or self._new_succ:
-            masks, succ = self._new_masks, self._new_succ
-            self._new_masks, self._new_succ = {}, {}
-            self._store(self.product, masks, succ)
 
     def _expansion(self, bit: int) -> tuple[
         Callable[[int], list[int]], dict[int, list[int]],
@@ -491,24 +441,20 @@ class ProductSearch:
 
         Nodes with one Büchi state and one mask tuple enable the same
         destinations, so each such pair is filtered once per search.
-        The pair is keyed by the tuple's id: the product interns the
-        tuples it keeps and never overwrites one, so nodes with equal
-        kept masks share one object, and the entry holds its tuple, so
-        the id stays that tuple's until the search ends.
+        The pair is keyed by the tuple's id: the context interns the
+        tuples it computes and keeps each, so nodes with equal masks
+        share one object whose id stays its own.
         """
         product = self.product
         n = product.n_states
-        dsts_of, kept_masks = product.dsts_of, product.masks
+        dsts_of, node_masks = product.dsts_of, self._masks
         expanded = self._expanded
         order = self._order = {}
         memo: dict[int, list[int]] = {}
         enabled: dict[tuple[int, int], tuple[tuple[int, ...], list[int]]] = {}
 
         def expand(node: int) -> list[int]:
-            try:
-                masks = kept_masks[node]
-            except IndexError:
-                masks = None
+            masks = node_masks.get(node)
             if masks is None:
                 masks = self._node_masks(node)
             q = node % n
@@ -537,16 +483,16 @@ class ProductSearch:
         """The lasso for the valuation ``bit``, over ids, and its
         dominated class.
 
-        When the product keeps an outcome for ``bit``, :meth:`_replay`
-        answers (counted in ``replayed``).  Otherwise a plain walk
-        (:meth:`_walk`) in the nested DFS's blue pre-order; only when it
-        meets an accepting transition does the nested DFS run
-        (:meth:`_nested_dfs`, counted in ``nested``), reading the
-        successor ids and label bitsets the walk left in the context
-        rather than asking, labelling or charging again.  In each case
-        the lasso, the class, the asks and the charge order are the
-        nested DFS's.  A search that ends clean hands its outcome to the
-        product once its masks and successors are kept.
+        When ``outcomes`` holds one for ``bit``, :meth:`_replay`
+        answers (counted in ``replayed``) and no product is built.
+        Otherwise a plain walk (:meth:`_walk`) in the nested DFS's blue
+        pre-order; only when it meets an accepting transition does the
+        nested DFS run (:meth:`_nested_dfs`, counted in ``nested``),
+        reading the successor ids and label bitsets the walk left in the
+        context rather than asking, labelling or charging again.  In
+        each case the lasso, the class, the asks and the charge order
+        are the nested DFS's.  A search that ends clean hands its
+        outcome to ``keep_outcome``.
 
         The class is None when a lasso is found.  Otherwise it is the
         valuations that, at every node this search expanded, enable only
@@ -555,22 +501,18 @@ class ProductSearch:
         accepting lasso, and expand no sid this context has not charged.
         """
         self.searches += 1
-        kept = self.product.outcomes.get(bit)
+        kept = self._outcomes.get(bit)
         if kept is not None:
             self.replayed += 1
             return None, self._replay(*kept)
-        try:
-            dominated = self._walk(bit)
-            if dominated is None:
-                self.nested += 1
-                lasso, dominated = self._nested_dfs(bit)
-                if lasso is not None:
-                    return lasso, None
-        finally:
-            self._keep()
-        self._keep_outcome(
-            self.product, bit, dominated, array("i", self._order)
-        )
+        self._built()
+        dominated = self._walk(bit)
+        if dominated is None:
+            self.nested += 1
+            lasso, dominated = self._nested_dfs(bit)
+            if lasso is not None:
+                return lasso, None
+        self._keep_outcome(bit, (dominated, array("i", self._order)))
         return None, dominated
 
     def _replay(self, dominated: int, sids: array) -> int:
@@ -579,16 +521,17 @@ class ProductSearch:
         first-expansion order, that this context has not charged.
 
         That is exactly what the search would charge here: its nodes
-        and order depend only on the kept tables and the valuation, and
+        and order depend only on the product key and the valuation, and
         the context's charged sids decide only which are new.  So the
         charges, the strikes and the deadline checks between them are
-        the search's own; the product keeps every recorded sid's
-        successors, which a later search of this context reads.
+        the search's own.  A later search of this context that walks
+        asks for a replayed sid's successors and does not charge it
+        again.
         """
-        expanded, succ, charge = self._expanded, self.product.succ, self._charge
+        charged, charge = self._charged, self._charge
         for sid in sids:
-            if sid not in expanded:
-                expanded[sid] = succ[sid]
+            if sid not in charged:
+                charged.add(sid)
                 if charge is not None:
                     charge(sid)
         return dominated
@@ -617,13 +560,12 @@ class ProductSearch:
         """
         product = self.product
         n, accepting = product.n_states, product.accepting
-        dsts_of, kept_masks = product.dsts_of, product.masks
+        dsts_of, node_masks = product.dsts_of, self._masks
         expanded, children = self._expanded, self._children
         order = self._order = {}
         # per Büchi state: the id of a mask tuple -> its enabled
-        # destinations, reversed for pushing.  The ids stay the tuples'
-        # until the search ends: the product keeps a tuple for good, and
-        # ``_new_masks`` holds one this search computed.
+        # destinations, reversed for pushing (the context keeps every
+        # tuple, so an id stays its tuple's)
         enabled: list[dict[int, list[int]]] = [{} for _ in range(n)]
         union = 0  # the valuations enabling a transition ``bit`` does not
         marked: set[int] = set()
@@ -635,10 +577,7 @@ class ProductSearch:
             if node in marked:
                 continue
             mark(node)
-            try:
-                masks = kept_masks[node]
-            except IndexError:
-                masks = None
+            masks = node_masks.get(node)
             if masks is None:
                 masks = self._node_masks(node)
             q = node % n
@@ -730,13 +669,7 @@ class ProductSearch:
         accepting Büchi state or has an edge into a good SCC.  A start
         node has an accepting run exactly when its SCC is good.
         """
-        try:
-            return self._accepting_starts(bit)
-        finally:
-            self._keep()
-
-    def _accepting_starts(self, bit: int) -> set[int]:
-        product = self.product
+        product = self._built()
         n, accepting = product.n_states, product.accepting
         expand, memo, _enabled = self._expansion(bit)
         index: dict[int, int] = {}

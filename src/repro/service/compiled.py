@@ -40,11 +40,10 @@ their hash) and equality checks usually short-circuit on identity.
 the verifiers explored per (database, extra domain) — snapshots
 numbered once, successor-id tuples keyed by snapshot id and the sigma a
 step from it reads (which every procedure steps through), the LTL-FO
-labeller's atom label bitsets, the
-LTL-FO search's compiled Büchi products with the outcomes of their
-clean searches, and completed Kripke structures — so later calls over
-the same service object read the graph instead of stepping, labelling,
-expanding and searching again.  It lives and dies with the compiled
+labeller's atom label bitsets, the outcomes of the LTL-FO lasso
+searches that ended clean, and completed Kripke structures — so later
+calls over the same service object read the graph instead of stepping,
+labelling and searching again.  It lives and dies with the compiled
 service and holds at most :data:`EXPLORATION_CACHE_ENTRIES` entries,
 evicting least-recently-used databases first.
 """
@@ -54,7 +53,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.fol.compile import (
     CompiledFormula,
@@ -67,7 +66,7 @@ from repro.schema.symbols import prev_symbol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runs.py)
     from repro.ctl.kripke import KripkeStructure
-    from repro.ltl.buchi import CompiledProduct
+    from repro.ltl.buchi import Outcome
     from repro.service.webservice import WebService
 
 __all__ = [
@@ -317,12 +316,11 @@ class SnapshotInterner:
 
 
 #: Cap on the explored-graph entries one service retains: a successor-id
-#: tuple, a label bitset, a completed Kripke structure (whose build also
-#: charged each successor tuple it stored), and a compiled product and
-#: each successor tuple, enable-mask tuple and search outcome it keeps
+#: tuple, a label bitset, a clean-search outcome and a completed Kripke
+#: structure (whose build also charged each successor tuple it stored)
 #: count one.  At the sizes measured on the benchmark workloads
-#: (EXPERIMENTS, E23, E24 and E29: about 1.3 KB per entry of a Kripke
-#: build, 0.24 KB per LTL graph entry, 26 B per product entry), a full
+#: (EXPERIMENTS, E23 and E29: about 1.3 KB per entry of a Kripke build,
+#: 0.24 KB per successor tuple or label bitset of an LTL graph), a full
 #: cache holds at most some 87 MB, and some 16 MB of LTL entries.
 EXPLORATION_CACHE_ENTRIES = 1 << 16
 
@@ -336,13 +334,10 @@ class ExploredGraph:
     :meth:`~repro.service.runs.RunContext.step_sigma`) to the
     successors' ids, for the LTL-FO search, the error-freeness BFS and
     the Kripke builder alike; ``labels`` maps a label key to a ``sid -> bitset``
-    dict (see :meth:`ExplorationCache.label_memo`); ``products`` maps a
-    product key to a kept :class:`~repro.ltl.buchi.CompiledProduct`
-    (see :meth:`ExplorationCache.product`), ``product_entries`` counts
-    the products and the successor and mask tuples they keep, and
-    ``outcome_entries`` the clean-search outcomes they keep, one per
-    (product key, valuation bit) (see
-    :meth:`ExplorationCache.store_outcome`); ``structure`` is
+    dict (see :meth:`ExplorationCache.label_memo`); ``outcomes`` maps a
+    product key to a ``bit -> outcome`` dict of the LTL-FO lasso
+    searches that ended clean (see :meth:`ExplorationCache.outcome_memo`);
+    ``structure`` is
     ``(structure, n_initial)`` once a
     :func:`~repro.verifier.branching.build_snapshot_kripke` call over
     the pair completed, its states ``(sid, sigma)`` pairs over these
@@ -356,8 +351,7 @@ class ExploredGraph:
     """
 
     __slots__ = ("key", "ids", "snapshots", "successor_ids", "labels",
-                 "products", "product_entries", "outcome_entries",
-                 "structure", "size", "retained")
+                 "outcomes", "structure", "size", "retained")
 
     def __init__(self, key: tuple) -> None:
         self.key = key
@@ -365,9 +359,7 @@ class ExploredGraph:
         self.snapshots: list = []
         self.successor_ids: dict[tuple, tuple[int, ...]] = {}
         self.labels: dict[tuple, dict[int, int]] = {}
-        self.products: dict[tuple, CompiledProduct] = {}
-        self.product_entries = 0
-        self.outcome_entries = 0
+        self.outcomes: dict[tuple, dict[int, Outcome]] = {}
         self.structure: tuple[KripkeStructure, int] | None = None
         self.size = 0
         self.retained = True
@@ -388,11 +380,11 @@ class ExplorationCache:
     would exceed the cap is dropped itself and serves only the calls
     holding it.  The lock guards the order, the entry count, snapshot
     numbering and every store, so concurrent verifications may share one
-    service; lookups (:meth:`successor_ids`, :meth:`kripke`,
-    :meth:`product`, a label memo's ``get``, a kept product's tables
-    and outcomes) read a graph's dicts without it.  The hit and miss
-    counters are exact in a single-threaded run; ``outcome_hits``
-    counts the LTL-FO searches that replayed a kept outcome.
+    service; lookups (:meth:`successor_ids`, :meth:`kripke`, a label or
+    outcome memo's ``get``) read a graph's dicts without it.  The hit
+    and miss counters are exact in a single-threaded run;
+    ``outcome_hits`` counts the LTL-FO searches that replayed a kept
+    outcome.
     """
 
     def __init__(self) -> None:
@@ -404,8 +396,6 @@ class ExplorationCache:
         self.successor_misses = 0
         self.label_hits = 0
         self.label_misses = 0
-        self.product_hits = 0
-        self.product_misses = 0
         self.outcome_hits = 0
         self.kripke_hits = 0
         self.kripke_misses = 0
@@ -455,11 +445,7 @@ class ExplorationCache:
         block's layout and sigma restricted to Γ_i.  Read the dict
         without the lock; store into it with :meth:`store_label`.
         """
-        memo = graph.labels.get(key)
-        if memo is None:
-            with self._lock:
-                memo = graph.labels.setdefault(key, {})
-        return memo
+        return self._memo(graph.labels, key)
 
     def store_label(
         self, graph: ExploredGraph, memo: dict[int, int], sid: int, bits: int
@@ -471,59 +457,30 @@ class ExplorationCache:
                 memo[sid] = bits
                 self._grow(graph, 1)
 
-    def product(
-        self, graph: ExploredGraph, key: tuple,
-        build: "Callable[[], CompiledProduct]",
-    ) -> "CompiledProduct":
-        """The compiled product ``graph`` keeps for ``key``, or
-        ``build()`` stored there as one.
+    def outcome_memo(
+        self, graph: ExploredGraph, key: tuple
+    ) -> "dict[int, Outcome]":
+        """The ``bit -> outcome`` dict ``graph`` keeps for ``key``, made
+        empty when absent.
 
-        ``key`` must hold everything the product depends on beyond the
-        graph's own key; the LTL-FO search's is the negated skeleton,
-        the closure variables in order, the block's layout and sigma.
-        ``build`` runs outside the lock; a racing build is dropped for
-        the one stored first.  Fill the product through
-        :meth:`store_product`.
+        ``key`` must hold everything a lasso search's product depends on
+        beyond the graph's own key; the LTL-FO search's is the negated
+        skeleton, the closure variables in order, the block's layout and
+        sigma.  Read the dict without the lock; store into it with
+        :meth:`store_outcome`.
         """
-        found = graph.products.get(key)
-        if found is not None:
-            self.product_hits += 1
-            return found
-        built = build()
-        with self._lock:
-            self.product_misses += 1
-            found = graph.products.get(key)
-            if found is None:
-                graph.products[key] = found = built
-                graph.product_entries += 1
-                self._grow(graph, 1)
-        return found
-
-    def store_product(
-        self, graph: ExploredGraph, product: "CompiledProduct",
-        masks: dict, succ: dict,
-    ) -> None:
-        """Keep in ``product``, a product ``graph`` keeps, the enable
-        masks and successor ids one search computed
-        (:meth:`~repro.ltl.buchi.CompiledProduct.keep`), under the lock,
-        charging the new entries to ``graph``."""
-        with self._lock:
-            new = product.keep(masks, succ)
-            if new:
-                graph.product_entries += new
-                self._grow(graph, new)
+        return self._memo(graph.outcomes, key)
 
     def store_outcome(
-        self, graph: ExploredGraph, product: "CompiledProduct",
-        bit: int, dominated: int, sids,
+        self, graph: ExploredGraph, memo: "dict[int, Outcome]", bit: int,
+        outcome: "Outcome",
     ) -> None:
-        """Keep in ``product``, a product ``graph`` keeps, the outcome
-        of one clean search for the valuation ``bit``
-        (:meth:`~repro.ltl.buchi.CompiledProduct.keep_outcome`), under
-        the lock, charging it to ``graph`` as one entry when new."""
+        """Keep in ``memo`` the outcome of one clean search for the
+        valuation ``bit`` unless one is held, charging it to ``graph``
+        as one entry."""
         with self._lock:
-            if product.keep_outcome(bit, dominated, sids):
-                graph.outcome_entries += 1
+            if bit not in memo:
+                memo[bit] = outcome
                 self._grow(graph, 1)
 
     def kripke(
@@ -550,19 +507,22 @@ class ExplorationCache:
                 ),
                 "label_hits": self.label_hits,
                 "label_misses": self.label_misses,
-                "product_entries": sum(
-                    graph.product_entries for graph in self._graphs.values()
-                ),
-                "product_hits": self.product_hits,
-                "product_misses": self.product_misses,
                 "outcome_entries": sum(
-                    graph.outcome_entries for graph in self._graphs.values()
+                    len(memo) for graph in self._graphs.values()
+                    for memo in graph.outcomes.values()
                 ),
                 "outcome_hits": self.outcome_hits,
                 "kripke_hits": self.kripke_hits,
                 "kripke_misses": self.kripke_misses,
                 "evicted_databases": self.evictions,
             }
+
+    def _memo(self, memos: dict, key: tuple) -> dict:
+        memo = memos.get(key)
+        if memo is None:
+            with self._lock:
+                memo = memos.setdefault(key, {})
+        return memo
 
     def _number(self, graph: ExploredGraph, snaps) -> tuple[int, ...]:
         # Under the lock.  The snapshot is listed before its id is

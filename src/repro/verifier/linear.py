@@ -224,8 +224,8 @@ def _search_product(search: ProductSearch, block, gov, stats):
     snapshot graph with the automaton, over snapshot ids; the lasso
     found is too.  Each (id, payload) pair is labelled once for *all*
     valuations of ``block`` (a bitset; see :mod:`repro.fol.bitset`),
-    and the product keeps each expanded node's enable masks across its
-    searches (:class:`~repro.ltl.buchi.CompiledProduct`).  Every clean
+    and the context keeps each expanded node's enable masks across its
+    searches (:class:`~repro.ltl.buchi.ProductSearch`).  Every clean
     search returns its *dominated class*: the valuations that, at every
     node it expanded, enable only transitions the searched valuation
     enables.  A later valuation in a dominated class would walk a
@@ -259,19 +259,20 @@ def _check_ltlfo_unit(
 
     Every sigma searches the explored graph of its database in the
     service's exploration cache
-    (:class:`~repro.service.compiled.ExplorationCache`) by snapshot id,
-    through the compiled product the graph keeps for the property, the
-    block's layout and sigma: its start ids, successor-id tuples and
-    enable masks.  What the product lacks it reads from the graph's
-    successor-id tuples and label bitsets (:class:`_GraphLabeller`),
-    which sigmas, units, properties and calls agreeing on what a step or
-    a label reads share, and a miss there steps or labels once and
-    stores the result.  The sigmas of a unit share one snapshot interner
-    for what they step.  Every sigma keeps its own run context, search
-    context and charge order: a snapshot is charged at its first
-    expansion in the sigma's search, whatever the product kept, and a
-    search the product kept a clean outcome for replays those charges
-    instead of walking.  A lasso is mapped back to snapshots before it
+    (:class:`~repro.service.compiled.ExplorationCache`) by snapshot id.
+    The graph keeps, per product key (the property, the block's layout
+    and sigma), the outcome of each lasso search that ended clean, and
+    a search with a kept outcome replays its charges instead of walking.
+    A search that walks builds the sigma's product (its start ids are
+    the graph's ids of the sigma's initial snapshots) and reads the
+    graph's successor-id tuples and label bitsets
+    (:class:`_GraphLabeller`), which sigmas, units, properties and calls
+    agreeing on what a step or a label reads share; a miss there steps
+    or labels once and stores the result.  The sigmas of a unit share
+    one snapshot interner for what they step.  Every sigma keeps its own
+    run context, search context and charge order: a snapshot is charged
+    at its first expansion in the sigma's search, replayed or walked,
+    whatever the graph kept.  A lasso is mapped back to snapshots before it
     leaves the unit, so the merged stats and the witness depend neither
     on how many sigmas a unit holds nor on what the cache held, and ids
     never cross a process boundary.
@@ -297,7 +298,7 @@ def _check_ltlfo_unit(
     bits_shared = 0
     searches = 0  # the product searches run
     nested = 0  # the searches whose walk handed over to the nested DFS
-    replayed = 0  # the searches answered from the product's kept outcomes
+    replayed = 0  # the searches answered from a kept outcome
     covered = 0  # the valuations a dominated class settled unsearched
     tracer = gov.tracer
 
@@ -314,8 +315,8 @@ def _check_ltlfo_unit(
             )
 
     def charge(_sid: int) -> None:
-        # Per sigma and request, whether or not the product kept the
-        # successors: charges and stats stay cache-independent.
+        # Per sigma and request, whatever the graph kept: charges and
+        # stats stay cache-independent.
         stats["snapshots_explored"] += 1
         gov.charge_snapshot()
 
@@ -332,31 +333,36 @@ def _check_ltlfo_unit(
                 set(db.domain) | set(sigma.values()) | set(ctx.extra_domain),
                 key=repr,
             ))
-            product = exploration.product(
-                graph, (property_key, block.key(), frozenset(sigma.items())),
-                lambda: CompiledProduct(
-                    ba, exploration.number(graph, initial_snapshots(ctx)),
-                    block.all_mask,
-                ),
+            outcomes = exploration.outcome_memo(
+                graph, (property_key, block.key(), frozenset(sigma.items()))
             )
             labeller = _GraphLabeller(ctx, exploration, graph, block)
 
+            def build(
+                _ctx=ctx, _graph=graph, _block=block
+            ) -> CompiledProduct:
+                # Only a search that walks builds the product: a context
+                # that replays every search numbers no initial snapshot.
+                return CompiledProduct(
+                    ba, exploration.number(_graph, initial_snapshots(_ctx)),
+                    _block.all_mask,
+                )
+
             def succ(sid: int, _ctx=ctx, _graph=graph) -> tuple[int, ...]:
-                # Asked once per snapshot the product does not keep yet.  A
-                # graph miss steps through this module's ``successors``.
+                # Asked once per snapshot the context expands.  A graph
+                # miss steps through this module's ``successors``.
                 return exploration.successor_ids(_graph, _ctx, sid, successors)
 
             search = ProductSearch(
-                product, succ, labeller.label_bits, charge,
-                partial(exploration.store_product, graph),
-                partial(exploration.store_outcome, graph),
+                build, succ, labeller.label_bits, charge, outcomes,
+                partial(exploration.store_outcome, graph, outcomes),
             )
             valuations = stats["valuations_checked"]
             try:
                 found = _search_product(search, block, gov, stats)
             finally:
-                # a struck search counts as a finished one does: an outcome
-                # read as a product hit, and the unit's events
+                # a struck search counts as a finished one does: its
+                # replays as outcome hits, and the unit's events
                 exploration.outcome_hits += search.replayed
                 bits_computed += labeller.computed
                 bits_shared += labeller.hits
@@ -372,9 +378,8 @@ def _check_ltlfo_unit(
                 run = Run(db, dict(sigma), snapshots, lasso.loop_index)
                 detail: dict = {"run": run, "database": db}
                 if spec.payload.get("confirm", True):
-                    detail["confirmed"] = not _violation_confirmed_holds(
-                        sentence, run, service, ctx, valuation
-                    )
+                    _confirm_violation(sentence, run, service, ctx, valuation)
+                    detail["confirmed"] = True
                 return UnitOutcome(
                     unit.db_index, sigma_index, VIOLATED, stats=stats,
                     detail=detail,
@@ -562,14 +567,15 @@ def verify_ltlfo(
     return run_procedure(_LtlfoProcedure(service, sentence, cfg))
 
 
-def _violation_confirmed_holds(
+def _confirm_violation(
     sentence: LTLFOSentence,
     run: Run,
     service: WebService,
     ctx: RunContext,
     valuation: Mapping[str, Value],
-) -> bool:
-    """True when the reference semantics *fails* to confirm the violation.
+) -> None:
+    """Raise :class:`AssertionError` unless the reference semantics
+    confirms the violation.
 
     The Büchi pipeline found a lasso for the negated grounded property;
     the reference lasso evaluator must agree that the grounded property
@@ -589,7 +595,6 @@ def _violation_confirmed_holds(
             "internal error: counterexample not confirmed by the reference "
             "semantics — please report this as a verifier bug"
         )
-    return False
 
 
 def _require_input_bounded(service: WebService, sentence: LTLFOSentence) -> None:

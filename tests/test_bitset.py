@@ -441,11 +441,11 @@ def _search(service, sentence, ba, db, sigma, exploration=None,
     verifier's unit checker wires it, with a fresh governor (``limits``
     are its caps) and stats.  Without ``exploration`` it is the
     valuation-at-a-time reference over snapshots; with it, the product
-    search over the ids of ``exploration``'s graph of ``db``, on the
-    compiled product that graph keeps for the property, the block and
-    sigma, labelled through the graph's label memo, its lasso mapped
-    back to snapshots.  Returns ``(found, stats, governor)``; ``found`` is the
-    limit's name when a cap struck."""
+    search over the ids of ``exploration``'s graph of ``db``, replaying
+    the clean-search outcomes that graph keeps for the property, the
+    block and sigma, labelled through the graph's label memo, its lasso
+    mapped back to snapshots.  Returns ``(found, stats, governor)``;
+    ``found`` is the limit's name when a cap struck."""
     literals = frozenset(sentence.literals())
     ctx = RunContext(service, db, sigma=sigma, extra_domain=literals)
     gov = _ChargeLog(**(limits or {}))
@@ -478,25 +478,27 @@ def _search(service, sentence, ba, db, sigma, exploration=None,
         else:
             graph = exploration.open(db, ctx.extra_domain)
             block = ValuationBlock(sentence.variables, domain)
-            product = exploration.product(
+            outcomes = exploration.outcome_memo(
                 graph,
-                (LNot(sentence.skeleton), sentence.variables, block.key(),
+                ((LNot(sentence.skeleton), sentence.variables), block.key(),
                  frozenset(sigma.items())),
+            )
+            labeller = _GraphLabeller(ctx, exploration, graph, block)
+            search = ProductSearch(
                 lambda: CompiledProduct(
                     ba, exploration.number(graph, initial_snapshots(ctx)),
                     block.all_mask,
                 ),
-            )
-            labeller = _GraphLabeller(ctx, exploration, graph, block)
-            search = ProductSearch(
-                product,
                 lambda sid: exploration.successor_ids(
                     graph, ctx, sid, successors
                 ),
-                labeller.label_bits, charge,
-                partial(exploration.store_product, graph),
+                labeller.label_bits, charge, outcomes,
+                partial(exploration.store_outcome, graph, outcomes),
             )
-            found = _search_product(search, block, gov, stats)
+            try:
+                found = _search_product(search, block, gov, stats)
+            finally:
+                exploration.outcome_hits += search.replayed
             if found is not None:
                 lasso, valuation = found
                 snapshots = [graph.snapshots[sid] for sid in lasso.states]
@@ -550,11 +552,11 @@ def test_setwise_search_matches_reference(case, limit):
     same cap striking after the same charges.  The product searches of
     a case share one exploration cache across its databases and sigmas,
     as the units and calls on one service do: snapshot ids, successor-id
-    tuples and label bitsets.  Each pair is searched twice through it,
-    the second time on the compiled product the first kept, and both
-    must match the reference.  Every violating lasso replays as a run of
-    the service that violates the property under the reported
-    valuation."""
+    tuples, label bitsets and clean-search outcomes.  Each pair is
+    searched twice through it, the second time replaying the outcomes
+    the first kept, and both must match the reference.  Every violating
+    lasso replays as a run of the service that violates the property
+    under the reported valuation."""
     make_service, make_prop, *make_databases = SEARCH_CASES[case]
     service, sentence = make_service(), make_prop()
     ba = ltl_to_buchi(LNot(sentence.skeleton))
@@ -572,8 +574,8 @@ def test_setwise_search_matches_reference(case, limit):
             if limit is not None:
                 limits = {limit: _half_cap(limit, ref[2].charges)}
                 ref = _search(service, sentence, ba, db, sigma, limits=limits)
-            # cold, then on the product the first search kept (a struck
-            # search keeps what it expanded before the cap)
+            # cold, then replaying the outcomes the first search kept (a
+            # struck search keeps those of the searches before the cap)
             for _ in range(2):
                 got = _search(
                     service, sentence, ba, db, sigma, exploration,
@@ -602,8 +604,11 @@ def test_setwise_search_matches_reference(case, limit):
     stats = exploration.stats()
     if "ring" in case:  # its sigmas share labels: some are served
         assert stats["label_hits"] > 0
-    # every pair's second search ran on the product its first one kept
-    assert (stats["product_misses"], stats["product_hits"]) == (pairs, pairs)
+    # every pair's second search replayed each clean search its first
+    # one kept, and kept nothing new
+    assert stats["outcome_hits"] == stats["outcome_entries"]
+    if limit is None and "never" not in case:
+        assert stats["outcome_entries"] >= pairs
 
 
 class TestVerifierSetwiseIdentity:

@@ -1,9 +1,10 @@
 """The exploration cache: explore once per service, not once per call.
 
 ``CompiledService.exploration`` keeps, per (database, extra domain),
-the successor sets the LTL-FO and error-freeness searches ask for and
-each completed Kripke structure, and later calls over the same service
-object read them.  A hit serves a graph that was explored for another
+the successor sets the LTL-FO and error-freeness searches ask for, the
+LTL-FO labeller's label bitsets, the outcomes of clean lasso searches
+and each completed Kripke structure, and later calls over the same
+service object read them.  A hit serves a graph that was explored for another
 property, another sigma or another budget, so the checks compare warm
 calls with cold ones, never the cache with itself:
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -46,8 +48,6 @@ import pytest
 import repro.verifier as verifier
 from repro.ctl.modelcheck import satisfying_states
 from repro.ctl.parser import parse_ctl
-from repro.ltl import LTLAtom, ltl_to_buchi
-from repro.ltl.buchi import CompiledProduct
 from repro.ltl.parser import parse_ltlfo
 from repro.schema import Database
 from repro.service import ServiceBuilder
@@ -679,7 +679,7 @@ def test_warm_calls_fingerprint_as_cold(name, cold):
         stats = compiled_service(service).exploration.stats()
         assert stats["entries"] <= compiled_service(service).exploration.cap
     stats = compiled_service(service).exploration.stats()
-    reused = ("successor_hits", "product_hits", "kripke_hits")
+    reused = ("successor_hits", "outcome_hits", "kripke_hits")
     assert sum(stats[key] for key in reused) > 0, (
         "the sequence never reused a graph: it tests nothing"
     )
@@ -715,11 +715,11 @@ def test_one_label_key_field_separates_two_calls(name, cold):
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_KEY_CASES))
 def test_one_product_key_field_separates_two_calls(name, cold):
-    """Warm, the second call of each pair builds a compiled product of
-    its own, no successor set is stepped again, and it fingerprints as
-    it does cold.  The two calls differ cold in the verdict or the
-    stats, so a second call served the first call's product would
-    show."""
+    """Warm, the second call of each pair replays no outcome the first
+    kept and keeps outcomes of its own, it reads successor sets the
+    first stepped, and it fingerprints as it does cold.  The two calls
+    differ cold in the verdict or the stats, so a second call served
+    the first call's outcomes would show."""
     factory, (first, second) = SCENARIOS[name]
     service = factory()
     run_call(first, service)
@@ -728,8 +728,8 @@ def test_one_product_key_field_separates_two_calls(name, cold):
     result, _replay = run_call(second, service)
     after = cache.stats()
     assert fingerprint(result) == fingerprint(cold[name][1][0])
-    assert after["product_hits"] == before["product_hits"]
-    assert after["product_misses"] == before["product_misses"] + 1
+    assert after["outcome_hits"] == before["outcome_hits"]
+    assert after["outcome_entries"] > before["outcome_entries"]
     assert after["successor_hits"] > before["successor_hits"]
     cold_first, cold_second = (fingerprint(r) for r, _ in cold[name])
     assert (cold_first["verdict"], cold_first["stats"]) != (
@@ -739,25 +739,31 @@ def test_one_product_key_field_separates_two_calls(name, cold):
 
 def test_warm_budget_strikes_as_cold(cold):
     """A call capped below what the full search charges strikes at the
-    cold call's point, with its checkpoint, on a product a struck call
-    started and on one a full call completed; full calls then complete
-    on it."""
+    cold call's point, with its checkpoint, on the outcomes a struck
+    call kept and on those a full call kept; full calls then complete
+    on them.  One (database, sigma): once a property's full call has
+    kept the outcome of each of its searches, every later call of it
+    keeps none, and a full one replays them all."""
     factory, calls = SCENARIOS["product_budget"]
     service = factory()
     cache = compiled_service(service).exploration
-    for i, (call, (cold_result, _)) in enumerate(
-        zip(calls, cold["product_budget"])
-    ):
+    kept: dict = {}  # property -> outcome entries once a full call held
+    for call, (cold_result, _) in zip(calls, cold["product_budget"]):
+        before = cache.stats()
         result, _replay = run_call(call, service)
+        after = cache.stats()
         assert fingerprint(result) == fingerprint(cold_result), call.label
         if result.verdict is Verdict.INCONCLUSIVE:
             assert result.checkpoint is not None
-        # one (database, sigma): a property's first call builds its
-        # product, every later one reads it
-        built = len({c.prop for c in calls[:i + 1]})
-        stats = cache.stats()
-        assert stats["product_misses"] == built, call.label
-        assert stats["product_hits"] == i + 1 - built, call.label
+        new = after["outcome_entries"] - before["outcome_entries"]
+        replayed = after["outcome_hits"] - before["outcome_hits"]
+        if call.prop in kept:
+            assert new == 0, call.label
+            if result.verdict is Verdict.HOLDS:
+                assert replayed == kept[call.prop] > 0, call.label
+        elif result.verdict is Verdict.HOLDS:
+            kept[call.prop] = replayed + new
+    assert list(kept) == [_STORED_B]
 
 
 def test_replayed_searches_strike_as_cold():
@@ -860,6 +866,38 @@ def test_warm_repeat_builds_no_start_or_eval_context(
     ) > 1
     assert cold_result.calls["make_eval_context"] > 0
     assert warm.calls == {"initial_snapshots": 0, "make_eval_context": 0}
+
+
+@pytest.mark.parametrize("sigma_block", [1, 8])
+def test_warm_violated_repeat_walks_only_the_violating_search(sigma_block):
+    """A warm repeat of a VIOLATED call fingerprints as the cold call.
+    The searches before the violating one replay the outcomes the cold
+    call kept; the violating search kept none, so it walks again, over
+    the successor sets and label bitsets the graph keeps: it steps and
+    labels nothing."""
+    service = session_registration()
+    sentence = parse_ltlfo("forall x0, x1: G !ack(x0, x1)")
+
+    def call():
+        return verifier.verify_ltlfo(
+            service, sentence, databases=_rings(service), workers=1,
+            sigma_block=sigma_block,
+        )
+
+    cold_result = call()
+    assert cold_result.verdict is Verdict.VIOLATED
+    cache = compiled_service(service).exploration
+    before = cache.stats()
+    warm = call()
+    after = cache.stats()
+    assert fingerprint(warm) == fingerprint(cold_result)
+    _check_witness(warm, (service, frozenset()))
+    assert after["outcome_hits"] > before["outcome_hits"]
+    assert after["outcome_entries"] == before["outcome_entries"]
+    assert after["successor_hits"] > before["successor_hits"]
+    assert after["label_hits"] > before["label_hits"]
+    for key in ("successor_misses", "label_misses", "entries"):
+        assert after[key] == before[key], key
 
 
 def test_every_scenario_reaches_a_violation(cold):
@@ -978,22 +1016,17 @@ def test_threads_on_one_cold_service(name, first, second, cold):
     )
 
 
-def _one_state_product():
-    return CompiledProduct(ltl_to_buchi(LTLAtom("p")), [0], 1)
-
-
 def test_concurrent_stores_lose_no_update():
     """Eight threads number the same snapshots and store the same keys,
-    label bitsets and compiled-product entries into two graphs at once;
+    label bitsets and clean-search outcomes into two graphs at once;
     every count a lost read-modify-write would corrupt stays exact,
-    every snapshot gets one id and every product slot one value."""
+    every snapshot gets one id and every outcome bit one value."""
     n_threads, n_keys, n_snaps = 8, 20000, 500
     cache = ExplorationCache()
     cache.cap = 8 * n_keys  # room for every store: nothing is evicted
     graphs = [cache.open(name, frozenset()) for name in "ab"]
     memos = [cache.label_memo(graph, "p") for graph in graphs]
-    products = [cache.product(graph, "k", _one_state_product)
-                for graph in graphs]
+    outcomes = [cache.outcome_memo(graph, "k") for graph in graphs]
     barrier = threading.Barrier(n_threads)
     errors: list[BaseException] = []
 
@@ -1003,13 +1036,12 @@ def test_concurrent_stores_lose_no_update():
             for i in range(n_keys):
                 # () is one shared object: a store must not mistake
                 # another thread's () for its own
-                graph, product = graphs[i % 2], products[i % 2]
+                graph = graphs[i % 2]
                 cache._store_successors(graph, i, ())
                 cache.store_label(graph, memos[i % 2], i, i)
                 cache.number(graph, [i // 2 % n_snaps])
-                # slots past the end grow the lists under the lock
-                cache.store_product(
-                    graph, product, {i // 2: (i,)}, {i // 2: ()}
+                cache.store_outcome(
+                    graph, outcomes[i % 2], i // 2, (i, array("i"))
                 )
         except BaseException as exc:  # pragma: no cover - reported below
             errors.append(exc)
@@ -1029,18 +1061,15 @@ def test_concurrent_stores_lose_no_update():
     stats = cache.stats()
     assert stats["successor_misses"] == n_threads * n_keys
     assert stats["label_misses"] == n_threads * n_keys
-    # per graph: n_keys / 2 successor tuples and label bitsets, and a
-    # product keeping n_keys / 2 successor tuples and mask tuples
-    assert [g.size for g in graphs] == [2 * n_keys + 1] * 2
-    assert stats["entries"] == 2 * (2 * n_keys + 1)
-    assert stats["product_entries"] == 2 * (n_keys + 1)
+    # per graph: n_keys / 2 successor tuples, label bitsets and outcomes
+    assert [g.size for g in graphs] == [3 * n_keys // 2] * 2
+    assert stats["entries"] == 3 * n_keys
     assert sum(len(g.successor_ids) for g in graphs) == n_keys
-    assert stats["label_entries"] == n_keys
-    for graph, product in zip(graphs, products):
-        assert len(product.succ) == len(product.masks) == n_keys // 2
-        assert product.succ == [()] * (n_keys // 2)
-        side = graphs.index(graph)
-        assert product.masks == [(2 * j + side,) for j in range(n_keys // 2)]
+    assert stats["label_entries"] == stats["outcome_entries"] == n_keys
+    for side, memo in enumerate(outcomes):
+        assert memo == {
+            j: (2 * j + side, array("i")) for j in range(n_keys // 2)
+        }
     assert stats["evicted_databases"] == 0
     for graph in graphs:
         assert sorted(graph.snapshots) == list(range(n_snaps))
@@ -1115,16 +1144,17 @@ def test_stores_wait_for_the_lock():
     shop = store()
     kripke = build_snapshot_kripke(shop, Database(shop.schema.database))
     memo = cache.label_memo(graph, "p")
-    product = _one_state_product()
+    outcomes = cache.outcome_memo(graph, "k")
+    outcome = (3, array("i", [0]))
     writes = [
         lambda: cache.open("b", frozenset()),
         lambda: cache.number(graph, ["s"]),
         lambda: cache.label_memo(graph, "q"),
+        lambda: cache.outcome_memo(graph, "l"),
         lambda: cache._store_successors(graph, 0, ()),
         lambda: cache.store_label(graph, memo, 0, 5),
         lambda: cache.store_kripke(graph, kripke, 1),
-        lambda: cache.product(graph, "k", lambda: product),
-        lambda: cache.store_product(graph, product, {1: (3,)}, {}),
+        lambda: cache.store_outcome(graph, outcomes, 1, outcome),
     ]
     for write in writes:
         done = threading.Event()
@@ -1142,41 +1172,29 @@ def test_stores_wait_for_the_lock():
         assert not thread.is_alive()
     assert list(cache._graphs) == [("a", frozenset()), ("b", frozenset())]
     # one entry per store, a completed structure's included
-    assert cache.stats()["entries"] == 5
+    assert cache.stats()["entries"] == 4
     assert (graph.snapshots, graph.ids, memo) == (["s"], {"s": 0}, {0: 5})
-    assert graph.products == {"k": product}
-    assert product.masks == [None, (3,)]
+    assert graph.outcomes == {"k": {1: outcome}, "l": {}}
 
 
 def label_entries(graph) -> int:
     return sum(len(memo) for memo in graph.labels.values())
 
 
-def product_entries(graph) -> int:
-    """One per compiled product the graph keeps, and one per successor
-    tuple and enable-mask tuple each product holds."""
-    return sum(
-        1 + sum(ids is not None for ids in product.succ)
-        + sum(masks is not None for masks in product.masks)
-        for product in graph.products.values()
-    )
+def outcome_entries(graph) -> int:
+    return sum(len(memo) for memo in graph.outcomes.values())
 
 
 def graph_size(cache: ExplorationCache, key) -> int:
     """The entries ``key``'s graph is charged: one per successor-id
-    tuple and label bitset it holds, whoever stored it, one for a
-    completed Kripke structure (its build charged the successor tuples
-    it stored), its products' entries, and one per clean-search outcome
-    its products keep."""
+    tuple, label bitset and clean-search outcome it holds, whoever
+    stored it, and one for a completed Kripke structure (its build
+    charged the successor tuples it stored)."""
     graph = cache._graphs[key]
     kripke = 1 if graph.structure else 0
-    assert graph.product_entries == product_entries(graph)
-    assert graph.outcome_entries == sum(
-        len(product.outcomes) for product in graph.products.values()
-    )
     assert graph.size == (
-        len(graph.successor_ids) + label_entries(graph) + kripke
-        + graph.product_entries + graph.outcome_entries
+        len(graph.successor_ids) + label_entries(graph)
+        + outcome_entries(graph) + kripke
     )
     return graph.size
 
@@ -1222,6 +1240,36 @@ def test_cap_holds_and_results_stay_exact():
             graph_size(capped_cache, key) for key in capped_cache._graphs
         )
     assert capped_cache.stats()["evicted_databases"] > 0
+
+
+def test_renamed_closure_variables_evict_no_graph():
+    """E14's session service over the two ring databases, a HOLDS and a
+    VIOLATED property under the closure prefixes x, y, z, u, v, w and x
+    again.  Each renaming is another product key, so its searches walk,
+    over the successor sets and label bitsets the first pass stored
+    (the label key renames closure variables away), and keep only their
+    outcomes: no graph is evicted, and no later pass steps or labels."""
+    service = session_registration()
+    dbs = _rings(service)
+    cache = compiled_service(service).exploration
+    texts = (
+        ("forall {p}0, {p}1, {p}2: record({p}0, {p}1) B "
+         "!(stored({p}0, {p}1) & stored({p}1, {p}2))", Verdict.HOLDS),
+        ("forall {p}0, {p}1: G !ack({p}0, {p}1)", Verdict.VIOLATED),
+    )
+    for i, prefix in enumerate("xyzuvwx"):
+        before = cache.stats()
+        for text, verdict in texts:
+            result = verifier.verify_ltlfo(
+                service, parse_ltlfo(text.format(p=prefix)), databases=dbs,
+                workers=1,
+            )
+            assert result.verdict is verdict, prefix
+        after = cache.stats()
+        assert after["evicted_databases"] == 0, prefix
+        if i:
+            assert after["successor_misses"] == before["successor_misses"]
+            assert after["label_misses"] == before["label_misses"]
 
 
 def test_eviction_drops_least_recently_used_first():
@@ -1351,13 +1399,9 @@ def test_counts_are_exact():
     assert stats["successor_hits"] + stats["successor_misses"] == explored
     assert stats["label_misses"] == stats["label_entries"]
     assert stats["successor_misses"] + stats["label_misses"] + (
-        stats["product_entries"] + stats["outcome_entries"]
+        stats["outcome_entries"]
     ) == stats["entries"]
-    # one product per (database, sigma), each keeping the successors of
-    # every snapshot its search charged and some enable masks
-    assert (stats["product_misses"], stats["product_hits"]) == (pairs, 0)
-    assert stats["product_entries"] > pairs + explored
-    # and the outcome of every search it served, all clean, none replayed
+    # the outcome of every search, all clean, none replayed
     searched = sum(
         e.fields["searches"] for e in tracer.events
         if e.name == "product.searches"
@@ -1373,34 +1417,27 @@ def test_counts_are_exact():
     )
     labelled = stats["label_hits"] + stats["label_misses"]
 
-    # the same property: every pair's search runs on its kept product,
-    # which asks the graph for no successor set and no label, and
-    # replays every search from its kept outcome
+    # the same property: every pair replays every search from its kept
+    # outcome, which asks the graph for no successor set and no label
     tracer = CollectingTracer()
     warm = verifier.verify_ltlfo(
         service, sentence, databases=dbs, workers=1, tracer=tracer
     )
     assert warm.stats["snapshots_explored"] == explored
     after = cache.stats()
-    assert after["product_hits"] == pairs
-    assert after["product_misses"] == pairs
     assert after["outcome_hits"] == searched
     for key in ("successor_hits", "successor_misses", "label_hits",
-                "label_misses", "product_entries", "outcome_entries",
-                "entries"):
+                "label_misses", "outcome_entries", "entries"):
         assert after[key] == stats[key], key
     assert _label_events(tracer) == (0, 0)
     # each database's graph as one property leaves it, for the cap below
     sizes = [cache._graphs[(db, frozenset())].size for db in dbs]
-    products = [
-        cache._graphs[(db, frozenset())].product_entries for db in dbs
-    ]
     outcomes = [
-        cache._graphs[(db, frozenset())].outcome_entries for db in dbs
+        outcome_entries(cache._graphs[(db, frozenset())]) for db in dbs
     ]
 
-    # the closure variables renamed: another product, which reads every
-    # successor set and label bitset the first stored
+    # the closure variables renamed: another product key, whose searches
+    # walk, reading every successor set and label bitset the first stored
     tracer = CollectingTracer()
     renamed = verifier.verify_ltlfo(
         service, parse_ltlfo(text.replace("x", "y")), databases=dbs,
@@ -1408,17 +1445,13 @@ def test_counts_are_exact():
     )
     assert renamed.stats["snapshots_explored"] == explored
     last = cache.stats()
-    assert last["product_misses"] == 2 * pairs
-    assert last["product_entries"] == 2 * stats["product_entries"]
     assert last["outcome_entries"] == 2 * stats["outcome_entries"]
     assert last["outcome_hits"] == after["outcome_hits"]
     assert last["successor_misses"] == stats["successor_misses"]
     assert last["successor_hits"] == stats["successor_hits"] + explored
     assert last["label_misses"] == stats["label_misses"]
     assert last["label_hits"] == stats["label_hits"] + labelled
-    assert last["entries"] == stats["entries"] + stats["product_entries"] + (
-        stats["outcome_entries"]
-    )
+    assert last["entries"] == stats["entries"] + stats["outcome_entries"]
     assert _label_events(tracer) == (0, labelled)
 
     prop = store()
@@ -1437,7 +1470,6 @@ def test_counts_are_exact():
     )
     assert pstats["entries"] == pstats["successor_misses"] + 1 == n_states
     assert (pstats["label_hits"], pstats["label_misses"]) == (0, 0)
-    assert (pstats["product_hits"], pstats["product_misses"]) == (0, 0)
     assert (pstats["outcome_hits"], pstats["outcome_entries"]) == (0, 0)
 
     # a cap that holds either database's graph but not both: from cold,
@@ -1453,10 +1485,9 @@ def test_counts_are_exact():
     assert cstats["label_entries"] == label_entries(
         ccache._graphs[(dbs[1], frozenset())]
     )
-    assert cstats["product_entries"] == products[1]
     assert cstats["outcome_entries"] == outcomes[1]
     assert cstats["successor_misses"] + cstats["label_misses"] == (
-        2 * (sum(sizes) - sum(products) - sum(outcomes))
+        2 * (sum(sizes) - sum(outcomes))
     )
 
 

@@ -301,8 +301,8 @@ class TestBuchi:
     def test_buchi_agrees_with_lasso_semantics(self, f, word, data):
         """The automaton accepts a lasso word exactly when the word
         satisfies ``f``, decided three ways: the tuple-product nested
-        DFS, ``CompiledProduct.search`` with one valuation, and
-        ``CompiledProduct.accepting_starts`` over the lasso as a
+        DFS, ``ProductSearch.search`` with one valuation, and
+        ``ProductSearch.accepting_starts`` over the lasso as a
         deterministic structure, where state ``i`` must be in the set
         exactly when the suffix from position ``i`` satisfies ``f``."""
         loop = data.draw(st.integers(min_value=0, max_value=len(word) - 1))
@@ -317,7 +317,7 @@ class TestBuchi:
 
         bits = lambda s, a: int(word[s][a])
         lasso, _clean = ProductSearch(
-            CompiledProduct(ba, [0], 1), succ, bits
+            lambda: CompiledProduct(ba, [0], 1), succ, bits
         ).search(1)
         assert (lasso is not None) == ref
 
@@ -329,13 +329,13 @@ class TestBuchi:
             )
 
         starts = ProductSearch(
-            CompiledProduct(ba, range(length), 1), succ, bits
+            lambda: CompiledProduct(ba, range(length), 1), succ, bits
         ).accepting_starts(1)
         assert (0 in starts) == ref
         assert starts == {i for i in range(length) if holds_from(i)}
 
     def test_accepting_states_agree_with_nested_dfs(self):
-        """``CompiledProduct.accepting_starts``, the SCC-based
+        """``ProductSearch.accepting_starts``, the SCC-based
         ``accepting_product_states`` and nested DFS
         (``find_accepting_lasso``) from each single state, three
         emptiness checks, on seeded random Kripke structures (dead ends
@@ -361,7 +361,7 @@ class TestBuchi:
                 ba, list(range(n)), succ.__getitem__, label
             )
             product = ProductSearch(
-                CompiledProduct(ba, range(n), 3), succ.__getitem__,
+                lambda: CompiledProduct(ba, range(n), 3), succ.__getitem__,
                 lambda s, a: 1 if labels[s][a] else 2,
             )
             assert product.accepting_starts(1) == got, seed
@@ -383,10 +383,11 @@ class TestBuchi:
         systems whose atom labels are bitsets: the same lasso, and a
         charge at the reference's first ``successors`` call per state,
         in the same order.  A valuation inside a clean class has no
-        lasso either.  Two contexts run over one kept product, one after
-        the other: the product never asks for a state's successors or a
-        label twice, so the second context asks for none, and it charges
-        what the first did."""
+        lasso either.  Two contexts share one outcome dict, one after the
+        other: each asks for a state's successors and a label at most
+        once, the second replays every search the first ended clean and
+        walks only those that found a lasso, asking nothing when there
+        are none, and it charges what the first did."""
         width = 4
         found = {True: 0, False: 0}
         for seed in range(300):
@@ -399,15 +400,17 @@ class TestBuchi:
             bits = {(s, a): rng.getrandbits(width)
                     for s in range(n) for a in ATOMS}
             ba = ltl_to_buchi(_random_ltl(rng, 3))
-            product = CompiledProduct(ba, [0], (1 << width) - 1)
-            asked: list = []
-            labelled: list = []
+            outcomes: dict = {}
+            lassos = 0  # the searches of the first context that found one
             for context in range(2):
                 charges: list = []
+                asked: list = []
+                labelled: list = []
                 search = ProductSearch(
-                    product, lambda s: asked.append(s) or succ[s],
+                    lambda: CompiledProduct(ba, [0], (1 << width) - 1),
+                    lambda s: asked.append(s) or succ[s],
                     lambda s, a: labelled.append((s, a)) or bits[(s, a)],
-                    charges.append,
+                    charges.append, outcomes,
                 )
                 first_calls: list = []
                 covered = 0
@@ -429,26 +432,35 @@ class TestBuchi:
                         got, clean = search.search(bit)
                         assert got == want, (seed, i)
                         found[got is not None] += 1
+                        lassos += context == 0 and got is not None
                         if got is None:
                             assert clean & bit
                             covered |= clean
                     assert charges == first_calls, (seed, context, i)
-                assert asked == first_calls, (seed, context)
-                assert len(set(labelled)) == len(labelled), seed
+                assert len(set(asked)) == len(asked), (seed, context)
+                assert len(set(labelled)) == len(labelled), (seed, context)
+                if context == 0:
+                    assert asked == first_calls, seed
+                    assert search.replayed == 0, seed
+                else:
+                    assert search.searches - search.replayed == lassos, seed
+                    if not lassos:
+                        assert asked == labelled == [], seed
+                        assert search.product is None, seed
         assert min(found.values()) > 100  # both answers well exercised
 
     @pytest.mark.parametrize("step", ["search", "charge"])
     def test_alternating_contexts_charge_as_cold(self, step):
-        """Two search contexts over one kept product, stepped
+        """Two search contexts sharing one outcome dict, stepped
         alternately, each get the lassos, clean classes and charges of a
-        context over a product of its own.  ``search``: a valuation's
-        search in one, then the same in the other, which starts on what
-        the first just kept, so between them they ask for each state's
-        successors and each label once.  ``charge``: two threads handing
-        over at every charge, so both expand the same nodes before
-        either search ends; the product keeps each entry once."""
+        context of their own.  ``search``: a valuation's search in one,
+        then the same in the other, which replays the outcome the first
+        just kept when that search ended clean.  ``charge``: two threads
+        handing over at every charge, so both walk the same valuation
+        before either search ends; the dict keeps each outcome once,
+        the one a cold context keeps."""
         width = 4
-        overlapped = 0  # seeds where both contexts asked for one state
+        overlapped = 0  # seeds where both contexts walked a clean search
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(1, 7)
@@ -461,18 +473,19 @@ class TestBuchi:
             ba = ltl_to_buchi(_random_ltl(rng, 3))
             all_mask = (1 << width) - 1
 
+            def build():
+                return CompiledProduct(ba, [0], all_mask)
+
             cold_log: list = []
+            cold_outcomes: dict = {}
             cold_search = ProductSearch(
-                CompiledProduct(ba, [0], all_mask), succ.__getitem__,
-                lambda s, a: bits[(s, a)], cold_log.append,
+                build, succ.__getitem__, lambda s, a: bits[(s, a)],
+                cold_log.append, cold_outcomes,
             )
             cold = [(cold_search.search(1 << i), list(cold_log))
                     for i in range(width)]
 
-            shared = CompiledProduct(ba, [0], all_mask)
-            asked: list = []
-            labelled: list = []
-            stored: list = []
+            shared: dict = {}
             logs: list = [[], []]
             got: list = [[], []]
             baton = _Baton()
@@ -484,12 +497,8 @@ class TestBuchi:
 
             searches = [
                 ProductSearch(
-                    shared, lambda s: asked.append(s) or succ[s],
-                    lambda s, a: labelled.append((s, a)) or bits[(s, a)],
-                    lambda sid, me=me: charge(sid, me),
-                    lambda product, masks, ids: stored.append(
-                        product.keep(masks, ids)
-                    ),
+                    build, succ.__getitem__, lambda s, a: bits[(s, a)],
+                    lambda sid, me=me: charge(sid, me), shared,
                 )
                 for me in range(2)
             ]
@@ -501,17 +510,17 @@ class TestBuchi:
                 for i in range(width):
                     run(0, i)
                     run(1, i)
-                assert sorted(asked) == sorted(set(asked)), seed
-                assert len(set(labelled)) == len(labelled), seed
+                assert searches[0].replayed == 0, seed
+                assert searches[1].replayed == len(cold_outcomes), seed
             else:
                 baton.run([
                     lambda me=me: [run(me, i) for i in range(width)]
                     for me in range(2)
                 ])
             assert got == [cold, cold], (seed, step)
-            filled = sum(x is not None for x in shared.succ + shared.masks)
-            assert sum(stored) == filled, (seed, step)
-            overlapped += len(asked) > len(set(asked))
+            assert shared == cold_outcomes, (seed, step)
+            replayed = searches[0].replayed + searches[1].replayed
+            overlapped += replayed < len(cold_outcomes)
         # the threads really interleave inside searches
         assert (overlapped > 50) == (step == "charge"), overlapped
 
@@ -570,7 +579,7 @@ class TestDominance:
         succ = {0: (1,), 1: ()}
         charges: list = []
         search = _RecordingSearch(
-            CompiledProduct(ba, [0], 0b11), succ.__getitem__,
+            lambda: CompiledProduct(ba, [0], 0b11), succ.__getitem__,
             lambda s, a: 0b01, charges.append,
         )
         assert _run_search_product(search, 2) == (None, 2)
@@ -596,7 +605,7 @@ class TestDominance:
             ba = ltl_to_buchi(_random_ltl(rng, 3))
             calls: list = []
             search = _RecordingSearch(
-                CompiledProduct(ba, [0], (1 << width) - 1),
+                lambda: CompiledProduct(ba, [0], (1 << width) - 1),
                 lambda s: calls.append(("succ", s)) or succ[s],
                 lambda s, a: calls.append(("label", s, a)) or bits[(s, a)],
                 lambda s: calls.append(("charge", s)),
@@ -648,7 +657,7 @@ def test_walk_enters_enabled_destinations_in_order():
     assert find_accepting_lasso(ba, [0], ref_succ, lambda s, a: s != 1) is None
     charges: list = []
     search = ProductSearch(
-        CompiledProduct(ba, [0], 0b1), succ.__getitem__,
+        lambda: CompiledProduct(ba, [0], 0b1), succ.__getitem__,
         lambda s, a: 0 if s == 1 else 1, charges.append,
     )
     lasso, dominated = search.search(0b1)
@@ -668,8 +677,9 @@ def test_struck_or_violating_search_keeps_no_outcome():
     at 1 and hands over; the nested DFS charges 1 and 2.  With ``q``
     false, no lasso: a search struck at the walk's charge or at the
     nested DFS's first keeps no outcome, so a fresh context searches
-    again; the full search keeps one, which a later context replays.
-    With ``q`` true at 2, the lasso 0, 1, (2): no outcome."""
+    again; the full search keeps one, which a later context replays
+    without building a product.  With ``q`` true at 2, the lasso 0, 1,
+    (2): no outcome."""
     ba = BuchiAutomaton(
         n_states=2, initial=frozenset({0}), accepting=frozenset({1}),
         transitions_from=[
@@ -680,7 +690,7 @@ def test_struck_or_violating_search_keeps_no_outcome():
     )
     succ = {0: (1,), 1: (2,), 2: (2,)}
 
-    def context(product, q_at, strike_at=None):
+    def context(outcomes, q_at, strike_at=None):
         charges: list = []
 
         def charge(sid):
@@ -691,29 +701,33 @@ def test_struck_or_violating_search_keeps_no_outcome():
         def bits(s, a):
             return int(s == 1) if a == "p" else int(s == q_at)
 
-        return ProductSearch(product, succ.__getitem__, bits, charge), charges
+        return ProductSearch(
+            lambda: CompiledProduct(ba, [0], 0b1), succ.__getitem__, bits,
+            charge, outcomes,
+        ), charges
 
-    product = CompiledProduct(ba, [0], 0b1)
+    outcomes: dict = {}
     for strike_at, where in ((1, "walk"), (2, "nested DFS")):
-        search, charges = context(product, None, strike_at)
+        search, charges = context(outcomes, None, strike_at)
         with pytest.raises(_Strike):
             search.search(0b1)
         assert search.nested == (where == "nested DFS"), where
         assert charges == [0, 1][:strike_at]
-        assert product.outcomes == {}, where
-    search, charges = context(product, None)
+        assert outcomes == {}, where
+    search, charges = context(outcomes, None)
     assert search.search(0b1) == (None, 0b1)
     assert (search.nested, search.replayed, charges) == (1, 0, [0, 1, 2])
-    assert list(product.outcomes[0b1][1]) == [0, 1, 2]
-    search, charges = context(product, None)
+    assert list(outcomes[0b1][1]) == [0, 1, 2]
+    search, charges = context(outcomes, None)
     assert search.search(0b1) == (None, 0b1)
     assert (search.nested, search.replayed, charges) == (0, 1, [0, 1, 2])
+    assert search.product is None
 
-    violating = CompiledProduct(ba, [0], 0b1)
+    violating: dict = {}
     search, charges = context(violating, 2)
     lasso, dominated = search.search(0b1)
     assert (lasso.states, lasso.loop_index, dominated) == ([0, 1, 2], 2, None)
-    assert violating.outcomes == {}
+    assert violating == {}
     search, charges = context(violating, 2)
     assert search.search(0b1)[0] == lasso
     assert (search.nested, search.replayed) == (1, 0)

@@ -27,7 +27,7 @@ KNOWN_ABSENT = [
     # stale since the choice memo moved the call into ``service.runs``
     "repro.verifier.branching:enumerate_choices",
     # now a test reference: the verifier searches through
-    # ``CompiledProduct.search``, so the probe read 0 even before its
+    # ``ProductSearch.search``, so the probe read 0 even before its
     # target moved; it is to be retargeted there
     "repro.verifier.linear:find_accepting_lasso",
 ]

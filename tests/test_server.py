@@ -224,11 +224,12 @@ class TestAmortization:
     def test_repeat_verify_reads_the_explored_graph(
         self, server, base, registered
     ):
-        """The second request steps, labels and expands nothing: it
-        searches the compiled products the first kept, which hold every
-        successor set and enable mask it reads, so it does not even look
-        one up in the graph (in-process, so ``workers`` 1).  It returns
-        what the first returned."""
+        """The second request steps, labels and walks nothing: every
+        search of the first, which the database cap ends INCONCLUSIVE,
+        ended clean, so the second replays each from the outcome the
+        first kept and does not even look a successor set or a label up
+        in the graph (in-process, so ``workers`` 1).  It returns what
+        the first returned."""
         sid = registered["core.json"]
         payload = {
             "spec_id": sid, "ltl": "G !ERROR", "force": True,
@@ -242,9 +243,13 @@ class TestAmortization:
         assert status == 200, body
         status, second = request(base, "GET", f"/specs/{sid}")
         before, after = first["exploration"], second["exploration"]
-        assert after["product_hits"] > before["product_hits"]
-        assert after["product_misses"] == before["product_misses"] > 0
-        assert after["product_entries"] == before["product_entries"] > 0
+        assert first_body["result"]["stats"]["interrupted_by"] == (
+            "max_databases"
+        )
+        assert after["outcome_hits"] - before["outcome_hits"] == (
+            before["outcome_entries"]
+        ) > 0
+        assert after["outcome_entries"] == before["outcome_entries"]
         for key in ("successor_hits", "successor_misses", "label_hits",
                     "label_misses"):
             assert after[key] == before[key], key
